@@ -4,16 +4,16 @@ Every CLI sweep pays the full start-up bill: engine construction, the
 lower-layer aggregate and per-pattern structure solves, the shared
 memory segment build, and (for the process executor) spawning and
 priming a fresh worker pool — then throws all of it away.  The warm
-path (``repro serve`` / a persistent :class:`SweepEngine`) keeps the
+path (``repro serve`` / a long-lived :class:`SweepEngine`) keeps the
 pool, the primed workers, the shared segment and the caches resident,
 so a repeated sweep costs only the dispatch.
 
 Assertions on the paper's 27-design space (dns/web/app x 1..3):
 
-* **speedup** — re-sweeping through one warm engine (persistent pool,
+* **speedup** — re-sweeping through one warm engine (warm pool,
   result memo cleared between repeats so every design is genuinely
   re-dispatched) is >= 3x faster than the cold per-call path (a fresh
-  process-executor engine per repeat), measured min-over-trials;
+  ``repro sweep`` process per repeat), measured min-over-trials;
 * **byte-identity** — warm results equal the cold results bit for bit,
   repeat after repeat, including after a pool recycle;
 * **resilience** — SIGKILLing a warm worker between repeats costs one
@@ -97,7 +97,7 @@ def test_warm_pool_speedup():
         cold_s = min(cold_s, time.perf_counter() - start)
         cold_payload = json.loads(completed.stdout)
 
-    # Warm: the resident service — persistent pool, primed workers,
+    # Warm: the resident service — warm pool, primed workers,
     # retained shared segment.  The engine memo and the service's
     # response memory are cleared between repeats, so every repeat
     # genuinely re-dispatches all 27 designs through the warm pool.
@@ -122,6 +122,11 @@ def test_warm_pool_speedup():
         # a failed request — and the retried sweep stays identical.
         pool = service.engine.executor._pool
         os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        # Wait (bounded) until the pool notices the dead worker, so the
+        # next sweep cannot finish on the survivor without a recycle.
+        noticed = time.monotonic() + 10.0
+        while not pool._broken and time.monotonic() < noticed:
+            time.sleep(0.01)
         service.engine.clear_cache()
         service._responses.clear()
         recycled_payload = client.sweep(**request)

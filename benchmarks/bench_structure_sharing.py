@@ -85,10 +85,10 @@ def test_structure_sharing_speedup(case_study, critical_policy):
             best = min(best, time.perf_counter() - start)
         return best, results
 
-    shared_engine = engine()
-    baseline_engine = engine(structure_sharing=False)
-    baseline_s, baseline_results = timed(baseline_engine)
-    shared_s, shared_results = timed(shared_engine)
+    with engine(structure_sharing=False) as baseline_engine:
+        baseline_s, baseline_results = timed(baseline_engine)
+    with engine() as shared_engine:
+        shared_s, shared_results = timed(shared_engine)
 
     # byte-identity before anything else: speed means nothing otherwise
     _assert_identical(baseline_results, shared_results)
@@ -155,13 +155,14 @@ def test_sweep_identity_across_executors(case_study, critical_policy):
                 if executor == "serial"
                 else {"max_workers": 2, "chunk_size": 1}
             )
-            results = SweepEngine(
+            with SweepEngine(
                 case_study=case_study,
                 policy=critical_policy,
                 executor=executor,
                 structure_sharing=sharing,
                 **kwargs,
-            ).evaluate(designs)
+            ) as sweep_engine:
+                results = sweep_engine.evaluate(designs)
             _assert_identical(reference, results)
 
 
@@ -183,13 +184,14 @@ def test_timeline_identity_across_executors(case_study, critical_policy):
                 if executor == "serial"
                 else {"max_workers": 2, "chunk_size": 1}
             )
-            results = SweepEngine(
+            with SweepEngine(
                 case_study=case_study,
                 policy=critical_policy,
                 executor=executor,
                 structure_sharing=sharing,
                 **kwargs,
-            ).timeline(designs, times)
+            ) as sweep_engine:
+                results = sweep_engine.timeline(designs, times)
             for a, b in zip(reference, results):
                 assert a.coa == b.coa
                 assert a.completion_probability == b.completion_probability

@@ -35,13 +35,13 @@ def main() -> None:
     tracing.drain()  # start from an empty trace buffer
     before = REGISTRY.state()
     try:
-        engine = SweepEngine(
+        with SweepEngine(
             case_study=paper_case_study(),
             policy=CriticalVulnerabilityPolicy(),
             executor="process",
             max_workers=2,
-        )
-        evaluations = engine.evaluate(designs)
+        ) as engine:
+            evaluations = engine.evaluate(designs)
     finally:
         count = write_chrome_trace(trace_path)
         tracing.disable()

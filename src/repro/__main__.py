@@ -28,15 +28,14 @@ Commands
     byte-identical to the stationary timeline.
 ``serve``
     Resident evaluation service: a bounded pool of warm sweep-engine
-    *lanes* (persistent worker pools, retained shared-memory
-    aggregates, result caches), one per evaluation context, behind a
-    versioned HTTP/JSON API.  ``POST /v1/sweep`` and ``POST
-    /v1/timeline`` take one request envelope (space / options /
-    priority / deadline_ms / stream) and answer with exactly the
-    corresponding ``--json`` payload — or stream it chunk by chunk as
-    newline-delimited JSON; ``GET /v1/healthz`` reports liveness,
-    per-lane state and request counters.  The unversioned paths keep
-    working with the flat legacy fields plus a ``Deprecation`` header.
+    *lanes* (warm worker pools, retained shared-memory aggregates,
+    result caches), one per evaluation context, behind a versioned
+    HTTP/JSON API.  ``POST /v1/sweep`` and ``POST /v1/timeline`` take
+    one request envelope (space / options / priority / deadline_ms /
+    stream) and answer with exactly the corresponding ``--json``
+    payload — or stream it chunk by chunk as newline-delimited JSON;
+    ``GET /v1/healthz`` reports liveness, per-lane state and request
+    counters.  Every other path answers 404.
 ``shard``
     Coordinator for horizontal scale-out: partition a design space
     across several running ``serve`` processes by the stable design
@@ -307,9 +306,10 @@ def _sweep(args: argparse.Namespace) -> int:
     tracing_on = _start_trace(args)
     try:
         engine, designs, roles = _space_engine_and_designs(args, roles)
-        evaluations = engine.evaluate(
-            designs, deadline=_deadline_from_args(args)
-        )
+        with engine:
+            evaluations = engine.evaluate(
+                designs, deadline=_deadline_from_args(args)
+            )
     except DeadlineExceeded as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         _dump_metrics(args)
@@ -384,13 +384,14 @@ def _timeline(args: argparse.Namespace) -> int:
             times = default_time_grid(args.horizon, args.points)
         campaign = _campaign_from_args(args)
         engine, designs, roles = _space_engine_and_designs(args, roles)
-        timelines = engine.timeline(
-            designs,
-            times,
-            campaign=campaign,
-            method=args.method,
-            deadline=_deadline_from_args(args),
-        )
+        with engine:
+            timelines = engine.timeline(
+                designs,
+                times,
+                campaign=campaign,
+                method=args.method,
+                deadline=_deadline_from_args(args),
+            )
     except DeadlineExceeded as exc:
         print(f"timeline failed: {exc}", file=sys.stderr)
         _dump_metrics(args)
@@ -624,12 +625,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             "  evaluates that single design through the same engine stack.\n"
             "  'timeline --method' picks the transient backend: exact\n"
             "  uniformisation (default, bit-identical anchored iterates),\n"
-            "  krylov (scipy expm_multiply propagation), adaptive\n"
-            "  (steady-state-detecting uniformisation, error bounded by the\n"
-            "  solver tolerance) or auto (exact up to 5000 states, adaptive\n"
-            "  above).  REPRO_DENSE_THRESHOLD overrides the dense/sparse\n"
-            "  cutoff; steady solves above 5000 states use a preconditioned\n"
-            "  iterative path automatically.\n"
+            "  adaptive (steady-state-detecting uniformisation, error\n"
+            "  bounded by the solver tolerance) or auto (exact up to 5000\n"
+            "  states, adaptive above).  REPRO_DENSE_THRESHOLD overrides the\n"
+            "  dense/sparse cutoff; steady solves above 5000 states use a\n"
+            "  preconditioned iterative path automatically.\n"
             "\n"
             "observability:\n"
             "  -v/--verbose logs engine decisions (context builds, warm\n"
@@ -847,13 +847,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     timeline.add_argument(
         "--method",
-        choices=("auto", "uniformisation", "krylov", "adaptive"),
+        choices=("auto", "uniformisation", "adaptive"),
         default="uniformisation",
         help=(
             "transient propagation backend: exact uniformisation "
-            "(default), Krylov expm_multiply, steady-state-detecting "
-            "adaptive uniformisation, or size-dispatching auto "
-            "(exact up to 5000 states, adaptive above)"
+            "(default), steady-state-detecting adaptive uniformisation, "
+            "or size-dispatching auto (exact up to 5000 states, adaptive "
+            "above)"
         ),
     )
     timeline.add_argument(
@@ -871,16 +871,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     serve = commands.add_parser(
         "serve",
         help=(
-            "resident evaluation service: a warm sweep engine (persistent "
+            "resident evaluation service: a warm sweep engine (warm "
             "worker pool + shared-memory aggregates + result caches) "
             "behind an HTTP/JSON API"
         ),
         description=(
             "Serve POST /v1/sweep, POST /v1/timeline, GET /v1/healthz and "
-            "GET /v1/metrics over HTTP/1.1.  /v1 bodies use one envelope "
+            "GET /v1/metrics over HTTP/1.1 (any other path answers 404).  "
+            "Request bodies use one envelope "
             "({'space': {...}, 'options': {...}, 'priority', "
-            "'deadline_ms', 'stream'}); the unversioned paths keep the "
-            "flat legacy fields but answer with a Deprecation header.  "
+            "'deadline_ms', 'stream'}).  "
             "Responses are byte-identical to the corresponding --json "
             "output.  Requests run on a bounded pool of warm engine "
             "lanes keyed by evaluation context (--lanes), interactive "
@@ -904,8 +904,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--executor",
         choices=("serial", "thread", "process"),
         default="process",
-        help="engine executor; thread/process pools are persistent "
-        "(default: process)",
+        help="engine executor; thread/process pools stay warm across "
+        "requests (default: process)",
     )
     serve.add_argument(
         "--jobs",
@@ -1057,7 +1057,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     shard.add_argument(
         "--method",
-        choices=("auto", "uniformisation", "krylov", "adaptive"),
+        choices=("auto", "uniformisation", "adaptive"),
         default="uniformisation",
         help="timeline transient backend (see timeline --help)",
     )

@@ -35,11 +35,6 @@ Large state spaces pick an alternative backend through
 
 ``"uniformisation"`` (default)
     The exact anchored-iterate path above.
-``"krylov"``
-    Sparse Krylov propagation via :func:`scipy.sparse.linalg.expm_multiply`:
-    the state vector is advanced interval by interval over the sorted
-    time points, never materialising ``P`` or its powers.  Accuracy is
-    near machine precision but not bit-identical to uniformisation.
 ``"adaptive"``
     Steady-state-detecting uniformisation for long horizons: iterate
     streaming stops once successive uniformised iterates converge
@@ -50,8 +45,7 @@ Large state spaces pick an alternative backend through
     Size dispatch: exact uniformisation up to the auto threshold
     (:data:`_AUTO_CUTOFF`, env ``REPRO_AUTO_METHOD_THRESHOLD``),
     adaptive above it (it shares the exact path's arithmetic until its
-    bounded early exit, and dominates Krylov on the repair-dominated
-    chains this repo solves).  The paper-scale models stay below the
+    bounded early exit).  The paper-scale models stay below the
     threshold, so ``auto`` is bit-identical to the default there.
 """
 
@@ -64,7 +58,6 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 
 from repro.ctmc.chain import Ctmc, State
 from repro.errors import SolverError
@@ -90,12 +83,9 @@ _ADAPTIVE_EXITS = _metrics.counter(
     "repro_transient_adaptive_exits_total",
     "Adaptive uniformisation solves that detected steady state early.",
 ).labels()
-_KRYLOV = _metrics.counter(
-    "repro_transient_krylov_propagations_total",
-    "Krylov expm_multiply interval propagations.",
-).labels()
 
 __all__ = [
+    "TRANSIENT_METHODS",
     "transient_distribution",
     "transient_rewards",
     "BatchTransientSolver",
@@ -131,7 +121,8 @@ _BLOCK_BUDGET_ENV = "REPRO_DENSE_BLOCK_BUDGET"
 _AUTO_CUTOFF = 5000
 _AUTO_CUTOFF_ENV = "REPRO_AUTO_METHOD_THRESHOLD"
 
-_METHODS = ("uniformisation", "krylov", "adaptive", "auto")
+#: The transient backends ``BatchTransientSolver(method=...)`` accepts.
+TRANSIENT_METHODS = ("uniformisation", "adaptive", "auto")
 
 
 def _positive_int(value: object, label: str) -> int:
@@ -171,9 +162,10 @@ def _resolve_auto_cutoff() -> int:
 
 
 def _check_method(method: str) -> str:
-    if method not in _METHODS:
+    if method not in TRANSIENT_METHODS:
         raise SolverError(
-            f"unknown transient method {method!r}; expected one of {_METHODS}"
+            f"unknown transient method {method!r}; "
+            f"expected one of {TRANSIENT_METHODS}"
         )
     return method
 
@@ -296,13 +288,12 @@ class BatchTransientSolver:
     a batched call over ``times`` equals a per-time loop byte for byte.
 
     *method* selects the backend (see the module docstring): the exact
-    default ``"uniformisation"``, ``"krylov"`` propagation via
-    ``expm_multiply``, steady-state-detecting ``"adaptive"``
+    default ``"uniformisation"``, steady-state-detecting ``"adaptive"``
     uniformisation (early exit bounded by *atol*, default *tolerance*),
     or ``"auto"`` size dispatch.  ``solver.method`` records the request,
     ``solver.resolved_method`` what dispatch chose, and
-    ``solver.backend`` the storage path (``"dense"``, ``"sparse"``,
-    ``"krylov"`` or ``"frozen"``).
+    ``solver.backend`` the storage path (``"dense"``, ``"sparse"`` or
+    ``"frozen"``).
 
     Examples
     --------
@@ -380,8 +371,6 @@ class BatchTransientSolver:
     def _init_from_generator(self, q: sparse.csr_matrix) -> None:
         if not hasattr(self, "_states"):
             self._states = None
-        self._q = q
-        self._qt: sparse.csr_matrix | None = None
         if self.method == "auto":
             cutoff = _resolve_auto_cutoff()
             self.resolved_method = (
@@ -400,15 +389,6 @@ class BatchTransientSolver:
             self._log_path()
             return
         self.lam = max_exit * 1.02
-        if self.resolved_method == "krylov":
-            # No P, no power table: the generator itself is propagated
-            # through expm_multiply, transposed lazily on first use.
-            self._p = None
-            self._powers = None
-            self._block = 1
-            self.backend = "krylov"
-            self._log_path()
-            return
         p = sparse.identity(self.n, format="csr") + q / self.lam
         if self.n <= self.dense_threshold:
             p = p.toarray()
@@ -520,11 +500,7 @@ class BatchTransientSolver:
                 backend=self.backend,
                 times=len(active),
             ):
-                if self.resolved_method == "krylov":
-                    self._krylov_propagate(
-                        pi0, [(i, times[i]) for i, _, _ in active], out
-                    )
-                elif self.resolved_method == "adaptive":
+                if self.resolved_method == "adaptive":
                     self._accumulate_adaptive(pi0, active, out)
                 else:
                     self._accumulate(pi0, active, out)
@@ -677,29 +653,6 @@ class BatchTransientSolver:
                 break
             term = nxt
         _ITERATIONS.inc(ran)
-
-    def _krylov_propagate(
-        self,
-        pi0: np.ndarray,
-        targets: list[tuple[int, float]],
-        out: np.ndarray,
-    ) -> None:
-        """Advance ``pi0`` interval by interval with ``expm_multiply``.
-
-        ``targets`` pairs each output row with its (positive) time; the
-        vector is propagated once through the sorted time points, so a
-        batch over many times costs one Krylov sweep over the largest.
-        """
-        if self._qt is None:
-            self._qt = self._q.transpose().tocsr()
-        vector = pi0
-        previous = 0.0
-        for i, time in sorted(targets, key=lambda pair: pair[1]):
-            if time > previous:
-                vector = expm_multiply(self._qt * (time - previous), vector)
-                previous = time
-                _KRYLOV.inc()
-            out[i] = vector
 
     def _initial(
         self, initial: Mapping[State, float] | np.ndarray

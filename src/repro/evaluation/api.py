@@ -20,13 +20,14 @@ Request envelope (``POST /v1/sweep`` and ``POST /v1/timeline``)::
       "stream": bool
     }
 
-Every field is optional; defaults match the CLI.  The legacy flat
-request shapes of ``POST /sweep`` / ``POST /timeline`` keep parsing
-unchanged (and frozen — new capabilities are ``/v1``-only).
+Every field is optional; defaults match the CLI.
 
-Error envelope (``/v1`` responses)::
+Error envelope (every error response)::
 
     {"error": {"code": "<stable code>", "message": "...", "detail": {...}}}
+
+The code follows from the error's type (:func:`error_status`), never
+from its message.
 
 Schema history: version 1 was the unversioned PR 2/3 payload shape,
 version 2 added ``schema_version`` + campaign metadata to timelines,
@@ -38,20 +39,23 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ValidationError
+from repro.errors import DeadlineExceeded, ValidationError
 
 __all__ = [
     "SCHEMA_VERSION",
+    "OverBudgetError",
     "SpaceSpec",
     "ShardSpec",
     "SweepRequest",
     "TimelineRequest",
     "error_payload",
+    "error_status",
     "enumerate_space",
     "shard_of",
     "pareto_flags",
@@ -72,30 +76,27 @@ ERROR_DEADLINE_EXCEEDED = "deadline_exceeded"
 ERROR_INTERNAL = "internal"
 
 
+class OverBudgetError(ValidationError):
+    """A request enumerates more designs than its budget allows."""
+
+
 def error_payload(code: str, message: str, detail: dict | None = None) -> dict:
-    """The ``/v1`` error envelope: one stable code, one message."""
+    """The error envelope: one stable code, one message."""
     return {"error": {"code": code, "message": message, "detail": detail or {}}}
 
 
-# -- field-level parsing (shared by the legacy and /v1 surfaces) --------------
+def error_status(exc: BaseException) -> tuple[int, str]:
+    """HTTP status and envelope code of a request that raised *exc*."""
+    if isinstance(exc, DeadlineExceeded):
+        return 504, ERROR_DEADLINE_EXCEEDED
+    if isinstance(exc, OverBudgetError):
+        return 400, ERROR_OVER_BUDGET
+    if isinstance(exc, ValidationError):
+        return 400, ERROR_INVALID_REQUEST
+    return 500, ERROR_INTERNAL
 
-#: Flat fields of the legacy ``POST /sweep`` body (frozen).
-LEGACY_SPACE_FIELDS = {
-    "roles",
-    "max_replicas",
-    "max_total",
-    "variants",
-    "max_designs",
-    "deadline_ms",
-}
-#: Flat fields of the legacy ``POST /timeline`` body (frozen).
-LEGACY_TIMELINE_FIELDS = LEGACY_SPACE_FIELDS | {
-    "horizon",
-    "points",
-    "times",
-    "campaign",
-    "phases",
-}
+
+# -- field-level parsing ------------------------------------------------------
 
 _V1_ENVELOPE_FIELDS = {"space", "options", "priority", "deadline_ms", "stream"}
 _V1_SPACE_FIELDS = {"roles", "max_replicas", "max_total", "variants", "scaled"}
@@ -184,15 +185,24 @@ def parse_times(payload: dict) -> tuple[float, ...]:
         if not isinstance(times, (list, tuple)) or not times:
             raise ValidationError("times must be a non-empty list of hours")
         try:
-            return tuple(float(t) for t in times)
+            grid = tuple(float(t) for t in times)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad time grid: {exc}") from exc
+        if not all(math.isfinite(t) and t >= 0.0 for t in grid):
+            raise ValidationError(
+                f"times must be finite and non-negative, got {list(times)!r}"
+            )
+        return grid
     horizon = payload.get("horizon", 720.0)
     points = payload.get("points", 24)
     if not isinstance(horizon, (int, float)) or isinstance(horizon, bool):
         raise ValidationError(f"horizon must be a number, got {horizon!r}")
     if isinstance(points, bool) or not isinstance(points, int):
         raise ValidationError(f"points must be an integer, got {points!r}")
+    if horizon <= 0 or points < 2:
+        raise ValidationError(
+            f"need horizon > 0 and points >= 2, got {horizon!r} and {points!r}"
+        )
     return default_time_grid(float(horizon), points)
 
 
@@ -235,10 +245,14 @@ def _parse_priority(value: object) -> str:
 
 
 def _parse_method(value: object) -> str:
+    from repro.ctmc.transient import TRANSIENT_METHODS
+
     if value is None:
         return "uniformisation"
-    if not isinstance(value, str) or not value:
-        raise ValidationError(f"method must be a backend name, got {value!r}")
+    if value not in TRANSIENT_METHODS:
+        raise ValidationError(
+            f"method must be one of {list(TRANSIENT_METHODS)}, got {value!r}"
+        )
     return value
 
 
@@ -312,8 +326,8 @@ class SpaceSpec:
     scaled: tuple[int, int] | None = None
 
     @classmethod
-    def from_payload(cls, payload: dict, allow_scaled: bool = True) -> "SpaceSpec":
-        scaled = parse_scaled(payload.get("scaled")) if allow_scaled else None
+    def from_payload(cls, payload: dict) -> "SpaceSpec":
+        scaled = parse_scaled(payload.get("scaled"))
         if scaled is not None and payload.get("variants"):
             raise ValidationError("scaled and variants are mutually exclusive")
         return cls(
@@ -390,7 +404,7 @@ def enumerate_space(space: SpaceSpec) -> list:
 
 @dataclass
 class SweepRequest:
-    """A parsed sweep request (legacy flat or ``/v1`` envelope)."""
+    """A parsed sweep request (the ``/v1`` envelope)."""
 
     space: SpaceSpec
     max_designs: int | None = None
@@ -402,16 +416,7 @@ class SweepRequest:
     endpoint = "/sweep"
 
     @classmethod
-    def from_payload(cls, payload: dict, legacy: bool = False) -> "SweepRequest":
-        if legacy:
-            require_fields(payload, LEGACY_SPACE_FIELDS, "sweep")
-            return cls(
-                space=SpaceSpec.from_payload(payload, allow_scaled=False),
-                max_designs=parse_count(
-                    payload.get("max_designs"), "max_designs", None
-                ),
-                deadline_ms=parse_deadline_ms(payload.get("deadline_ms")),
-            )
+    def from_payload(cls, payload: dict) -> "SweepRequest":
         require_fields(payload, _V1_ENVELOPE_FIELDS, "sweep")
         space, options = cls._envelope_halves(payload, _V1_SWEEP_OPTIONS)
         return cls(
@@ -480,18 +485,7 @@ class TimelineRequest(SweepRequest):
     endpoint = "/timeline"
 
     @classmethod
-    def from_payload(cls, payload: dict, legacy: bool = False) -> "TimelineRequest":
-        if legacy:
-            require_fields(payload, LEGACY_TIMELINE_FIELDS, "timeline")
-            return cls(
-                space=SpaceSpec.from_payload(payload, allow_scaled=False),
-                max_designs=parse_count(
-                    payload.get("max_designs"), "max_designs", None
-                ),
-                deadline_ms=parse_deadline_ms(payload.get("deadline_ms")),
-                times=parse_times(payload),
-                campaign=parse_campaign(payload),
-            )
+    def from_payload(cls, payload: dict) -> "TimelineRequest":
         require_fields(payload, _V1_ENVELOPE_FIELDS, "timeline")
         space, options = cls._envelope_halves(payload, _V1_TIMELINE_OPTIONS)
         return cls(

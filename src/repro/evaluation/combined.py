@@ -10,11 +10,15 @@ design kinds freely.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import traceback
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import partial
+from typing import TypeVar
 
 from repro.enterprise.casestudy import EnterpriseCaseStudy, paper_case_study
 from repro.enterprise.design import DesignSpec
+from repro.errors import EvaluationError, ReproError, ValidationError
 from repro.evaluation.availability import AvailabilityEvaluator
 from repro.evaluation.security import SecurityEvaluator
 from repro.harm import SecurityMetrics
@@ -27,7 +31,10 @@ __all__ = [
     "evaluate_design",
     "evaluate_designs",
     "evaluate_designs_shared",
+    "labelled",
 ]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -121,10 +128,9 @@ def evaluate_designs_shared(
     evaluator instances (e.g. primed from shared memory) to reuse their
     caches.
 
-    A failing design raises :class:`~repro.errors.EvaluationError`
-    carrying the design label and the original traceback — the error is
-    always picklable, so process-pool sweeps surface the real failure
-    instead of a bare ``BrokenProcessPool``.
+    A failing design raises an error carrying the design label (see
+    :func:`labelled`) — always picklable, so process-pool sweeps surface
+    the real failure instead of a bare ``BrokenProcessPool``.
     """
     if security_evaluator is None:
         security_evaluator = SecurityEvaluator(case_study, database=database)
@@ -136,41 +142,44 @@ def evaluate_designs_shared(
             structure_sharing=structure_sharing,
         )
     return [
-        _evaluate_labelled(
+        labelled(
+            "evaluating design",
             design,
-            case_study=case_study,
-            policy=policy,
-            security_evaluator=security_evaluator,
-            availability_evaluator=availability_evaluator,
+            partial(
+                evaluate_design,
+                design,
+                case_study=case_study,
+                policy=policy,
+                security_evaluator=security_evaluator,
+                availability_evaluator=availability_evaluator,
+            ),
         )
         for design in designs
     ]
 
 
-def _evaluate_labelled(design: DesignSpec, **kwargs) -> DesignEvaluation:
-    """Evaluate one design, labelling any failure with the design.
+def labelled(action: str, design: DesignSpec, fn: Callable[[], _T]) -> _T:
+    """Call *fn* on behalf of *design*, labelling any failure with it.
 
-    Domain errors (:class:`~repro.errors.ReproError`) re-raise with the
-    design label prefixed — their messages are already self-explanatory.
-    Unexpected exceptions additionally embed the formatted traceback in
-    the message (and drop the exception chain), so they survive the
-    process-pool pickle boundary no matter what the original exception
-    type carried.
+    Messages read ``"<action> '<label>' failed: <Type>: <message>"``.  A
+    :class:`~repro.errors.ValidationError` re-raises as a
+    ``ValidationError`` (bad input stays the caller's mistake across the
+    process pool); other domain errors re-raise as
+    :class:`~repro.errors.EvaluationError`, their messages already
+    self-explanatory.  Unexpected exceptions additionally embed the
+    formatted traceback.  The chain is dropped, so the error survives
+    the process-pool pickle boundary whatever the original carried.
     """
-    import traceback
-
-    from repro.errors import EvaluationError, ReproError
-
     try:
-        return evaluate_design(design, **kwargs)
+        return fn()
     except ReproError as exc:
-        raise EvaluationError(
-            f"evaluating design {design.label!r} failed: "
-            f"{type(exc).__name__}: {exc}"
+        error = ValidationError if isinstance(exc, ValidationError) else EvaluationError
+        raise error(
+            f"{action} {design.label!r} failed: {type(exc).__name__}: {exc}"
         ) from None
     except Exception as exc:
         raise EvaluationError(
-            f"evaluating design {design.label!r} failed: "
+            f"{action} {design.label!r} failed: "
             f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
         ) from None
 
@@ -196,12 +205,12 @@ def evaluate_designs(
     if executor is not None and executor != "serial":
         from repro.evaluation.engine import SweepEngine
 
-        engine = SweepEngine(
+        with SweepEngine(
             case_study=case_study,
             policy=policy,
             executor=executor,
             max_workers=max_workers,
             database=database,
-        )
-        return engine.evaluate(designs)
+        ) as engine:
+            return engine.evaluate(designs)
     return evaluate_designs_shared(designs, case_study, policy, database=database)

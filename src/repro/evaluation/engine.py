@@ -13,12 +13,16 @@ is cached, chunked and dispatched identically.
 
 Caching / batching contract
 ---------------------------
-* **Engine-level result cache.**  ``SweepEngine.evaluate`` memoises one
-  :class:`DesignEvaluation` per design spec (specs are hashable value
-  objects).  Re-sweeping an overlapping space only pays for the designs
-  not seen before; ``clear_cache()`` resets it.
-* **Chunked dispatch.**  Uncached designs are split into contiguous
-  chunks and each chunk is evaluated by one executor call.
+* **One memo.**  ``SweepEngine.evaluate`` and ``SweepEngine.timeline``
+  are thin wrappers over one memo keyed by ``(kind, design, params)``
+  (specs are hashable value objects; a timeline's params are its time
+  grid, tolerance, campaign and method).  Re-sweeping an overlapping
+  space only pays for the results not seen before; ``clear_cache()``
+  resets it.  An optional sqlite tier sits behind the memo.
+* **Chunked, incremental dispatch.**  Uncached designs are split into
+  contiguous chunks; one dispatch loop hands them to the executor and
+  memoises each chunk's results as it arrives, so a call stopped by a
+  deadline or a preemption checkpoint keeps every finished chunk.
 * **Structure sharing (default).**  With ``structure_sharing=True`` the
   serial and thread executors run every chunk over one long-lived
   ``SecurityEvaluator``/``AvailabilityEvaluator`` pair (one lower-layer
@@ -27,17 +31,18 @@ Caching / batching contract
   publishes the numeric arrays to pool workers through
   ``multiprocessing.shared_memory`` with a pool initializer — the case
   study is pickled once per worker and chunks carry only designs.
-  ``structure_sharing=False`` restores the per-chunk re-solving
-  baseline; results are byte-identical either way.
+  ``structure_sharing=False`` gives every chunk a fresh, non-sharing
+  evaluator pair; results are byte-identical either way.
 * **Deterministic ordering.**  Results are always returned in input
   order, regardless of executor: chunks are indexed at submission and
   reassembled positionally.  Every executor and sharing mode produces
   byte-identical results.
 * **Failure reporting.**  A design that fails inside any executor
-  raises :class:`~repro.errors.EvaluationError` carrying the design
-  label and the original traceback (always picklable); a worker that
-  dies outright surfaces the failing batch's design labels instead of
-  a bare ``BrokenProcessPool``.
+  raises an error carrying the design label (a
+  :class:`~repro.errors.ValidationError` for bad input, otherwise an
+  :class:`~repro.errors.EvaluationError` with the original traceback);
+  both always pickle.  A worker that dies outright surfaces the failing
+  batch's design labels instead of a bare ``BrokenProcessPool``.
 
 Executors
 ---------
@@ -49,31 +54,31 @@ Executors
     its time in scipy's ``spsolve``, which releases the GIL.
 ``"process"``
     ``concurrent.futures.ProcessPoolExecutor``; one chunk per task.
-Custom executors implement :class:`Executor` (a ``run(fn, batches)``
-method returning results in batch order) and can be passed directly.
+Custom executors implement :class:`Executor` (an ``iter_run(fn,
+batches)`` generator yielding results in batch order) and can be passed
+directly.
 
 Warm pools
 ----------
-The pool executors accept ``persistent=True``: instead of spawning a
-fresh pool per ``run`` call, one pool is created lazily and reused
-until :meth:`Executor.close` — the substrate of the resident evaluation
-service (``repro serve``), where pool spawn and worker re-priming would
-otherwise dominate every request.  A persistent
-:class:`ProcessExecutor` keeps its workers primed: the engine retains
-the shared-memory segment for the pool's lifetime (so late-spawned
-workers can still attach) and re-primes through the same initializer
-when the pool is recycled.  A worker death (``BrokenExecutor``) in
-either pool mode recycles the pool — shutdown (or discard), respawn,
-re-run the initializer — and retries the dispatch under the executor's
-:class:`~repro.resilience.RetryPolicy` (one retry by default); chunk
-evaluation is pure and deterministic, so the retry is byte-identical
-to an undisturbed run.  Results with a warm pool are byte-identical to
-per-call pools.
+A pool executor starts its pool on first use and keeps it warm until
+:meth:`Executor.close` (or :meth:`SweepEngine.close`; use the engine as
+a context manager).  A single chunk with no live pool runs in-process
+instead of spawning one.  A process pool stays primed: the engine
+retains the shared-memory segment for the pool's lifetime (so
+late-spawned workers can still attach) and re-primes through the same
+initializer when the pool is recycled.  A worker death
+(``BrokenExecutor``) recycles the pool — shutdown, respawn, re-run the
+initializer — and retries the batches not yet yielded under the
+executor's :class:`~repro.resilience.RetryPolicy` (one retry by
+default); chunk evaluation is pure and deterministic, so the retry is
+byte-identical to an undisturbed run.
 
-Sweeps can carry a :class:`~repro.resilience.Deadline`: the engine
-checks the budget between chunk dispatches and raises the typed
-:class:`~repro.errors.DeadlineExceeded` instead of finishing work
-nobody is waiting for.
+Every call can carry a :class:`~repro.resilience.Deadline` and a
+preemption checkpoint: both are checked before dispatch and at every
+chunk boundary the dispatch loop consumes (in-process executors also
+check at chunk entry), raising the typed
+:class:`~repro.errors.DeadlineExceeded` — or the checkpoint's own
+signal — instead of finishing work nobody is waiting for.
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
+from contextlib import closing
 from functools import partial
 from typing import Any
 
@@ -138,21 +144,31 @@ class Executor:
     #: must set this, or they receive a single batch holding everything.
     max_workers: int | None = None
 
-    def run(self, fn: Callable[..., Any], batches: Sequence[tuple]) -> list:
-        """Apply *fn* to each argument tuple; results align with *batches*."""
+    def iter_run(
+        self,
+        fn: Callable[..., Any],
+        batches: Sequence[tuple],
+        initializer: Callable[..., None] | None = None,
+        initargs: tuple = (),
+        key: object = None,
+    ):
+        """Yield ``fn(*batch)`` for each batch, in batch order.
+
+        *initializer* (called with *initargs*) primes every pool worker
+        before it runs a batch — the shared-memory attach of the
+        structure-sharing pipeline.  *key* identifies that priming: a
+        warm pool is reused while the key matches and recycled when it
+        changes (``None`` never matches).  In-process executors have no
+        workers to prime and ignore all three.
+        """
         raise NotImplementedError
 
-    def iter_run(self, fn: Callable[..., Any], batches: Sequence[tuple]):
-        """Yield results in batch order as they complete.
+    def run(self, fn: Callable[..., Any], batches: Sequence[tuple], **priming) -> list:
+        """:meth:`iter_run` realised as a list aligned with *batches*."""
+        return list(self.iter_run(fn, batches, **priming))
 
-        The incremental companion of :meth:`run`, used by the engine
-        when a caller consumes chunk results as they arrive (streaming
-        responses, batch-priority preemption).  The default realises
-        :meth:`run` eagerly, so custom executors stay correct without
-        implementing it; the built-in executors override it with truly
-        lazy variants.
-        """
-        yield from self.run(fn, batches)
+    def close(self) -> None:
+        """Release the executor's pool, if it has one (idempotent)."""
 
 
 class SerialExecutor(Executor):
@@ -160,23 +176,18 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def run(self, fn: Callable[..., Any], batches: Sequence[tuple]) -> list:
-        return [fn(*batch) for batch in batches]
-
-    def iter_run(self, fn: Callable[..., Any], batches: Sequence[tuple]):
+    def iter_run(self, fn, batches, initializer=None, initargs=(), key=None):
         for batch in batches:
             yield fn(*batch)
 
 
 class _PoolExecutor(Executor):
-    """Shared pool plumbing: ordered submit/collect over a futures pool.
+    """Ordered submit/collect over one warm futures pool.
 
-    With ``persistent=False`` (the default) every :meth:`run` spawns a
-    fresh pool and tears it down afterwards.  With ``persistent=True``
-    one pool is created lazily, kept warm across calls, recycled when a
-    worker dies, and torn down by :meth:`close` — see the module
-    docstring.  Either mode retries a dispatch interrupted by a worker
-    death under *retry_policy* (default: one immediate retry — the pool
+    The pool is created on first use, kept warm across calls, recycled
+    when a worker dies, and torn down by :meth:`close` — see the module
+    docstring.  A dispatch interrupted by a worker death is retried
+    under *retry_policy* (default: one immediate retry — the pool
     respawn is itself the backoff).
     """
 
@@ -188,13 +199,11 @@ class _PoolExecutor(Executor):
     def __init__(
         self,
         max_workers: int | None = None,
-        persistent: bool = False,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
         if max_workers is not None:
             check_positive_int(max_workers, "max_workers")
         self.max_workers = max_workers or os.cpu_count() or 1
-        self.persistent = bool(persistent)
         self.retry_policy = retry_policy or self.DEFAULT_RETRY
         self._pool = None
         #: Identity of the priming the current pool was built with; a
@@ -205,116 +214,34 @@ class _PoolExecutor(Executor):
         #: Pools recycled after a worker death (observability counter).
         self.recycle_count = 0
 
-    def run(self, fn: Callable[..., Any], batches: Sequence[tuple]) -> list:
-        if not batches:
-            return []
-        if self.persistent:
-            # Reuse the warm pool (whatever it is primed with — the
-            # initializer only populates worker globals); even a single
-            # batch goes through it, that is the point of keeping it.
-            return self._run_persistent(fn, batches)
-        if len(batches) == 1:
-            # A single batch gains nothing from a pool; skip the spawn.
-            return [fn(*batches[0])]
-        return self._run_fresh({"max_workers": self.max_workers}, fn, batches)
+    @property
+    def live(self) -> bool:
+        """Whether a warm pool is up."""
+        return self._pool is not None
 
-    def run_with_initializer(
-        self,
-        fn: Callable[..., Any],
-        batches: Sequence[tuple],
-        initializer: Callable[..., None],
-        initargs: tuple,
-        key: object = None,
-    ) -> list:
-        """Like :meth:`run`, but every pool worker runs *initializer*
-        first (the shared-memory attach of the structure-sharing
-        pipeline) — so the pool is spawned even for a single batch.
-
-        In persistent mode *key* identifies the priming: the warm pool
-        is reused while the key matches and recycled (respawn +
-        re-initialize) when it changes.  A ``None`` key never matches,
-        so keyless primed dispatches conservatively recycle.
-        """
-        if not batches:
-            return []
-        if self.persistent:
-            self._prime(initializer, initargs, key)
-            return self._run_persistent(fn, batches)
-        return self._run_fresh(
-            {
-                "max_workers": self.max_workers,
-                "initializer": initializer,
-                "initargs": initargs,
-            },
-            fn,
-            batches,
-        )
-
-    def iter_run(self, fn: Callable[..., Any], batches: Sequence[tuple]):
-        if not batches:
-            return
-        if self.persistent:
-            yield from self._iter_pooled(fn, batches, persistent=True)
-            return
-        if len(batches) == 1:
-            yield fn(*batches[0])
-            return
-        yield from self._iter_pooled(
-            fn,
-            batches,
-            persistent=False,
-            pool_kwargs={"max_workers": self.max_workers},
-        )
-
-    def iter_run_with_initializer(
-        self,
-        fn: Callable[..., Any],
-        batches: Sequence[tuple],
-        initializer: Callable[..., None],
-        initargs: tuple,
-        key: object = None,
-    ):
-        """Incremental :meth:`run_with_initializer` (same priming rules)."""
-        if not batches:
-            return
-        if self.persistent:
-            self._prime(initializer, initargs, key)
-            yield from self._iter_pooled(fn, batches, persistent=True)
-            return
-        yield from self._iter_pooled(
-            fn,
-            batches,
-            persistent=False,
-            pool_kwargs={
-                "max_workers": self.max_workers,
-                "initializer": initializer,
-                "initargs": initargs,
-            },
-        )
-
-    def _iter_pooled(
-        self,
-        fn,
-        batches: Sequence[tuple],
-        persistent: bool,
-        pool_kwargs: dict | None = None,
-    ):
+    def iter_run(self, fn, batches, initializer=None, initargs=(), key=None):
         """Submit all batches, yield results in order, recycle on death.
 
-        The streaming core behind :meth:`iter_run`: a worker death
-        resubmits only the batches not yet *yielded* — already-consumed
-        results are never produced twice, so incremental consumers see
-        exactly one result per batch and the stream stays byte-identical
-        to an undisturbed run (chunk evaluation is pure).
+        A worker death resubmits only the batches not yet *yielded* —
+        already-consumed results are never produced twice, so consumers
+        see exactly one result per batch and the stream stays
+        byte-identical to an undisturbed run (chunk evaluation is pure).
+        Batches still queued when the consumer stops early are
+        cancelled.
         """
+        if not batches:
+            return
+        if initializer is not None:
+            self._prime(initializer, initargs, key)
+        elif len(batches) == 1 and self._pool is None:
+            # A single batch gains nothing from spawning a pool.
+            yield fn(*batches[0])
+            return
         position = 0
         attempt = 1
         while True:
-            pool = (
-                self._ensure_pool()
-                if persistent
-                else self._pool_factory(**pool_kwargs)
-            )
+            pool = self._ensure_pool()
+            futures: list = []
             try:
                 try:
                     futures = [
@@ -326,15 +253,17 @@ class _PoolExecutor(Executor):
                         f"{len(batches) - position} batch(es); a worker died "
                         f"while the pool was idle: {exc!r}"
                     ) from exc
-                for offset, future in enumerate(futures):
+                for future in futures:
                     try:
                         result = future.result()
                     except BrokenExecutor as exc:
-                        index = position + offset
+                        # Every unfinished future raises once the pool
+                        # breaks; this batch is only the first to surface
+                        # it — the dead worker may have run any of them.
                         raise EvaluationError(
                             f"{self.name} pool broke while batch "
-                            f"{index + 1}/{len(batches)}"
-                            f"{_batch_labels(batches[index])} was pending; a "
+                            f"{position + 1}/{len(batches)}"
+                            f"{_batch_labels(batches[position])} was pending; a "
                             "worker died before reporting a result (crash, "
                             "out-of-memory or failed initializer) and may "
                             f"have been running any unfinished batch: {exc!r}"
@@ -343,25 +272,25 @@ class _PoolExecutor(Executor):
                     position += 1
                 return
             except EvaluationError as exc:
-                if (
-                    not self._worker_died(exc)
-                    or attempt >= self.retry_policy.attempts
-                ):
-                    if persistent and self._worker_died(exc):
-                        self._shutdown_pool()
+                if not self._worker_died(exc):
                     raise
-                if persistent:
-                    self._shutdown_pool()
+                # Fresh workers re-run the stored initializer, re-priming
+                # from the still-alive shared segment.  Broken on every
+                # attempt means something systematic (a failing
+                # initializer, OOM): raise, leaving no zombie pool.
+                self._shutdown_pool()
+                if attempt >= self.retry_policy.attempts:
+                    raise
                 self._note_recycle(exc, len(batches) - position)
                 pause = self.retry_policy.delay(attempt)
                 if pause > 0.0:
                     time.sleep(pause)
                 attempt += 1
             finally:
-                if not persistent:
-                    pool.shutdown(wait=True, cancel_futures=True)
+                for future in futures:
+                    future.cancel()
 
-    # -- persistent-pool lifecycle -------------------------------------------
+    # -- pool lifecycle -------------------------------------------------------
 
     def _prime(
         self, initializer: Callable[..., None], initargs: tuple, key: object
@@ -398,53 +327,13 @@ class _PoolExecutor(Executor):
             batch_count,
         )
 
-    def _run_persistent(self, fn, batches: Sequence[tuple]) -> list:
-        # A worker death recycles: respawn the pool (fresh workers
-        # re-run the stored initializer, re-priming from the still-alive
-        # shared segment) and retry the whole dispatch under the retry
-        # policy — chunk evaluation is pure and deterministic, so
-        # re-running already-finished batches cannot change results.
-        def before_retry(_attempt: int, exc: BaseException) -> None:
-            self._shutdown_pool()
-            self._note_recycle(exc, len(batches))
-
-        try:
-            return self.retry_policy.call(
-                lambda: self._collect(self._ensure_pool(), fn, batches),
-                retry_on=(EvaluationError,),
-                should_retry=self._worker_died,
-                before_retry=before_retry,
-            )
-        except EvaluationError as exc:
-            if self._worker_died(exc):
-                # Broke on every attempt: something systematic (a
-                # failing initializer, OOM); leave no zombie pool.
-                self._shutdown_pool()
-            raise
-
-    def _run_fresh(self, pool_kwargs: dict, fn, batches: Sequence[tuple]) -> list:
-        """Per-call pool with the same recycle-and-retry as persistent
-        mode — each attempt gets a brand-new pool, so a worker death
-        mid-sweep costs one respawn instead of the whole run."""
-
-        def attempt() -> list:
-            with self._pool_factory(**pool_kwargs) as pool:
-                return self._collect(pool, fn, batches)
-
-        return self.retry_policy.call(
-            attempt,
-            retry_on=(EvaluationError,),
-            should_retry=self._worker_died,
-            before_retry=lambda _attempt, exc: self._note_recycle(exc, len(batches)),
-        )
-
     def _shutdown_pool(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
     def close(self) -> None:
-        """Tear down the persistent pool (idempotent, safe either mode)."""
+        """Tear down the warm pool (idempotent)."""
         self._shutdown_pool()
         self._initializer = None
         self._initargs = ()
@@ -456,43 +345,13 @@ class _PoolExecutor(Executor):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _collect(self, pool, fn, batches: Sequence[tuple]) -> list:
-        try:
-            futures = [pool.submit(fn, *batch) for batch in batches]
-        except BrokenExecutor as exc:
-            # The pool can already be broken at submit time (a worker
-            # died while the pool sat idle between persistent runs).
-            raise EvaluationError(
-                f"{self.name} pool broke before dispatching "
-                f"{len(batches)} batch(es); a worker died while the "
-                f"pool was idle: {exc!r}"
-            ) from exc
-        results = []
-        for position, future in enumerate(futures):
-            try:
-                results.append(future.result())
-            except BrokenExecutor as exc:
-                # Every unfinished future raises once the pool breaks;
-                # this batch is only the first to surface it — the dead
-                # worker may have been running any unfinished batch.
-                raise EvaluationError(
-                    f"{self.name} pool broke while batch "
-                    f"{position + 1}/{len(batches)}"
-                    f"{_batch_labels(batches[position])} was pending; a "
-                    "worker died before reporting a result (crash, "
-                    "out-of-memory or failed initializer) and may have "
-                    f"been running any unfinished batch: {exc!r}"
-                ) from exc
-        return results
-
 
 class ThreadExecutor(_PoolExecutor):
     """``ThreadPoolExecutor``-backed executor with ordered results.
 
     The cheap alternative to a process pool: no fork, no pickling, and
     real parallelism during the solve phase because scipy's ``spsolve``
-    releases the GIL.  Chunk workers share nothing mutable (each builds
-    its own evaluator pair), so results are identical to serial.
+    releases the GIL.  Results are identical to serial.
     """
 
     name = "thread"
@@ -575,7 +434,7 @@ def _checked_chunk(
     fn: Callable[..., Any],
     *args: Any,
 ) -> Any:
-    """In-process chunk wrapper: deadline and preemption per chunk.
+    """In-process chunk wrapper: deadline and preemption at chunk entry.
 
     *checkpoint* is the service's priority seam — it raises (a
     preemption signal the caller catches) when a higher-priority
@@ -589,102 +448,75 @@ def _checked_chunk(
     return fn(*args)
 
 
-def _evaluate_chunk(
+def _fresh_evaluators(
     case_study: EnterpriseCaseStudy,
     policy: PatchPolicy,
     database: VulnerabilityDatabase | None,
-    designs: Sequence[DesignSpec],
-    structure_sharing: bool = True,
-    telemetry: dict | None = None,
-) -> list[DesignEvaluation]:
-    """Worker entry point: evaluate one chunk with shared evaluators."""
-    fault_point("worker.chunk", worker_only=True)
-    return observability.capture(
-        telemetry,
-        lambda: evaluate_designs_shared(
-            designs,
-            case_study,
-            policy,
-            database=database,
-            structure_sharing=structure_sharing,
+):
+    """Evaluator source: a fresh, non-sharing pair for one chunk."""
+    from repro.evaluation.availability import AvailabilityEvaluator
+    from repro.evaluation.security import SecurityEvaluator
+
+    return (
+        SecurityEvaluator(case_study, database=database),
+        AvailabilityEvaluator(
+            case_study, policy, database=database, structure_sharing=False
         ),
+        case_study,
+        policy,
     )
 
 
-def _timeline_chunk(
-    case_study: EnterpriseCaseStudy,
-    policy: PatchPolicy,
-    database: VulnerabilityDatabase | None,
-    times: tuple[float, ...],
-    tolerance: float,
+def _chunk(
+    evaluators: Callable[[], tuple],
+    kind: str,
+    params: tuple,
     designs: Sequence[DesignSpec],
-    structure_sharing: bool = True,
-    campaign=None,
-    method: str = "uniformisation",
     telemetry: dict | None = None,
-):
-    """Worker entry point: patch timelines of one chunk, shared evaluators."""
-    from repro.evaluation.timeline import evaluate_timelines_shared
+) -> list:
+    """Chunk entry point: evaluate *designs* with one evaluator pair.
 
+    *evaluators* is the evaluator source, a zero-argument callable
+    returning ``(security, availability, case_study, policy)``:
+    :func:`_fresh_evaluators` (a new pair per chunk), the engine's own
+    long-lived pair (in-process executors), or
+    :func:`repro.evaluation.shared_memory.primed_evaluators` (the pair a
+    pool worker primed from shared memory).  *kind* is ``"evaluation"``
+    or ``"timeline"``; a timeline's *params* are ``(times, tolerance,
+    campaign, method)``.
+    """
     fault_point("worker.chunk", worker_only=True)
     return observability.capture(
-        telemetry,
-        lambda: evaluate_timelines_shared(
+        telemetry, lambda: _evaluate_chunk(evaluators(), kind, params, designs)
+    )
+
+
+def _evaluate_chunk(pair: tuple, kind: str, params: tuple, designs) -> list:
+    security, availability, case_study, policy = pair
+    if kind == "evaluation":
+        with tracing.span("chunk:evaluate", designs=len(designs)):
+            return evaluate_designs_shared(
+                designs,
+                case_study,
+                policy,
+                security_evaluator=security,
+                availability_evaluator=availability,
+            )
+    from repro.evaluation.timeline import evaluate_timelines_shared
+
+    times, tolerance, campaign, method = params
+    with tracing.span("chunk:timeline", designs=len(designs), points=len(times)):
+        return evaluate_timelines_shared(
             designs,
             times,
             case_study,
             policy,
-            database=database,
             tolerance=tolerance,
-            structure_sharing=structure_sharing,
+            security_evaluator=security,
+            availability_evaluator=availability,
             campaign=campaign,
             method=method,
-        ),
-    )
-
-
-def _evaluate_chunk_primed(
-    security_evaluator,
-    availability_evaluator,
-    case_study: EnterpriseCaseStudy,
-    policy: PatchPolicy,
-    designs: Sequence[DesignSpec],
-) -> list[DesignEvaluation]:
-    """In-process chunk over the engine's long-lived evaluator pair."""
-    return evaluate_designs_shared(
-        designs,
-        case_study,
-        policy,
-        security_evaluator=security_evaluator,
-        availability_evaluator=availability_evaluator,
-    )
-
-
-def _timeline_chunk_primed(
-    security_evaluator,
-    availability_evaluator,
-    case_study: EnterpriseCaseStudy,
-    policy: PatchPolicy,
-    times: tuple[float, ...],
-    tolerance: float,
-    campaign,
-    method: str,
-    designs: Sequence[DesignSpec],
-):
-    """In-process timeline chunk over the engine's evaluator pair."""
-    from repro.evaluation.timeline import evaluate_timelines_shared
-
-    return evaluate_timelines_shared(
-        designs,
-        times,
-        case_study,
-        policy,
-        tolerance=tolerance,
-        security_evaluator=security_evaluator,
-        availability_evaluator=availability_evaluator,
-        campaign=campaign,
-        method=method,
-    )
+        )
 
 
 def _map_chunk(
@@ -710,7 +542,8 @@ class SweepEngine:
         Patch policy (default: critical-only, base score > 8.0).
     executor:
         ``"serial"``, ``"thread"``, ``"process"`` or an :class:`Executor`
-        instance.
+        instance.  Pool executors stay warm until :meth:`close`, so
+        build pool engines as context managers.
     max_workers:
         Worker cap for the named pool executors; rejected alongside an
         :class:`Executor` instance (configure the instance directly).
@@ -767,8 +600,7 @@ class SweepEngine:
         self.chunk_size = chunk_size
         self.database = database
         self.structure_sharing = bool(structure_sharing)
-        self._security_evaluator = None
-        self._availability_evaluator = None
+        self._evaluator_pair: tuple | None = None
         if cache_path is not None:
             from repro.evaluation.cache import PersistentEvaluationCache
 
@@ -776,26 +608,19 @@ class SweepEngine:
         else:
             self.persistent_cache = None
         self._fingerprint: str | None = None
-        self._cache: dict[DesignSpec, DesignEvaluation] = {}
-        self._timelines: dict[tuple, Any] = {}
+        #: Results keyed by ``(kind, design, params)``.
+        self._memo: dict[tuple, Any] = {}
         self._hits = 0
         self._misses = 0
         self._disk_hits = 0
-        #: Deadline of the in-flight evaluate/timeline call, if any.
-        self._deadline: Deadline | None = None
-        #: Preemption checkpoint of the in-flight call (raises to stop
-        #: at the next chunk boundary), and the per-chunk progress
-        #: consumer — both set only for the duration of one call.
-        self._checkpoint: Callable[[], None] | None = None
-        self._progress: Callable[[list], None] | None = None
         # Arm any REPRO_FAULTS plan now, in the coordinating process:
         # this materialises the shared one-shot token directory before
         # pool workers fork, so they inherit it through the environment.
         active_plan()
-        # Warm-pool (persistent executor) state: the retained
-        # shared-memory context and the deduped designs folded into it.
-        # The segment must outlive each dispatch so late-spawned or
-        # recycled workers can still attach and re-prime.
+        # Process-pool state: the retained shared-memory context and the
+        # deduped designs folded into it.  The segment must outlive each
+        # dispatch so late-spawned or recycled workers can still attach
+        # and re-prime.
         self._warm_context = None
         self._warm_designs: list[DesignSpec] = []
         self._warm_design_set: set[DesignSpec] = set()
@@ -811,8 +636,8 @@ class SweepEngine:
     ) -> list[DesignEvaluation]:
         """Evaluate *designs* (any mix of spec kinds), in input order.
 
-        *deadline* bounds the call: the budget is checked between chunk
-        dispatches (and between chunks on in-process executors), raising
+        *deadline* bounds the call: the budget is checked before
+        dispatch and at every chunk boundary, raising
         :class:`~repro.errors.DeadlineExceeded` once spent.  Results
         memoised by earlier calls are free, so a retried call only pays
         for designs the deadline cut off.
@@ -823,59 +648,14 @@ class SweepEngine:
         before the abort stay memoised, so a resumed call pays only for
         the rest.  *progress* receives each chunk's evaluations as they
         complete (after memoisation; cached designs never reach it) —
-        the streaming-response seam.  Either one forces chunked
-        dispatch on the serial executor, like a deadline does.
+        the streaming-response seam.  Any of the three splits a serial
+        sweep into several chunks, so the boundaries actually occur.
         """
         designs = list(designs)
-        self._deadline = deadline
-        self._checkpoint = checkpoint
-        self._progress = progress
-        try:
-            return self._evaluate(designs)
-        finally:
-            self._deadline = None
-            self._checkpoint = None
-            self._progress = None
-
-    def _evaluate(self, designs: list[DesignSpec]) -> list[DesignEvaluation]:
         with tracing.span("engine:evaluate", designs=len(designs)) as sp:
-            pending: list[DesignSpec] = []
-            seen_pending: set[DesignSpec] = set()
-            for design in designs:
-                if design in self._cache:
-                    self._hits += 1
-                    _MEMO_HITS.inc()
-                    continue
-                if self.persistent_cache is not None:
-                    stored = self.persistent_cache.get(
-                        "evaluation", self._disk_key(design)
-                    )
-                    if stored is not None:
-                        self._cache[design] = stored
-                        self._disk_hits += 1
-                        _DISK_TIER_HITS.inc()
-                        continue
-                if design not in seen_pending:
-                    self._misses += 1
-                    _MEMO_MISSES.inc()
-                    seen_pending.add(design)
-                    pending.append(design)
-            sp.add(pending=len(pending))
-            if pending:
-                for chunk_result in self._run_evaluate_chunks(
-                    self._chunks(pending)
-                ):
-                    for evaluation in chunk_result:
-                        self._cache[evaluation.design] = evaluation
-                        if self.persistent_cache is not None:
-                            self.persistent_cache.put(
-                                "evaluation",
-                                self._disk_key(evaluation.design),
-                                evaluation,
-                            )
-                    if self._progress is not None:
-                        self._progress(list(chunk_result))
-            return [self._cache[design] for design in designs]
+            return self._memoised(
+                "evaluation", (), designs, sp, deadline, checkpoint, progress
+            )
 
     def timeline(
         self,
@@ -890,117 +670,75 @@ class SweepEngine:
     ) -> list:
         """Patch timelines of *designs* over *times*, in input order.
 
-        The transient companion of :meth:`evaluate`: same chunked
-        dispatch (one shared evaluator pair per chunk), same
-        deterministic ordering across executors, same two-level
-        memoisation — in-memory per ``(design, time grid, tolerance,
-        campaign)`` and, when a ``cache_path`` is configured, persisted
-        on disk.  *campaign* optionally stages the rollout
+        The transient companion of :meth:`evaluate`, over the same memo
+        (keyed per design by time grid, tolerance, campaign and method,
+        and persisted on disk when a ``cache_path`` is configured), the
+        same dispatch and the same deterministic ordering.  *campaign*
+        optionally stages the rollout
         (:class:`~repro.patching.campaign.PatchCampaign`); *method*
-        selects the transient backend (part of both cache keys); see
-        :func:`repro.evaluation.timeline.evaluate_timeline`.  *deadline*
-        bounds the call exactly as in :meth:`evaluate`, and
-        *checkpoint*/*progress* are the same preemption and streaming
-        seams.
+        selects the transient backend; see
+        :func:`repro.evaluation.timeline.evaluate_timeline`.
+        *deadline*, *checkpoint* and *progress* behave exactly as in
+        :meth:`evaluate`.
         """
         designs = list(designs)
-        self._deadline = deadline
-        self._checkpoint = checkpoint
-        self._progress = progress
-        try:
-            return self._timeline(designs, times, tolerance, campaign, method)
-        finally:
-            self._deadline = None
-            self._checkpoint = None
-            self._progress = None
-
-    def _timeline(
-        self,
-        designs: list[DesignSpec],
-        times: Sequence[float],
-        tolerance: float,
-        campaign,
-        method: str,
-    ) -> list:
-        times_key = tuple(float(t) for t in times)
+        params = (tuple(float(t) for t in times), tolerance, campaign, method)
         with tracing.span(
-            "engine:timeline", designs=len(designs), points=len(times_key)
+            "engine:timeline", designs=len(designs), points=len(params[0])
         ) as sp:
-            pending: list[DesignSpec] = []
-            seen_pending: set[DesignSpec] = set()
-            for design in designs:
-                key = (design, times_key, tolerance, campaign, method)
-                if key in self._timelines:
-                    self._hits += 1
-                    _MEMO_HITS.inc()
-                    continue
-                if self.persistent_cache is not None:
-                    stored = self.persistent_cache.get(
-                        "timeline",
-                        self._timeline_disk_key(
-                            design, times_key, tolerance, campaign, method
-                        ),
-                    )
-                    if stored is not None:
-                        self._timelines[key] = stored
-                        self._disk_hits += 1
-                        _DISK_TIER_HITS.inc()
-                        continue
-                if design not in seen_pending:
-                    self._misses += 1
-                    _MEMO_MISSES.inc()
-                    seen_pending.add(design)
-                    pending.append(design)
-            sp.add(pending=len(pending))
-            if pending:
-                for chunk_result in self._run_timeline_chunks(
-                    self._chunks(pending), times_key, tolerance, campaign,
-                    method,
-                ):
-                    for result in chunk_result:
-                        key = (
-                            result.design, times_key, tolerance, campaign,
-                            method,
-                        )
-                        self._timelines[key] = result
-                        if self.persistent_cache is not None:
-                            self.persistent_cache.put(
-                                "timeline",
-                                self._timeline_disk_key(
-                                    result.design, times_key, tolerance,
-                                    campaign, method,
-                                ),
-                                result,
-                            )
-                    if self._progress is not None:
-                        self._progress(list(chunk_result))
-            return [
-                self._timelines[
-                    (design, times_key, tolerance, campaign, method)
-                ]
-                for design in designs
-            ]
+            return self._memoised(
+                "timeline", params, designs, sp, deadline, checkpoint, progress
+            )
 
-    def _timeline_disk_key(
-        self,
-        design: DesignSpec,
-        times_key: tuple[float, ...],
-        tolerance: float,
-        campaign,
-        method: str = "uniformisation",
-    ) -> str:
-        """Timeline cache key; default-shaped keys keep their old form.
+    def _memoised(
+        self, kind, params, designs, span, deadline, checkpoint, progress
+    ) -> list:
+        """The memoised job core behind :meth:`evaluate`/:meth:`timeline`.
 
-        Campaign-less, default-method keys keep the original tuple shape
-        so the fingerprint bump (not the key shape) is what retires
-        pre-dispatch cache entries.
+        Memo hits are free, disk hits are promoted into the memo, and
+        the distinct remaining designs are dispatched in chunks whose
+        results are memoised (and written to disk) as each arrives.
         """
-        parts: tuple = (design, times_key, tolerance)
-        if campaign is not None:
-            parts = parts + (campaign.cache_key(),)
-        if method != "uniformisation":
-            parts = parts + (("method", method),)
-        return self._disk_key(*parts)
+        pending: list[DesignSpec] = []
+        seen_pending: set[DesignSpec] = set()
+        for design in designs:
+            key = (kind, design, params)
+            if key in self._memo:
+                self._hits += 1
+                _MEMO_HITS.inc()
+                continue
+            if self.persistent_cache is not None:
+                stored = self.persistent_cache.get(
+                    kind, self._disk_key(kind, design, params)
+                )
+                if stored is not None:
+                    self._memo[key] = stored
+                    self._disk_hits += 1
+                    _DISK_TIER_HITS.inc()
+                    continue
+            if design not in seen_pending:
+                self._misses += 1
+                _MEMO_MISSES.inc()
+                seen_pending.add(design)
+                pending.append(design)
+        span.add(pending=len(pending))
+        if pending:
+            split = any(seam is not None for seam in (deadline, checkpoint, progress))
+            chunks = self._chunks(pending, split)
+            for chunk_result in self._run_chunks(
+                kind, params, chunks, deadline, checkpoint
+            ):
+                for result in chunk_result:
+                    self._memo[(kind, result.design, params)] = result
+                    if self.persistent_cache is not None:
+                        self.persistent_cache.put(
+                            kind,
+                            self._disk_key(kind, result.design, params),
+                            result,
+                        )
+                if progress is not None:
+                    progress(list(chunk_result))
+        return [self._memo[(kind, design, params)] for design in designs]
 
     def sweep(
         self,
@@ -1049,34 +787,30 @@ class SweepEngine:
         fan out through the same executor without reimplementing
         chunking or ordering.
         """
-        items = list(items)
         options = observability.telemetry_options()
-        batches = [(fn, chunk, options) for chunk in self._chunks(items)]
-        results: list[Any] = []
-        for chunk_result in self._dispatch(_map_chunk, batches):
-            results.extend(chunk_result)
-        return results
+        batches = [(fn, chunk, options) for chunk in self._chunks(list(items))]
+        return [
+            result
+            for chunk_result in self._dispatch(_map_chunk, batches)
+            for result in chunk_result
+        ]
 
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Release warm-pool resources (idempotent).
+        """Release pool resources (idempotent).
 
         Unlinks the retained shared-memory segment, shuts down the
-        executor's persistent pool (per-call pools have nothing to shut
-        down) and closes the persistent disk cache.  The engine remains
-        usable for serial evaluation afterwards, but warm-pool engines
-        should be treated as spent — use the context-manager form::
+        executor's warm pool and closes the persistent disk cache.  Use
+        the context-manager form::
 
-            with SweepEngine(executor=ProcessExecutor(persistent=True)) as engine:
+            with SweepEngine(executor="process") as engine:
                 engine.evaluate(designs)
         """
         if self._warm_context is not None:
             self._warm_context.unlink()
             self._warm_context = None
-        closer = getattr(self.executor, "close", None)
-        if callable(closer):
-            closer()
+        self.executor.close()
         if self.persistent_cache is not None:
             self.persistent_cache.close()
 
@@ -1090,8 +824,7 @@ class SweepEngine:
 
     def clear_cache(self) -> None:
         """Drop memoised results and counters (the disk cache survives)."""
-        self._cache.clear()
-        self._timelines.clear()
+        self._memo.clear()
         self._hits = 0
         self._misses = 0
         self._disk_hits = 0
@@ -1103,7 +836,7 @@ class SweepEngine:
         info = {
             "hits": self._hits,
             "misses": self._misses,
-            "size": len(self._cache) + len(self._timelines),
+            "size": len(self._memo),
         }
         if self.persistent_cache is not None:
             info["disk_hits"] = self._disk_hits
@@ -1119,15 +852,15 @@ class SweepEngine:
 
     # -- internal -------------------------------------------------------------
 
-    def _shared_evaluators(self):
-        """The engine's long-lived evaluator pair (lazily created).
+    def _evaluators(self) -> tuple:
+        """Evaluator source: the engine's long-lived pair (lazily created).
 
-        Shared across every serial/thread sweep this engine runs, and
-        used as the precompute cache feeding the shared-memory context
-        of process sweeps — repeated sweeps only solve structures and
+        Shared across every in-process chunk this engine runs, and used
+        as the precompute cache feeding the shared-memory context of
+        process sweeps — repeated sweeps only solve structures and
         aggregates they have not seen before.
         """
-        if self._availability_evaluator is None:
+        if self._evaluator_pair is None:
             from repro.evaluation.availability import AvailabilityEvaluator
             from repro.evaluation.security import SecurityEvaluator
 
@@ -1135,41 +868,18 @@ class SweepEngine:
                 "creating the engine's shared evaluator pair (executor=%s)",
                 self.executor.name,
             )
-            self._security_evaluator = SecurityEvaluator(
-                self.case_study, database=self.database
+            self._evaluator_pair = (
+                SecurityEvaluator(self.case_study, database=self.database),
+                AvailabilityEvaluator(
+                    self.case_study, self.policy, database=self.database
+                ),
+                self.case_study,
+                self.policy,
             )
-            self._availability_evaluator = AvailabilityEvaluator(
-                self.case_study, self.policy, database=self.database
-            )
-        return self._security_evaluator, self._availability_evaluator
-
-    @property
-    def _persistent_pool(self) -> bool:
-        """Whether the executor keeps a warm pool across dispatches."""
-        return bool(getattr(self.executor, "persistent", False))
-
-    def _use_shared_memory(self, chunks: Sequence[Sequence[Any]]) -> bool:
-        """Whether this dispatch goes through the shared-memory pool."""
-        return (
-            self.structure_sharing
-            and isinstance(self.executor, ProcessExecutor)
-            and (len(chunks) > 1 or self._persistent_pool)
-        )
-
-    def _shared_context(self, designs: Sequence[Any]):
-        from repro.evaluation.shared_memory import SharedSweepContext
-
-        _, availability = self._shared_evaluators()
-        return SharedSweepContext.build(
-            self.case_study,
-            self.policy,
-            self.database,
-            designs,
-            evaluator=availability,
-        )
+        return self._evaluator_pair
 
     def _warm_shared_context(self, designs: Sequence[Any]):
-        """The retained context for warm-pool dispatches.
+        """The retained shared-memory context for a process dispatch.
 
         Reused as long as it covers every design of this dispatch (the
         common case: repeated sweeps over one space).  A design bringing
@@ -1178,6 +888,8 @@ class SweepEngine:
         make that incremental — and the changed segment name recycles
         the pool, so fresh workers re-prime with the superset.
         """
+        from repro.evaluation.shared_memory import SharedSweepContext
+
         if self._warm_context is not None and self._warm_context.covers(
             designs
         ):
@@ -1198,278 +910,125 @@ class SweepEngine:
             len(self._warm_designs),
             "covered too little" if previous is not None else "absent",
         )
-        self._warm_context = self._shared_context(self._warm_designs)
+        self._warm_context = SharedSweepContext.build(
+            self.case_study,
+            self.policy,
+            self.database,
+            self._warm_designs,
+            evaluator=self._evaluators()[1],
+        )
         if previous is not None:
             # Old workers copied the arrays out at initialization; only
             # *new* workers attach, and they will use the new segment.
             previous.unlink()
         return self._warm_context
 
-    @property
-    def _incremental(self) -> bool:
-        """Whether the in-flight call consumes chunk results one by one.
+    def _run_chunks(self, kind, params, chunks, deadline, checkpoint):
+        """Dispatch *chunks* over the evaluator source the executor needs.
 
-        True when a checkpoint (preemption) or progress (streaming)
-        consumer is attached: dispatches then go through the executor's
-        ``iter_run`` generators so finished chunks are memoised — and
-        surfaced — before later ones compute.  Plain calls keep the
-        eager list path (identical results, one fewer moving part).
+        Process pools get the shared-memory pair, except for a single
+        chunk with no live pool, which runs in-process on the engine's
+        own pair like the serial and thread executors do.
         """
-        return self._checkpoint is not None or self._progress is not None
+        priming: dict[str, Any] = {}
+        if not self.structure_sharing:
+            source = partial(
+                _fresh_evaluators, self.case_study, self.policy, self.database
+            )
+        elif isinstance(self.executor, ProcessExecutor) and (
+            len(chunks) > 1 or self.executor.live
+        ):
+            from repro.evaluation.shared_memory import (
+                initialize_worker,
+                primed_evaluators,
+            )
 
-    def _dispatch(
-        self,
-        fn: Callable[..., Any],
-        batches: Sequence[tuple],
-        runner: Callable[..., list] | None = None,
-    ):
-        """Run *batches* through the executor, absorbing chunk telemetry.
+            context = self._warm_shared_context(
+                [design for chunk in chunks for design in chunk]
+            )
+            source = primed_evaluators
+            priming = {
+                "initializer": initialize_worker,
+                "initargs": (context.worker_payload(),),
+                "key": context.segment_name,
+            }
+        else:
+            source = self._evaluators
+        options = observability.telemetry_options()
+        batches = [(source, kind, params, chunk, options) for chunk in chunks]
+        return self._dispatch(_chunk, batches, deadline, checkpoint, **priming)
+
+    def _dispatch(self, fn, batches, deadline=None, checkpoint=None, **priming):
+        """The dispatch loop: yield each chunk's result as it arrives.
 
         Worker-process chunks come back wrapped in
         :class:`~repro.observability.ChunkTelemetry`; absorbing merges
         their metric deltas and spans into this process and unwraps the
         untouched results, so callers see the same shapes either way.
 
-        An active sweep deadline is checked here before any work is
-        submitted; on in-process executors (serial/thread) each chunk
-        additionally re-checks the budget (and the preemption
-        checkpoint) at entry, so a sweep stops at the next chunk
-        boundary once the budget is spent or a higher-priority request
-        arrives.  Returns a list, or a lazy generator when the call is
-        :attr:`_incremental`.
+        *deadline* and *checkpoint* are checked before anything is
+        submitted and at every chunk boundary the loop consumes, for
+        every executor — a stop there forfeits at most the chunks
+        computed ahead, which simply recompute on resume (chunk
+        evaluation is pure).  In-process executors (serial/thread) also
+        check at chunk entry, where closing over the checkpoint needs no
+        pickling.
         """
-        deadline, checkpoint = self._deadline, self._checkpoint
-        if deadline is not None:
-            deadline.check("chunk dispatch")
-        if checkpoint is not None:
-            checkpoint()
-        wrapped = False
-        if (
-            runner is None
-            and (deadline is not None or checkpoint is not None)
-            and isinstance(self.executor, (SerialExecutor, ThreadExecutor))
+
+        def check() -> None:
+            if deadline is not None:
+                deadline.check("chunk dispatch")
+            if checkpoint is not None:
+                checkpoint()
+
+        check()
+        if (deadline is not None or checkpoint is not None) and isinstance(
+            self.executor, (SerialExecutor, ThreadExecutor)
         ):
-            # In-process execution: safe to close over the deadline and
-            # checkpoint (process pools would need to pickle them; the
-            # pre-submit check above still bounds those dispatches).
             fn = partial(_checked_chunk, deadline, checkpoint, fn)
-            wrapped = True
-        if self._incremental:
-            return self._dispatch_iter(fn, batches, runner, wrapped)
-        if runner is None:
-            runner = self.executor.run
         dispatched = time.time()
         with tracing.span(
             "engine:dispatch",
             executor=self.executor.name,
             chunks=len(batches),
-        ):
-            results = runner(fn, batches)
-            return [
-                observability.absorb(result, dispatched)
-                for result in results
-            ]
-
-    def _dispatch_iter(
-        self,
-        fn: Callable[..., Any],
-        batches: Sequence[tuple],
-        runner: Callable[..., Any] | None,
-        wrapped: bool,
-    ):
-        """The incremental dispatch: yield absorbed chunk results.
-
-        Pool-backed executors cannot close over the checkpoint (it is
-        not picklable), so for them the checkpoint also runs between
-        consumed results — a preemption there forfeits at most the one
-        chunk computed since the last boundary, which simply recomputes
-        on resume (chunk evaluation is pure).
-        """
-        checkpoint = self._checkpoint
-        if runner is None:
-            runner = self.executor.iter_run
-        dispatched = time.time()
-        with tracing.span(
-            "engine:dispatch",
-            executor=self.executor.name,
-            chunks=len(batches),
-        ):
-            first = True
-            for result in runner(fn, batches):
-                if not first and checkpoint is not None and not wrapped:
-                    checkpoint()
-                first = False
+        ), closing(self.executor.iter_run(fn, batches, **priming)) as results:
+            for index, result in enumerate(results, start=1):
                 yield observability.absorb(result, dispatched)
+                if index < len(batches):
+                    check()
 
-    def _run_evaluate_chunks(self, chunks: Sequence[Sequence[Any]]) -> list:
-        if not self.structure_sharing:
-            options = observability.telemetry_options()
-            batches = [
-                (
-                    self.case_study, self.policy, self.database, chunk,
-                    False, options,
-                )
-                for chunk in chunks
-            ]
-            return self._dispatch(_evaluate_chunk, batches)
-        if self._use_shared_memory(chunks):
-            from repro.evaluation.shared_memory import shared_evaluate_chunk
+    def _disk_key(self, kind: str, design: DesignSpec, params: tuple) -> str:
+        """Persistent-cache key: context fingerprint + design identity.
 
-            options = observability.telemetry_options()
-            return self._run_shared_memory(
-                shared_evaluate_chunk,
-                [(chunk, options) for chunk in chunks],
-                chunks,
-            )
-        security, availability = self._shared_evaluators()
-        fn = partial(
-            _evaluate_chunk_primed,
-            security,
-            availability,
-            self.case_study,
-            self.policy,
-        )
-        return self._dispatch(fn, [(chunk,) for chunk in chunks])
-
-    def _run_shared_memory(
-        self,
-        fn: Callable[..., Any],
-        batches: Sequence[tuple],
-        chunks: Sequence[Sequence[Any]],
-    ) -> list:
-        """Dispatch *batches* through the shared-memory process pool.
-
-        Per-call pools build a context for exactly this dispatch and
-        unlink it once the pool has drained.  A persistent (warm) pool
-        instead reuses the engine-retained context, keyed by its segment
-        name: an unchanged key keeps the primed workers, a changed one
-        recycles the pool so fresh workers re-prime from the new
-        segment; the retained segment is released by :meth:`close`.
+        Timeline keys append the time grid and tolerance, plus the
+        campaign and the method only when they differ from the default,
+        so default-shaped keys keep their original form.
         """
-        from repro.evaluation.shared_memory import initialize_worker
-
-        designs = [design for chunk in chunks for design in chunk]
-        primed_runner = (
-            self.executor.iter_run_with_initializer
-            if self._incremental
-            else self.executor.run_with_initializer
-        )
-        if self._persistent_pool:
-            context = self._warm_shared_context(designs)
-            return self._dispatch(
-                fn,
-                batches,
-                runner=partial(
-                    primed_runner,
-                    initializer=initialize_worker,
-                    initargs=(context.worker_payload(),),
-                    key=context.segment_name,
-                ),
-            )
-        if self._incremental:
-            return self._iter_fresh_shared(fn, batches, designs, primed_runner)
-        context = self._shared_context(designs)
-        try:
-            return self._dispatch(
-                fn,
-                batches,
-                runner=partial(
-                    primed_runner,
-                    initializer=initialize_worker,
-                    initargs=(context.worker_payload(),),
-                ),
-            )
-        finally:
-            context.unlink()
-
-    def _iter_fresh_shared(self, fn, batches, designs, primed_runner):
-        """Incremental per-call shared-memory dispatch (generator).
-
-        The ``finally: unlink`` of the eager path would tear the
-        segment down before a lazy consumer ran anything; here the
-        unlink happens when the generator is exhausted (or closed).
-        """
-        from repro.evaluation.shared_memory import initialize_worker
-
-        context = self._shared_context(designs)
-        try:
-            yield from self._dispatch(
-                fn,
-                batches,
-                runner=partial(
-                    primed_runner,
-                    initializer=initialize_worker,
-                    initargs=(context.worker_payload(),),
-                ),
-            )
-        finally:
-            context.unlink()
-
-    def _run_timeline_chunks(
-        self,
-        chunks: Sequence[Sequence[Any]],
-        times_key: tuple[float, ...],
-        tolerance: float,
-        campaign=None,
-        method: str = "uniformisation",
-    ) -> list:
-        if not self.structure_sharing:
-            options = observability.telemetry_options()
-            batches = [
-                (
-                    self.case_study,
-                    self.policy,
-                    self.database,
-                    times_key,
-                    tolerance,
-                    chunk,
-                    False,
-                    campaign,
-                    method,
-                    options,
-                )
-                for chunk in chunks
-            ]
-            return self._dispatch(_timeline_chunk, batches)
-        if self._use_shared_memory(chunks):
-            from repro.evaluation.shared_memory import shared_timeline_chunk
-
-            options = observability.telemetry_options()
-            return self._run_shared_memory(
-                shared_timeline_chunk,
-                [
-                    (times_key, tolerance, chunk, campaign, method, options)
-                    for chunk in chunks
-                ],
-                chunks,
-            )
-        security, availability = self._shared_evaluators()
-        fn = partial(
-            _timeline_chunk_primed,
-            security,
-            availability,
-            self.case_study,
-            self.policy,
-            times_key,
-            tolerance,
-            campaign,
-            method,
-        )
-        return self._dispatch(fn, [(chunk,) for chunk in chunks])
-
-    def _disk_key(self, design: DesignSpec, *parts) -> str:
-        """Persistent-cache key: context fingerprint + design identity."""
         from repro.evaluation.cache import PersistentEvaluationCache, context_fingerprint
 
         if self._fingerprint is None:
             self._fingerprint = context_fingerprint(
                 self.case_study, self.policy, self.database
             )
+        parts: tuple = ()
+        if kind == "timeline":
+            times, tolerance, campaign, method = params
+            parts = (times, tolerance)
+            if campaign is not None:
+                parts += (campaign.cache_key(),)
+            if method != "uniformisation":
+                parts += (("method", method),)
         return PersistentEvaluationCache.entry_key(
             self._fingerprint, design.cache_key(), *parts
         )
 
-    def _chunks(self, items: Sequence[Any]) -> list[Sequence[Any]]:
+    def _chunks(self, items: Sequence[Any], split: bool = False) -> list[Sequence[Any]]:
+        """Contiguous chunks of *items*.
+
+        *split* asks for several chunks even on a serial executor: under
+        a deadline, a preemption checkpoint or a streaming consumer the
+        chunk boundary is the abort / hand-off point.
+        """
         if not items:
             return []
         if self.chunk_size is not None:
@@ -1477,16 +1036,8 @@ class SweepEngine:
         else:
             workers = self.executor.max_workers
             if workers is None:
-                # Serial executors gain nothing from splitting; one chunk
-                # keeps a single shared evaluator pair across all designs.
-                # Under a deadline (or a preemption checkpoint, or a
-                # streaming consumer) the chunk boundary is the abort /
-                # hand-off point, so split enough for it to actually run.
-                split = (
-                    self._deadline is not None
-                    or self._checkpoint is not None
-                    or self._progress is not None
-                )
+                # Serial executors otherwise gain nothing from splitting;
+                # one chunk keeps a single evaluator pair across designs.
                 size = 4 if split else len(items)
             else:
                 size = max(1, -(-len(items) // max(1, 4 * workers)))

@@ -4,14 +4,14 @@ The CLI pays the full start-up bill on every invocation — interpreter,
 case-study solves, process-pool spawn, shared-memory priming.  This
 module keeps all of that resident: one :class:`EvaluationService` owns
 a pool of warm :class:`~repro.evaluation.engine.SweepEngine` *lanes*
-(each with its own persistent worker pool, retained shared-memory
-segment and caches) and fronts them with a small asyncio HTTP/JSON API
+(each with its own warm worker pool, retained shared-memory segment
+and caches) and fronts them with a small asyncio HTTP/JSON API
 (stdlib only), multiplexing many concurrent sweep/timeline requests
 over per-context engines.
 
 /v1 API
 -------
-The versioned surface is ``POST /v1/sweep``, ``POST /v1/timeline``,
+The whole surface is ``POST /v1/sweep``, ``POST /v1/timeline``,
 ``GET /v1/healthz`` and ``GET /v1/metrics``.  POST bodies use one
 canonical envelope::
 
@@ -32,13 +32,10 @@ stable envelope ``{"error": {"code", "message", "detail"}}`` where
 ``code`` is machine-readable: ``invalid_request``, ``over_budget``,
 ``not_found``, ``method_not_allowed``, ``saturated``,
 ``deadline_exceeded`` or ``internal`` (see
-:mod:`repro.evaluation.api`).  Success payloads carry
-``schema_version`` 3.
-
-The unversioned paths (``/sweep``, ``/timeline``, ``/healthz``,
-``/metrics``) keep working with their historical flat request fields
-and flat error bodies, but every response carries a ``Deprecation:
-true`` header and increments ``repro_service_legacy_requests_total``.
+:mod:`repro.evaluation.api`), chosen by the error's type.  Success
+payloads carry ``schema_version`` 3.  Any other path, the unversioned
+``/sweep``, ``/timeline``, ``/healthz`` and ``/metrics`` included,
+answers 404 ``not_found``.
 
 Engine lanes
 ------------
@@ -61,7 +58,7 @@ chunks.  ``repro_service_preemptions_total`` counts the occurrences;
 per-priority lane waits land in the ``repro_chunk_queue_wait_seconds``
 histogram (labels ``queue="lane"``, ``priority=...``).
 
-``stream: true`` (``/v1`` only) switches the response to
+``stream: true`` switches the response to
 newline-delimited JSON (``application/x-ndjson``): a ``start`` event,
 one ``chunk`` event per engine chunk as it completes (designs already
 memoised/cached are folded into the final payload without a chunk
@@ -186,10 +183,6 @@ _DRAINING = observability.gauge(
     "repro_service_draining",
     "Whether the service is draining after SIGTERM (1) or serving (0).",
 ).labels()
-_LEGACY = observability.counter(
-    "repro_service_legacy_requests_total",
-    "Requests to deprecated unversioned paths, by endpoint.",
-)
 _PREEMPTIONS = observability.counter(
     "repro_service_preemptions_total",
     "Batch jobs preempted at a chunk boundary by an interactive job.",
@@ -255,11 +248,6 @@ DEFAULT_PORT = 8351
 #: Default bound on concurrently-warm engine lanes.
 DEFAULT_LANES = 4
 
-#: Version of the JSON payload schema (shared with the CLI); kept as a
-#: module attribute for backward compatibility — the authoritative
-#: constant is :data:`repro.evaluation.api.SCHEMA_VERSION`.
-TIMELINE_SCHEMA_VERSION = api.SCHEMA_VERSION
-
 #: Completed responses remembered for the fast path (FIFO-bounded; a
 #: fallen-out entry recomputes through the engine memo, still cheap).
 _MAX_REMEMBERED_RESPONSES = 128
@@ -282,7 +270,13 @@ _REASONS = {
 #: -memory hits are exempt — they add no compute load).
 DEFAULT_MAX_QUEUE = 64
 
-_KNOWN_ENDPOINTS = ("/healthz", "/metrics", "/sweep", "/timeline")
+#: The ``/v1`` endpoints (the request counter's ``endpoint`` labels).
+_ENDPOINTS = ("/healthz", "/metrics", "/sweep", "/timeline")
+
+
+def _error(status: int, code: str, message: str, detail: dict | None = None):
+    """``(status, payload, headers)`` of an error answer."""
+    return status, api.error_payload(code, message, detail), {}
 
 
 def _ndjson(obj) -> bytes:
@@ -297,12 +291,6 @@ class _Preempted(Exception):
     """Internal: a batch job yielded its lane at a chunk boundary."""
 
 
-#: The engine a lane thread is currently executing against; job bodies
-#: (:meth:`EvaluationService._sweep_job`) resolve their engine through
-#: this so monkeypatched/legacy job signatures keep working unchanged.
-_LANE_ENGINE = threading.local()
-
-
 def _resolve_future(future: Future, result, exc) -> None:
     """Settle *future*, tolerating a cancellation race (forced stop)."""
     try:
@@ -314,17 +302,31 @@ def _resolve_future(future: Future, result, exc) -> None:
         pass
 
 
+def _describe_engine(engine) -> dict:
+    """``/healthz`` telemetry of one engine and its executor's pool."""
+    executor = engine.executor
+    return {
+        "executor": executor.name,
+        "persistent_pool": executor.max_workers is not None,
+        "pool_recycles": getattr(executor, "recycle_count", 0),
+        "structure_sharing": engine.structure_sharing,
+        "cache_info": engine.cache_info,
+        "shared_context": engine.shared_context_info,
+    }
+
+
 class EngineLane:
     """One evaluation context's warm engine plus its worker thread.
 
-    Jobs arrive via :meth:`submit` in two priority classes.  The lane
-    thread always prefers the interactive queue; a *batch* job runs
-    with a ``checkpoint`` callable injected into the engine's chunk
-    seams, and the checkpoint raises the moment an interactive job is
-    waiting.  The preempted batch job goes back to the *front* of the
-    batch queue; when it re-runs, the engine memo already holds every
-    chunk completed before the preemption, so only the remaining
-    chunks are paid for again.
+    Jobs arrive via :meth:`submit` in two priority classes and are
+    called as ``job(engine, checkpoint=...)``.  The lane thread always
+    prefers the interactive queue; a *batch* job runs with a
+    ``checkpoint`` callable injected into the engine's chunk seams, and
+    the checkpoint raises the moment an interactive job is waiting.
+    The preempted batch job goes back to the *front* of the batch
+    queue; when it re-runs, the engine memo already holds every chunk
+    completed before the preemption, so only the remaining chunks are
+    paid for again.
 
     Lanes other than the default build their engine lazily *on the
     lane thread* (``engine_factory``) so a cold context never blocks
@@ -398,18 +400,7 @@ class EngineLane:
                 "idle_s": round(time.monotonic() - self.last_used, 3),
             }
         engine = self._engine
-        if engine is None:
-            info["engine"] = "pending"
-        else:
-            executor = engine.executor
-            info["engine"] = {
-                "executor": executor.name,
-                "persistent_pool": bool(getattr(executor, "persistent", False)),
-                "pool_recycles": getattr(executor, "recycle_count", 0),
-                "structure_sharing": engine.structure_sharing,
-                "cache_info": engine.cache_info,
-                "shared_context": engine.shared_context_info,
-            }
+        info["engine"] = "pending" if engine is None else _describe_engine(engine)
         return info
 
     # -- the lane thread ----------------------------------------------------
@@ -438,24 +429,17 @@ class EngineLane:
             )
             preempted = False
             try:
-                engine = self._engine
-                if engine is None:
-                    engine = self._engine = self._engine_factory()
-                _LANE_ENGINE.engine = engine
-                try:
-                    if priority == "batch":
-                        result = job(checkpoint=self._checkpoint)
-                    else:
-                        result = job()
-                except _Preempted:
-                    preempted = True
-                else:
-                    self.completed += 1
-                    _resolve_future(future, result, None)
+                if self._engine is None:
+                    self._engine = self._engine_factory()
+                checkpoint = self._checkpoint if priority == "batch" else None
+                result = job(self._engine, checkpoint=checkpoint)
+            except _Preempted:
+                preempted = True
             except BaseException as exc:  # noqa: BLE001 — fan out to waiter
                 _resolve_future(future, None, exc)
-            finally:
-                _LANE_ENGINE.engine = None
+            else:
+                self.completed += 1
+                _resolve_future(future, result, None)
             with self._cond:
                 if preempted:
                     self.preemptions += 1
@@ -612,7 +596,6 @@ class _StreamPlan:
         deadline: Deadline | None,
         started: float,
         design_count: int,
-        headers: dict,
     ) -> None:
         self.endpoint = endpoint
         self.queue = queue
@@ -620,7 +603,6 @@ class _StreamPlan:
         self.deadline = deadline
         self.started = started
         self.design_count = design_count
-        self.headers = headers
 
 
 # -- the service --------------------------------------------------------------
@@ -634,12 +616,9 @@ class EvaluationService:
     case_study / policy:
         Evaluation context of the default lane (defaults: the paper's).
     executor:
-        ``"process"`` (default) or ``"thread"`` build *persistent*
-        pool executors — the warm pools the service exists for;
-        ``"serial"`` runs in-process (useful for tests); an
-        :class:`~repro.evaluation.engine.Executor` instance is used
-        as-is on the default lane (extra lanes then fall back to
-        serial engines).
+        ``"process"`` (default) or ``"thread"`` give every lane a warm
+        worker pool — what the service exists for; ``"serial"`` runs
+        in-process (useful for tests).
     max_workers / chunk_size / structure_sharing / cache_path:
         Passed through to every lane engine (``cache_path`` enables the
         thread-safe sqlite result store shared across lanes, restarts
@@ -674,7 +653,7 @@ class EvaluationService:
         self,
         case_study=None,
         policy=None,
-        executor="process",
+        executor: str = "process",
         max_workers: int | None = None,
         chunk_size: int | None = None,
         structure_sharing: bool = True,
@@ -688,13 +667,13 @@ class EvaluationService:
         shutdown_timeout: float = 30.0,
     ) -> None:
         from repro._validation import check_positive_int
-        from repro.evaluation.engine import (
-            ProcessExecutor,
-            SweepEngine,
-            ThreadExecutor,
-        )
         from repro.vulnerability.diversity import diversity_database
 
+        if executor not in ("serial", "thread", "process"):
+            raise EvaluationError(
+                "executor must be 'serial', 'thread' or 'process' (every "
+                f"lane builds its own), got {executor!r}"
+            )
         check_positive_int(max_designs, "max_designs")
         self.max_designs = max_designs
         check_positive_int(lanes, "lanes")
@@ -715,44 +694,21 @@ class EvaluationService:
         self.drain_grace = drain_grace
         self.startup_timeout = startup_timeout
         self.shutdown_timeout = shutdown_timeout
-        # Captured before the string→executor conversion: extra lanes
-        # build their own executors from the same spec (a caller-built
-        # Executor instance cannot be duplicated — they get serial).
         self._case_study = case_study
-        self._policy = policy
-        self._chunk_size = chunk_size
-        self._structure_sharing = structure_sharing
-        self._cache_path = cache_path
-        if isinstance(executor, str):
-            self._executor_spec = (executor, max_workers)
-        elif getattr(executor, "name", None) in ("process", "thread") and getattr(
-            executor, "persistent", False
-        ):
-            self._executor_spec = (
-                executor.name,
-                getattr(executor, "max_workers", None),
-            )
-        else:
-            self._executor_spec = ("serial", None)
-        if executor == "process":
-            executor = ProcessExecutor(max_workers=max_workers, persistent=True)
-            max_workers = None
-        elif executor == "thread":
-            executor = ThreadExecutor(max_workers=max_workers, persistent=True)
-            max_workers = None
+        #: Every lane engine is built with these, plus its case study
+        #: and database.
+        self._engine_options = {
+            "policy": policy,
+            "executor": executor,
+            "max_workers": max_workers,
+            "chunk_size": chunk_size,
+            "structure_sharing": structure_sharing,
+            "cache_path": cache_path,
+        }
         # The diversity database serves heterogeneous (variants=true)
         # requests; homogeneous designs never consult it, so results
         # match a database-less CLI engine byte for byte.
-        self.engine = SweepEngine(
-            case_study=case_study,
-            policy=policy,
-            executor=executor,
-            max_workers=max_workers,
-            chunk_size=chunk_size,
-            database=diversity_database(),
-            structure_sharing=structure_sharing,
-            cache_path=cache_path,
-        )
+        self.engine = self._new_engine(case_study, diversity_database())
         self._lanes = LanePool(lanes, self.engine)
         self._inflight: dict[str, asyncio.Future] = {}
         self._responses: dict[str, dict] = {}
@@ -764,7 +720,7 @@ class EvaluationService:
         #: Monotonic suffix making deadline-bearing and streaming
         #: requests dedup-unique (separate budgets / separate wires
         #: must not share a future).
-        self._deadline_serial = 0
+        self._unique_serial = 0
         self._counters = {
             "requests_total": 0,
             "dedup_hits": 0,
@@ -772,7 +728,6 @@ class EvaluationService:
             "computed": 0,
             "errors": 0,
             "rejected": 0,
-            "legacy_requests": 0,
         }
         self._latency: dict[str, dict] = {}
         self._started = time.monotonic()
@@ -949,7 +904,6 @@ class EvaluationService:
     async def _handle(self, reader, writer) -> None:
         started = time.perf_counter()
         request = None
-        status, payload = 500, {"error": "internal error"}
         extra_headers: dict[str, str] = {}
         self._active_requests += 1
         self._connections.add(writer)
@@ -957,7 +911,9 @@ class EvaluationService:
             try:
                 request = await self._read_request(reader)
                 if request is None:
-                    status, payload = 400, {"error": "malformed HTTP request"}
+                    status, payload = 400, api.error_payload(
+                        api.ERROR_INVALID_REQUEST, "malformed HTTP request"
+                    )
                 else:
                     result = await self._dispatch(*request)
                     if isinstance(result, _StreamPlan):
@@ -966,12 +922,7 @@ class EvaluationService:
                             request, status, time.perf_counter() - started
                         )
                         return
-                    # Resilience paths (503/504) attach extra headers as
-                    # a third element; plain handlers return pairs.
-                    if len(result) == 3:
-                        status, payload, extra_headers = result
-                    else:
-                        status, payload = result
+                    status, payload, extra_headers = result
             except (ConnectionError, asyncio.IncompleteReadError):
                 writer.close()
                 return
@@ -984,7 +935,9 @@ class EvaluationService:
             except Exception as exc:  # never leak a traceback as a hang
                 self._counters["errors"] += 1
                 _SERVICE_ERRORS.inc()
-                status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+                status, payload = 500, api.error_payload(
+                    api.ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
+                )
             if isinstance(payload, str):
                 # Pre-rendered text (the Prometheus exposition).
                 body = payload.encode()
@@ -1064,91 +1017,55 @@ class EvaluationService:
 
     # -- dispatch -----------------------------------------------------------
 
-    @staticmethod
-    def _error(versioned: bool, code: str, message: str, detail=None) -> dict:
-        """An error body: the /v1 envelope or the legacy flat shape."""
-        if versioned:
-            return api.error_payload(code, message, detail)
-        return {"error": message}
-
     async def _dispatch(
         self, method: str, path: str, body: bytes, headers=None
     ):
+        """``(status, payload, headers)`` of one request, or a stream plan."""
         self._counters["requests_total"] += 1
-        versioned = path.startswith("/v1/")
-        base = path[3:] if versioned else path
-        _REQUESTS.inc(endpoint=base if base in _KNOWN_ENDPOINTS else "other")
-        extra: dict[str, str] = {}
-        if base in _KNOWN_ENDPOINTS and not versioned:
-            self._counters["legacy_requests"] += 1
-            _LEGACY.inc(endpoint=base)
-            extra["Deprecation"] = "true"
+        base = path[3:] if path.startswith("/v1/") else None
+        _REQUESTS.inc(endpoint=base if base in _ENDPOINTS else "other")
         if base in ("/healthz", "/metrics"):
             if method != "GET":
-                return 405, self._error(
-                    versioned, api.ERROR_METHOD_NOT_ALLOWED, f"{path} is GET-only"
-                ), extra
+                return _error(405, api.ERROR_METHOD_NOT_ALLOWED, f"{path} is GET-only")
             if base == "/healthz":
-                return 200, self.healthz(), extra
+                return 200, self.healthz(), {}
             accept = (headers or {}).get("accept", "")
             if any(token in accept for token in _PROMETHEUS_ACCEPT):
                 self._sync_registry()
-                return 200, observability.REGISTRY.to_prometheus(), extra
-            return 200, self.metrics(), extra
+                return 200, observability.REGISTRY.to_prometheus(), {}
+            return 200, self.metrics(), {}
         if base not in ("/sweep", "/timeline"):
-            return 404, self._error(
-                versioned,
+            return _error(
+                404,
                 api.ERROR_NOT_FOUND,
                 f"unknown path {path!r}; endpoints: POST /v1/sweep, "
-                "POST /v1/timeline, GET /v1/healthz, GET /v1/metrics "
-                "(unversioned /sweep, /timeline, /healthz, /metrics are "
-                "deprecated)",
-            ), extra
+                "POST /v1/timeline, GET /v1/healthz, GET /v1/metrics",
+            )
         if method != "POST":
-            return 405, self._error(
-                versioned, api.ERROR_METHOD_NOT_ALLOWED, f"{path} is POST-only"
-            ), extra
+            return _error(405, api.ERROR_METHOD_NOT_ALLOWED, f"{path} is POST-only")
         try:
             request = json.loads(body.decode() or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return 400, self._error(
-                versioned, api.ERROR_INVALID_REQUEST, f"invalid JSON body: {exc}"
-            ), extra
+            return _error(400, api.ERROR_INVALID_REQUEST, f"invalid JSON body: {exc}")
         if not isinstance(request, dict):
-            return 400, self._error(
-                versioned,
-                api.ERROR_INVALID_REQUEST,
-                "request body must be a JSON object",
-            ), extra
+            return _error(
+                400, api.ERROR_INVALID_REQUEST, "request body must be a JSON object"
+            )
         start = time.perf_counter()
         try:
-            req, key, job, deadline, design_count = self._prepare(
-                base, request, versioned
-            )
+            req, key, job, deadline, design_count = self._prepare(base, request)
         except ReproError as exc:
-            self._counters["errors"] += 1
-            _SERVICE_ERRORS.inc()
-            # Failing requests must stay visible in latency aggregates:
-            # record under the errors class before returning.
-            self._record_latency(
-                base, time.perf_counter() - start, outcome="errors"
-            )
-            code = (
-                api.ERROR_OVER_BUDGET
-                if "over the budget" in str(exc)
-                else api.ERROR_INVALID_REQUEST
-            )
-            return 400, self._error(versioned, code, str(exc)), extra
+            return self._failed(base, start, exc)
         if req.stream:
             return await self._start_stream(
-                base, req, key, job, deadline, design_count, start, extra
+                base, req, key, job, deadline, design_count, start
             )
         response = self._responses.get(key)
         if response is not None:
             self._counters["response_cache_hits"] += 1
             _SERVICE_CACHE.inc(tier="response")
             self._record_latency(base, time.perf_counter() - start)
-            return 200, response, extra
+            return 200, response, {}
         loop = asyncio.get_running_loop()
         future = self._inflight.get(key)
         if future is not None:
@@ -1157,7 +1074,7 @@ class EvaluationService:
             self._counters["dedup_hits"] += 1
             _SERVICE_CACHE.inc(tier="dedup")
         else:
-            rejected = self._reject_new_computation(base, versioned, start, extra)
+            rejected = self._reject_new_computation(base, start)
             if rejected is not None:
                 return rejected
             future = loop.create_future()
@@ -1182,52 +1099,33 @@ class EvaluationService:
                 )
         except (DeadlineExceeded, asyncio.TimeoutError) as exc:
             future.add_done_callback(_swallow_abandoned_error)
-            self._counters["errors"] += 1
-            _SERVICE_ERRORS.inc()
-            self._record_latency(
-                base, time.perf_counter() - start, outcome="deadline"
-            )
             budget_ms = deadline.budget * 1000.0 if deadline else None
-            message = (
-                str(exc)
-                if isinstance(exc, DeadlineExceeded)
-                else f"deadline of {budget_ms:.0f} ms exceeded while the "
-                "request was queued or computing"
+            if not isinstance(exc, DeadlineExceeded):
+                exc = DeadlineExceeded(
+                    f"deadline of {budget_ms:.0f} ms exceeded while the "
+                    "request was queued or computing"
+                )
+            return self._failed(
+                base, start, exc, "deadline", {"deadline_ms": budget_ms}
             )
-            if versioned:
-                return 504, api.error_payload(
-                    api.ERROR_DEADLINE_EXCEEDED,
-                    message,
-                    {"deadline_ms": budget_ms},
-                ), extra
-            return 504, {
-                "error": message,
-                "deadline_ms": budget_ms,
-                "deadline_exceeded": True,
-            }, extra
         except ReproError as exc:
-            self._counters["errors"] += 1
-            _SERVICE_ERRORS.inc()
-            self._record_latency(
-                base, time.perf_counter() - start, outcome="errors"
-            )
-            # An engine-raised ValidationError (e.g. an unknown role
-            # name, only detectable at evaluation time) is still the
-            # client's mistake, not a server fault.  Worker-crossing
-            # wraps erase the type but keep its name in the message.
-            if isinstance(exc, ValidationError) or "ValidationError" in str(exc):
-                return 400, self._error(
-                    versioned, api.ERROR_INVALID_REQUEST, str(exc)
-                ), extra
-            return 500, self._error(
-                versioned, api.ERROR_INTERNAL, str(exc)
-            ), extra
+            return self._failed(base, start, exc)
         self._record_latency(base, time.perf_counter() - start)
-        return 200, response, extra
+        return 200, response, {}
 
-    def _reject_new_computation(
-        self, base: str, versioned: bool, start: float, extra: dict
-    ):
+    def _failed(self, base, start, exc, outcome="errors", detail=None):
+        """Count a failed request and answer with its typed error.
+
+        Failing requests stay visible in the latency aggregates, under
+        the *outcome* class.
+        """
+        self._counters["errors"] += 1
+        _SERVICE_ERRORS.inc()
+        self._record_latency(base, time.perf_counter() - start, outcome=outcome)
+        status, code = api.error_status(exc)
+        return _error(status, code, str(exc), detail)
+
+    def _reject_new_computation(self, base: str, start: float):
         """The 503 response if admission is refused, else None."""
         rejection = self._admission_rejection()
         if rejection is None:
@@ -1237,21 +1135,14 @@ class EvaluationService:
         self._record_latency(
             base, time.perf_counter() - start, outcome="rejected"
         )
-        message = (
+        status, payload, _ = _error(
+            503,
+            api.ERROR_SATURATED,
             f"service saturated: {rejection}; "
-            f"retry after {self.retry_after:g}s"
+            f"retry after {self.retry_after:g}s",
+            {"retry_after_s": self.retry_after, "reason": rejection},
         )
-        retry_extra = dict(extra)
-        retry_extra["Retry-After"] = str(max(1, round(self.retry_after)))
-        if versioned:
-            payload = api.error_payload(
-                api.ERROR_SATURATED,
-                message,
-                {"retry_after_s": self.retry_after, "reason": rejection},
-            )
-        else:
-            payload = {"error": message, "retry_after_s": self.retry_after}
-        return 503, payload, retry_extra
+        return status, payload, {"Retry-After": str(max(1, round(self.retry_after)))}
 
     def _admission_rejection(self) -> str | None:
         """Why a *new* computation cannot be admitted now (None = admit)."""
@@ -1294,60 +1185,41 @@ class EvaluationService:
             req.priority,
         )
 
+    def _new_engine(self, case_study, database):
+        from repro.evaluation.engine import SweepEngine
+
+        return SweepEngine(
+            case_study=case_study, database=database, **self._engine_options
+        )
+
     def _lane_engine_factory(self, space):
         """A builder for a fresh per-context engine (lane-thread-side)."""
         scaled = space.scaled
-        spec, max_workers = self._executor_spec
 
         def build():
-            from repro.evaluation.engine import (
-                ProcessExecutor,
-                SweepEngine,
-                ThreadExecutor,
-            )
-
-            if spec == "process":
-                executor = ProcessExecutor(
-                    max_workers=max_workers, persistent=True
-                )
-            elif spec == "thread":
-                executor = ThreadExecutor(
-                    max_workers=max_workers, persistent=True
-                )
-            else:
-                executor = "serial"
             if scaled is not None:
                 from repro.enterprise.scaled import scaled_case_study
 
                 case_study, _ = scaled_case_study(*scaled)
-                database = None
-            else:
-                from repro.vulnerability.diversity import diversity_database
+                return self._new_engine(case_study, None)
+            from repro.vulnerability.diversity import diversity_database
 
-                case_study = self._case_study
-                database = diversity_database()
-            return SweepEngine(
-                case_study=case_study,
-                policy=self._policy,
-                executor=executor,
-                chunk_size=self._chunk_size,
-                database=database,
-                structure_sharing=self._structure_sharing,
-                cache_path=self._cache_path,
-            )
+            return self._new_engine(self._case_study, diversity_database())
 
         return build
 
-    def _prepare(self, base: str, request: dict, versioned: bool):
-        """Parsed request, dedup key, compute closure and deadline.
+    def _prepare(self, base: str, request: dict):
+        """Parsed request, dedup key, lane job and deadline.
 
         Raises :class:`~repro.errors.ReproError` on validation
-        failures, including a blown design-count budget — checked here,
+        failures, including a blown design-count budget
+        (:class:`~repro.evaluation.api.OverBudgetError`) — checked here,
         before the request can occupy the queue.  The deadline's clock
         starts here, at request receipt: queue wait spends the budget.
         """
-        cls = api.TimelineRequest if base == "/timeline" else api.SweepRequest
-        req = cls.from_payload(request, legacy=not versioned)
+        timeline = base == "/timeline"
+        cls = api.TimelineRequest if timeline else api.SweepRequest
+        req = cls.from_payload(request)
         deadline = (
             None
             if req.deadline_ms is None
@@ -1362,7 +1234,7 @@ class EvaluationService:
             else min(req.max_designs, self.max_designs)
         )
         if len(designs) > budget:
-            raise ValidationError(
+            raise api.OverBudgetError(
                 f"request enumerates {len(designs)} designs, over the "
                 f"budget of {budget}; shrink the space or raise the "
                 "service's --max-designs"
@@ -1379,38 +1251,37 @@ class EvaluationService:
             "max_total": req.space.max_total,
             "variants": req.space.variants,
         }
-        if base == "/timeline":
+        if timeline:
             job = partial(
-                self._timeline_job, space, designs, req.times, req.campaign
+                self._timeline_job,
+                space=space,
+                designs=designs,
+                times=req.times,
+                campaign=req.campaign,
+                method=req.method,
+                deadline=deadline,
             )
-            if req.method != "uniformisation":
-                job = partial(job, method=req.method)
         else:
-            job = partial(self._sweep_job, space, designs)
+            job = partial(
+                self._sweep_job, space=space, designs=designs, deadline=deadline
+            )
         canonical = req.canonical()
-        if deadline is not None:
-            # Deadline passed keyword-only so deadline-free jobs keep the
-            # historical two/four-argument shape (tests monkeypatch them).
-            job = partial(job, deadline=deadline)
-            # Each deadline carries its own budget: never share a
-            # computation (or a remembered response) across requests.
-            self._deadline_serial += 1
-            canonical["deadline_serial"] = self._deadline_serial
-        if req.stream:
-            # A stream is produced incrementally on one wire; never
-            # share or remember it.
-            self._deadline_serial += 1
-            canonical["stream_serial"] = self._deadline_serial
+        if deadline is not None or req.stream:
+            # A deadline carries its own budget and a stream is produced
+            # on one wire: never share a computation (or a remembered
+            # response) across requests.
+            self._unique_serial += 1
+            canonical["serial"] = self._unique_serial
         key = api.canonical_json(canonical)
         return req, key, job, deadline, len(designs)
 
     # -- streaming ----------------------------------------------------------
 
     async def _start_stream(
-        self, base, req, key, job, deadline, design_count, start, extra
+        self, base, req, key, job, deadline, design_count, start
     ):
         """Admit a ``stream: true`` request and hand back its plan."""
-        rejected = self._reject_new_computation(base, True, start, extra)
+        rejected = self._reject_new_computation(base, start)
         if rejected is not None:
             return rejected
         loop = asyncio.get_running_loop()
@@ -1444,7 +1315,6 @@ class EvaluationService:
             deadline=deadline,
             started=start,
             design_count=design_count,
-            headers=extra,
         )
 
     @staticmethod
@@ -1463,18 +1333,12 @@ class EvaluationService:
 
     async def _write_stream(self, writer, plan: _StreamPlan) -> int:
         """Write the NDJSON event stream; returns the logged status."""
-        header_lines = "".join(
-            f"{name}: {value}\r\n" for name, value in plan.headers.items()
-        )
         outcome = "ok"
         try:
             writer.write(
-                (
-                    "HTTP/1.1 200 OK\r\n"
-                    "Content-Type: application/x-ndjson\r\n"
-                    f"{header_lines}"
-                    "Connection: close\r\n\r\n"
-                ).encode()
+                b"HTTP/1.1 200 OK\r\n"
+                b"Content-Type: application/x-ndjson\r\n"
+                b"Connection: close\r\n\r\n"
             )
             writer.write(
                 _ndjson(
@@ -1506,24 +1370,15 @@ class EvaluationService:
                         _ndjson({"event": "complete", "response": value})
                     )
                 else:
-                    exc = value
                     outcome = "errors"
                     self._counters["errors"] += 1
                     _SERVICE_ERRORS.inc()
-                    if isinstance(exc, DeadlineExceeded):
-                        code = api.ERROR_DEADLINE_EXCEEDED
-                    elif (
-                        isinstance(exc, ValidationError)
-                        or "ValidationError" in str(exc)
-                    ):
-                        code = api.ERROR_INVALID_REQUEST
-                    else:
-                        code = api.ERROR_INTERNAL
+                    _, code = api.error_status(value)
                     writer.write(
                         _ndjson(
                             {
                                 "event": "error",
-                                "error": api.error_payload(code, str(exc))[
+                                "error": api.error_payload(code, str(value))[
                                     "error"
                                 ],
                             }
@@ -1572,14 +1427,12 @@ class EvaluationService:
         return 200
 
     # The job bodies run on lane threads — the only place engines are
-    # ever touched after construction.  They resolve their engine via
-    # the lane's thread-local so the historical signatures (which tests
-    # monkeypatch) stay intact.
+    # ever touched after construction — called with the lane's engine.
 
     def _sweep_job(
-        self, space: dict, designs, deadline=None, checkpoint=None, progress=None
+        self, engine, space: dict, designs, deadline=None, checkpoint=None,
+        progress=None,
     ) -> dict:
-        engine = getattr(_LANE_ENGINE, "engine", None) or self.engine
         evaluations = engine.evaluate(
             designs, deadline=deadline, checkpoint=checkpoint, progress=progress
         )
@@ -1594,6 +1447,7 @@ class EvaluationService:
 
     def _timeline_job(
         self,
+        engine,
         space: dict,
         designs,
         times,
@@ -1603,7 +1457,6 @@ class EvaluationService:
         checkpoint=None,
         progress=None,
     ) -> dict:
-        engine = getattr(_LANE_ENGINE, "engine", None) or self.engine
         timelines = engine.timeline(
             designs,
             times,
@@ -1634,10 +1487,10 @@ class EvaluationService:
     ) -> None:
         """Fold one request's latency into the per-endpoint aggregates.
 
-        Failing requests land in a separate ``<path>#errors`` class so
-        error latencies never skew the healthy aggregates — and are
-        never silently dropped.  Versioned and unversioned requests
-        share one class per endpoint (the path here is the base path).
+        Failing requests land in a separate ``<path>#<outcome>`` class
+        so error latencies never skew the healthy aggregates — and are
+        never silently dropped.  The path is the endpoint without its
+        ``/v1`` prefix.
         """
         key = path if outcome == "ok" else f"{path}#{outcome}"
         stats = self._latency.setdefault(
@@ -1697,18 +1550,11 @@ class EvaluationService:
         whether the persistent cache fell back to memory-only, and
         every registered circuit breaker (name → state/failures/opens).
         """
-        executor = self.engine.executor
         cache = self.engine.persistent_cache
         return {
             "status": "draining" if self._draining else "ok",
             "uptime_s": round(time.monotonic() - self._started, 3),
-            "engine": {
-                "executor": executor.name,
-                "persistent_pool": bool(getattr(executor, "persistent", False)),
-                "pool_recycles": getattr(executor, "recycle_count", 0),
-                "structure_sharing": self.engine.structure_sharing,
-                "cache_info": self.engine.cache_info,
-            },
+            "engine": _describe_engine(self.engine),
             "max_designs": self.max_designs,
             "lanes": self._lanes.describe(),
             "resilience": {
@@ -1735,7 +1581,7 @@ class ServiceClient:
     scripts; any HTTP client works — the API is plain JSON over
     HTTP/1.1.  :meth:`sweep`/:meth:`timeline` build the typed ``/v1``
     envelope from keyword arguments; :meth:`request` stays available
-    for raw (including legacy unversioned) exchanges.
+    for raw exchanges.
 
     Every request sends ``Connection: close`` explicitly — the service
     closes the socket after one exchange, and advertising it keeps a

@@ -19,12 +19,10 @@ precompute-and-share half of the structure-sharing pipeline:
 Aggregates and structures cross the boundary as bit-exact float64
 arrays, so worker results are byte-identical to the in-process path.
 Workers copy-and-close during initialization, so segment lifetime never
-depends on worker health.  Per-call pools unlink the segment in a
-``finally`` block as soon as the pool drains; a *persistent* (warm)
-pool instead retains its context for the pool's lifetime — so
-late-spawned or recycled workers can still attach and re-prime — and
-unlinks it (idempotently) when the engine closes or the context is
-superseded by one covering more designs (see
+depends on worker health.  The engine retains its context for the
+warm pool's lifetime — so late-spawned or recycled workers can still
+attach and re-prime — and unlinks it (idempotently) when the engine
+closes or the context is superseded by one covering more designs (see
 :meth:`SharedSweepContext.covers`).
 """
 
@@ -32,6 +30,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -40,7 +39,8 @@ from repro import observability
 from repro.availability.aggregation import ServiceAggregate
 from repro.availability.grouped import CanonicalLayout, CoaStructure
 from repro.availability.measures import ServerMeasures
-from repro.errors import EvaluationError, ReproError
+from repro.errors import EvaluationError
+from repro.evaluation.combined import labelled
 from repro.observability import tracing
 from repro.resilience.faults import fault_point
 
@@ -49,8 +49,7 @@ __all__ = [
     "read_arrays",
     "SharedSweepContext",
     "initialize_worker",
-    "shared_evaluate_chunk",
-    "shared_timeline_chunk",
+    "primed_evaluators",
 ]
 
 _logger = logging.getLogger(__name__)
@@ -201,8 +200,11 @@ class SharedSweepContext:
         seen_variants: set[tuple[str, str]] = set()
         seen_layouts: set[tuple] = set()
         for design in designs:
-            try:
-                cls._precompute_design(
+            labelled(
+                "precomputing shared state for design",
+                design,
+                partial(
+                    cls._precompute_design,
                     design,
                     evaluator,
                     role_names,
@@ -214,20 +216,8 @@ class SharedSweepContext:
                     seen_roles,
                     seen_variants,
                     seen_layouts,
-                )
-            except ReproError as exc:
-                raise EvaluationError(
-                    f"precomputing shared state for design {design.label!r} "
-                    f"failed: {type(exc).__name__}: {exc}"
-                ) from None
-            except Exception as exc:
-                import traceback
-
-                raise EvaluationError(
-                    f"precomputing shared state for design {design.label!r} "
-                    f"failed: {type(exc).__name__}: {exc}\n"
-                    f"{traceback.format_exc()}"
-                ) from None
+                ),
+            )
 
         # Role rows first, then variant rows — the exact layout
         # initialize_worker reads back (role_names index the first block,
@@ -369,7 +359,7 @@ class SharedSweepContext:
         }
 
     def unlink(self) -> None:
-        """Release the segment (idempotent; called in ``finally``)."""
+        """Release the segment (idempotent)."""
         if self.segment is None:
             return
         try:
@@ -383,7 +373,7 @@ class SharedSweepContext:
 # -- worker side --------------------------------------------------------------
 
 #: Per-process evaluator pair primed from the shared segment.
-_WORKER: dict | None = None
+_WORKER: tuple | None = None
 
 
 def initialize_worker(payload: dict) -> None:
@@ -450,72 +440,23 @@ def initialize_worker(payload: dict) -> None:
         len(variants),
         len(structures),
     )
-    _WORKER = {
-        "security": SecurityEvaluator(case_study, database=database),
-        "availability": availability,
-        "case_study": case_study,
-        "policy": payload["policy"],
-    }
+    _WORKER = (
+        SecurityEvaluator(case_study, database=database),
+        availability,
+        case_study,
+        payload["policy"],
+    )
 
 
-def _worker_state() -> dict:
+def primed_evaluators() -> tuple:
+    """Evaluator source of pool workers: the pair primed at initialization.
+
+    Returns ``(security, availability, case_study, policy)`` — the shape
+    the engine's chunk entry point expects from every evaluator source.
+    """
     if _WORKER is None:
         raise EvaluationError(
             "shared-memory worker used before initialization; the pool "
             "initializer did not run"
         )
     return _WORKER
-
-
-def shared_evaluate_chunk(designs, telemetry=None):
-    """Worker entry point: evaluate one chunk with the primed evaluators."""
-    fault_point("worker.chunk", worker_only=True)
-    return observability.capture(
-        telemetry, lambda: _shared_evaluate(designs)
-    )
-
-
-def _shared_evaluate(designs):
-    from repro.evaluation.combined import evaluate_designs_shared
-
-    state = _worker_state()
-    with tracing.span("chunk:evaluate", designs=len(designs)):
-        return evaluate_designs_shared(
-            designs,
-            state["case_study"],
-            state["policy"],
-            security_evaluator=state["security"],
-            availability_evaluator=state["availability"],
-        )
-
-
-def shared_timeline_chunk(
-    times, tolerance, designs, campaign=None, method="uniformisation",
-    telemetry=None,
-):
-    """Worker entry point: patch timelines with the primed evaluators."""
-    fault_point("worker.chunk", worker_only=True)
-    return observability.capture(
-        telemetry,
-        lambda: _shared_timeline(times, tolerance, designs, campaign, method),
-    )
-
-
-def _shared_timeline(times, tolerance, designs, campaign, method):
-    from repro.evaluation.timeline import evaluate_timelines_shared
-
-    state = _worker_state()
-    with tracing.span(
-        "chunk:timeline", designs=len(designs), points=len(times)
-    ):
-        return evaluate_timelines_shared(
-            designs,
-            times,
-            state["case_study"],
-            state["policy"],
-            tolerance=tolerance,
-            security_evaluator=state["security"],
-            availability_evaluator=state["availability"],
-            campaign=campaign,
-            method=method,
-        )

@@ -49,6 +49,7 @@ import itertools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -60,8 +61,9 @@ from repro.enterprise.heterogeneous import (
     HeterogeneousDesign,
     check_design_kind as _check_spec_kind,
 )
-from repro.errors import CtmcError, EvaluationError, ReproError, SolverError
+from repro.errors import CtmcError, EvaluationError, SolverError
 from repro.evaluation.availability import AvailabilityEvaluator
+from repro.evaluation.combined import labelled
 from repro.evaluation.security import SecurityEvaluator
 from repro.harm import SecurityMetrics
 from repro.patching.campaign import PatchCampaign
@@ -680,11 +682,9 @@ def evaluate_timelines_shared(
     on, the per-pattern canonical explorations — across every design in
     the chunk, whatever mix of spec kinds the chunk holds.  Pass
     evaluator instances (e.g. primed from shared memory) to reuse their
-    caches.  Failures carry the design label and original traceback in
-    a picklable :class:`~repro.errors.EvaluationError`.
+    caches.  Failures carry the design label (see
+    :func:`repro.evaluation.combined.labelled`).
     """
-    import traceback
-
     if security_evaluator is None:
         security_evaluator = SecurityEvaluator(case_study, database=database)
     if availability_evaluator is None:
@@ -694,33 +694,25 @@ def evaluate_timelines_shared(
             database=database,
             structure_sharing=structure_sharing,
         )
-    results: list[DesignTimeline] = []
-    for design in designs:
-        try:
-            results.append(
-                evaluate_timeline(
-                    design,
-                    times,
-                    case_study=case_study,
-                    policy=policy,
-                    security_evaluator=security_evaluator,
-                    availability_evaluator=availability_evaluator,
-                    tolerance=tolerance,
-                    campaign=campaign,
-                    method=method,
-                )
-            )
-        except ReproError as exc:
-            raise EvaluationError(
-                f"timeline of design {design.label!r} failed: "
-                f"{type(exc).__name__}: {exc}"
-            ) from None
-        except Exception as exc:
-            raise EvaluationError(
-                f"timeline of design {design.label!r} failed: "
-                f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-            ) from None
-    return results
+    return [
+        labelled(
+            "timeline of design",
+            design,
+            partial(
+                evaluate_timeline,
+                design,
+                times,
+                case_study=case_study,
+                policy=policy,
+                security_evaluator=security_evaluator,
+                availability_evaluator=availability_evaluator,
+                tolerance=tolerance,
+                campaign=campaign,
+                method=method,
+            ),
+        )
+        for design in designs
+    ]
 
 
 def evaluate_timelines(
@@ -750,17 +742,17 @@ def evaluate_timelines(
     if executor is not None and executor != "serial":
         from repro.evaluation.engine import SweepEngine
 
-        engine = SweepEngine(
+        with SweepEngine(
             case_study=case_study,
             policy=policy,
             executor=executor,
             max_workers=max_workers,
             database=database,
-        )
-        return engine.timeline(
-            designs, times, tolerance=tolerance, campaign=campaign,
-            method=method,
-        )
+        ) as engine:
+            return engine.timeline(
+                designs, times, tolerance=tolerance, campaign=campaign,
+                method=method,
+            )
     return evaluate_timelines_shared(
         designs,
         times,

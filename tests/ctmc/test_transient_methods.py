@@ -2,7 +2,7 @@
 
 Covers the sparse-first solver paths: dense/sparse threshold overrides
 (constructor + ``REPRO_DENSE_THRESHOLD``), boundary parity at
-``n == threshold +- 1``, Krylov-vs-uniformisation agreement (including
+``n == threshold +- 1``, adaptive-vs-uniformisation agreement (including
 the 2401-state paper-scale canonical model), adaptive early exit, and
 ``auto`` size dispatch.
 """
@@ -130,43 +130,6 @@ class TestBoundaryParity:
         np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
 
-class TestKrylov:
-    def test_matches_uniformisation(self):
-        chain = birth_death(30)
-        exact = BatchTransientSolver(chain)
-        krylov = BatchTransientSolver(chain, method="krylov")
-        assert krylov.backend == "krylov"
-        a = exact.distributions(initial(30), TIMES)
-        b = krylov.distributions(initial(30), TIMES)
-        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
-
-    def test_time_zero_and_duplicates(self):
-        chain = birth_death(12)
-        krylov = BatchTransientSolver(chain, method="krylov")
-        out = krylov.distributions(initial(12), [2.0, 0.0, 2.0])
-        assert out[0] == pytest.approx(out[2], abs=0.0)
-        assert out[1] == pytest.approx(initial(12), abs=0.0)
-
-    def test_unsorted_times(self):
-        chain = birth_death(12)
-        exact = BatchTransientSolver(chain)
-        krylov = BatchTransientSolver(chain, method="krylov")
-        times = [5.0, 0.5, 2.0]
-        np.testing.assert_allclose(
-            krylov.distributions(initial(12), times),
-            exact.distributions(initial(12), times),
-            rtol=0.0,
-            atol=1e-10,
-        )
-
-    def test_rewards_shape(self):
-        chain = birth_death(12)
-        krylov = BatchTransientSolver(chain, method="krylov")
-        rewards = np.linspace(0.0, 1.0, 12)
-        out = krylov.rewards(initial(12), rewards, TIMES)
-        assert out.shape == (len(TIMES),)
-
-
 class TestPaperScaleModel:
     """The 2401-state canonical availability model (paper scale)."""
 
@@ -181,16 +144,10 @@ class TestPaperScaleModel:
     def slot_rates(self):
         return (0.02, 0.5) * 4
 
-    def test_krylov_within_tolerance(self, structure, slot_rates):
-        times = [0.0, 24.0, 72.0, 168.0]
-        exact = structure.transient_coa(slot_rates, times)
-        krylov = structure.transient_coa(slot_rates, times, method="krylov")
-        assert structure.n_states == 2401
-        np.testing.assert_allclose(krylov, exact, rtol=0.0, atol=1e-8)
-
     def test_adaptive_within_tolerance(self, structure, slot_rates):
         times = [0.0, 24.0, 72.0, 168.0, 720.0]
         exact = structure.transient_coa(slot_rates, times)
+        assert structure.n_states == 2401
         adaptive = structure.transient_coa(slot_rates, times, method="adaptive")
         np.testing.assert_allclose(adaptive, exact, rtol=0.0, atol=1e-10)
 
@@ -216,8 +173,9 @@ class TestAutoDispatch:
         assert solver.resolved_method == "adaptive"
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(SolverError, match="unknown transient method"):
-            BatchTransientSolver(birth_death(4), method="simpson")
+        for method in ("simpson", "krylov"):
+            with pytest.raises(SolverError, match="unknown transient method"):
+                BatchTransientSolver(birth_death(4), method=method)
 
     def test_invalid_atol_rejected(self):
         with pytest.raises(SolverError, match="atol"):
@@ -268,7 +226,7 @@ class TestAdaptive:
 class TestFrozenChain:
     def test_all_methods_serve_pi0(self):
         chain = Ctmc(["a", "b"])  # no transitions at all
-        for method in ("uniformisation", "krylov", "adaptive", "auto"):
+        for method in ("uniformisation", "adaptive", "auto"):
             solver = BatchTransientSolver(chain, method=method)
             assert solver.backend == "frozen"
             out = solver.distributions({"a": 1.0}, [0.0, 9.0])

@@ -57,11 +57,11 @@ class TestSpaceSpec:
 
 
 class TestRequests:
-    def test_legacy_sweep_rejects_v1_fields(self):
+    def test_flat_request_fields_rejected(self):
         with pytest.raises(ValidationError, match="unknown sweep"):
-            api.SweepRequest.from_payload({"space": {}}, legacy=True)
-        with pytest.raises(ValidationError, match="unknown sweep"):
-            api.SweepRequest.from_payload({"scaled": "3x2"}, legacy=True)
+            api.SweepRequest.from_payload({"roles": ["dns"], "max_replicas": 2})
+        with pytest.raises(ValidationError, match="unknown timeline"):
+            api.TimelineRequest.from_payload({"horizon": 100})
 
     def test_v1_sweep_envelope(self):
         request = api.SweepRequest.from_payload(
@@ -127,7 +127,7 @@ class TestRequests:
         request = api.TimelineRequest.from_payload(
             {
                 "space": {"roles": ["dns"], "max_replicas": 2},
-                "options": {"times": [1.0, 2.0], "method": "krylov"},
+                "options": {"times": [1.0, 2.0], "method": "adaptive"},
                 "priority": "batch",
             }
         )

@@ -47,10 +47,11 @@ class TestSinglePhaseDegeneracy:
         designs = paper_designs()[:3]
         reference = SweepEngine(executor="serial").timeline(designs, grid)
         for executor in ("serial", "thread", "process"):
-            staged = SweepEngine(
+            with SweepEngine(
                 executor=executor,
                 max_workers=None if executor == "serial" else 2,
-            ).timeline(designs, grid, campaign=BIG_BANG)
+            ) as engine:
+                staged = engine.timeline(designs, grid, campaign=BIG_BANG)
             for a, b in zip(reference, staged):
                 assert_curves_identical(a, b)
 
@@ -306,12 +307,14 @@ class TestEngineCampaigns:
         reference = SweepEngine(executor="serial").timeline(
             designs, grid, campaign=CANARY_THEN_FLEET
         )
-        shared = SweepEngine(
+        with SweepEngine(
             executor="process", max_workers=2, structure_sharing=True
-        ).timeline(designs, grid, campaign=CANARY_THEN_FLEET)
-        baseline = SweepEngine(
+        ) as engine:
+            shared = engine.timeline(designs, grid, campaign=CANARY_THEN_FLEET)
+        with SweepEngine(
             executor="process", max_workers=2, structure_sharing=False
-        ).timeline(designs, grid, campaign=CANARY_THEN_FLEET)
+        ) as engine:
+            baseline = engine.timeline(designs, grid, campaign=CANARY_THEN_FLEET)
         for a, b, c in zip(reference, shared, baseline):
             assert_curves_identical(a, b)
             assert_curves_identical(a, c)

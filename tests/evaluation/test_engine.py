@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.enterprise import RedundancyDesign
@@ -17,7 +19,8 @@ from repro.evaluation import (
 from repro.evaluation.engine import (
     ProcessExecutor,
     ThreadExecutor,
-    _evaluate_chunk,
+    _chunk,
+    _fresh_evaluators,
 )
 
 
@@ -34,9 +37,9 @@ class RecordingExecutor(SerialExecutor):
     def __init__(self):
         self.batches_run = 0
 
-    def run(self, fn, batches):
+    def iter_run(self, fn, batches, **priming):
         self.batches_run += len(batches)
-        return super().run(fn, batches)
+        return super().iter_run(fn, batches, **priming)
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +100,10 @@ class TestSweepEngine:
         assert totals == [design.total_servers for design in small_space]
 
     def test_map_through_process_pool(self, small_space):
-        engine = SweepEngine(
+        with SweepEngine(
             executor="process", max_workers=2, chunk_size=1
-        )
-        totals = engine.map(_total_servers, small_space)
+        ) as engine:
+            totals = engine.map(_total_servers, small_space)
         assert totals == [design.total_servers for design in small_space]
 
     def test_unknown_executor_rejected(self):
@@ -109,9 +112,10 @@ class TestSweepEngine:
 
     def test_thread_executor_matches_serial(self, small_space):
         serial = SweepEngine().evaluate(small_space)
-        threaded = SweepEngine(
+        with SweepEngine(
             executor="thread", max_workers=2, chunk_size=1
-        ).evaluate(small_space)
+        ) as engine:
+            threaded = engine.evaluate(small_space)
         assert serial == threaded
 
     def test_custom_executor_instance_accepted(self, small_space):
@@ -157,7 +161,8 @@ class TestModuleLevelApi:
         assert default == engine_run
 
     def test_chunk_worker_matches_serial(self, small_space, case_study, critical_policy):
-        chunked = _evaluate_chunk(case_study, critical_policy, None, small_space)
+        fresh = partial(_fresh_evaluators, case_study, critical_policy, None)
+        chunked = _chunk(fresh, "evaluation", (), small_space)
         assert chunked == evaluate_designs(
             small_space, case_study=case_study, policy=critical_policy
         )
@@ -183,17 +188,17 @@ class TestProcessExecutor:
 
 class TestThreadExecutor:
     def test_ordered_results(self):
-        executor = ThreadExecutor(max_workers=4)
         batches = [(value,) for value in range(20)]
-        assert executor.run(lambda value: value * 2, batches) == [
-            value * 2 for value in range(20)
-        ]
+        with ThreadExecutor(max_workers=4) as executor:
+            assert executor.run(lambda value: value * 2, batches) == [
+                value * 2 for value in range(20)
+            ]
 
     def test_closures_allowed(self):
         # No pickling boundary: closures and lambdas are fine.
         offset = 10
-        executor = ThreadExecutor(max_workers=2)
-        assert executor.run(lambda x: x + offset, [(1,), (2,)]) == [11, 12]
+        with ThreadExecutor(max_workers=2) as executor:
+            assert executor.run(lambda x: x + offset, [(1,), (2,)]) == [11, 12]
 
     def test_empty_batches(self):
         assert ThreadExecutor(max_workers=2).run(_total_servers, []) == []
@@ -217,53 +222,58 @@ class TestEngineDefaults:
 
 class TestPersistentExecutors:
     def test_thread_pool_reused_across_runs(self):
-        executor = ThreadExecutor(max_workers=2, persistent=True)
+        executor = ThreadExecutor(max_workers=2)
         try:
             assert executor.run(lambda x: x + 1, [(41,)]) == [42]
+            assert executor._pool is None  # one batch, no pool: in-process
+            assert executor.run(lambda x: x + 1, [(1,), (2,)]) == [2, 3]
             first_pool = executor._pool
-            assert first_pool is not None  # even a single batch warms it
+            assert first_pool is not None
             assert executor.run(lambda x: x * 2, [(21,)]) == [42]
-            assert executor._pool is first_pool
+            assert executor._pool is first_pool  # a live pool serves it
         finally:
             executor.close()
         assert executor._pool is None
 
     def test_close_is_idempotent_and_context_manager(self):
-        with ThreadExecutor(max_workers=2, persistent=True) as executor:
-            assert executor.run(lambda: 7, [()]) == [7]
+        with ThreadExecutor(max_workers=2) as executor:
+            assert executor.run(lambda: 7, [(), ()]) == [7, 7]
         executor.close()
         assert executor._pool is None
 
     def test_prime_key_change_recycles_pool(self):
-        executor = ThreadExecutor(max_workers=2, persistent=True)
+        executor = ThreadExecutor(max_workers=2)
         try:
-            executor.run_with_initializer(
+            executor.run(
                 lambda x: x, [(1,)], initializer=str, initargs=("a",), key="a"
             )
             first_pool = executor._pool
-            executor.run_with_initializer(
+            assert first_pool is not None  # priming always needs the pool
+            executor.run(
                 lambda x: x, [(2,)], initializer=str, initargs=("a",), key="a"
             )
             assert executor._pool is first_pool  # same key: stays warm
-            executor.run_with_initializer(
+            executor.run(
                 lambda x: x, [(3,)], initializer=str, initargs=("b",), key="b"
             )
             assert executor._pool is not first_pool  # new key: recycled
         finally:
             executor.close()
 
-    def test_process_pool_recycles_after_killed_worker(self):
+    def test_process_pool_recycles_after_killed_worker(self, wait_until_broken):
         import os
         import signal
 
-        executor = ProcessExecutor(max_workers=1, persistent=True)
+        executor = ProcessExecutor(max_workers=1)
         try:
-            designs = [RedundancyDesign({"dns": 1})]
-            assert executor.run(_total_servers, [(d,) for d in designs]) == [1]
-            pid = next(iter(executor._pool._processes))
-            os.kill(pid, signal.SIGKILL)
+            designs = [RedundancyDesign({"dns": 1}), RedundancyDesign({"web": 1})]
+            batches = [(d,) for d in designs]
+            assert executor.run(_total_servers, batches) == [1, 1]
+            pool = executor._pool
+            os.kill(next(iter(pool._processes)), signal.SIGKILL)
+            wait_until_broken(pool)
             # The broken pool is respawned and the dispatch retried once.
-            assert executor.run(_total_servers, [(d,) for d in designs]) == [1]
+            assert executor.run(_total_servers, batches) == [1, 1]
             assert executor.recycle_count == 1
         finally:
             executor.close()
@@ -271,8 +281,9 @@ class TestPersistentExecutors:
 
 class TestWarmEngine:
     def test_warm_sweep_byte_identical_to_cold(self, small_space):
-        cold = SweepEngine(executor="process").evaluate(small_space)
-        with SweepEngine(executor=ProcessExecutor(persistent=True)) as engine:
+        with SweepEngine(executor="process") as engine:
+            cold = engine.evaluate(small_space)
+        with SweepEngine(executor="process") as engine:
             warm_first = engine.evaluate(small_space)
             engine.clear_cache()
             warm_second = engine.evaluate(small_space)
@@ -282,7 +293,7 @@ class TestWarmEngine:
             assert a.after.security.as_dict() == b.after.security.as_dict()
 
     def test_warm_context_reused_for_covered_spaces(self, small_space):
-        with SweepEngine(executor=ProcessExecutor(persistent=True)) as engine:
+        with SweepEngine(executor="process", max_workers=2) as engine:
             engine.evaluate(small_space)
             context = engine._warm_context
             assert context is not None

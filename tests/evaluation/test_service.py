@@ -103,9 +103,9 @@ class TestEndpoints:
 class TestValidation:
     def test_unknown_field_is_400(self, serial_service):
         _, client = serial_service
-        status, body = client.request("POST", "/sweep", {"bogus": 1})
+        status, body = client.request("POST", "/v1/sweep", {"bogus": 1})
         assert status == 400
-        assert "bogus" in body["error"]
+        assert "bogus" in body["error"]["message"]
 
     def test_budget_enforced(self, serial_service):
         _, client = serial_service
@@ -123,11 +123,16 @@ class TestValidation:
         _, client = serial_service
         status, body = client.request(
             "POST",
-            "/timeline",
-            {"campaign": {"phases": [{"name": "x"}]}, "phases": "x:1"},
+            "/v1/timeline",
+            {
+                "options": {
+                    "campaign": {"phases": [{"name": "x"}]},
+                    "phases": "x:1",
+                }
+            },
         )
         assert status == 400
-        assert "mutually exclusive" in body["error"]
+        assert "mutually exclusive" in body["error"]["message"]
 
     def test_bad_json_body_is_400(self, serial_service):
         import http.client
@@ -138,7 +143,7 @@ class TestValidation:
         try:
             connection.request(
                 "POST",
-                "/sweep",
+                "/v1/sweep",
                 body=b"{not json",
                 headers={"Content-Type": "application/json"},
             )
@@ -147,7 +152,7 @@ class TestValidation:
         finally:
             connection.close()
         assert response.status == 400
-        assert "invalid JSON" in body["error"]
+        assert "invalid JSON" in body["error"]["message"]
 
     @pytest.mark.parametrize(
         "payload",
@@ -161,7 +166,7 @@ class TestValidation:
     )
     def test_bad_space_fields_are_400(self, serial_service, payload):
         _, client = serial_service
-        status, _ = client.request("POST", "/sweep", payload)
+        status, _ = client.request("POST", "/v1/sweep", {"space": payload})
         assert status == 400
 
     @pytest.mark.parametrize(
@@ -172,23 +177,43 @@ class TestValidation:
             {"horizon": "late"},
             {"points": 2.5},
             {"phases": ["canary"]},
+            {"horizon": -5},
+            {"points": 1},
+            {"times": [-1.0, 2.0]},
         ],
     )
     def test_bad_timeline_fields_are_400(self, serial_service, payload):
         _, client = serial_service
-        status, _ = client.request("POST", "/timeline", payload)
+        status, _ = client.request("POST", "/v1/timeline", {"options": payload})
         assert status == 400
 
     def test_unknown_path_is_404(self, serial_service):
         _, client = serial_service
         status, body = client.request("GET", "/nope")
         assert status == 404
-        assert "/sweep" in body["error"]
+        assert "/v1/sweep" in body["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "method, path",
+        [
+            ("POST", "/sweep"),
+            ("POST", "/timeline"),
+            ("GET", "/healthz"),
+            ("GET", "/metrics"),
+        ],
+    )
+    def test_unversioned_path_is_not_found(self, serial_service, method, path):
+        _, client = serial_service
+        payload = {"roles": ["dns"]} if method == "POST" else None
+        status, body = client.request(method, path, payload)
+        assert status == 404
+        assert body["error"]["code"] == "not_found"
+        assert set(body["error"]) == {"code", "message", "detail"}
 
     def test_wrong_method_is_405(self, serial_service):
         _, client = serial_service
-        assert client.request("GET", "/sweep")[0] == 405
-        assert client.request("POST", "/healthz")[0] == 405
+        assert client.request("GET", "/v1/sweep")[0] == 405
+        assert client.request("POST", "/v1/healthz")[0] == 405
 
 
 class TestDedup:
@@ -197,10 +222,10 @@ class TestDedup:
         original = service._sweep_job
         started, release = threading.Event(), threading.Event()
 
-        def slow_job(space, designs):
+        def slow_job(engine, space, designs, **kwargs):
             started.set()
             release.wait(timeout=30)
-            return original(space, designs)
+            return original(engine, space, designs, **kwargs)
 
         service._sweep_job = slow_job
         client = service.start_in_thread()
@@ -233,7 +258,9 @@ class TestDedup:
 
 
 class TestWarmPoolService:
-    def test_process_service_parity_and_killed_worker_recovery(self):
+    def test_process_service_parity_and_killed_worker_recovery(
+        self, wait_until_broken
+    ):
         service = EvaluationService(executor="process", max_designs=64)
         client = service.start_in_thread()
         try:
@@ -256,6 +283,7 @@ class TestWarmPoolService:
             pool = service.engine.executor._pool
             assert pool is not None
             os.kill(next(iter(pool._processes)), signal.SIGKILL)
+            wait_until_broken(pool)
             service.engine.clear_cache()
             service._responses.clear()
             second = client.sweep(roles=["dns", "web"], max_replicas=2)
@@ -296,6 +324,12 @@ class TestLifecycle:
     def test_invalid_max_designs_rejected(self):
         with pytest.raises(Exception):
             EvaluationService(executor="serial", max_designs=0)
+
+    def test_executor_instance_rejected(self):
+        from repro.evaluation.engine import SerialExecutor
+
+        with pytest.raises(EvaluationError, match="every lane builds its own"):
+            EvaluationService(executor=SerialExecutor())
 
     def test_client_reports_unreachable_service(self):
         client = ServiceClient("127.0.0.1", 1, timeout=2)
@@ -342,7 +376,9 @@ class TestObservability:
         before = client.metrics()["counters"]
 
         client.sweep(**payload)  # response-memory hit
-        status, _ = client.request("POST", "/sweep", {"roles": []})  # error
+        status, _ = client.request(  # error
+            "POST", "/v1/sweep", {"space": {"roles": []}}
+        )
         assert status == 400
         after = client.metrics()["counters"]
 
@@ -358,7 +394,7 @@ class TestObservability:
         before = (
             client.metrics()["latency"].get("/sweep#errors", {}).get("count", 0)
         )
-        status, _ = client.request("POST", "/sweep", {"roles": []})
+        status, _ = client.request("POST", "/v1/sweep", {"space": {"roles": []}})
         assert status == 400
         stats = client.metrics()["latency"]["/sweep#errors"]
         assert stats["count"] == before + 1
@@ -391,7 +427,7 @@ class TestObservability:
 
     def test_metrics_without_accept_header_stays_json(self, serial_service):
         _, client = serial_service
-        status, payload = client.request("GET", "/metrics")
+        status, payload = client.request("GET", "/v1/metrics")
         assert status == 200
         assert isinstance(payload, dict)
         assert set(payload) >= {"counters", "latency", "registry"}

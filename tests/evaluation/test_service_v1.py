@@ -29,16 +29,6 @@ def _wire(payload: dict) -> dict:
 
 
 class TestEnvelope:
-    def test_v1_sweep_matches_legacy(self, serial_service):
-        _, client = serial_service
-        status, legacy = client.request(
-            "POST", "/sweep", {"roles": ["dns", "web"], "max_replicas": 2}
-        )
-        assert status == 200
-        v1 = client.sweep(roles=["dns", "web"], max_replicas=2)
-        assert v1 == legacy
-        assert v1["schema_version"] == 3
-
     def test_priority_and_deadline_fields_accepted(self, serial_service):
         _, client = serial_service
         served = client.sweep(
@@ -82,14 +72,49 @@ class TestEnvelope:
         self, serial_service
     ):
         """An unknown role only fails once the engine evaluates it, but
-        it is still the client's mistake: 400, not 500/internal."""
+        it is still the client's mistake: 400, not 500/internal — also
+        when the failure crosses a process pool, and as the error event
+        of a stream."""
+        _, serial_client = serial_service
+        with EvaluationService(
+            executor="process", max_designs=8, lanes=1
+        ) as process_service:
+            process_client = process_service.start_in_thread()
+            for client in (serial_client, process_client):
+                for stream in (False, True):
+                    payload = {"space": {"roles": ["bogus"]}, "stream": stream}
+                    if stream:
+                        events = list(client._stream("/v1/sweep", payload))
+                        kinds = [event["event"] for event in events]
+                        assert kinds == ["start", "error"]
+                        error = events[-1]["error"]
+                    else:
+                        status, body = client.request("POST", "/v1/sweep", payload)
+                        assert status == 400
+                        error = body["error"]
+                    assert error["code"] == "invalid_request"
+                    assert "unknown role" in error["message"]
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_unknown_transient_method_is_invalid_request(
+        self, serial_service, stream
+    ):
+        """Rejected while parsing, before the request takes a lane."""
         _, client = serial_service
+        computed = client.metrics()["counters"]["computed"]
         status, body = client.request(
-            "POST", "/v1/sweep", {"space": {"roles": ["bogus"]}}
+            "POST",
+            "/v1/timeline",
+            {
+                "space": {"roles": ["dns"]},
+                "options": {"points": 4, "method": "bogus"},
+                "stream": stream,
+            },
         )
         assert status == 400
         assert body["error"]["code"] == "invalid_request"
-        assert "unknown role" in body["error"]["message"]
+        assert "method" in body["error"]["message"]
+        assert client.metrics()["counters"]["computed"] == computed
 
     def test_v1_unknown_path_is_not_found(self, serial_service):
         _, client = serial_service
@@ -128,46 +153,6 @@ class TestEnvelope:
             assert [d["label"] for d in part["designs"]] == [
                 d.label for d in owned
             ]
-
-
-class TestDeprecation:
-    def test_legacy_path_answers_deprecation_header(self, serial_service):
-        import http.client
-
-        service, client = serial_service
-        for path, deprecated in (("/healthz", True), ("/v1/healthz", False)):
-            connection = http.client.HTTPConnection(
-                client.host, client.port, timeout=30
-            )
-            try:
-                connection.request("GET", path)
-                response = connection.getresponse()
-                response.read()
-                header = response.getheader("Deprecation")
-            finally:
-                connection.close()
-            assert (header == "true") is deprecated, path
-
-    def test_legacy_counter_increments(self, serial_service):
-        _, client = serial_service
-        before = client.metrics()["counters"]["legacy_requests"]
-        client.request("GET", "/healthz")
-        after = client.metrics()["counters"]["legacy_requests"]
-        assert after == before + 1
-        registry = client.metrics()["registry"]
-        entry = registry["repro_service_legacy_requests_total"]
-        assert any(
-            series["labels"].get("endpoint") == "/healthz"
-            for series in entry["series"]
-        )
-
-    def test_v1_requests_do_not_touch_legacy_counter(self, serial_service):
-        _, client = serial_service
-        before = client.metrics()["counters"]["legacy_requests"]
-        client.healthz()
-        # metrics() itself is a /v1 call too.
-        after = client.metrics()["counters"]["legacy_requests"]
-        assert after == before
 
 
 class TestLanes:

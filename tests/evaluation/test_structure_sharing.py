@@ -24,14 +24,15 @@ from repro.enterprise import (
     RedundancyDesign,
     paper_variant_space,
 )
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, ValidationError
 from repro.evaluation import AvailabilityEvaluator, SweepEngine
+from repro.evaluation.engine import _chunk
 from repro.evaluation.shared_memory import (
     SharedSweepContext,
     initialize_worker,
     pack_arrays,
+    primed_evaluators,
     read_arrays,
-    shared_evaluate_chunk,
 )
 from repro.evaluation.sweep import enumerate_designs
 from repro.srn import explore
@@ -204,7 +205,7 @@ class TestSharedMemoryTransport:
         )
         try:
             initialize_worker(context.worker_payload())
-            shared = shared_evaluate_chunk(designs)
+            shared = _chunk(primed_evaluators, "evaluation", (), designs)
         finally:
             context.unlink()
         reference = SweepEngine(
@@ -241,15 +242,15 @@ class TestSharedMemoryTransport:
         monkeypatch.setattr(
             SharedSweepContext, "build", classmethod(recording_build)
         )
-        engine = SweepEngine(
+        with SweepEngine(
             case_study=case_study,
             policy=critical_policy,
             executor="process",
             max_workers=2,
             chunk_size=3,
-        )
-        engine.evaluate(space27[:6])
-        assert created, "process sweep did not use the shared-memory path"
+        ) as engine:
+            engine.evaluate(space27[:6])
+            assert created, "process sweep did not use the shared-memory path"
         for name in created:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
@@ -271,21 +272,22 @@ class TestSharedMemoryTransport:
             SharedSweepContext, "build", classmethod(recording_build)
         )
 
-        def broken_run(self, fn, batches, initializer, initargs):
+        def broken_run(self, fn, batches, **priming):
             raise RuntimeError("worker pool exploded")
+            yield
 
         monkeypatch.setattr(
-            engine_module.ProcessExecutor, "run_with_initializer", broken_run
+            engine_module.ProcessExecutor, "iter_run", broken_run
         )
-        engine = SweepEngine(
+        with SweepEngine(
             case_study=case_study,
             policy=critical_policy,
             executor="process",
             max_workers=2,
             chunk_size=3,
-        )
-        with pytest.raises(RuntimeError):
-            engine.evaluate(space27[:6])
+        ) as engine:
+            with pytest.raises(RuntimeError):
+                engine.evaluate(space27[:6])
         assert created
         for name in created:
             with pytest.raises(FileNotFoundError):
@@ -296,7 +298,9 @@ class TestSharedMemoryTransport:
 
         monkeypatch.setattr(sm, "_WORKER", None)
         with pytest.raises(EvaluationError):
-            shared_evaluate_chunk([RedundancyDesign({"dns": 1})])
+            _chunk(
+                primed_evaluators, "evaluation", (), [RedundancyDesign({"dns": 1})]
+            )
 
 
 class TestEngineSharingParity:
@@ -308,19 +312,21 @@ class TestEngineSharingParity:
         kwargs = (
             {} if executor == "serial" else {"max_workers": 2, "chunk_size": 3}
         )
-        on = SweepEngine(
+        with SweepEngine(
             case_study=case_study,
             policy=critical_policy,
             executor=executor,
             **kwargs,
-        ).evaluate(designs)
-        off = SweepEngine(
+        ) as engine:
+            on = engine.evaluate(designs)
+        with SweepEngine(
             case_study=case_study,
             policy=critical_policy,
             executor=executor,
             structure_sharing=False,
             **kwargs,
-        ).evaluate(designs)
+        ) as engine:
+            off = engine.evaluate(designs)
         for a, b in zip(on, off):
             assert a.after.coa.hex() == b.after.coa.hex()
             assert a.before == b.before and a.after == b.after
@@ -334,19 +340,21 @@ class TestEngineSharingParity:
         kwargs = (
             {} if executor == "serial" else {"max_workers": 2, "chunk_size": 2}
         )
-        on = SweepEngine(
+        with SweepEngine(
             case_study=case_study,
             policy=critical_policy,
             executor=executor,
             **kwargs,
-        ).timeline(designs, times)
-        off = SweepEngine(
+        ) as engine:
+            on = engine.timeline(designs, times)
+        with SweepEngine(
             case_study=case_study,
             policy=critical_policy,
             executor=executor,
             structure_sharing=False,
             **kwargs,
-        ).timeline(designs, times)
+        ) as engine:
+            off = engine.timeline(designs, times)
         for a, b in zip(on, off):
             assert a.coa == b.coa
             assert a.completion_probability == b.completion_probability
@@ -375,14 +383,15 @@ class TestEngineSharingParity:
             policy=critical_policy,
             database=diversity_database(),
         ).evaluate(designs)
-        process = SweepEngine(
+        with SweepEngine(
             case_study=case_study,
             policy=critical_policy,
             database=diversity_database(),
             executor="process",
             max_workers=2,
             chunk_size=1,
-        ).evaluate(designs)
+        ) as engine:
+            process = engine.evaluate(designs)
         for a, b in zip(serial, process):
             assert a.after.coa.hex() == b.after.coa.hex()
             assert a.after == b.after
@@ -393,14 +402,13 @@ class TestWorkerFailureReporting:
         self, case_study, critical_policy
     ):
         bad = RedundancyDesign({"dns": 1, "nosuchrole": 1})
-        engine = SweepEngine(
+        with SweepEngine(
             case_study=case_study,
             policy=critical_policy,
             executor="process",
             max_workers=2,
             chunk_size=1,
-        )
-        with pytest.raises(EvaluationError) as excinfo:
+        ) as engine, pytest.raises(ValidationError) as excinfo:
             engine.evaluate(
                 [RedundancyDesign({"dns": 1}), bad, RedundancyDesign({"web": 1})]
             )
@@ -437,7 +445,7 @@ class TestWorkerFailureReporting:
         self, case_study, critical_policy
     ):
         bad = RedundancyDesign({"nosuchrole": 2})
-        with pytest.raises(EvaluationError) as excinfo:
+        with pytest.raises(ValidationError) as excinfo:
             SweepEngine(
                 case_study=case_study, policy=critical_policy
             ).evaluate([bad])
@@ -446,19 +454,20 @@ class TestWorkerFailureReporting:
     def test_timeline_failure_carries_label(self, case_study, critical_policy):
         bad = RedundancyDesign({"nosuchrole": 2})
         engine = SweepEngine(case_study=case_study, policy=critical_policy)
-        with pytest.raises(EvaluationError) as excinfo:
+        with pytest.raises(ValidationError) as excinfo:
             engine.timeline([bad], (0.0, 1.0))
         assert bad.label in str(excinfo.value)
 
     def test_broken_pool_reports_batch(self, case_study, critical_policy):
         from repro.evaluation.engine import ProcessExecutor
 
-        executor = ProcessExecutor(max_workers=2)
         designs = [RedundancyDesign({"dns": 1}), RedundancyDesign({"web": 1})]
 
         # os._exit kills the worker without an exception, the classic
         # BrokenProcessPool; the executor must translate it.
-        with pytest.raises(EvaluationError) as excinfo:
+        with ProcessExecutor(max_workers=2) as executor, pytest.raises(
+            EvaluationError
+        ) as excinfo:
             executor.run(_crash_worker, [(designs[:1],), (designs[1:],)])
         assert "worker died" in str(excinfo.value) or "pool broke" in str(
             excinfo.value

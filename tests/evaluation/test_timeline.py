@@ -159,9 +159,8 @@ class TestEngineTimeline:
         designs = paper_designs()
         reference = SweepEngine(executor="serial").timeline(designs, grid)
         for executor in ("thread", "process"):
-            parallel = SweepEngine(executor=executor, max_workers=2).timeline(
-                designs, grid
-            )
+            with SweepEngine(executor=executor, max_workers=2) as engine:
+                parallel = engine.timeline(designs, grid)
             for a, b in zip(reference, parallel):
                 assert a.coa == b.coa
                 assert a.completion_probability == b.completion_probability

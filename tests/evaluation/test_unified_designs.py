@@ -321,12 +321,13 @@ class TestUnifiedEngine:
             enumerate_heterogeneous_designs(["web", "db"], variant_space, 2)
         )
         serial = SweepEngine(database=diversity_db).evaluate(designs)
-        parallel = SweepEngine(
+        with SweepEngine(
             database=diversity_db,
             executor=executor,
             max_workers=2,
             chunk_size=4,
-        ).evaluate(designs)
+        ) as engine:
+            parallel = engine.evaluate(designs)
         assert serial == parallel
 
 

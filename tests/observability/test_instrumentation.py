@@ -115,12 +115,13 @@ class TestByteIdentityWithInstrumentation:
         )
 
         def run():
-            return SweepEngine(
+            with SweepEngine(
                 case_study=case_study,
                 policy=critical_policy,
                 executor=executor,
                 **kwargs,
-            ).evaluate(space)
+            ) as engine:
+                return engine.evaluate(space)
 
         tracing.disable()
         off = run()
@@ -142,12 +143,13 @@ class TestByteIdentityWithInstrumentation:
         )
 
         def run():
-            return SweepEngine(
+            with SweepEngine(
                 case_study=case_study,
                 policy=critical_policy,
                 executor=executor,
                 **kwargs,
-            ).timeline(designs, times)
+            ) as engine:
+                return engine.timeline(designs, times)
 
         tracing.disable()
         off = run()
@@ -166,13 +168,14 @@ class TestWorkerTelemetryMerge:
     ):
         tracing.enable()
         tracing.drain()
-        SweepEngine(
+        with SweepEngine(
             case_study=case_study,
             policy=critical_policy,
             executor="process",
             max_workers=2,
             chunk_size=2,
-        ).evaluate(space)
+        ) as engine:
+            engine.evaluate(space)
         spans = tracing.drain()
         tracing.disable()
         parent = os.getpid()
@@ -192,14 +195,15 @@ class TestWorkerTelemetryMerge:
         # process pool, so every exploration happens in a worker; the
         # parent-visible count must still rise via telemetry merge.
         before = exploration_count()
-        SweepEngine(
+        with SweepEngine(
             case_study=case_study,
             policy=critical_policy,
             executor="process",
             max_workers=2,
             chunk_size=2,
             structure_sharing=False,
-        ).evaluate(space)
+        ) as engine:
+            engine.evaluate(space)
         assert exploration_count() > before
 
     def test_chunk_queue_wait_observed_for_process_chunks(
@@ -207,14 +211,15 @@ class TestWorkerTelemetryMerge:
     ):
         hist = REGISTRY.histogram("repro_chunk_queue_wait_seconds").labels()
         before = hist.count
-        SweepEngine(
+        with SweepEngine(
             case_study=case_study,
             policy=critical_policy,
             executor="process",
             max_workers=2,
             chunk_size=2,
             structure_sharing=False,
-        ).evaluate(space)
+        ) as engine:
+            engine.evaluate(space)
         assert hist.count > before
 
 

@@ -118,9 +118,10 @@ class TestEngineExecutorIdentity:
 
     def test_parallel_identical_to_serial(self, design_space):
         serial = SweepEngine(executor="serial").evaluate(design_space)
-        parallel = SweepEngine(
+        with SweepEngine(
             executor="process", max_workers=2, chunk_size=8
-        ).evaluate(design_space)
+        ) as engine:
+            parallel = engine.evaluate(design_space)
         assert len(serial) == len(parallel) == 64
         # Same order.
         assert [e.label for e in serial] == [e.label for e in parallel]

@@ -114,9 +114,9 @@ class TestBreakerFallback:
 
 
 class TestWorkerKillRecovery:
-    @pytest.mark.parametrize("persistent", [False, True])
+    @pytest.mark.parametrize("structure_sharing", [False, True])
     def test_killed_worker_recycles_once_and_results_match(
-        self, monkeypatch, persistent
+        self, monkeypatch, structure_sharing
     ):
         # Arm before the engine exists: SweepEngine materialises the
         # one-shot token directory in __init__, so forked pool workers
@@ -125,10 +125,11 @@ class TestWorkerKillRecovery:
         designs = list(enumerate_designs(["dns", "web"], max_replicas=2))
         clean = SweepEngine().evaluate(designs)
 
-        from repro.evaluation.engine import ProcessExecutor
-
+        # Fresh per-chunk evaluators, or workers primed from shared memory.
         engine = SweepEngine(
-            executor=ProcessExecutor(max_workers=2, persistent=persistent)
+            executor="process",
+            max_workers=2,
+            structure_sharing=structure_sharing,
         )
         try:
             recovered = engine.evaluate(designs)

@@ -39,7 +39,7 @@ def quiet_request(client: ServiceClient, payload: dict):
 
     def target():
         try:
-            client.request("POST", "/sweep", payload)
+            client.request("POST", "/v1/sweep", payload)
         except OSError:
             pass  # forced stop severs the transport; that's the point
 
@@ -50,9 +50,9 @@ def slow_sweep_job(svc: EvaluationService, release: threading.Event):
     """Replace the sweep job with one that blocks until *release*."""
     original = svc._sweep_job
 
-    def job(space, designs, deadline=None):
+    def job(engine, space, designs, **kwargs):
         release.wait(timeout=30)
-        return original(space, designs, deadline=deadline)
+        return original(engine, space, designs, **kwargs)
 
     svc._sweep_job = job
 
@@ -68,16 +68,16 @@ class TestDeadline504:
             start = time.monotonic()
             status, body = client.request(
                 "POST",
-                "/sweep",
-                {"roles": ["dns"], "max_replicas": 2, "deadline_ms": 250},
+                "/v1/sweep",
+                {"space": {"roles": ["dns"], "max_replicas": 2}, "deadline_ms": 250},
             )
             elapsed = time.monotonic() - start
         finally:
             release.set()
         assert status == 504
-        assert body["deadline_exceeded"] is True
-        assert body["deadline_ms"] == 250
-        assert "deadline" in body["error"]
+        assert body["error"]["code"] == "deadline_exceeded"
+        assert body["error"]["detail"]["deadline_ms"] == 250
+        assert "deadline" in body["error"]["message"]
         assert elapsed < 2 * 0.25 + 0.3  # 2x budget plus transport slack
 
     def test_deadline_504_counts_as_an_error(self, service):
@@ -87,8 +87,8 @@ class TestDeadline504:
         try:
             client.request(
                 "POST",
-                "/sweep",
-                {"roles": ["dns"], "max_replicas": 2, "deadline_ms": 100},
+                "/v1/sweep",
+                {"space": {"roles": ["dns"], "max_replicas": 2}, "deadline_ms": 100},
             )
         finally:
             release.set()
@@ -97,7 +97,7 @@ class TestDeadline504:
     def test_request_without_deadline_is_unaffected(self, service):
         _, client = service()
         status, body = client.request(
-            "POST", "/sweep", {"roles": ["dns"], "max_replicas": 2}
+            "POST", "/v1/sweep", {"space": {"roles": ["dns"], "max_replicas": 2}}
         )
         assert status == 200
         assert body["design_count"] > 0
@@ -107,11 +107,11 @@ class TestDeadline504:
         for bad in (0, -5, "soon", True):
             status, body = client.request(
                 "POST",
-                "/sweep",
-                {"roles": ["dns"], "max_replicas": 2, "deadline_ms": bad},
+                "/v1/sweep",
+                {"space": {"roles": ["dns"], "max_replicas": 2}, "deadline_ms": bad},
             )
             assert status == 400, bad
-            assert "deadline_ms" in body["error"]
+            assert "deadline_ms" in body["error"]["message"]
 
 
 class TestSaturation503:
@@ -121,7 +121,11 @@ class TestSaturation503:
         slow_sweep_job(svc, release)
         occupier = threading.Thread(
             target=client.request,
-            args=("POST", "/sweep", {"roles": ["dns"], "max_replicas": 2}),
+            args=(
+                "POST",
+                "/v1/sweep",
+                {"space": {"roles": ["dns"], "max_replicas": 2}},
+            ),
         )
         occupier.start()
         try:
@@ -132,16 +136,16 @@ class TestSaturation503:
             bare = ServiceClient(*svc.address, retry=None)
             status, body, retry_after = bare._request_once(
                 "POST",
-                "/sweep",
-                {"roles": ["web"], "max_replicas": 2},
+                "/v1/sweep",
+                {"space": {"roles": ["web"], "max_replicas": 2}},
                 None,
             )
         finally:
             release.set()
             occupier.join(timeout=30)
         assert status == 503
-        assert "saturated" in body["error"]
-        assert body["retry_after_s"] == 2.0
+        assert body["error"]["code"] == "saturated"
+        assert body["error"]["detail"]["retry_after_s"] == 2.0
         assert retry_after == 2.0  # the Retry-After header, parsed
         assert client.metrics()["counters"]["rejected"] >= 1
 
@@ -155,7 +159,7 @@ class TestSaturation503:
 
         def hit(name):
             results[name] = client.request(
-                "POST", "/sweep", {"roles": ["dns"], "max_replicas": 2}
+                "POST", "/v1/sweep", {"space": {"roles": ["dns"], "max_replicas": 2}}
             )
 
         threads = [
@@ -177,7 +181,11 @@ class TestSaturation503:
         slow_sweep_job(svc, release)
         occupier = threading.Thread(
             target=client.request,
-            args=("POST", "/sweep", {"roles": ["dns"], "max_replicas": 2}),
+            args=(
+                "POST",
+                "/v1/sweep",
+                {"space": {"roles": ["dns"], "max_replicas": 2}},
+            ),
         )
         occupier.start()
         try:
@@ -194,7 +202,7 @@ class TestSaturation503:
                 ),
             )
             status, body = retrying.request(
-                "POST", "/sweep", {"roles": ["web"], "max_replicas": 2}
+                "POST", "/v1/sweep", {"space": {"roles": ["web"], "max_replicas": 2}}
             )
         finally:
             release.set()
@@ -216,7 +224,7 @@ class TestDrain:
 
         def hit():
             results["inflight"] = client.request(
-                "POST", "/sweep", {"roles": ["dns"], "max_replicas": 2}
+                "POST", "/v1/sweep", {"space": {"roles": ["dns"], "max_replicas": 2}}
             )
 
         inflight = threading.Thread(target=hit)
@@ -239,10 +247,11 @@ class TestDrain:
         # ...but new computations are refused.
         bare = ServiceClient(*svc.address, retry=None)
         status, body = bare.request(
-            "POST", "/sweep", {"roles": ["web"], "max_replicas": 2}
+            "POST", "/v1/sweep", {"space": {"roles": ["web"], "max_replicas": 2}}
         )
         assert status == 503
-        assert "draining" in body["error"]
+        assert body["error"]["code"] == "saturated"
+        assert "draining" in body["error"]["message"]
 
         # The in-flight request completes, then the server stops.
         release.set()
@@ -255,7 +264,7 @@ class TestDrain:
         svc, client = service(drain_grace=0.3)
         release = threading.Event()
         slow_sweep_job(svc, release)
-        stuck = quiet_request(client, {"roles": ["dns"], "max_replicas": 2})
+        stuck = quiet_request(client, {"space": {"roles": ["dns"], "max_replicas": 2}})
         stuck.start()
         try:
             deadline = time.monotonic() + 5
@@ -268,7 +277,7 @@ class TestDrain:
             bare = ServiceClient(*svc.address, retry=None)
             while time.monotonic() < deadline:
                 try:
-                    bare.request("GET", "/healthz")
+                    bare.request("GET", "/v1/healthz")
                 except OSError:
                     break
                 time.sleep(0.05)
@@ -307,7 +316,7 @@ class TestLifecycleTimeouts:
 
         svc._dispatch = blocked_dispatch
         thread = svc._thread
-        stuck = quiet_request(client, {"roles": ["dns"], "max_replicas": 2})
+        stuck = quiet_request(client, {"space": {"roles": ["dns"], "max_replicas": 2}})
         stuck.start()
         try:
             assert blocking.wait(timeout=5)

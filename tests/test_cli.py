@@ -313,7 +313,7 @@ class TestScaledAndMethodCli:
         explicit = self._timeline_payload(capsys, "--method", "uniformisation")
         assert base["designs"] == explicit["designs"]
 
-    @pytest.mark.parametrize("method", ["krylov", "adaptive", "auto"])
+    @pytest.mark.parametrize("method", ["adaptive", "auto"])
     def test_method_curves_match_default(self, capsys, method):
         base = self._timeline_payload(capsys)
         other = self._timeline_payload(capsys, "--method", method)
