@@ -9,12 +9,18 @@ boundaries — against the brute-force per-phase re-uniformised oracle
 that, for every single time point, re-propagates the state vector
 through each earlier phase and runs one more single-time pass.
 
-Two assertions:
+Each phase's chain is the design's upper-layer SRN
+(:meth:`~repro.availability.NetworkAvailabilityModel.build_srn`) with
+its patch rates scaled by the phase multiplier.
+
+Three assertions:
 
 * **determinism** — the piecewise batch result is byte-identical to the
   per-time oracle (independently constructed solvers), and the
   single-phase degenerate campaign is byte-identical to the stationary
   timeline across the whole space;
+* **closed form** — the evaluators' closed-form stationary and staged
+  COA curves match the uniformised curves within 1e-9;
 * **speedup** — the piecewise path is >= 5x faster than the brute-force
   oracle (measured ~10-25x: 3 passes per design instead of ~60+),
   printed as a ``BENCH`` JSON line for the CI trajectory artifact.
@@ -25,18 +31,19 @@ from __future__ import annotations
 import json
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
-from repro.availability.grouped import CoaStructure  # noqa: F401 (doc link)
-from repro.ctmc.transient import transient_piecewise
+from repro.availability import NetworkAvailabilityModel, coa_reward
+from repro.ctmc.transient import BatchTransientSolver, transient_piecewise
 from repro.evaluation import (
     default_time_grid,
     enumerate_designs,
     evaluate_timeline,
 )
-from repro.evaluation.availability import scale_patch_rates
 from repro.patching import BIG_BANG, CANARY_THEN_FLEET
+from repro.srn import explore
 
 ROLES = ("dns", "web", "app")
 MAX_REPLICAS = 3
@@ -50,29 +57,49 @@ PHASES = [
 ] + [(CANARY_THEN_FLEET.phases[-1].rate_multiplier, math.inf)]
 
 
-def _prepared_structures(availability_evaluator):
-    """Canonical structure + slot rates per design (shared patterns)."""
-    designs = list(enumerate_designs(ROLES, max_replicas=MAX_REPLICAS))
-    return [
-        (design, *availability_evaluator.coa_structure_for(design))
-        for design in designs
-    ]
+def _prepared_chains(availability_evaluator):
+    """Per design: all-up start, COA reward and one generator per phase.
+
+    A phase's generator comes from the design's upper-layer SRN with
+    every patch rate scaled by the phase multiplier; the nets share one
+    state order, so the distribution carries across phases.
+    """
+    prepared = []
+    for design in enumerate_designs(ROLES, max_replicas=MAX_REPLICAS):
+        aggregates = availability_evaluator.aggregates_for(design)
+        generators = []
+        for multiplier, _ in PHASES:
+            model = NetworkAvailabilityModel(
+                design.counts,
+                {
+                    role: SimpleNamespace(
+                        patch_rate=multiplier * aggregate.patch_rate,
+                        recovery_rate=aggregate.recovery_rate,
+                    )
+                    for role, aggregate in aggregates.items()
+                },
+            )
+            graph = explore(model.build_srn())
+            generators.append(graph.generator())
+        reward = coa_reward(design.counts)
+        rewards = np.array([reward(marking) for marking in graph.tangible])
+        prepared.append(
+            (design, graph.initial_distribution, rewards, generators)
+        )
+    return prepared
 
 
-def _phase_solvers(structure, rates):
+def _phase_solvers(generators):
     """One uniformised transient solver per campaign phase."""
     return [
-        (
-            structure.transient_solver(scale_patch_rates(rates, multiplier)),
-            duration,
-        )
-        for multiplier, duration in PHASES
+        (BatchTransientSolver.from_generator(generator), duration)
+        for generator, (_, duration) in zip(generators, PHASES)
     ]
 
 
 def test_campaign_piecewise_speedup(availability_evaluator):
     """Piecewise >= 5x the brute-force per-time oracle, bit-identical."""
-    prepared = _prepared_structures(availability_evaluator)
+    prepared = _prepared_chains(availability_evaluator)
     times = list(default_time_grid(720.0, POINTS))
     assert len(prepared) == 27 and len(PHASES) == 3  # acceptance shape
 
@@ -85,18 +112,18 @@ def test_campaign_piecewise_speedup(availability_evaluator):
     def oracle_sweep():
         """Per time point: re-propagate through every earlier phase."""
         curves = []
-        for _, structure, rates in prepared:
-            segments = _phase_solvers(structure, rates)
+        for _, initial, rewards, generators in prepared:
+            segments = _phase_solvers(generators)
             values = np.empty(len(times))
             for i, t in enumerate(times):
-                carry = structure.initial
+                carry = initial
                 start = 0.0
                 for position, (solver, duration) in enumerate(segments):
                     last = position == len(segments) - 1
                     end = math.inf if last else start + duration
                     if start <= t < end:
                         dist = solver.distributions(carry, [t - start])[0]
-                        values[i] = float(dist @ structure.reward)
+                        values[i] = float(dist @ rewards)
                         break
                     carry = solver.propagate(carry, duration)
                     start = end
@@ -106,12 +133,12 @@ def test_campaign_piecewise_speedup(availability_evaluator):
     def piecewise_sweep():
         """One batch pass per phase, boundaries carried in-pass."""
         curves = []
-        for _, structure, rates in prepared:
-            segments = _phase_solvers(structure, rates)
-            dists = transient_piecewise(segments, structure.initial, times)
+        for _, initial, rewards, generators in prepared:
+            segments = _phase_solvers(generators)
+            dists = transient_piecewise(segments, initial, times)
             values = np.empty(len(times))
             for i in range(len(dists)):
-                values[i] = float(dists[i] @ structure.reward)
+                values[i] = float(dists[i] @ rewards)
             curves.append(values)
         return curves
 
@@ -133,9 +160,32 @@ def test_campaign_piecewise_speedup(availability_evaluator):
     # the staged curves really are staged: all-up at t = 0, and during
     # the canary phase COA sits strictly above the stationary curve
     assert all(curve[0] == 1.0 for curve in piecewise_curves)
-    for (_, structure, rates), curve in zip(prepared[:3], piecewise_curves[:3]):
-        stationary = structure.transient_coa(rates, times[:2])
+    for (_, initial, rewards, generators), curve in zip(
+        prepared[:3], piecewise_curves[:3]
+    ):
+        stationary = BatchTransientSolver.from_generator(generators[-1]).rewards(
+            initial, rewards, times[:2]
+        )
         assert curve[1] > stationary[1]
+    # closed form: the evaluators' curves match the uniformised ones
+    multipliers = [multiplier for multiplier, _ in PHASES]
+    durations = [duration for _, duration in PHASES]
+    for (design, initial, rewards, generators), curve in zip(
+        prepared, piecewise_curves
+    ):
+        staged = availability_evaluator.transient_coa_piecewise(
+            design, times, multipliers, durations
+        )
+        np.testing.assert_allclose(staged, curve, rtol=0.0, atol=1e-9)
+        stationary = BatchTransientSolver.from_generator(generators[-1]).rewards(
+            initial, rewards, times
+        )
+        np.testing.assert_allclose(
+            availability_evaluator.transient_coa(design, times),
+            stationary,
+            rtol=0.0,
+            atol=1e-9,
+        )
 
     speedup = oracle_time / piecewise_time
     print(

@@ -15,7 +15,13 @@ Acceptance gates asserted here:
   method on one CPU;
 * adaptive stays within tolerance of the exact sum at every size, and
   ``auto`` dispatch is bit-identical to the default on the 2401-state
-  paper-scale model.
+  paper-scale model;
+* the closed-form COA curve the evaluators use matches the uniformised
+  SRN curve within 1e-9 at every size.
+
+Each chain is the design's upper-layer SRN
+(:meth:`~repro.availability.NetworkAvailabilityModel.build_srn`),
+explored once per size.
 """
 
 from __future__ import annotations
@@ -25,10 +31,13 @@ import time
 
 import numpy as np
 
+from repro.availability import coa_reward
+from repro.ctmc.transient import BatchTransientSolver
 from repro.enterprise import scaled_case_study
 from repro.evaluation import AvailabilityEvaluator
 from repro.observability import REGISTRY
 from repro.patching import CriticalVulnerabilityPolicy
+from repro.srn import explore
 
 #: (hosts_per_tier, tiers) -> states = (hosts + 1) ** tiers
 SIZES = (
@@ -45,6 +54,28 @@ def _emit(payload):
     print("\nBENCH " + json.dumps(payload))
 
 
+def _upper_layer_chain(hosts, tiers):
+    """The scaled design, its evaluator and its explored upper-layer
+    SRN: ``(generator, all-up start, COA reward vector)``."""
+    case_study, design = scaled_case_study(hosts, tiers)
+    evaluator = AvailabilityEvaluator(case_study, CriticalVulnerabilityPolicy())
+    graph = explore(evaluator.network_model(design).build_srn())
+    reward = coa_reward(design.counts)
+    rewards = np.fromiter(
+        (reward(marking) for marking in graph.tangible),
+        dtype=float,
+        count=len(graph.tangible),
+    )
+    chain = (graph.generator(), graph.initial_distribution, rewards)
+    return evaluator, design, chain
+
+
+def _coa_curve(chain, times, method="uniformisation"):
+    generator, start, rewards = chain
+    solver = BatchTransientSolver.from_generator(generator, method=method)
+    return solver, solver.rewards(start, rewards, times)
+
+
 def _counter_delta(delta, name):
     """Total increment of counter *name* in a registry delta (all labels)."""
     return round(
@@ -59,22 +90,16 @@ def _counter_delta(delta, name):
 def test_scalability_frontier():
     for hosts, tiers in SIZES:
         build_start = time.perf_counter()
-        case_study, design = scaled_case_study(hosts, tiers)
-        evaluator = AvailabilityEvaluator(
-            case_study, CriticalVulnerabilityPolicy()
-        )
-        structure, rates = evaluator.coa_structure_for(design)
+        evaluator, design, chain = _upper_layer_chain(hosts, tiers)
         build_s = time.perf_counter() - build_start
-        states = structure.n_states
+        states = chain[0].shape[0]
         assert states == (hosts + 1) ** tiers
 
         curves = {}
         for method in METHODS:
             before = REGISTRY.state()
             start = time.perf_counter()
-            curves[method] = structure.transient_coa(
-                rates, TIMES, method=method
-            )
+            _, curves[method] = _coa_curve(chain, TIMES, method=method)
             solve_s = time.perf_counter() - start
             counters = REGISTRY.delta_since(before)
             if states >= 10_000:
@@ -114,18 +139,18 @@ def test_scalability_frontier():
         np.testing.assert_allclose(
             curves["adaptive"], exact, rtol=0.0, atol=1e-8
         )
+        np.testing.assert_allclose(
+            evaluator.transient_coa(design, TIMES), exact, rtol=0.0, atol=1e-9
+        )
 
 
 def test_auto_dispatch_bit_identical_at_paper_scale():
     """``auto`` resolves to the exact path below the cutoff — and the
     2401-state paper-scale model sits below it, so the result must be
     byte for byte the default's."""
-    case_study, design = scaled_case_study(6, 4)
-    evaluator = AvailabilityEvaluator(case_study, CriticalVulnerabilityPolicy())
-    structure, rates = evaluator.coa_structure_for(design)
-    assert structure.n_states == 2401
-    exact = structure.transient_coa(rates, TIMES)
-    auto = structure.transient_coa(rates, TIMES, method="auto")
+    _, _, chain = _upper_layer_chain(6, 4)
+    assert chain[0].shape[0] == 2401
+    _, exact = _coa_curve(chain, TIMES)
+    solver, auto = _coa_curve(chain, TIMES, method="auto")
     assert np.array_equal(auto, exact)
-    solver = structure.transient_solver(rates, method="auto")
     assert solver.resolved_method == "uniformisation"

@@ -1,8 +1,8 @@
 """Table VI: the COA reward and the example network's availability.
 
 Solves the upper-layer SRN for 1 DNS + 2 WEB + 2 APP + 1 DB under the
-Table VI reward; the paper reports COA ~= 0.99707.  The closed-form
-product solution must agree to solver precision.
+Table VI reward; the paper reports COA ~= 0.99707.  The closed form the
+evaluators use must agree to solver precision.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ def test_table6_coa(benchmark, availability_evaluator, example_design):
     model, coa = benchmark(_solve_network, aggregates)
 
     assert abs(coa - 0.99707) < 5e-6
-    closed = availability_evaluator.coa_closed_form(example_design)
+    closed = availability_evaluator.coa(example_design)
     assert abs(coa - closed) < 1e-12
 
     print("\n[Table VI] capacity oriented availability, example network")

@@ -16,16 +16,16 @@ Commands
     (software-diversity) space, enumerating variant-count assignments
     from the paper's variant pools and the diversity database.
 ``timeline``
-    Patch-timeline curves over a design space: transient COA, patch
-    completion probability and security-exposure curves on a shared
-    time grid, one batched uniformisation pass per design.  Takes the
-    same space/executor options as ``sweep`` plus the time grid
-    (``--horizon``/``--points`` or an explicit ``--times`` list) and an
-    optional staged rollout: ``--campaign FILE`` (JSON spec) or
+    Patch-timeline curves over a design space: transient COA (closed
+    form), patch completion probability and security-exposure curves on
+    a shared time grid, one batched uniformisation pass per design's
+    completion chain.  Takes the same space/executor options as
+    ``sweep`` plus the time grid (``--horizon``/``--points`` or an
+    explicit ``--times`` list) and an optional staged rollout:
+    ``--campaign FILE`` (JSON spec) or
     ``--phases name:mult[:trigger[:canary]],...`` shorthand.  A staged
-    campaign uniformises once per phase and carries the state vector
-    across phase boundaries; a single-phase multiplier-1 campaign is
-    byte-identical to the stationary timeline.
+    campaign carries the state across phase boundaries; a single-phase
+    multiplier-1 campaign is byte-identical to the stationary timeline.
 ``serve``
     Resident evaluation service: a bounded pool of warm sweep-engine
     *lanes* (warm worker pools, retained shared-memory aggregates,
@@ -76,12 +76,11 @@ flight, and drains gracefully on SIGTERM (``--drain-grace``).
 
 Both space commands accept ``--cache PATH``: a sqlite file that
 persists results across invocations, so re-running a sweep or timeline
-only pays for designs not seen before.  They also accept
-``--shared-memory`` (default) / ``--no-shared-memory``: with sharing
-on, the lower-layer aggregate table and the canonical per-pattern SRN
-structures are solved once and shared — published to process-pool
-workers over ``multiprocessing.shared_memory`` — instead of being
-re-solved per chunk; results are byte-identical either way.
+only pays for designs not seen before.  COA comes from the closed form
+of the independent per-server chains (no upper-layer state space); the
+lower-layer aggregates are solved once per role or variant and, with
+``--executor process``, published to the pool workers over
+``multiprocessing.shared_memory``.
 """
 
 from __future__ import annotations
@@ -122,7 +121,8 @@ def _reproduce(_: argparse.Namespace) -> int:
     print("\n[Table V]")
     print(aggregated_rates_table(availability.aggregates_for(example)))
     print("\n[Table VI]")
-    print(f"COA({example.label}) = {availability.coa(example):.6f}")
+    coa = availability.network_model(example).capacity_oriented_availability()
+    print(f"COA({example.label}) = {coa:.6f}")
     return 0
 
 
@@ -201,7 +201,6 @@ def _space_engine_and_designs(args: argparse.Namespace, roles):
             case_study=case_study,
             executor=args.executor,
             max_workers=args.jobs,
-            structure_sharing=args.shared_memory,
             cache_path=cache_path,
         )
         return engine, [design], design.roles
@@ -220,7 +219,6 @@ def _space_engine_and_designs(args: argparse.Namespace, roles):
             executor=args.executor,
             max_workers=args.jobs,
             database=diversity_database(),
-            structure_sharing=args.shared_memory,
             cache_path=cache_path,
         )
         designs = enumerate_heterogeneous_designs(
@@ -234,7 +232,6 @@ def _space_engine_and_designs(args: argparse.Namespace, roles):
         engine = SweepEngine(
             executor=args.executor,
             max_workers=args.jobs,
-            structure_sharing=args.shared_memory,
             cache_path=cache_path,
         )
         designs = enumerate_designs(
@@ -492,7 +489,6 @@ def _serve(args: argparse.Namespace) -> int:
         service = EvaluationService(
             executor=args.executor,
             max_workers=args.jobs,
-            structure_sharing=args.shared_memory,
             cache_path=args.cache,
             lanes=args.lanes,
             max_designs=args.max_designs,
@@ -593,17 +589,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
-            "structure sharing:\n"
-            "  'sweep' and 'timeline' run the structure-sharing pipeline by\n"
-            "  default (--shared-memory): the per-role Table V aggregates and\n"
-            "  one canonical SRN structure per transition pattern (counts\n"
-            "  multiset) are solved once and reused across the whole design\n"
-            "  space; with --executor process they are published to the pool\n"
-            "  workers through multiprocessing.shared_memory so chunks carry\n"
-            "  only designs.  --no-shared-memory re-solves everything per\n"
-            "  chunk (the benchmark baseline); results are byte-identical\n"
-            "  either way.  Persistent result caches (--cache PATH) are\n"
-            "  maintained with 'python -m repro cache stats|purge|trim'.\n"
+            "closed-form COA:\n"
+            "  'sweep' and 'timeline' compute COA in closed form: the upper-\n"
+            "  layer SRN is a product of independent per-server up/down\n"
+            "  chains, so COA factorises per tier and needs no state space\n"
+            "  (the SRN stays the oracle behind 'reproduce').  The per-role\n"
+            "  Table V aggregates are solved once and reused across the whole\n"
+            "  design space; with --executor process they are published to\n"
+            "  the pool workers through multiprocessing.shared_memory so\n"
+            "  chunks carry only designs.  Persistent result caches (--cache\n"
+            "  PATH) are maintained with 'python -m repro cache\n"
+            "  stats|purge|trim'.\n"
             "\n"
             "staged rollouts:\n"
             "  'timeline' models staged patch campaigns (canary -> ramp ->\n"
@@ -614,20 +610,20 @@ def main(argv: Sequence[str] | None = None) -> int:
             "  reaches a threshold (trigger '25%' ); the final phase must\n"
             "  omit its trigger (it runs forever).\n"
             "  A canary host count caps concurrent patching fleet-wide.  The\n"
-            "  solver uniformises once per phase and carries the state\n"
-            "  vector across boundaries, so a staged curve costs one batch\n"
-            "  pass per phase; '--phases fleet:1.0' is byte-identical to the\n"
-            "  stationary timeline.\n"
+            "  COA curve carries each server's down-probability across\n"
+            "  boundaries in closed form and the completion chain is\n"
+            "  uniformised once per phase; '--phases fleet:1.0' is\n"
+            "  byte-identical to the stationary timeline.\n"
             "\n"
             "large state spaces:\n"
             "  --scaled HxT generates a chain enterprise of T tiers with H\n"
             "  replicas each ((H+1)^T availability states; 9x4 = 10,000) and\n"
             "  evaluates that single design through the same engine stack.\n"
-            "  'timeline --method' picks the transient backend: exact\n"
-            "  uniformisation (default, bit-identical anchored iterates),\n"
-            "  adaptive (steady-state-detecting uniformisation, error\n"
-            "  bounded by the solver tolerance) or auto (exact up to 5000\n"
-            "  states, adaptive above).  REPRO_DENSE_THRESHOLD overrides the\n"
+            "  'timeline --method' picks the completion-chain transient\n"
+            "  backend: exact uniformisation (default, bit-identical\n"
+            "  anchored iterates), adaptive (steady-state-detecting\n"
+            "  uniformisation, error bounded by the solver tolerance) or\n"
+            "  auto (exact up to 5000 states, adaptive above).  REPRO_DENSE_THRESHOLD overrides the\n"
             "  dense/sparse cutoff; steady solves above 5000 states use a\n"
             "  preconditioned iterative path automatically.\n"
             "\n"
@@ -747,18 +743,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             ),
         )
         command.add_argument(
-            "--shared-memory",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help=(
-                "structure-sharing pipeline: solve the lower-layer "
-                "aggregates and the per-pattern SRN structures once and "
-                "share them (via multiprocessing.shared_memory for the "
-                "process executor) instead of re-solving per chunk; "
-                "results are byte-identical either way (default: on)"
-            ),
-        )
-        command.add_argument(
             "--scaled",
             default=None,
             metavar="HxT",
@@ -850,10 +834,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         choices=("auto", "uniformisation", "adaptive"),
         default="uniformisation",
         help=(
-            "transient propagation backend: exact uniformisation "
+            "completion-chain transient backend: exact uniformisation "
             "(default), steady-state-detecting adaptive uniformisation, "
             "or size-dispatching auto (exact up to 5000 states, adaptive "
-            "above)"
+            "above); COA curves are closed-form"
         ),
     )
     timeline.add_argument(
@@ -918,12 +902,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=None,
         metavar="PATH",
         help="sqlite file persisting results across restarts",
-    )
-    serve.add_argument(
-        "--shared-memory",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="structure-sharing pipeline (see sweep --help; default: on)",
     )
     serve.add_argument(
         "--lanes",
@@ -1059,7 +1037,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--method",
         choices=("auto", "uniformisation", "adaptive"),
         default="uniformisation",
-        help="timeline transient backend (see timeline --help)",
+        help="timeline completion-chain backend (see timeline --help)",
     )
     shard.add_argument(
         "--priority",

@@ -10,15 +10,10 @@ patch/recovery rates of Eqs. (1)-(2) (Table V).
 Upper layer (:mod:`repro.availability.network`): one two-state chain per
 server with marking-dependent rates (Fig. 4); the capacity-oriented
 availability (COA) reward of Table VI is evaluated on the joint model.
-:mod:`repro.availability.product_form` gives the closed-form solution
-used for cross-validation.
-
-Structure sharing (:mod:`repro.availability.grouped`): designs whose
-upper-layer SRNs share a transition pattern (the same multiset of
-per-tier replica counts) map onto one canonical layout; one reachability
-exploration per layout serves every member design bit-identically, and
-the distilled numeric :class:`~repro.availability.grouped.CoaStructure`
-travels to pool workers over shared memory.
+Because those chains are independent, COA factorises per tier:
+:mod:`repro.availability.product_form` computes it — steady, over time
+and under staged campaigns — in closed form, and that is the path the
+evaluators take.  The SRN models stay the paper-faithful oracle.
 """
 
 from repro.availability.aggregation import ServiceAggregate, aggregate_service
@@ -33,12 +28,6 @@ from repro.availability.parameters import (
     ServerParameters,
     dns_server_parameters,
     paper_server_parameters,
-)
-from repro.availability.grouped import (
-    CanonicalLayout,
-    CoaStructure,
-    coa_structure,
-    design_layout,
 )
 from repro.availability.heterogeneous import HeterogeneousAvailabilityModel
 from repro.availability.product_form import product_form_coa
@@ -61,10 +50,6 @@ __all__ = [
     "aggregate_service",
     "NetworkAvailabilityModel",
     "HeterogeneousAvailabilityModel",
-    "CanonicalLayout",
-    "CoaStructure",
-    "coa_structure",
-    "design_layout",
     "coa_reward",
     "product_form_coa",
     "mean_time_to_outage",

@@ -49,6 +49,7 @@ from repro.errors import DeadlineExceeded, ValidationError
 
 __all__ = [
     "SCHEMA_VERSION",
+    "MAX_TIME_POINTS",
     "OverBudgetError",
     "SpaceSpec",
     "ShardSpec",
@@ -76,8 +77,14 @@ ERROR_DEADLINE_EXCEEDED = "deadline_exceeded"
 ERROR_INTERNAL = "internal"
 
 
+#: Most time points one timeline request may carry, as ``points`` or as
+#: a ``times`` list: the grid is built on the event loop, before any
+#: other budget check.
+MAX_TIME_POINTS = 10_000
+
+
 class OverBudgetError(ValidationError):
-    """A request enumerates more designs than its budget allows."""
+    """A request asks for more designs or time points than allowed."""
 
 
 def error_payload(code: str, message: str, detail: dict | None = None) -> dict:
@@ -184,6 +191,7 @@ def parse_times(payload: dict) -> tuple[float, ...]:
     if times is not None:
         if not isinstance(times, (list, tuple)) or not times:
             raise ValidationError("times must be a non-empty list of hours")
+        _check_time_points(len(times))
         try:
             grid = tuple(float(t) for t in times)
         except (TypeError, ValueError) as exc:
@@ -203,7 +211,16 @@ def parse_times(payload: dict) -> tuple[float, ...]:
         raise ValidationError(
             f"need horizon > 0 and points >= 2, got {horizon!r} and {points!r}"
         )
+    _check_time_points(points)
     return default_time_grid(float(horizon), points)
+
+
+def _check_time_points(count: int) -> None:
+    if count > MAX_TIME_POINTS:
+        raise OverBudgetError(
+            f"request asks for {count} time points, over the cap of "
+            f"{MAX_TIME_POINTS}"
+        )
 
 
 def parse_deadline_ms(value: object) -> float | None:

@@ -1,24 +1,18 @@
-"""Availability evaluation of designs (lower-layer solve + aggregation +
-upper-layer COA), with caching of the per-role and per-variant aggregates
-and structure sharing of the upper-layer SRN solves."""
+"""Availability evaluation of designs: lower-layer solve + aggregation,
+then the upper-layer COA in closed form, with the per-role and
+per-variant aggregates cached across designs."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from repro.availability import product_form
 from repro.availability.aggregation import ServiceAggregate, aggregate_service
-from repro.availability.grouped import (
-    CanonicalLayout,
-    CoaStructure,
-    SlotRef,
-    coa_structure,
-    design_layout,
-)
 from repro.availability.heterogeneous import HeterogeneousAvailabilityModel
 from repro.availability.network import NetworkAvailabilityModel
-from repro.availability.product_form import product_form_coa
 from repro.enterprise.casestudy import EnterpriseCaseStudy
 from repro.enterprise.design import DesignSpec
 from repro.enterprise.heterogeneous import (
@@ -26,27 +20,37 @@ from repro.enterprise.heterogeneous import (
     check_design_kind as _check_spec_kind,
 )
 from repro.enterprise.roles import ServerRole
-from repro.errors import EvaluationError
 from repro.patching.policy import PatchPolicy
 from repro.vulnerability.database import VulnerabilityDatabase
 
-__all__ = ["AvailabilityEvaluator", "scale_patch_rates"]
+__all__ = ["AvailabilityEvaluator", "design_tiers"]
 
 
-def scale_patch_rates(rates: np.ndarray, multiplier: float) -> np.ndarray:
-    """Flat slot-rate vector with every *patch* entry scaled.
+def design_tiers(
+    design: DesignSpec,
+) -> list[tuple[str, list[tuple[ServerRole | None, int]]]]:
+    """The server groups of *design*, per tier: ``(role, [(variant,
+    count), ...])``.
 
-    Rate vectors interleave ``(patch, recovery)`` pairs per slot (see
-    :meth:`AvailabilityEvaluator.slot_rates`); a campaign phase scales
-    the even (patch) entries and leaves recovery untouched.  A
-    multiplier of exactly 1.0 returns the input unchanged, keeping the
-    stationary path bit-identical.
+    *variant* is ``None`` for a homogeneous role.  Tiers are sorted by
+    role and groups by variant name, so equal designs map onto the same
+    order whatever their insertion order, and a single-variant-per-role
+    heterogeneous design onto the same tiers and counts as its
+    homogeneous twin.
     """
-    if multiplier == 1.0:
-        return rates
-    scaled = np.array(rates, dtype=float, copy=True)
-    scaled[0::2] *= multiplier
-    return scaled
+    if isinstance(design, HeterogeneousDesign):
+        return [
+            (
+                role,
+                sorted(
+                    design.variants(role).items(),
+                    key=lambda item: item[0].name,
+                ),
+            )
+            for role in sorted(design.roles)
+        ]
+    _check_spec_kind(design)
+    return [(role, [(None, count)]) for role, count in sorted(design.counts.items())]
 
 
 class AvailabilityEvaluator:
@@ -59,15 +63,12 @@ class AvailabilityEvaluator:
     cached per role (homogeneous designs) and per variant (heterogeneous
     designs) and reused across every design the evaluator scores.
 
-    The upper-layer COA solve goes through the canonical
-    pattern-grouped pipeline (:mod:`repro.availability.grouped`): each
-    design maps onto the canonical layout of its transition pattern and,
-    with *structure_sharing* on, designs with the same counts multiset
-    share one reachability exploration and one
-    :class:`~repro.ctmc.steady.BatchSteadySolver` — bit-identical to
-    solving each design's canonical net on its own (the
-    ``structure_sharing=False`` path), because the shared structure is a
-    pure function of the layout.
+    The upper-layer COA — steady, transient and under a staged
+    campaign — comes from the closed form of
+    :mod:`repro.availability.product_form`, which needs no state space.
+    :meth:`network_model` builds the paper's upper-layer SRN, which
+    stays the oracle and serves the measures the closed form does not
+    cover (system availability, time to outage).
 
     Parameters
     ----------
@@ -78,11 +79,6 @@ class AvailabilityEvaluator:
     database:
         Vulnerability database for variant lookups of heterogeneous
         designs (default: the case study's own database).
-    structure_sharing:
-        Share one canonical exploration per transition pattern across
-        designs (default).  Turning it off re-explores per design —
-        byte-identical results, more work; the sweep benchmarks use it
-        as the baseline.
     """
 
     def __init__(
@@ -90,17 +86,13 @@ class AvailabilityEvaluator:
         case_study: EnterpriseCaseStudy,
         policy: PatchPolicy,
         database: VulnerabilityDatabase | None = None,
-        structure_sharing: bool = True,
     ) -> None:
         self.case_study = case_study
         self.policy = policy
         self.database = database if database is not None else case_study.database
-        self.structure_sharing = bool(structure_sharing)
         self._aggregates: dict[str, ServiceAggregate] = {}
         self._variant_aggregates: dict[tuple[str, ServerRole], ServiceAggregate] = {}
-        self._structures: dict[tuple, CoaStructure] = {}
         self._aggregate_solves = 0
-        self._structure_builds = 0
 
     # -- per-role aggregation (Table V) ------------------------------------
 
@@ -140,8 +132,6 @@ class AvailabilityEvaluator:
         _check_spec_kind(design)
         return {role: self.aggregate(role) for role in design.roles}
 
-    # -- precomputed state (shared-memory workers) --------------------------
-
     def prime_aggregates(
         self,
         roles: Mapping[str, ServiceAggregate] | None = None,
@@ -149,7 +139,7 @@ class AvailabilityEvaluator:
     ) -> None:
         """Seed the aggregate caches with already-solved Table V rows.
 
-        Used by the shared-memory sweep pipeline: the parent solves the
+        Used by the process-pool sweep: the parent solves the
         lower-layer SRNs once and ships the rows to pool workers, which
         prime their evaluators instead of re-solving.
         """
@@ -158,51 +148,20 @@ class AvailabilityEvaluator:
         if variants:
             self._variant_aggregates.update(variants)
 
-    def prime_structures(
-        self, structures: Mapping[tuple, CoaStructure]
-    ) -> None:
-        """Seed the canonical-structure cache (keyed by layout tiers)."""
-        self._structures.update(structures)
-
-    # -- canonical upper layer ----------------------------------------------
-
-    def design_slots(
-        self, design: DesignSpec
-    ) -> tuple[CanonicalLayout, tuple[SlotRef, ...]]:
-        """The design's canonical layout and slot assignment."""
-        return design_layout(design)
-
-    def slot_rates(self, slots: Sequence[SlotRef]) -> np.ndarray:
-        """Flat ``(patch, recovery)`` rate vector for canonical *slots*."""
-        rates = np.empty(2 * len(slots), dtype=float)
-        for position, slot in enumerate(slots):
-            if slot.variant is not None:
-                aggregate = self.variant_aggregate(slot.variant, slot.role)
-            else:
-                aggregate = self.aggregate(slot.role)
-            rates[2 * position] = aggregate.patch_rate
-            rates[2 * position + 1] = aggregate.recovery_rate
-        return rates
-
-    def coa_structure_for(
-        self, design: DesignSpec
-    ) -> tuple[CoaStructure, np.ndarray]:
-        """The design's (possibly shared) structure and its rate vector."""
-        layout, slots = self.design_slots(design)
-        rates = self.slot_rates(slots)
-        if self.structure_sharing:
-            structure = self._structures.get(layout.tiers)
-            if structure is not None:
-                return structure, rates
-        self._structure_builds += 1
-        rate_pairs = [
-            (float(rates[2 * i]), float(rates[2 * i + 1]))
-            for i in range(len(slots))
-        ]
-        structure = coa_structure(layout, rate_pairs)
-        if self.structure_sharing:
-            self._structures[layout.tiers] = structure
-        return structure, rates
+    def _tiers(self, design: DesignSpec) -> list[list[product_form.Group]]:
+        """``(count, lambda_eq, mu_eq)`` per server group, per tier."""
+        tiers = []
+        for role, groups in design_tiers(design):
+            tier = []
+            for variant, count in groups:
+                aggregate = (
+                    self.aggregate(role)
+                    if variant is None
+                    else self.variant_aggregate(variant, role)
+                )
+                tier.append((count, aggregate.patch_rate, aggregate.recovery_rate))
+            tiers.append(tier)
+        return tiers
 
     # -- per-design measures ------------------------------------------------
 
@@ -218,33 +177,18 @@ class AvailabilityEvaluator:
         return NetworkAvailabilityModel(design.counts, self.aggregates_for(design))
 
     def coa(self, design: DesignSpec) -> float:
-        """Capacity-oriented availability of *design*.
-
-        Solved over the design's canonical layout, so every design with
-        the same transition pattern shares one exploration when
-        structure sharing is on.
-        """
-        structure, rates = self.coa_structure_for(design)
-        return structure.coa(rates)
+        """Steady-state capacity-oriented availability of *design*."""
+        return product_form.coa(self._tiers(design))
 
     def transient_coa(
-        self,
-        design: DesignSpec,
-        times: Sequence[float],
-        tolerance: float = 1e-10,
-        method: str = "uniformisation",
+        self, design: DesignSpec, times: Sequence[float]
     ) -> np.ndarray:
-        """Expected COA of *design* at each time, from the all-up marking.
+        """Expected COA of *design* at each time, from all servers up.
 
-        One batched transient pass serves the whole time grid; the
-        exploration and reward vector come from the (shared) canonical
-        structure.  *method* selects the propagation backend (see
-        :class:`~repro.ctmc.transient.BatchTransientSolver`).
+        The one-phase, multiplier-1 case of
+        :meth:`transient_coa_piecewise`.
         """
-        structure, rates = self.coa_structure_for(design)
-        return structure.transient_coa(
-            rates, times, tolerance=tolerance, method=method
-        )
+        return self.transient_coa_piecewise(design, times, (1.0,), (math.inf,))
 
     def transient_coa_piecewise(
         self,
@@ -252,64 +196,16 @@ class AvailabilityEvaluator:
         times: Sequence[float],
         multipliers: Sequence[float],
         durations: Sequence[float],
-        tolerance: float = 1e-10,
-        method: str = "uniformisation",
     ) -> np.ndarray:
         """Expected COA under piecewise-constant patch-rate scaling.
 
         *multipliers* and *durations* describe one rollout phase each
         (the last duration is open-ended): during phase *p* every patch
         rate is scaled by ``multipliers[p]`` while recovery rates stay
-        fixed.  Each phase is uniformised once over the design's
-        (shared) canonical structure and the state vector is carried
-        across phase boundaries, so the whole curve costs one batch
-        pass per phase (:func:`repro.ctmc.transient.transient_piecewise`).
-        A single phase at multiplier 1.0 is bit-identical to
-        :meth:`transient_coa`.
+        fixed (see :func:`repro.availability.product_form.coa_curve`).
         """
-        from repro.ctmc.transient import transient_piecewise
-
-        if len(multipliers) != len(durations) or not multipliers:
-            raise EvaluationError(
-                f"piecewise COA needs one duration per multiplier, got "
-                f"{len(multipliers)} multipliers and {len(durations)} durations"
-            )
-        structure, rates = self.coa_structure_for(design)
-        solvers: dict[float, object] = {}
-        segments = []
-        for multiplier, duration in zip(multipliers, durations):
-            solver = solvers.get(multiplier)
-            if solver is None:
-                solver = structure.transient_solver(
-                    scale_patch_rates(rates, multiplier),
-                    tolerance=tolerance,
-                    method=method,
-                )
-                solvers[multiplier] = solver
-            segments.append((solver, duration))
-        dists = transient_piecewise(segments, structure.initial, times)
-        # Per-row dots, NOT `dists @ reward`: this mirrors the exact op
-        # order of BatchTransientSolver.rewards (a gemv may sum in a
-        # different order), which is what makes the single-phase
-        # campaign bit-identical to transient_coa.
-        out = np.empty(len(dists))
-        for i in range(len(dists)):
-            out[i] = float(dists[i] @ structure.reward)
-        return out
-
-    def coa_closed_form(self, design: DesignSpec) -> float:
-        """Product-form COA (validation path, no SRN solve)."""
-        if isinstance(design, HeterogeneousDesign):
-            raise EvaluationError(
-                "closed-form COA is defined for homogeneous designs only; "
-                "heterogeneous tiers couple variants through the tier-up "
-                "condition"
-            )
-        aggregates = self.aggregates_for(design)
-        return product_form_coa(
-            design.counts,
-            {role: agg.patch_rate for role, agg in aggregates.items()},
-            {role: agg.recovery_rate for role, agg in aggregates.items()},
+        return product_form.coa_curve(
+            self._tiers(design), times, multipliers, durations
         )
 
     def system_availability(self, design: DesignSpec) -> float:
@@ -327,11 +223,5 @@ class AvailabilityEvaluator:
 
     @property
     def solve_stats(self) -> dict[str, int]:
-        """Counters for the benchmarks: lower-layer aggregate solves,
-        canonical structures built (= reachability explorations) and
-        structures currently shared."""
-        return {
-            "aggregate_solves": self._aggregate_solves,
-            "structure_builds": self._structure_builds,
-            "structures_cached": len(self._structures),
-        }
+        """Counters for the benchmarks: lower-layer aggregate solves."""
+        return {"aggregate_solves": self._aggregate_solves}

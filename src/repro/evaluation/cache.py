@@ -93,14 +93,15 @@ __all__ = ["PersistentEvaluationCache", "context_fingerprint"]
 #: Salted into every context fingerprint.  Bump when the evaluation
 #: pipeline's numerics change (even at the last-ulp level) or when a
 #: cached payload class grows fields, so stale cache files miss instead
-#: of mixing results from two pipelines: version 2 = the PR 4
+#: of mixing results from two pipelines: version 2 = the
 #: canonical-structure COA path; version 3 = the campaign-aware
 #: ``DesignTimeline`` (new ``campaign``/``phase_starts`` fields — old
 #: pickles lack them, so they must not be served); version 4 = the
 #: sparse-first solver dispatch (method-aware timeline keys, iterative
 #: steady-state auto path above the size cutoff — entries keyed before
-#: the dispatch change must miss cleanly).
-_PIPELINE_VERSION = b"repro-evaluation-pipeline-v4"
+#: the dispatch change must miss cleanly); version 5 = the closed-form
+#: upper layer (COA values move in the last ulp).
+_PIPELINE_VERSION = b"repro-evaluation-pipeline-v5"
 
 #: How long a contended statement retries before sqlite gives up with
 #: ``database is locked`` — generous, because a competing writer only

@@ -23,20 +23,18 @@ Caching / batching contract
   contiguous chunks; one dispatch loop hands them to the executor and
   memoises each chunk's results as it arrives, so a call stopped by a
   deadline or a preemption checkpoint keeps every finished chunk.
-* **Structure sharing (default).**  With ``structure_sharing=True`` the
-  serial and thread executors run every chunk over one long-lived
+* **One evaluator pair.**  The serial and thread executors run every
+  chunk over the engine's long-lived
   ``SecurityEvaluator``/``AvailabilityEvaluator`` pair (one lower-layer
-  SRN solve per role, one canonical exploration per transition
-  pattern), and the process executor precomputes both in the parent and
-  publishes the numeric arrays to pool workers through
-  ``multiprocessing.shared_memory`` with a pool initializer — the case
-  study is pickled once per worker and chunks carry only designs.
-  ``structure_sharing=False`` gives every chunk a fresh, non-sharing
-  evaluator pair; results are byte-identical either way.
+  SRN solve per role or variant; the upper-layer COA is closed-form).
+  The process executor solves those aggregates in the parent and
+  publishes them to pool workers through ``multiprocessing.shared_memory``
+  with a pool initializer — the case study is pickled once per worker
+  and chunks carry only designs.
 * **Deterministic ordering.**  Results are always returned in input
   order, regardless of executor: chunks are indexed at submission and
-  reassembled positionally.  Every executor and sharing mode produces
-  byte-identical results.
+  reassembled positionally.  Every executor produces byte-identical
+  results.
 * **Failure reporting.**  A design that fails inside any executor
   raises an error carrying the design label (a
   :class:`~repro.errors.ValidationError` for bad input, otherwise an
@@ -155,10 +153,10 @@ class Executor:
         """Yield ``fn(*batch)`` for each batch, in batch order.
 
         *initializer* (called with *initargs*) primes every pool worker
-        before it runs a batch — the shared-memory attach of the
-        structure-sharing pipeline.  *key* identifies that priming: a
-        warm pool is reused while the key matches and recycled when it
-        changes (``None`` never matches).  In-process executors have no
+        before it runs a batch — the shared-memory attach of a process
+        sweep.  *key* identifies that priming: a warm pool is reused
+        while the key matches and recycled when it changes (``None``
+        never matches).  In-process executors have no
         workers to prime and ignore all three.
         """
         raise NotImplementedError
@@ -448,25 +446,6 @@ def _checked_chunk(
     return fn(*args)
 
 
-def _fresh_evaluators(
-    case_study: EnterpriseCaseStudy,
-    policy: PatchPolicy,
-    database: VulnerabilityDatabase | None,
-):
-    """Evaluator source: a fresh, non-sharing pair for one chunk."""
-    from repro.evaluation.availability import AvailabilityEvaluator
-    from repro.evaluation.security import SecurityEvaluator
-
-    return (
-        SecurityEvaluator(case_study, database=database),
-        AvailabilityEvaluator(
-            case_study, policy, database=database, structure_sharing=False
-        ),
-        case_study,
-        policy,
-    )
-
-
 def _chunk(
     evaluators: Callable[[], tuple],
     kind: str,
@@ -477,9 +456,8 @@ def _chunk(
     """Chunk entry point: evaluate *designs* with one evaluator pair.
 
     *evaluators* is the evaluator source, a zero-argument callable
-    returning ``(security, availability, case_study, policy)``:
-    :func:`_fresh_evaluators` (a new pair per chunk), the engine's own
-    long-lived pair (in-process executors), or
+    returning ``(security, availability, case_study, policy)``: the
+    engine's own long-lived pair (in-process executors) or
     :func:`repro.evaluation.shared_memory.primed_evaluators` (the pair a
     pool worker primed from shared memory).  *kind* is ``"evaluation"``
     or ``"timeline"``; a timeline's *params* are ``(times, tolerance,
@@ -553,16 +531,6 @@ class SweepEngine:
     database:
         Vulnerability database for variant lookups of heterogeneous
         designs (default: the case study's own database).
-    structure_sharing:
-        The structure-sharing pipeline (default on).  Serial and thread
-        executors share one long-lived evaluator pair across the whole
-        sweep (one lower-layer solve per role, one canonical exploration
-        per transition pattern); the process executor precomputes both
-        in the parent and publishes the numeric arrays to pool workers
-        over ``multiprocessing.shared_memory``, so chunks carry only
-        designs — no case-study re-pickling, no per-chunk lower-layer
-        re-solves.  Results are byte-identical with sharing on or off,
-        across every executor.
     cache_path:
         Optional sqlite file for a
         :class:`~repro.evaluation.cache.PersistentEvaluationCache`
@@ -589,7 +557,6 @@ class SweepEngine:
         max_workers: int | None = None,
         chunk_size: int | None = None,
         database: VulnerabilityDatabase | None = None,
-        structure_sharing: bool = True,
         cache_path=None,
     ) -> None:
         self.case_study = case_study if case_study is not None else paper_case_study()
@@ -599,7 +566,6 @@ class SweepEngine:
             check_positive_int(chunk_size, "chunk_size")
         self.chunk_size = chunk_size
         self.database = database
-        self.structure_sharing = bool(structure_sharing)
         self._evaluator_pair: tuple | None = None
         if cache_path is not None:
             from repro.evaluation.cache import PersistentEvaluationCache
@@ -857,8 +823,8 @@ class SweepEngine:
 
         Shared across every in-process chunk this engine runs, and used
         as the precompute cache feeding the shared-memory context of
-        process sweeps — repeated sweeps only solve structures and
-        aggregates they have not seen before.
+        process sweeps — repeated sweeps only solve aggregates they have
+        not seen before.
         """
         if self._evaluator_pair is None:
             from repro.evaluation.availability import AvailabilityEvaluator
@@ -883,10 +849,10 @@ class SweepEngine:
 
         Reused as long as it covers every design of this dispatch (the
         common case: repeated sweeps over one space).  A design bringing
-        a new role, variant or transition pattern rebuilds the context
-        over everything seen so far — the parent-side evaluator caches
-        make that incremental — and the changed segment name recycles
-        the pool, so fresh workers re-prime with the superset.
+        a new role or variant rebuilds the context over everything seen
+        so far — the parent-side evaluator caches make that incremental
+        — and the changed segment name recycles the pool, so fresh
+        workers re-prime with the superset.
         """
         from repro.evaluation.shared_memory import SharedSweepContext
 
@@ -931,11 +897,7 @@ class SweepEngine:
         own pair like the serial and thread executors do.
         """
         priming: dict[str, Any] = {}
-        if not self.structure_sharing:
-            source = partial(
-                _fresh_evaluators, self.case_study, self.policy, self.database
-            )
-        elif isinstance(self.executor, ProcessExecutor) and (
+        if isinstance(self.executor, ProcessExecutor) and (
             len(chunks) > 1 or self.executor.live
         ):
             from repro.evaluation.shared_memory import (

@@ -309,7 +309,6 @@ def _describe_engine(engine) -> dict:
         "executor": executor.name,
         "persistent_pool": executor.max_workers is not None,
         "pool_recycles": getattr(executor, "recycle_count", 0),
-        "structure_sharing": engine.structure_sharing,
         "cache_info": engine.cache_info,
         "shared_context": engine.shared_context_info,
     }
@@ -619,7 +618,7 @@ class EvaluationService:
         ``"process"`` (default) or ``"thread"`` give every lane a warm
         worker pool — what the service exists for; ``"serial"`` runs
         in-process (useful for tests).
-    max_workers / chunk_size / structure_sharing / cache_path:
+    max_workers / chunk_size / cache_path:
         Passed through to every lane engine (``cache_path`` enables the
         thread-safe sqlite result store shared across lanes, restarts
         and shard processes).
@@ -656,7 +655,6 @@ class EvaluationService:
         executor: str = "process",
         max_workers: int | None = None,
         chunk_size: int | None = None,
-        structure_sharing: bool = True,
         cache_path=None,
         lanes: int = DEFAULT_LANES,
         max_designs: int = DEFAULT_MAX_DESIGNS,
@@ -702,7 +700,6 @@ class EvaluationService:
             "executor": executor,
             "max_workers": max_workers,
             "chunk_size": chunk_size,
-            "structure_sharing": structure_sharing,
             "cache_path": cache_path,
         }
         # The diversity database serves heterogeneous (variants=true)

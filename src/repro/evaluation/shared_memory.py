@@ -1,24 +1,22 @@
 """Shared-memory transport of precomputed sweep state to pool workers.
 
-The ``"process"`` sweep executor historically re-pickled the case study
-with every chunk and let every worker re-solve the per-role lower-layer
-SRNs (the Table V aggregates) from scratch.  This module implements the
-precompute-and-share half of the structure-sharing pipeline:
+The ``"process"`` sweep executor would otherwise re-pickle the case
+study with every chunk and let every worker re-solve the per-role
+lower-layer SRNs (the Table V aggregates) from scratch.  Instead:
 
-- the **parent** solves the lower-layer aggregates and explores one
-  canonical COA structure per transition pattern (see
-  :mod:`repro.availability.grouped`), packs every numeric array into one
-  ``multiprocessing.shared_memory`` segment, and hands workers a small
-  handle;
+- the **parent** solves the lower-layer aggregates once, packs the
+  aggregate table into one ``multiprocessing.shared_memory`` segment,
+  and hands workers a small handle;
 - each **pool worker** attaches the segment once (pool initializer),
-  copies the arrays out, reconstructs the aggregate table and the
-  canonical structures, and primes its evaluator pair — chunks then
-  carry only the designs, and no worker ever re-solves the lower layer
-  or re-explores a pattern the parent already explored.
+  copies the table out, rebuilds the aggregates and primes its
+  evaluator pair — chunks then carry only the designs, and no worker
+  ever re-solves the lower layer.  The upper-layer COA is closed-form
+  (:mod:`repro.availability.product_form`), so the aggregates are all a
+  worker needs.
 
-Aggregates and structures cross the boundary as bit-exact float64
-arrays, so worker results are byte-identical to the in-process path.
-Workers copy-and-close during initialization, so segment lifetime never
+Aggregates cross the boundary as bit-exact float64 arrays, so worker
+results are byte-identical to the in-process path.  Workers
+copy-and-close during initialization, so segment lifetime never
 depends on worker health.  The engine retains its context for the
 warm pool's lifetime — so late-spawned or recycled workers can still
 attach and re-prime — and unlinks it (idempotently) when the engine
@@ -37,9 +35,9 @@ import numpy as np
 
 from repro import observability
 from repro.availability.aggregation import ServiceAggregate
-from repro.availability.grouped import CanonicalLayout, CoaStructure
 from repro.availability.measures import ServerMeasures
 from repro.errors import EvaluationError
+from repro.evaluation.availability import AvailabilityEvaluator, design_tiers
 from repro.evaluation.combined import labelled
 from repro.observability import tracing
 from repro.resilience.faults import fault_point
@@ -156,8 +154,8 @@ class SharedSweepContext:
     ``worker_payload()`` is what the pool initializer receives: the
     evaluation context (case study / policy / database — pickled once
     per worker, not once per chunk), the segment name, the array index
-    and the aggregate/structure metadata needed to rebuild value
-    objects around the shared numbers.
+    and the role/variant keys needed to rebuild the aggregates around
+    the shared numbers.
     """
 
     segment: shared_memory.SharedMemory
@@ -165,7 +163,7 @@ class SharedSweepContext:
 
     @classmethod
     def build(cls, case_study, policy, database, designs, evaluator=None):
-        """Precompute aggregates + structures for *designs* and publish.
+        """Precompute the aggregates of *designs* and publish them.
 
         *evaluator* optionally supplies an
         :class:`~repro.evaluation.availability.AvailabilityEvaluator`
@@ -183,72 +181,45 @@ class SharedSweepContext:
     def _build(
         cls, case_study, policy, database, designs, evaluator, build_span
     ):
-        from repro.evaluation.availability import AvailabilityEvaluator
-
         if evaluator is None:
             evaluator = AvailabilityEvaluator(
                 case_study, policy, database=database
             )
 
-        role_names: list[str] = []
-        variant_keys: list[tuple[str, object]] = []
-        role_rows: list[list[float]] = []
-        variant_rows: list[list[float]] = []
-        layouts: list[CanonicalLayout] = []
-        structures: list[CoaStructure] = []
-        seen_roles: set[str] = set()
-        seen_variants: set[tuple[str, str]] = set()
-        seen_layouts: set[tuple] = set()
+        roles: dict[str, list[float]] = {}
+        variants: dict[tuple[str, str], tuple[tuple, list[float]]] = {}
         for design in designs:
             labelled(
                 "precomputing shared state for design",
                 design,
-                partial(
-                    cls._precompute_design,
-                    design,
-                    evaluator,
-                    role_names,
-                    variant_keys,
-                    role_rows,
-                    variant_rows,
-                    layouts,
-                    structures,
-                    seen_roles,
-                    seen_variants,
-                    seen_layouts,
-                ),
+                partial(cls._precompute_design, design, evaluator, roles, variants),
             )
-
+        role_names = list(roles)
+        variant_keys = [key for key, _ in variants.values()]
         # Role rows first, then variant rows — the exact layout
         # initialize_worker reads back (role_names index the first block,
         # variant_keys the second), regardless of which design kind was
         # encountered first.
-        rows = role_rows + variant_rows
-        arrays: dict[str, np.ndarray] = {
+        rows = list(roles.values()) + [row for _, row in variants.values()]
+        arrays = {
             "aggregates": np.array(rows, dtype=float).reshape(
                 len(rows), len(_AGGREGATE_FIELDS)
             )
         }
-        for position, structure in enumerate(structures):
-            for name, array in structure.to_arrays().items():
-                arrays[f"structure{position}:{name}"] = array
 
         segment, index = pack_arrays(arrays)
         _SEGMENTS_BUILT.inc()
         _SEGMENT_BYTES.set(segment.size)
         _logger.debug(
-            "built shared context %s: %d roles, %d variants, "
-            "%d structures, %d bytes",
+            "built shared context %s: %d roles, %d variants, %d bytes",
             segment.name,
             len(role_names),
             len(variant_keys),
-            len(structures),
             segment.size,
         )
         build_span.add(
             roles=len(role_names),
             variants=len(variant_keys),
-            structures=len(structures),
             bytes=segment.size,
         )
         payload = {
@@ -259,87 +230,52 @@ class SharedSweepContext:
             "index": index,
             "role_names": tuple(role_names),
             "variant_keys": tuple(variant_keys),
-            "layouts": tuple(layouts),
         }
         return cls(segment=segment, payload=payload)
 
     @staticmethod
-    def _precompute_design(
-        design,
-        evaluator,
-        role_names,
-        variant_keys,
-        role_rows,
-        variant_rows,
-        layouts,
-        structures,
-        seen_roles,
-        seen_variants,
-        seen_layouts,
-    ) -> None:
-        """Fold one design's aggregates + structure into the tables.
+    def _precompute_design(design, evaluator, roles, variants) -> None:
+        """Fold one design's aggregate rows into the tables.
 
-        ``role_rows[i]`` always belongs to ``role_names[i]`` and
-        ``variant_rows[j]`` to ``variant_keys[j]``; the two blocks are
-        concatenated roles-first at pack time.
+        *roles* maps role -> row; *variants* maps ``(role, variant
+        name)`` -> ``((role, variant), row)``.
         """
-        layout, slots = evaluator.design_slots(design)
-        for slot in slots:
-            if slot.variant is None:
-                if slot.role not in seen_roles:
-                    seen_roles.add(slot.role)
-                    role_names.append(slot.role)
-                    role_rows.append(
-                        _aggregate_row(evaluator.aggregate(slot.role))
+        for role, groups in design_tiers(design):
+            for variant, _ in groups:
+                if variant is None:
+                    if role not in roles:
+                        roles[role] = _aggregate_row(evaluator.aggregate(role))
+                elif (role, variant.name) not in variants:
+                    variants[(role, variant.name)] = (
+                        (role, variant),
+                        _aggregate_row(evaluator.variant_aggregate(variant, role)),
                     )
-            else:
-                key = (slot.role, slot.variant.name)
-                if key not in seen_variants:
-                    seen_variants.add(key)
-                    variant_keys.append((slot.role, slot.variant))
-                    variant_rows.append(
-                        _aggregate_row(
-                            evaluator.variant_aggregate(slot.variant, slot.role)
-                        )
-                    )
-        if layout.tiers not in seen_layouts:
-            seen_layouts.add(layout.tiers)
-            structure, _ = evaluator.coa_structure_for(design)
-            layouts.append(layout)
-            structures.append(structure)
 
     def worker_payload(self) -> dict:
         """The pool-initializer argument (small, pickled once/worker)."""
         return self.payload
 
     def covers(self, designs) -> bool:
-        """Whether the published tables serve every design in *designs*.
+        """Whether the published table serves every design in *designs*.
 
-        True when each design's transition pattern is among the packed
-        canonical structures and every role/variant slot has a row in
-        the aggregate table — the warm-pool engine's cheap test (pure
-        layout computation, no solving) for reusing this context across
-        repeated sweeps instead of rebuilding segment and pool.
+        True when every role and variant of every design has a row in
+        the aggregate table — the warm-pool engine's cheap test (no
+        solving) for reusing this context across repeated sweeps instead
+        of rebuilding segment and pool.
         """
-        from repro.availability.grouped import design_layout
-
         roles = set(self.payload["role_names"])
         variants = {
             (role, variant.name)
             for role, variant in self.payload["variant_keys"]
         }
-        tiers = {layout.tiers for layout in self.payload["layouts"]}
-        for design in designs:
-            layout, slots = design_layout(design)
-            if layout.tiers not in tiers:
-                return False
-            for slot in slots:
-                if slot.variant is None:
-                    if slot.role not in roles:
-                        return False
-                elif (slot.role, slot.variant.name) not in variants:
-                    return False
-        return True
+        return all(
+            (role in roles)
+            if variant is None
+            else ((role, variant.name) in variants)
+            for design in designs
+            for role, groups in design_tiers(design)
+            for variant, _ in groups
+        )
 
     @property
     def segment_name(self) -> str:
@@ -355,7 +291,6 @@ class SharedSweepContext:
             "bytes": self.segment.size,
             "roles": len(self.payload["role_names"]),
             "variants": len(self.payload["variant_keys"]),
-            "layouts": len(self.payload["layouts"]),
         }
 
     def unlink(self) -> None:
@@ -379,7 +314,7 @@ _WORKER: tuple | None = None
 def initialize_worker(payload: dict) -> None:
     """Pool initializer: attach the segment and prime the evaluators.
 
-    Arrays are copied out and the segment closed immediately, so the
+    The table is copied out and the segment closed immediately, so the
     parent's ``unlink`` never races worker lifetime.  The attachment is
     unregistered from the resource tracker because the parent owns the
     segment — without this, the tracker would try to clean it up a
@@ -410,19 +345,6 @@ def initialize_worker(payload: dict) -> None:
             variant.name, table[offset + position]
         )
 
-    structures: dict[tuple, CoaStructure] = {}
-    for position, layout in enumerate(payload["layouts"]):
-        prefix = f"structure{position}:"
-        structures[layout.tiers] = CoaStructure.from_arrays(
-            layout,
-            {
-                name[len(prefix):]: array
-                for name, array in arrays.items()
-                if name.startswith(prefix)
-            },
-        )
-
-    from repro.evaluation.availability import AvailabilityEvaluator
     from repro.evaluation.security import SecurityEvaluator
 
     case_study = payload["case_study"]
@@ -431,14 +353,11 @@ def initialize_worker(payload: dict) -> None:
         case_study, payload["policy"], database=database
     )
     availability.prime_aggregates(roles=roles, variants=variants)
-    availability.prime_structures(structures)
     _logger.debug(
-        "worker primed from segment %s: %d roles, %d variants, "
-        "%d structures",
+        "worker primed from segment %s: %d roles, %d variants",
         payload["segment"],
         len(roles),
         len(variants),
-        len(structures),
     )
     _WORKER = (
         SecurityEvaluator(case_study, database=database),

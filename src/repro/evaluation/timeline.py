@@ -9,9 +9,8 @@ generalises the paper's per-design snapshots into time-resolved curves
 for any :class:`~repro.enterprise.design.DesignSpec`:
 
 - **transient COA**: the expected Table VI reward at each time, from
-  the all-up marking of the design's availability SRN, one batched
-  uniformisation pass per design
-  (:class:`~repro.ctmc.transient.BatchTransientSolver`);
+  all servers up, in closed form
+  (:func:`repro.availability.product_form.coa_curve`);
 - **patch-completion curve**: the design's patch-completion CTMC (one
   state per vector of still-unpatched servers per role/variant, each
   group patching at its Table V ``lambda_eq``) is absorbing at
@@ -34,13 +33,14 @@ Every entry point accepts an optional
 :class:`~repro.patching.campaign.PatchCampaign`: an ordered sequence of
 rollout phases (canary -> ramp -> fleet), each scaling the patch rates
 by a multiplier and ending on a fixed duration or a completion-fraction
-trigger.  The curves are then computed by piecewise-constant
-uniformisation (:func:`repro.ctmc.transient.transient_piecewise`) — one
-batch pass per phase, the state vector carried across phase
-boundaries — and the mean time to completion by per-phase occupancy
-algebra plus a fundamental-matrix solve on the terminal phase.  A
-single-phase multiplier-1 campaign reproduces the stationary curves bit
-for bit.
+trigger.  The COA curve carries each server's down-probability across
+phase boundaries in closed form; the completion curves come from
+piecewise-constant uniformisation of the completion chain
+(:func:`repro.ctmc.transient.transient_piecewise`) — one batch pass per
+phase, the state vector carried across phase boundaries — and the mean
+time to completion from per-phase occupancy algebra plus a
+fundamental-matrix solve on the terminal phase.  A single-phase
+multiplier-1 campaign reproduces the stationary curves bit for bit.
 """
 
 from __future__ import annotations
@@ -548,10 +548,11 @@ def evaluate_timeline(
 ) -> DesignTimeline:
     """The patch-timeline curves of one design.
 
-    *method* selects the transient propagation backend for both the
-    COA curve and the completion-chain solves (see
+    *method* selects the transient propagation backend of the
+    completion-chain solves (see
     :class:`~repro.ctmc.transient.BatchTransientSolver`); the default
-    keeps the exact bit-identical uniformisation path.
+    keeps the exact bit-identical uniformisation path.  The COA curve is
+    closed-form and takes neither *method* nor *tolerance*.
 
     With no arguments beyond *design* and *times*, uses the paper's case
     study and critical-vulnerability policy.  Pass shared evaluator
@@ -562,8 +563,7 @@ def evaluate_timeline(
 
     *campaign* optionally stages the rollout
     (:class:`~repro.patching.campaign.PatchCampaign`): each phase
-    scales the patch rates, curves are computed by piecewise-constant
-    uniformisation carrying the state vector across phase boundaries,
+    scales the patch rates, curves are carried across phase boundaries,
     and completion-fraction triggers are resolved against the design's
     own patch-completion chain.  A single-phase multiplier-1 campaign
     is bit-identical to ``campaign=None``.
@@ -598,9 +598,7 @@ def evaluate_timeline(
     )
 
     if campaign is None:
-        coa_curve = availability_evaluator.transient_coa(
-            design, times, tolerance=tolerance, method=method
-        )
+        coa_curve = availability_evaluator.transient_coa(design, times)
         solver = BatchTransientSolver(chain, tolerance=tolerance, method=method)
         distributions = solver.distributions({full: 1.0}, times)
         try:
@@ -630,8 +628,7 @@ def evaluate_timeline(
         )
         multipliers, durations = multipliers[:reach], durations[:reach]
         coa_curve = availability_evaluator.transient_coa_piecewise(
-            design, times, multipliers, durations,
-            tolerance=tolerance, method=method,
+            design, times, multipliers, durations
         )
         segments = [
             (solvers.for_multiplier(multiplier), duration)
@@ -668,7 +665,6 @@ def evaluate_timelines_shared(
     policy: PatchPolicy,
     database: VulnerabilityDatabase | None = None,
     tolerance: float = 1e-10,
-    structure_sharing: bool = True,
     security_evaluator: SecurityEvaluator | None = None,
     availability_evaluator: AvailabilityEvaluator | None = None,
     campaign: PatchCampaign | None = None,
@@ -678,9 +674,8 @@ def evaluate_timelines_shared(
 
     The chunk primitive of :meth:`SweepEngine.timeline`: the shared
     :class:`AvailabilityEvaluator` amortises the per-role and
-    per-variant lower-layer SRN solves — and, with *structure_sharing*
-    on, the per-pattern canonical explorations — across every design in
-    the chunk, whatever mix of spec kinds the chunk holds.  Pass
+    per-variant lower-layer SRN solves across every design in the
+    chunk, whatever mix of spec kinds the chunk holds.  Pass
     evaluator instances (e.g. primed from shared memory) to reuse their
     caches.  Failures carry the design label (see
     :func:`repro.evaluation.combined.labelled`).
@@ -689,10 +684,7 @@ def evaluate_timelines_shared(
         security_evaluator = SecurityEvaluator(case_study, database=database)
     if availability_evaluator is None:
         availability_evaluator = AvailabilityEvaluator(
-            case_study,
-            policy,
-            database=database,
-            structure_sharing=structure_sharing,
+            case_study, policy, database=database
         )
     return [
         labelled(

@@ -36,8 +36,8 @@ __all__ = ["ReachabilityGraph", "explore", "exploration_count"]
 DEFAULT_MAX_MARKINGS = 200_000
 
 #: Process-wide count of reachability explorations, incremented by
-#: :func:`explore`.  Benchmarks diff it around a sweep to measure how
-#: many state-space generations the structure-sharing pipeline saved.
+#: :func:`explore`.  Benchmarks diff it around a sweep to count the
+#: state-space generations it needed.
 #: Backed by the observability registry so process-pool sweeps merge
 #: worker explorations into the parent's count.
 _EXPLORATIONS = metrics.counter(

@@ -397,7 +397,7 @@ def family_signature(net: StochasticRewardNet):
     kinds, arcs, inhibitors) all match, so they share one reachability
     graph and can be solved through :func:`solve_family` /
     :func:`transient_family`.  This is the key :func:`solve_families`
-    and the sweep engine's structure-sharing pipeline group designs by.
+    and :func:`transient_families` group nets by.
     """
     places = tuple((p.name, p.initial_tokens) for p in net.places)
     transitions = tuple(

@@ -3,7 +3,7 @@
 Covers the sparse-first solver paths: dense/sparse threshold overrides
 (constructor + ``REPRO_DENSE_THRESHOLD``), boundary parity at
 ``n == threshold +- 1``, adaptive-vs-uniformisation agreement (including
-the 2401-state paper-scale canonical model), adaptive early exit, and
+the 2401-state paper-scale availability model), adaptive early exit, and
 ``auto`` size dispatch.
 """
 
@@ -131,33 +131,46 @@ class TestBoundaryParity:
 
 
 class TestPaperScaleModel:
-    """The 2401-state canonical availability model (paper scale)."""
+    """The 2401-state upper-layer availability model (paper scale)."""
 
     @pytest.fixture(scope="class")
-    def structure(self):
-        from repro.availability.grouped import CanonicalLayout, coa_structure
+    def chain(self):
+        """Generator, all-up start and COA reward of four 6-server tiers."""
+        from types import SimpleNamespace
 
-        layout = CanonicalLayout(((6,),) * 4)
-        return coa_structure(layout, ((0.02, 0.5),) * 4)
+        from repro.availability import NetworkAvailabilityModel, coa_reward
+        from repro.srn import explore
 
-    @pytest.fixture(scope="class")
-    def slot_rates(self):
-        return (0.02, 0.5) * 4
+        capacities = {tier: 6 for tier in "abcd"}
+        aggregates = {
+            tier: SimpleNamespace(patch_rate=0.02, recovery_rate=0.5)
+            for tier in capacities
+        }
+        graph = explore(
+            NetworkAvailabilityModel(capacities, aggregates).build_srn()
+        )
+        reward = np.array([coa_reward(capacities)(m) for m in graph.tangible])
+        return graph.generator(), graph.initial_distribution, reward
 
-    def test_adaptive_within_tolerance(self, structure, slot_rates):
+    @staticmethod
+    def coa_curve(chain, times, method="uniformisation"):
+        generator, start, reward = chain
+        solver = BatchTransientSolver.from_generator(generator, method=method)
+        return solver, solver.rewards(start, reward, times)
+
+    def test_adaptive_within_tolerance(self, chain):
         times = [0.0, 24.0, 72.0, 168.0, 720.0]
-        exact = structure.transient_coa(slot_rates, times)
-        assert structure.n_states == 2401
-        adaptive = structure.transient_coa(slot_rates, times, method="adaptive")
+        solver, exact = self.coa_curve(chain, times)
+        assert solver.n == 2401
+        _, adaptive = self.coa_curve(chain, times, method="adaptive")
         np.testing.assert_allclose(adaptive, exact, rtol=0.0, atol=1e-10)
 
-    def test_auto_is_bit_identical_at_paper_scale(self, structure, slot_rates):
+    def test_auto_is_bit_identical_at_paper_scale(self, chain):
         # 2401 < the auto cutoff, so dispatch selects the exact path and
         # the result must be byte-for-byte the default's.
         times = [0.0, 24.0, 72.0]
-        exact = structure.transient_coa(slot_rates, times)
-        auto = structure.transient_coa(slot_rates, times, method="auto")
-        solver = structure.transient_solver(slot_rates, method="auto")
+        _, exact = self.coa_curve(chain, times)
+        solver, auto = self.coa_curve(chain, times, method="auto")
         assert solver.resolved_method == "uniformisation"
         assert np.array_equal(auto, exact)
 

@@ -10,6 +10,15 @@ from repro.enterprise.scaled import scaled_design
 from repro.errors import ValidationError
 from repro.evaluation import AvailabilityEvaluator
 from repro.patching import CriticalVulnerabilityPolicy
+from repro.srn import explore
+
+
+def _upper_layer_graph(hosts, tiers):
+    """The scaled design's explored upper-layer SRN and its evaluator."""
+    case_study, design = scaled_case_study(hosts_per_tier=hosts, tiers=tiers)
+    evaluator = AvailabilityEvaluator(case_study, CriticalVulnerabilityPolicy())
+    model = evaluator.network_model(design)
+    return explore(model.build_srn()), evaluator, design
 
 
 class TestShapes:
@@ -61,16 +70,12 @@ class TestValidation:
 class TestStateCounts:
     def test_small_design_state_count(self):
         # (hosts + 1) ** tiers: 2 hosts over 3 tiers -> 27 states.
-        case_study, design = scaled_case_study(hosts_per_tier=2, tiers=3)
-        evaluator = AvailabilityEvaluator(case_study, CriticalVulnerabilityPolicy())
-        structure, _ = evaluator.coa_structure_for(design)
-        assert structure.n_states == 27
+        graph, _, _ = _upper_layer_graph(2, 3)
+        assert len(graph.tangible) == 27
 
     def test_paper_dimensions_recover_paper_state_count(self):
-        case_study, design = scaled_case_study(hosts_per_tier=6, tiers=4)
-        evaluator = AvailabilityEvaluator(case_study, CriticalVulnerabilityPolicy())
-        structure, _ = evaluator.coa_structure_for(design)
-        assert structure.n_states == 2401
+        graph, _, _ = _upper_layer_graph(6, 4)
+        assert len(graph.tangible) == 2401
 
 
 class TestEndToEnd:
@@ -86,10 +91,17 @@ class TestEndToEnd:
         assert curve[2] == pytest.approx(coa, abs=1e-3)
 
     def test_methods_agree_on_scaled_design(self):
-        case_study, design = scaled_case_study(hosts_per_tier=2, tiers=3)
-        evaluator = AvailabilityEvaluator(case_study, CriticalVulnerabilityPolicy())
+        from repro.availability import coa_reward
+        from repro.ctmc.transient import BatchTransientSolver
+
+        graph, evaluator, design = _upper_layer_graph(2, 3)
         times = [0.0, 24.0, 168.0]
         exact = evaluator.transient_coa(design, times)
-        for method in ("adaptive", "auto"):
-            other = evaluator.transient_coa(design, times, method=method)
+        reward = coa_reward(design.counts)
+        rewards = np.array([reward(m) for m in graph.tangible])
+        for method in ("uniformisation", "adaptive", "auto"):
+            solver = BatchTransientSolver.from_generator(
+                graph.generator(), method=method
+            )
+            other = solver.rewards(graph.initial_distribution, rewards, times)
             np.testing.assert_allclose(other, exact, rtol=0.0, atol=1e-8)

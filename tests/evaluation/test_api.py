@@ -134,6 +134,17 @@ class TestRequests:
         again = api.TimelineRequest.from_payload(request.to_payload())
         assert again == request
 
+    def test_time_points_capped(self):
+        cap = api.MAX_TIME_POINTS
+        assert len(api.parse_times({"points": cap})) == cap
+        assert len(api.parse_times({"times": [1.0] * cap})) == cap
+        for options in ({"points": cap + 1}, {"times": [1.0] * (cap + 1)}):
+            with pytest.raises(api.OverBudgetError, match="time points"):
+                api.parse_times(options)
+        # Checked before the grid is built: a huge count fails at once.
+        with pytest.raises(api.OverBudgetError):
+            api.parse_times({"points": 10**12})
+
     def test_invalid_shard_specs(self):
         for value in ({"index": 2, "count": 2}, {"count": 2, "extra": 1}, {"index": 0}):
             with pytest.raises(ValidationError):

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from functools import partial
-
 import pytest
 
 from repro.enterprise import RedundancyDesign
 from repro.errors import EvaluationError
 from repro.evaluation import (
+    AvailabilityEvaluator,
+    SecurityEvaluator,
     SerialExecutor,
     SweepEngine,
     enumerate_designs,
@@ -20,7 +20,6 @@ from repro.evaluation.engine import (
     ProcessExecutor,
     ThreadExecutor,
     _chunk,
-    _fresh_evaluators,
 )
 
 
@@ -161,7 +160,14 @@ class TestModuleLevelApi:
         assert default == engine_run
 
     def test_chunk_worker_matches_serial(self, small_space, case_study, critical_policy):
-        fresh = partial(_fresh_evaluators, case_study, critical_policy, None)
+        def fresh():
+            return (
+                SecurityEvaluator(case_study),
+                AvailabilityEvaluator(case_study, critical_policy),
+                case_study,
+                critical_policy,
+            )
+
         chunked = _chunk(fresh, "evaluation", (), small_space)
         assert chunked == evaluate_designs(
             small_space, case_study=case_study, policy=critical_policy

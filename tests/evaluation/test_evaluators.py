@@ -55,8 +55,10 @@ class TestAvailabilityEvaluator:
     def test_coa_matches_closed_form(
         self, availability_evaluator, example_design
     ):
-        srn = availability_evaluator.coa(example_design)
-        closed = availability_evaluator.coa_closed_form(example_design)
+        srn = availability_evaluator.network_model(
+            example_design
+        ).capacity_oriented_availability()
+        closed = availability_evaluator.coa(example_design)
         assert srn == pytest.approx(closed, abs=1e-12)
 
     def test_system_availability_at_least_coa(

@@ -63,10 +63,10 @@ class TestContextFingerprint:
         assert a == b
         assert a != c
 
-    def test_pipeline_version_is_v4(self):
+    def test_pipeline_version_is_v5(self):
         from repro.evaluation import cache as cache_module
 
-        assert cache_module._PIPELINE_VERSION == b"repro-evaluation-pipeline-v4"
+        assert cache_module._PIPELINE_VERSION == b"repro-evaluation-pipeline-v5"
 
     def test_old_pipeline_entries_are_not_served(self, tmp_path, monkeypatch):
         """Entries fingerprinted under pipeline v3 must miss under v4.
@@ -83,6 +83,29 @@ class TestContextFingerprint:
             cache_module,
             "_PIPELINE_VERSION",
             b"repro-evaluation-pipeline-v3",
+        )
+        old_fingerprint = context_fingerprint(*context)
+        store.put(old_fingerprint, "design-key", {"coa": 0.5})
+        monkeypatch.undo()
+        new_fingerprint = context_fingerprint(*context)
+        assert new_fingerprint != old_fingerprint
+        assert store.get(new_fingerprint, "design-key") is None
+        assert store.get(old_fingerprint, "design-key") == {"coa": 0.5}
+
+    def test_v4_entries_are_not_served(self, tmp_path, monkeypatch):
+        """Entries fingerprinted under pipeline v4 must miss under v5.
+
+        The v4 -> v5 bump retires results of the SRN-solved upper layer,
+        whose COA differs from the closed form in the last ulp.
+        """
+        from repro.evaluation import cache as cache_module
+
+        store = PersistentEvaluationCache(tmp_path / "cache.sqlite")
+        context = (CriticalVulnerabilityPolicy(), None)
+        monkeypatch.setattr(
+            cache_module,
+            "_PIPELINE_VERSION",
+            b"repro-evaluation-pipeline-v4",
         )
         old_fingerprint = context_fingerprint(*context)
         store.put(old_fingerprint, "design-key", {"coa": 0.5})

@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import EvaluationError
 from repro.evaluation import SweepEngine, enumerate_designs
+from repro.evaluation.api import MAX_TIME_POINTS
 from repro.evaluation.service import EvaluationService, sweep_response
 
 
@@ -115,6 +116,32 @@ class TestEnvelope:
         assert body["error"]["code"] == "invalid_request"
         assert "method" in body["error"]["message"]
         assert client.metrics()["counters"]["computed"] == computed
+
+    @pytest.mark.parametrize("stream", [False, True])
+    @pytest.mark.parametrize(
+        "options",
+        [
+            pytest.param({"points": 10**9}, id="points"),
+            pytest.param({"times": [0.0] * (MAX_TIME_POINTS + 1)}, id="times"),
+        ],
+    )
+    def test_over_cap_time_grid_is_over_budget(
+        self, serial_service, options, stream
+    ):
+        """Refused before the grid is built: a small body must not stall
+        the event loop for every other connection."""
+        _, client = serial_service
+        start = time.monotonic()
+        status, body = client.request(
+            "POST",
+            "/v1/timeline",
+            {"space": {"roles": ["dns"]}, "options": options, "stream": stream},
+        )
+        assert time.monotonic() - start < 1.0
+        assert status == 400
+        assert body["error"]["code"] == "over_budget"
+        assert "time points" in body["error"]["message"]
+        assert client.healthz()["status"] == "ok"
 
     def test_v1_unknown_path_is_not_found(self, serial_service):
         _, client = serial_service
@@ -308,9 +335,11 @@ class TestPriorities:
         assert result["batch"] == _wire(expected)
 
     def test_scaled_batch_does_not_block_interactive(self):
-        """Satellite: a batch --scaled sweep in flight must not delay an
+        """Satellite: a batch --scaled request in flight must not delay an
         interactive 27-design request beyond one chunk boundary — with
-        two lanes they never even share a queue."""
+        two lanes they never even share a queue.  The batch is a 9x4
+        timeline: its 10,000-state completion chain keeps the lane busy
+        far longer than the interactive sweep takes."""
         with EvaluationService(
             executor="serial", max_designs=64, lanes=2
         ) as service:
@@ -318,7 +347,7 @@ class TestPriorities:
             order: list[str] = []
 
             def run_batch():
-                client.sweep(scaled="6x4", priority="batch")
+                client.timeline(scaled="9x4", priority="batch")
                 order.append("batch")
 
             batch = threading.Thread(target=run_batch)

@@ -1,9 +1,11 @@
-"""Tests for the structure-sharing sweep pipeline.
+"""Tests for what sweeps share across designs.
 
-Covers the canonical pattern layer (:mod:`repro.availability.grouped`),
-the shared-memory transport (:mod:`repro.evaluation.shared_memory`), the
-engine wiring (sharing on/off x serial/thread/process byte-identity),
-the solve-count reduction and worker failure reporting.
+Covers the canonical tier layout the closed-form COA reads
+(:func:`repro.evaluation.availability.design_tiers`), one evaluator's
+aggregates shared across designs, the shared-memory transport of those
+aggregates to pool workers (:mod:`repro.evaluation.shared_memory`), the
+upper-layer explorations the closed form saves and worker failure
+reporting.
 """
 
 from __future__ import annotations
@@ -13,12 +15,6 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
-from repro.availability.grouped import (
-    CoaStructure,
-    build_canonical_net,
-    coa_structure,
-    design_layout,
-)
 from repro.enterprise import (
     HeterogeneousDesign,
     RedundancyDesign,
@@ -26,6 +22,7 @@ from repro.enterprise import (
 )
 from repro.errors import EvaluationError, ValidationError
 from repro.evaluation import AvailabilityEvaluator, SweepEngine
+from repro.evaluation.availability import design_tiers
 from repro.evaluation.engine import _chunk
 from repro.evaluation.shared_memory import (
     SharedSweepContext,
@@ -35,7 +32,6 @@ from repro.evaluation.shared_memory import (
     read_arrays,
 )
 from repro.evaluation.sweep import enumerate_designs
-from repro.srn import explore
 from repro.vulnerability.diversity import diversity_database
 
 
@@ -50,31 +46,34 @@ def variant_space():
 
 
 class TestCanonicalLayout:
-    def test_same_counts_multiset_shares_layout(self):
-        a, _ = design_layout(RedundancyDesign({"dns": 1, "web": 2}))
-        b, _ = design_layout(RedundancyDesign({"dns": 2, "web": 1}))
-        assert a == b
-
-    def test_different_multisets_differ(self):
-        a, _ = design_layout(RedundancyDesign({"dns": 1, "web": 2}))
-        b, _ = design_layout(RedundancyDesign({"dns": 2, "web": 2}))
-        assert a != b
-
-    def test_heterogeneous_tier_coupling_in_layout(self):
+    def test_heterogeneous_tier_coupling_in_layout(
+        self, case_study, critical_policy
+    ):
         space = paper_variant_space()
         split = HeterogeneousDesign(
             {"web": {space["web"][0]: 1, space["web"][1]: 1}}
         )
         flat = RedundancyDesign({"dns": 1, "web": 1})
         # one tier of two single-server groups != two one-server tiers
-        assert design_layout(split)[0] != design_layout(flat)[0]
+        assert [len(groups) for _, groups in design_tiers(split)] == [2]
+        assert [len(groups) for _, groups in design_tiers(flat)] == [1, 1]
+        evaluator = AvailabilityEvaluator(
+            case_study, critical_policy, database=diversity_database()
+        )
+        assert evaluator.coa(split) > evaluator.coa(flat)
 
     def test_slots_follow_canonical_order(self):
-        layout, slots = design_layout(
-            RedundancyDesign({"dns": 2, "web": 1, "app": 2})
-        )
-        assert layout.counts == (1, 2, 2)
-        assert [slot.role for slot in slots] == ["web", "dns", "app"]
+        tiers = design_tiers(RedundancyDesign({"web": 1, "dns": 2, "app": 2}))
+        assert [role for role, _ in tiers] == ["app", "dns", "web"]
+        assert [groups for _, groups in tiers] == [
+            [(None, 2)],
+            [(None, 2)],
+            [(None, 1)],
+        ]
+        space = paper_variant_space()
+        nginx, apache = space["web"][1], space["web"][0]
+        design = HeterogeneousDesign({"web": {nginx: 2, apache: 1}})
+        assert design_tiers(design) == [("web", [(apache, 1), (nginx, 2)])]
 
     def test_single_variant_maps_like_homogeneous(self, case_study):
         counts = {"dns": 1, "web": 2, "app": 2, "db": 1}
@@ -82,68 +81,34 @@ class TestCanonicalLayout:
         hetero = HeterogeneousDesign(
             {role: {case_study.roles[role]: c} for role, c in counts.items()}
         )
-        assert design_layout(homog)[0] == design_layout(hetero)[0]
-        assert [s.count for s in design_layout(homog)[1]] == [
-            s.count for s in design_layout(hetero)[1]
+        assert [role for role, _ in design_tiers(homog)] == [
+            role for role, _ in design_tiers(hetero)
         ]
-
-    def test_27_designs_10_patterns(self, space27):
-        layouts = {design_layout(d)[0] for d in space27}
-        assert len(layouts) == 10
-
-
-class TestCoaStructure:
-    def test_edges_match_exploration_rates(self, availability_evaluator):
-        design = RedundancyDesign({"dns": 1, "web": 2, "app": 2})
-        layout, slots = design_layout(design)
-        rates = availability_evaluator.slot_rates(slots)
-        pairs = [
-            (float(rates[2 * i]), float(rates[2 * i + 1]))
-            for i in range(len(slots))
+        assert [
+            [count for _, count in groups] for _, groups in design_tiers(homog)
+        ] == [
+            [count for _, count in groups] for _, groups in design_tiers(hetero)
         ]
-        structure = coa_structure(layout, pairs)
-        graph = explore(build_canonical_net(layout, pairs))
-        values = structure.rate_values(rates)
-        assert {
-            (int(s), int(d)): v
-            for s, d, v in zip(structure.src, structure.dst, values)
-        } == graph.rates
-
-    def test_array_roundtrip(self, availability_evaluator):
-        design = RedundancyDesign({"dns": 2, "web": 1})
-        structure, rates = availability_evaluator.coa_structure_for(design)
-        rebuilt = CoaStructure.from_arrays(
-            structure.layout, structure.to_arrays()
-        )
-        assert rebuilt.coa(rates).hex() == structure.coa(rates).hex()
-
-    def test_rate_vector_shape_checked(self, availability_evaluator):
-        design = RedundancyDesign({"dns": 1})
-        structure, _ = availability_evaluator.coa_structure_for(design)
-        with pytest.raises(EvaluationError):
-            structure.rate_values([1.0, 2.0, 3.0])
 
 
 class TestEvaluatorSharing:
+    # One evaluator's cached aggregates serve a whole group of designs
+    # bit for bit like a fresh evaluator per design.
+
     def test_grouped_bitwise_equal_to_per_design(
         self, case_study, critical_policy, space27
     ):
         shared = AvailabilityEvaluator(case_study, critical_policy)
-        fresh = AvailabilityEvaluator(
-            case_study, critical_policy, structure_sharing=False
-        )
         for design in space27:
+            fresh = AvailabilityEvaluator(case_study, critical_policy)
             assert shared.coa(design).hex() == fresh.coa(design).hex()
-        assert shared.solve_stats["structure_builds"] == 10
-        assert fresh.solve_stats["structure_builds"] == len(space27)
+        assert shared.solve_stats["aggregate_solves"] == 3
 
     def test_transient_bitwise_equal(self, case_study, critical_policy, space27):
         times = [0.0, 24.0, 360.0, 720.0]
         shared = AvailabilityEvaluator(case_study, critical_policy)
-        fresh = AvailabilityEvaluator(
-            case_study, critical_policy, structure_sharing=False
-        )
         for design in space27[::5]:
+            fresh = AvailabilityEvaluator(case_study, critical_policy)
             a = shared.transient_coa(design, times)
             b = fresh.transient_coa(design, times)
             assert a.tobytes() == b.tobytes()
@@ -214,6 +179,34 @@ class TestSharedMemoryTransport:
         for a, b in zip(shared, reference):
             assert a.after.coa.hex() == b.after.coa.hex()
             assert a.before == b.before and a.after == b.after
+
+    def test_context_covers_roles_and_variants(
+        self, case_study, critical_policy, variant_space
+    ):
+        context = SharedSweepContext.build(
+            case_study,
+            critical_policy,
+            None,
+            [RedundancyDesign({"dns": 1, "web": 2})],
+        )
+        try:
+            # Any counts over the published roles are covered ...
+            assert context.covers(
+                [RedundancyDesign({"web": 3}), RedundancyDesign({"dns": 2})]
+            )
+            # ... a new role or a variant stack is not.
+            assert not context.covers([RedundancyDesign({"app": 1})])
+            assert not context.covers(
+                [HeterogeneousDesign({"web": {variant_space["web"][1]: 1}})]
+            )
+            assert set(context.describe()) == {
+                "segment",
+                "bytes",
+                "roles",
+                "variants",
+            }
+        finally:
+            context.unlink()
 
     def test_context_unlinks_segment(self, case_study, critical_policy):
         context = SharedSweepContext.build(
@@ -304,64 +297,6 @@ class TestSharedMemoryTransport:
 
 
 class TestEngineSharingParity:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_sweep_byte_identical_on_vs_off(
-        self, case_study, critical_policy, space27, executor
-    ):
-        designs = space27[:9]
-        kwargs = (
-            {} if executor == "serial" else {"max_workers": 2, "chunk_size": 3}
-        )
-        with SweepEngine(
-            case_study=case_study,
-            policy=critical_policy,
-            executor=executor,
-            **kwargs,
-        ) as engine:
-            on = engine.evaluate(designs)
-        with SweepEngine(
-            case_study=case_study,
-            policy=critical_policy,
-            executor=executor,
-            structure_sharing=False,
-            **kwargs,
-        ) as engine:
-            off = engine.evaluate(designs)
-        for a, b in zip(on, off):
-            assert a.after.coa.hex() == b.after.coa.hex()
-            assert a.before == b.before and a.after == b.after
-
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_timeline_byte_identical_on_vs_off(
-        self, case_study, critical_policy, space27, executor
-    ):
-        designs = space27[:6]
-        times = (0.0, 120.0, 720.0)
-        kwargs = (
-            {} if executor == "serial" else {"max_workers": 2, "chunk_size": 2}
-        )
-        with SweepEngine(
-            case_study=case_study,
-            policy=critical_policy,
-            executor=executor,
-            **kwargs,
-        ) as engine:
-            on = engine.timeline(designs, times)
-        with SweepEngine(
-            case_study=case_study,
-            policy=critical_policy,
-            executor=executor,
-            structure_sharing=False,
-            **kwargs,
-        ) as engine:
-            off = engine.timeline(designs, times)
-        for a, b in zip(on, off):
-            assert a.coa == b.coa
-            assert a.completion_probability == b.completion_probability
-            assert a.unpatched_fraction == b.unpatched_fraction
-            assert a.mean_time_to_completion == b.mean_time_to_completion
-            assert a.before == b.before and a.after == b.after
-
     @pytest.mark.parametrize("hetero_first", [False, True])
     def test_mixed_population_process_parity(
         self, case_study, critical_policy, variant_space, hetero_first
@@ -486,21 +421,19 @@ class TestSolveCountReduction:
     ):
         from repro.srn.reachability import exploration_count
 
-        shared = AvailabilityEvaluator(case_study, critical_policy)
+        closed = AvailabilityEvaluator(case_study, critical_policy)
         before = exploration_count()
         for design in space27:
-            shared.coa(design)
-        shared_explorations = exploration_count() - before
+            closed.coa(design)
+        closed_explorations = exploration_count() - before
 
-        fresh = AvailabilityEvaluator(
-            case_study, critical_policy, structure_sharing=False
-        )
+        srn = AvailabilityEvaluator(case_study, critical_policy)
         before = exploration_count()
         for design in space27:
-            fresh.coa(design)
-        fresh_explorations = exploration_count() - before
+            srn.network_model(design).capacity_oriented_availability()
+        srn_explorations = exploration_count() - before
 
-        # lower-layer server SRNs add a constant 3 explorations to each
-        assert shared_explorations < fresh_explorations
-        assert shared_explorations - 3 == 10
-        assert fresh_explorations - 3 == len(space27)
+        # Both explore the 3 lower-layer server SRNs; only the SRN path
+        # explores an upper layer, once per design.
+        assert closed_explorations == 3
+        assert srn_explorations - 3 == len(space27)

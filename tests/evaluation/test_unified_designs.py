@@ -234,12 +234,15 @@ class TestHomogeneousHeterogeneousParity:
             heterogeneous
         ) == evaluator.system_availability(homogeneous)
 
-    def test_closed_form_rejects_heterogeneous(
+    def test_closed_form_covers_heterogeneous(
         self, case_study, critical_policy
     ):
         evaluator = AvailabilityEvaluator(case_study, critical_policy)
-        with pytest.raises(EvaluationError):
-            evaluator.coa_closed_form(_mirrored_hetero(case_study, self.COUNTS))
+        heterogeneous = _mirrored_hetero(case_study, self.COUNTS)
+        srn = evaluator.network_model(
+            heterogeneous
+        ).capacity_oriented_availability()
+        assert evaluator.coa(heterogeneous) == pytest.approx(srn, abs=1e-12)
 
     def _overridden_case_study(self):
         from repro.availability.parameters import ComponentRates

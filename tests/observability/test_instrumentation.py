@@ -191,20 +191,22 @@ class TestWorkerTelemetryMerge:
     def test_process_sweep_merges_worker_counters(
         self, case_study, critical_policy, space
     ):
-        # The memo cache is cold, sharing is off and the executor is a
-        # process pool, so every exploration happens in a worker; the
+        # The memo cache is cold and the executor is a process pool, so
+        # every completion-chain transient solve happens in a worker; the
         # parent-visible count must still rise via telemetry merge.
-        before = exploration_count()
+        solves = REGISTRY.counter("repro_transient_solves_total").labels(
+            method="uniformisation"
+        )
+        before = solves.value
         with SweepEngine(
             case_study=case_study,
             policy=critical_policy,
             executor="process",
             max_workers=2,
             chunk_size=2,
-            structure_sharing=False,
         ) as engine:
-            engine.evaluate(space)
-        assert exploration_count() > before
+            engine.timeline(space, (0.0, 24.0, 720.0))
+        assert solves.value > before
 
     def test_chunk_queue_wait_observed_for_process_chunks(
         self, case_study, critical_policy, space
@@ -217,7 +219,6 @@ class TestWorkerTelemetryMerge:
             executor="process",
             max_workers=2,
             chunk_size=2,
-            structure_sharing=False,
         ) as engine:
             engine.evaluate(space)
         assert hist.count > before
@@ -239,8 +240,8 @@ class TestDisabledOverhead:
                 return total
 
         # Warm-up, then measure; generous bound (the contract is <2% on
-        # bench_structure_sharing, where spans wrap whole solves, not a
-        # 200-iteration toy loop).
+        # real sweeps, where spans wrap whole solves, not a 200-iteration
+        # toy loop).
         for _ in range(100):
             bare()
             instrumented()

@@ -153,8 +153,10 @@ class TestTableVI:
         assert coa == pytest.approx(0.99707, abs=5e-6)
 
     def test_srn_and_closed_form_agree(self, availability_evaluator, example_design):
-        srn = availability_evaluator.coa(example_design)
-        closed = availability_evaluator.coa_closed_form(example_design)
+        srn = availability_evaluator.network_model(
+            example_design
+        ).capacity_oriented_availability()
+        closed = availability_evaluator.coa(example_design)
         assert srn == pytest.approx(closed, abs=1e-12)
 
 

@@ -1,10 +1,11 @@
-"""Property-based tests for the structure-sharing pipeline.
+"""Property-based tests for what sweeps share across designs.
 
-The load-bearing invariant: pattern-grouped (shared-structure) solves
-are **bit-identical** to per-design solves, over arbitrary mixed
-populations of homogeneous and heterogeneous designs — the acceptance
-contract that lets the sweep engine group freely without changing a
-single result.
+The load-bearing invariants: one evaluator's cached lower-layer
+aggregates serve arbitrary mixed populations of homogeneous and
+heterogeneous designs **bit-identically** to a fresh evaluator per
+design, and solving a family of structurally identical nets together
+(:func:`repro.srn.solve_families`) is bit-identical to solving each net
+on its own.
 """
 
 from __future__ import annotations
@@ -78,32 +79,26 @@ def design_populations(draw):
     return population
 
 
+def _fresh():
+    return AvailabilityEvaluator(_CASE_STUDY, _POLICY, database=_DATABASE)
+
+
 class TestGroupedSolveParity:
     @given(design_populations())
     @settings(max_examples=15, deadline=None)
     def test_grouped_coa_bit_identical_to_per_design(self, population):
-        shared = AvailabilityEvaluator(
-            _CASE_STUDY, _POLICY, database=_DATABASE
-        )
-        fresh = AvailabilityEvaluator(
-            _CASE_STUDY, _POLICY, database=_DATABASE, structure_sharing=False
-        )
+        shared = _fresh()
         for design in population:
-            assert shared.coa(design).hex() == fresh.coa(design).hex()
+            assert shared.coa(design).hex() == _fresh().coa(design).hex()
 
     @given(design_populations(), st.integers(min_value=1, max_value=4))
     @settings(max_examples=8, deadline=None)
     def test_grouped_transient_bit_identical(self, population, points):
         times = tuple(float(24 * 30 * i) for i in range(points + 1))
-        shared = AvailabilityEvaluator(
-            _CASE_STUDY, _POLICY, database=_DATABASE
-        )
-        fresh = AvailabilityEvaluator(
-            _CASE_STUDY, _POLICY, database=_DATABASE, structure_sharing=False
-        )
+        shared = _fresh()
         for design in population:
             a = shared.transient_coa(design, times)
-            b = fresh.transient_coa(design, times)
+            b = _fresh().transient_coa(design, times)
             assert a.tobytes() == b.tobytes()
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import os
 
-import pytest
-
 from repro.evaluation.cache import PersistentEvaluationCache
 from repro.evaluation.engine import SweepEngine
 from repro.evaluation.sweep import enumerate_designs
@@ -81,6 +79,8 @@ class TestCacheDegrade:
 class TestBreakerFallback:
     def test_open_breaker_routes_steady_state_direct(self, monkeypatch):
         from repro.enterprise import scaled_case_study
+        from repro.evaluation import AvailabilityEvaluator
+        from repro.patching import CriticalVulnerabilityPolicy
 
         # Push the auto path onto the iterative solver for this model
         # size, then make its very first solve fail: threshold 1 opens
@@ -90,10 +90,16 @@ class TestBreakerFallback:
         arm(monkeypatch, "solver.iterative:fail@1")
 
         case_study, design = scaled_case_study(6, 3)  # 343 states
-        clean = SweepEngine(case_study=case_study).evaluate([design])
 
-        faulted_engine = SweepEngine(case_study=case_study)
-        faulted = faulted_engine.evaluate([design])
+        def srn_coa():
+            evaluator = AvailabilityEvaluator(
+                case_study, CriticalVulnerabilityPolicy()
+            )
+            model = evaluator.network_model(design)
+            return model.capacity_oriented_availability()
+
+        clean = srn_coa()
+        faulted = srn_coa()
         assert faulted == clean
 
         brk = breaker("solver.iterative")
@@ -114,10 +120,7 @@ class TestBreakerFallback:
 
 
 class TestWorkerKillRecovery:
-    @pytest.mark.parametrize("structure_sharing", [False, True])
-    def test_killed_worker_recycles_once_and_results_match(
-        self, monkeypatch, structure_sharing
-    ):
+    def test_killed_worker_recycles_once_and_results_match(self, monkeypatch):
         # Arm before the engine exists: SweepEngine materialises the
         # one-shot token directory in __init__, so forked pool workers
         # inherit it through the environment.
@@ -125,12 +128,8 @@ class TestWorkerKillRecovery:
         designs = list(enumerate_designs(["dns", "web"], max_replicas=2))
         clean = SweepEngine().evaluate(designs)
 
-        # Fresh per-chunk evaluators, or workers primed from shared memory.
-        engine = SweepEngine(
-            executor="process",
-            max_workers=2,
-            structure_sharing=structure_sharing,
-        )
+        # Workers primed from shared memory.
+        engine = SweepEngine(executor="process", max_workers=2)
         try:
             recovered = engine.evaluate(designs)
         finally:

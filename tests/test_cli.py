@@ -494,13 +494,13 @@ class TestCacheCli:
 
 
 class TestSharedMemoryFlag:
-    def test_no_shared_memory_matches_default(self, capsys):
-        args = ["sweep", "--roles", "dns,web", "--max-replicas", "2", "--json"]
-        assert main(args) == 0
-        default = json.loads(capsys.readouterr().out)
-        assert main(args + ["--no-shared-memory"]) == 0
-        baseline = json.loads(capsys.readouterr().out)
-        assert default["designs"] == baseline["designs"]
+    @pytest.mark.parametrize("command", ["sweep", "timeline", "serve"])
+    @pytest.mark.parametrize("flag", ["--shared-memory", "--no-shared-memory"])
+    def test_flag_is_gone(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_process_executor_with_sharing(self, capsys):
         assert (
@@ -516,7 +516,6 @@ class TestSharedMemoryFlag:
                     "process",
                     "--jobs",
                     "2",
-                    "--shared-memory",
                 ]
             )
             == 0
@@ -525,28 +524,11 @@ class TestSharedMemoryFlag:
         assert payload["executor"] == "process"
         assert payload["design_count"] == 4
 
-    def test_timeline_no_shared_memory_matches_default(self, capsys):
-        args = [
-            "timeline",
-            "--roles",
-            "dns,web",
-            "--max-replicas",
-            "2",
-            "--points",
-            "4",
-            "--json",
-        ]
-        assert main(args) == 0
-        default = json.loads(capsys.readouterr().out)
-        assert main(args + ["--no-shared-memory"]) == 0
-        baseline = json.loads(capsys.readouterr().out)
-        assert default["designs"] == baseline["designs"]
-
     def test_help_epilog_documents_sharing(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
         out = capsys.readouterr().out
-        assert "structure sharing" in out
+        assert "closed-form COA" in out
         assert "multiprocessing.shared_memory" in out
 
 
