@@ -1,12 +1,11 @@
 """Tentpole bench: the resident warm-pool evaluation service.
 
 Every CLI sweep pays the full start-up bill: engine construction, the
-lower-layer aggregate and per-pattern structure solves, the shared
-memory segment build, and (for the process executor) spawning and
-priming a fresh worker pool — then throws all of it away.  The warm
-path (``repro serve`` / a long-lived :class:`SweepEngine`) keeps the
-pool, the primed workers, the shared segment and the caches resident,
-so a repeated sweep costs only the dispatch.
+lower-layer aggregate solves and (for the process executor) spawning
+and priming a fresh worker pool — then throws all of it away.  The
+warm path (``repro serve`` / a long-lived :class:`SweepEngine`) keeps
+the pool, the primed workers and the caches resident, so a repeated
+sweep costs only the dispatch.
 
 Assertions on the paper's 27-design space (dns/web/app x 1..3):
 
@@ -84,7 +83,7 @@ def test_warm_pool_speedup():
     )
 
     # Cold: what every per-call invocation pays — interpreter, imports,
-    # case-study precompute, pool spawn, segment build — all discarded.
+    # case-study precompute, pool spawn, worker priming — all discarded.
     cold_s, cold_payload = float("inf"), None
     for _ in range(COLD_TRIALS):
         start = time.perf_counter()
@@ -97,10 +96,10 @@ def test_warm_pool_speedup():
         cold_s = min(cold_s, time.perf_counter() - start)
         cold_payload = json.loads(completed.stdout)
 
-    # Warm: the resident service — warm pool, primed workers,
-    # retained shared segment.  The engine memo and the service's
-    # response memory are cleared between repeats, so every repeat
-    # genuinely re-dispatches all 27 designs through the warm pool.
+    # Warm: the resident service — warm pool, primed workers.  The
+    # engine memo and the service's response memory are cleared between
+    # repeats, so every repeat genuinely re-dispatches all 27 designs
+    # through the warm pool.
     service = EvaluationService(
         executor="process", max_workers=2, max_designs=64
     )

@@ -28,8 +28,8 @@ Commands
     multiplier-1 campaign is byte-identical to the stationary timeline.
 ``serve``
     Resident evaluation service: a bounded pool of warm sweep-engine
-    *lanes* (warm worker pools, retained shared-memory aggregates,
-    result caches), one per evaluation context, behind a versioned
+    *lanes* (warm, primed worker pools and result caches), one per
+    evaluation context, behind a versioned
     HTTP/JSON API.  ``POST /v1/sweep`` and ``POST /v1/timeline`` take
     one request envelope (space / options / priority / deadline_ms /
     stream) and answer with exactly the corresponding ``--json``
@@ -50,8 +50,8 @@ Commands
 Observability
 -------------
 Every command accepts a global ``-v``/``--verbose`` flag (repeat for
-debug level) that turns on the module loggers — context builds, warm
-shared-context reuse, pool recycles, cache writes.  ``sweep`` and
+debug level) that turns on the module loggers — evaluator builds,
+pool recycles, cache writes.  ``sweep`` and
 ``timeline`` accept ``--trace FILE``: span tracing is enabled for the
 run and a Chrome trace-event JSON file (open it in Perfetto or
 ``chrome://tracing``) is written on success, with worker-side spans
@@ -79,8 +79,8 @@ persists results across invocations, so re-running a sweep or timeline
 only pays for designs not seen before.  COA comes from the closed form
 of the independent per-server chains (no upper-layer state space); the
 lower-layer aggregates are solved once per role or variant and, with
-``--executor process``, published to the pool workers over
-``multiprocessing.shared_memory``.
+``--executor process``, handed to every pool worker as pool-initializer
+arguments.
 """
 
 from __future__ import annotations
@@ -511,7 +511,7 @@ def _serve(args: argparse.Namespace) -> int:
 
 
 def _shard(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
+    from repro.errors import DeadlineExceeded, ReproError
     from repro.evaluation.sharding import ShardCoordinator
 
     roles = _parse_roles(args.roles)
@@ -554,9 +554,8 @@ def _shard(args: argparse.Namespace) -> int:
             payload = coordinator.sweep(**fields)
     except ReproError as exc:
         print(f"shard failed: {exc}", file=sys.stderr)
-        # A blown deadline_ms surfaces as the service's 504 envelope in
-        # the client error; keep the CLI deadline exit-code contract.
-        return 3 if "deadline_exceeded" in str(exc) else 2
+        # A blown deadline_ms keeps the CLI deadline exit-code contract.
+        return 3 if isinstance(exc, DeadlineExceeded) else 2
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -595,11 +594,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             "  chains, so COA factorises per tier and needs no state space\n"
             "  (the SRN stays the oracle behind 'reproduce').  The per-role\n"
             "  Table V aggregates are solved once and reused across the whole\n"
-            "  design space; with --executor process they are published to\n"
-            "  the pool workers through multiprocessing.shared_memory so\n"
-            "  chunks carry only designs.  Persistent result caches (--cache\n"
-            "  PATH) are maintained with 'python -m repro cache\n"
-            "  stats|purge|trim'.\n"
+            "  design space; with --executor process every pool worker gets\n"
+            "  them as pool-initializer arguments, so chunks carry only\n"
+            "  designs.  Persistent result caches (--cache PATH) are\n"
+            "  maintained with 'python -m repro cache stats|purge|trim'.\n"
             "\n"
             "staged rollouts:\n"
             "  'timeline' models staged patch campaigns (canary -> ramp ->\n"
@@ -628,9 +626,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             "  preconditioned iterative path automatically.\n"
             "\n"
             "observability:\n"
-            "  -v/--verbose logs engine decisions (context builds, warm\n"
-            "  reuse, pool recycles, cache writes) to stderr; repeat for\n"
-            "  debug.  'sweep'/'timeline' --trace FILE writes a Chrome\n"
+            "  -v/--verbose logs engine decisions (evaluator builds, pool\n"
+            "  recycles, cache writes) to stderr; repeat for debug.\n"
+            "  'sweep'/'timeline' --trace FILE writes a Chrome\n"
             "  trace-event JSON of the run's spans (Perfetto-viewable),\n"
             "  including worker-side solver spans merged from process\n"
             "  pools.  'serve' reports the process-wide metrics registry\n"
@@ -660,8 +658,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             "  finished designs from the shared sqlite result tier.\n"
             "  REPRO_FAULTS='point:action@n;...' injects deterministic\n"
             "  faults for chaos testing (points: cache.read, cache.write,\n"
-            "  solver.iterative, solver.transient, shared.attach,\n"
-            "  worker.chunk, shard.request; actions: error, fail, kill)\n"
+            "  solver.iterative, solver.transient, worker.chunk,\n"
+            "  shard.request; actions: error, fail, kill)\n"
             "  — each fault\n"
             "  fires exactly once fleet-wide at the n-th hit of its\n"
             "  point, and recovered runs are byte-identical to clean\n"
@@ -722,7 +720,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         command.add_argument(
             "--executor",
-            choices=("serial", "thread", "process"),
+            choices=("serial", "process"),
             default="serial",
             help="sweep-engine executor (default: serial)",
         )
@@ -730,7 +728,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "--jobs",
             type=int,
             default=None,
-            help="worker count for the thread/process pool executors",
+            help="worker count for the process-pool executor",
         )
         command.add_argument(
             "--cache",
@@ -855,9 +853,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     serve = commands.add_parser(
         "serve",
         help=(
-            "resident evaluation service: a warm sweep engine (warm "
-            "worker pool + shared-memory aggregates + result caches) "
-            "behind an HTTP/JSON API"
+            "resident evaluation service: a warm sweep engine (warm, "
+            "primed worker pool + result caches) behind an HTTP/JSON API"
         ),
         description=(
             "Serve POST /v1/sweep, POST /v1/timeline, GET /v1/healthz and "
@@ -873,8 +870,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             "options.shard serves one hash partition of the space (the "
             "server half of 'repro shard').  Identical in-flight "
             "requests share one computation, repeats are answered from "
-            "a response memory, and every lane's pool and shared-memory "
-            "state stays warm across requests."
+            "a response memory, and every lane's primed worker pool "
+            "stays warm across requests."
         ),
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -886,16 +883,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     serve.add_argument(
         "--executor",
-        choices=("serial", "thread", "process"),
+        choices=("serial", "process"),
         default="process",
-        help="engine executor; thread/process pools stay warm across "
+        help="engine executor; the process pool stays warm across "
         "requests (default: process)",
     )
     serve.add_argument(
         "--jobs",
         type=int,
         default=None,
-        help="worker count for the thread/process pool executors",
+        help="worker count for the process-pool executor",
     )
     serve.add_argument(
         "--cache",

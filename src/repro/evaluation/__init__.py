@@ -11,8 +11,8 @@ design spaces — homogeneous replica counts and heterogeneous variant
 assignments alike, unified behind the
 :class:`~repro.enterprise.design.DesignSpec` protocol;
 :mod:`repro.evaluation.engine` scales those sweeps with caching and
-pluggable (serial/thread/process-pool) executors whose pools stay warm
-until closed; :mod:`repro.evaluation.service` keeps one warm engine
+pluggable (serial/process-pool) executors whose pools stay warm until
+closed; :mod:`repro.evaluation.service` keeps one warm engine
 resident behind an HTTP/JSON API (``repro serve``);
 :mod:`repro.evaluation.cost` adds the operational-cost
 extension sketched in Section V.
@@ -33,7 +33,6 @@ from repro.evaluation.engine import (
     ProcessExecutor,
     SerialExecutor,
     SweepEngine,
-    ThreadExecutor,
 )
 from repro.evaluation.requirements import (
     MultiMetricRequirement,
@@ -69,7 +68,6 @@ __all__ = [
     "SweepEngine",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "TwoMetricRequirement",
     "MultiMetricRequirement",

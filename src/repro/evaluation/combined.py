@@ -123,8 +123,8 @@ def evaluate_designs_shared(
     :class:`AvailabilityEvaluator` amortises the per-role (and
     per-variant) lower-layer SRN solves across every design in the
     chunk, whatever mix of spec kinds the chunk holds.  Pass
-    evaluator instances (e.g. primed from shared memory) to reuse their
-    caches.
+    evaluator instances (e.g. a pool worker's primed pair) to reuse
+    their caches.
 
     A failing design raises an error carrying the design label (see
     :func:`labelled`) — always picklable, so process-pool sweeps surface
@@ -189,9 +189,9 @@ def evaluate_designs(
 ) -> list[DesignEvaluation]:
     """Evaluate many designs with shared (cached) evaluators.
 
-    *executor* selects a sweep-engine executor (``"serial"``,
-    ``"thread"`` or ``"process"``); the default runs in-process without
-    engine overhead.
+    *executor* selects a sweep-engine executor (``"serial"`` or
+    ``"process"``); the default runs in-process without engine
+    overhead.
     """
     if case_study is None:
         case_study = paper_case_study()

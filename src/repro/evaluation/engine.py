@@ -23,14 +23,13 @@ Caching / batching contract
   contiguous chunks; one dispatch loop hands them to the executor and
   memoises each chunk's results as it arrives, so a call stopped by a
   deadline or a preemption checkpoint keeps every finished chunk.
-* **One evaluator pair.**  The serial and thread executors run every
-  chunk over the engine's long-lived
-  ``SecurityEvaluator``/``AvailabilityEvaluator`` pair (one lower-layer
-  SRN solve per role or variant; the upper-layer COA is closed-form).
-  The process executor solves those aggregates in the parent and
-  publishes them to pool workers through ``multiprocessing.shared_memory``
-  with a pool initializer — the case study is pickled once per worker
-  and chunks carry only designs.
+* **One evaluator pair.**  The serial executor runs every chunk over
+  the engine's long-lived ``SecurityEvaluator``/``AvailabilityEvaluator``
+  pair (one lower-layer SRN solve per role or variant; the upper-layer
+  COA is closed-form).  The process executor solves those aggregates in
+  the parent and hands them to every pool worker as pool-initializer
+  arguments, so workers never re-solve the lower layer and chunks carry
+  only designs.
 * **Deterministic ordering.**  Results are always returned in input
   order, regardless of executor: chunks are indexed at submission and
   reassembled positionally.  Every executor produces byte-identical
@@ -46,10 +45,6 @@ Executors
 ---------
 ``"serial"``
     In-process loop; zero overhead, the default.
-``"thread"``
-    ``concurrent.futures.ThreadPoolExecutor``; the cheap parallelism —
-    no fork, no pickling — that pays off because the solve phase spends
-    its time in scipy's ``spsolve``, which releases the GIL.
 ``"process"``
     ``concurrent.futures.ProcessPoolExecutor``; one chunk per task.
 Custom executors implement :class:`Executor` (an ``iter_run(fn,
@@ -58,23 +53,24 @@ directly.
 
 Warm pools
 ----------
-A pool executor starts its pool on first use and keeps it warm until
+A process pool starts on first use and stays warm until
 :meth:`Executor.close` (or :meth:`SweepEngine.close`; use the engine as
 a context manager).  A single chunk with no live pool runs in-process
-instead of spawning one.  A process pool stays primed: the engine
-retains the shared-memory segment for the pool's lifetime (so
-late-spawned workers can still attach) and re-primes through the same
-initializer when the pool is recycled.  A worker death
-(``BrokenExecutor``) recycles the pool — shutdown, respawn, re-run the
-initializer — and retries the batches not yet yielded under the
-executor's :class:`~repro.resilience.RetryPolicy` (one retry by
-default); chunk evaluation is pure and deterministic, so the retry is
-byte-identical to an undisturbed run.
+instead of spawning one.  The engine keeps one growing table of the
+roles and variants it has primed workers with: a dispatch that adds an
+entry recycles the pool once so fresh workers get the larger table;
+every other dispatch, new replica counts over known stacks included,
+reuses the warm pool.  A worker death (``BrokenExecutor``) recycles the
+pool — shutdown, respawn, re-run the initializer — and retries the
+batches not yet yielded under the executor's
+:class:`~repro.resilience.RetryPolicy` (one retry by default); chunk
+evaluation is pure and deterministic, so the retry is byte-identical to
+an undisturbed run.
 
 Every call can carry a :class:`~repro.resilience.Deadline` and a
 preemption checkpoint: both are checked before dispatch and at every
-chunk boundary the dispatch loop consumes (in-process executors also
-check at chunk entry), raising the typed
+chunk boundary the dispatch loop consumes (the serial executor also
+checks at chunk entry), raising the typed
 :class:`~repro.errors.DeadlineExceeded` — or the checkpoint's own
 signal — instead of finishing work nobody is waiting for.
 """
@@ -85,22 +81,25 @@ import logging
 import os
 import time
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import closing
 from functools import partial
 from typing import Any
 
 from repro import observability
 from repro._validation import check_positive_int
+from repro.availability.aggregation import ServiceAggregate
 from repro.enterprise.casestudy import EnterpriseCaseStudy, paper_case_study
 from repro.enterprise.design import DesignSpec
 from repro.enterprise.roles import ServerRole
 from repro.errors import EvaluationError
-from repro.evaluation.combined import DesignEvaluation, evaluate_designs_shared
+from repro.evaluation.availability import AvailabilityEvaluator, design_tiers
+from repro.evaluation.combined import (
+    DesignEvaluation,
+    evaluate_designs_shared,
+    labelled,
+)
+from repro.evaluation.security import SecurityEvaluator
 from repro.observability import tracing
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import active_plan, fault_point
@@ -111,7 +110,6 @@ from repro.vulnerability.database import VulnerabilityDatabase
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "SweepEngine",
 ]
@@ -153,10 +151,10 @@ class Executor:
         """Yield ``fn(*batch)`` for each batch, in batch order.
 
         *initializer* (called with *initargs*) primes every pool worker
-        before it runs a batch — the shared-memory attach of a process
-        sweep.  *key* identifies that priming: a warm pool is reused
-        while the key matches and recycled when it changes (``None``
-        never matches).  In-process executors have no
+        before it runs a batch — a process sweep hands workers the
+        lower-layer aggregates this way.  *key* identifies that priming:
+        a warm pool is reused while the key matches and recycled when it
+        changes (``None`` never matches).  In-process executors have no
         workers to prime and ignore all three.
         """
         raise NotImplementedError
@@ -179,8 +177,8 @@ class SerialExecutor(Executor):
             yield fn(*batch)
 
 
-class _PoolExecutor(Executor):
-    """Ordered submit/collect over one warm futures pool.
+class ProcessExecutor(Executor):
+    """``ProcessPoolExecutor``-backed executor with ordered results.
 
     The pool is created on first use, kept warm across calls, recycled
     when a worker dies, and torn down by :meth:`close` — see the module
@@ -189,7 +187,7 @@ class _PoolExecutor(Executor):
     respawn is itself the backoff).
     """
 
-    _pool_factory: Callable[..., Any]
+    name = "process"
 
     #: Recycle-and-retry after worker death: one retry, no sleep.
     DEFAULT_RETRY = RetryPolicy(attempts=2, base_delay=0.0)
@@ -272,8 +270,8 @@ class _PoolExecutor(Executor):
             except EvaluationError as exc:
                 if not self._worker_died(exc):
                     raise
-                # Fresh workers re-run the stored initializer, re-priming
-                # from the still-alive shared segment.  Broken on every
+                # Fresh workers re-run the stored initializer with the
+                # stored aggregate table.  Broken on every
                 # attempt means something systematic (a failing
                 # initializer, OOM): raise, leaving no zombie pool.
                 self._shutdown_pool()
@@ -300,13 +298,13 @@ class _PoolExecutor(Executor):
         self._initargs = initargs
         self._pool_key = key
 
-    def _ensure_pool(self):
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            kwargs: dict[str, Any] = {"max_workers": self.max_workers}
-            if self._initializer is not None:
-                kwargs["initializer"] = self._initializer
-                kwargs["initargs"] = self._initargs
-            self._pool = self._pool_factory(**kwargs)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.max_workers,
+                initializer=self._initializer,
+                initargs=self._initargs,
+            )
         return self._pool
 
     @staticmethod
@@ -337,45 +335,25 @@ class _PoolExecutor(Executor):
         self._initargs = ()
         self._pool_key = None
 
-    def __enter__(self) -> "_PoolExecutor":
+    def __enter__(self) -> "ProcessExecutor":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
 
-class ThreadExecutor(_PoolExecutor):
-    """``ThreadPoolExecutor``-backed executor with ordered results.
-
-    The cheap alternative to a process pool: no fork, no pickling, and
-    real parallelism during the solve phase because scipy's ``spsolve``
-    releases the GIL.  Results are identical to serial.
-    """
-
-    name = "thread"
-    _pool_factory = ThreadPoolExecutor
-
-
-class ProcessExecutor(_PoolExecutor):
-    """``ProcessPoolExecutor``-backed executor with ordered results."""
-
-    name = "process"
-    _pool_factory = ProcessPoolExecutor
-
-
 def _serial_factory(max_workers: int | None) -> Executor:
     if max_workers is not None:
         raise EvaluationError(
-            "max_workers requires a pool executor ('thread' or 'process'); "
-            "the serial executor runs everything in-process"
+            "max_workers requires the 'process' executor; the serial "
+            "executor runs everything in-process"
         )
     return SerialExecutor()
 
 
 _EXECUTORS: dict[str, Callable[[int | None], Executor]] = {
     "serial": _serial_factory,
-    "thread": lambda max_workers: ThreadExecutor(max_workers),
-    "process": lambda max_workers: ProcessExecutor(max_workers),
+    "process": ProcessExecutor,
 }
 
 
@@ -457,11 +435,10 @@ def _chunk(
 
     *evaluators* is the evaluator source, a zero-argument callable
     returning ``(security, availability, case_study, policy)``: the
-    engine's own long-lived pair (in-process executors) or
-    :func:`repro.evaluation.shared_memory.primed_evaluators` (the pair a
-    pool worker primed from shared memory).  *kind* is ``"evaluation"``
-    or ``"timeline"``; a timeline's *params* are ``(times, tolerance,
-    campaign, method)``.
+    engine's own long-lived pair (in-process chunks) or
+    :func:`_worker_evaluators` (the pair a pool worker's initializer
+    primed).  *kind* is ``"evaluation"`` or ``"timeline"``; a
+    timeline's *params* are ``(times, tolerance, campaign, method)``.
     """
     fault_point("worker.chunk", worker_only=True)
     return observability.capture(
@@ -497,6 +474,45 @@ def _evaluate_chunk(pair: tuple, kind: str, params: tuple, designs) -> list:
         )
 
 
+def _new_evaluator_pair(case_study, policy, database) -> tuple:
+    """A fresh ``(security, availability, case_study, policy)`` pair."""
+    return (
+        SecurityEvaluator(case_study, database=database),
+        AvailabilityEvaluator(case_study, policy, database=database),
+        case_study,
+        policy,
+    )
+
+
+#: This pool worker's evaluator pair, built by :func:`_initialize_worker`.
+_WORKER_PAIR: tuple | None = None
+
+
+def _initialize_worker(case_study, policy, database, roles, variants) -> None:
+    """Pool initializer: build this worker's primed evaluator pair.
+
+    *roles* (role -> aggregate) and *variants* ((role, variant) ->
+    aggregate) are the parent's lower-layer Table V rows.  They arrive
+    as initializer arguments, bit-exact, so no worker re-solves the
+    lower layer and worker results are byte-identical to in-process
+    ones.
+    """
+    global _WORKER_PAIR
+    pair = _new_evaluator_pair(case_study, policy, database)
+    pair[1].prime_aggregates(roles=roles, variants=variants)
+    _WORKER_PAIR = pair
+
+
+def _worker_evaluators() -> tuple:
+    """Evaluator source of pool workers: the pair the initializer built."""
+    if _WORKER_PAIR is None:
+        raise EvaluationError(
+            "pool worker used before initialization; the pool initializer "
+            "did not run"
+        )
+    return _WORKER_PAIR
+
+
 def _map_chunk(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
@@ -519,11 +535,11 @@ class SweepEngine:
     policy:
         Patch policy (default: critical-only, base score > 8.0).
     executor:
-        ``"serial"``, ``"thread"``, ``"process"`` or an :class:`Executor`
-        instance.  Pool executors stay warm until :meth:`close`, so
-        build pool engines as context managers.
+        ``"serial"``, ``"process"`` or an :class:`Executor` instance.
+        The process pool stays warm until :meth:`close`, so build
+        process engines as context managers.
     max_workers:
-        Worker cap for the named pool executors; rejected alongside an
+        Worker cap for the process executor; rejected alongside an
         :class:`Executor` instance (configure the instance directly).
     chunk_size:
         Designs per executor task; defaults to an even split over
@@ -583,13 +599,10 @@ class SweepEngine:
         # this materialises the shared one-shot token directory before
         # pool workers fork, so they inherit it through the environment.
         active_plan()
-        # Process-pool state: the retained shared-memory context and the
-        # deduped designs folded into it.  The segment must outlive each
-        # dispatch so late-spawned or recycled workers can still attach
-        # and re-prime.
-        self._warm_context = None
-        self._warm_designs: list[DesignSpec] = []
-        self._warm_design_set: set[DesignSpec] = set()
+        # The lower-layer aggregates process-pool workers are primed
+        # with.  Grows per distinct role or variant, never per design.
+        self._primed_roles: dict[str, ServiceAggregate] = {}
+        self._primed_variants: dict[tuple[str, ServerRole], ServiceAggregate] = {}
 
     # -- sweeping -----------------------------------------------------------
 
@@ -766,16 +779,12 @@ class SweepEngine:
     def close(self) -> None:
         """Release pool resources (idempotent).
 
-        Unlinks the retained shared-memory segment, shuts down the
-        executor's warm pool and closes the persistent disk cache.  Use
-        the context-manager form::
+        Shuts down the executor's warm pool and closes the persistent
+        disk cache.  Use the context-manager form::
 
             with SweepEngine(executor="process") as engine:
                 engine.evaluate(designs)
         """
-        if self._warm_context is not None:
-            self._warm_context.unlink()
-            self._warm_context = None
         self.executor.close()
         if self.persistent_cache is not None:
             self.persistent_cache.close()
@@ -809,111 +818,79 @@ class SweepEngine:
             info["disk_degraded"] = int(self.persistent_cache.degraded)
         return info
 
-    @property
-    def shared_context_info(self) -> dict | None:
-        """Telemetry of the retained shared-memory context (or None)."""
-        if self._warm_context is None:
-            return None
-        return self._warm_context.describe()
-
     # -- internal -------------------------------------------------------------
 
     def _evaluators(self) -> tuple:
         """Evaluator source: the engine's long-lived pair (lazily created).
 
-        Shared across every in-process chunk this engine runs, and used
-        as the precompute cache feeding the shared-memory context of
-        process sweeps — repeated sweeps only solve aggregates they have
-        not seen before.
+        Shared across every in-process chunk this engine runs, and the
+        solver of the aggregates process-pool workers are primed with —
+        repeated sweeps only solve aggregates they have not seen before.
         """
         if self._evaluator_pair is None:
-            from repro.evaluation.availability import AvailabilityEvaluator
-            from repro.evaluation.security import SecurityEvaluator
-
             _logger.debug(
                 "creating the engine's shared evaluator pair (executor=%s)",
                 self.executor.name,
             )
-            self._evaluator_pair = (
-                SecurityEvaluator(self.case_study, database=self.database),
-                AvailabilityEvaluator(
-                    self.case_study, self.policy, database=self.database
-                ),
-                self.case_study,
-                self.policy,
+            self._evaluator_pair = _new_evaluator_pair(
+                self.case_study, self.policy, self.database
             )
         return self._evaluator_pair
 
-    def _warm_shared_context(self, designs: Sequence[Any]):
-        """The retained shared-memory context for a process dispatch.
+    def _worker_priming(self, designs: Sequence[DesignSpec]) -> dict[str, Any]:
+        """Pool priming that covers every role and variant of *designs*.
 
-        Reused as long as it covers every design of this dispatch (the
-        common case: repeated sweeps over one space).  A design bringing
-        a new role or variant rebuilds the context over everything seen
-        so far — the parent-side evaluator caches make that incremental
-        — and the changed segment name recycles the pool, so fresh
-        workers re-prime with the superset.
+        Folds their aggregates into the engine's primed table, solving
+        only stacks not seen before; a bad design raises its labelled
+        error here, before anything is submitted.  The table only grows,
+        so the engine and the table's size form the pool key: a dispatch
+        that adds an entry recycles the pool once, every other dispatch
+        reuses it, and an executor shared between engines re-primes.
         """
-        from repro.evaluation.shared_memory import SharedSweepContext
+        availability = self._evaluators()[1]
+        roles, variants = self._primed_roles, self._primed_variants
 
-        if self._warm_context is not None and self._warm_context.covers(
-            designs
-        ):
-            _logger.debug(
-                "reusing warm shared context %s for %d design(s)",
-                self._warm_context.segment_name,
-                len(designs),
-            )
-            return self._warm_context
+        def fold(design: DesignSpec) -> None:
+            for role, groups in design_tiers(design):
+                for variant, _ in groups:
+                    if variant is None:
+                        roles[role] = availability.aggregate(role)
+                    else:
+                        variants[(role, variant)] = availability.variant_aggregate(
+                            variant, role
+                        )
+
         for design in designs:
-            if design not in self._warm_design_set:
-                self._warm_design_set.add(design)
-                self._warm_designs.append(design)
-        previous = self._warm_context
-        _logger.debug(
-            "rebuilding warm shared context over %d design(s) "
-            "(previous %s)",
-            len(self._warm_designs),
-            "covered too little" if previous is not None else "absent",
-        )
-        self._warm_context = SharedSweepContext.build(
-            self.case_study,
-            self.policy,
-            self.database,
-            self._warm_designs,
-            evaluator=self._evaluators()[1],
-        )
-        if previous is not None:
-            # Old workers copied the arrays out at initialization; only
-            # *new* workers attach, and they will use the new segment.
-            previous.unlink()
-        return self._warm_context
+            labelled(
+                "precomputing aggregates for design", design, partial(fold, design)
+            )
+        return {
+            "initializer": _initialize_worker,
+            "initargs": (
+                self.case_study,
+                self.policy,
+                self.database,
+                dict(roles),
+                dict(variants),
+            ),
+            "key": (self, len(roles), len(variants)),
+        }
 
     def _run_chunks(self, kind, params, chunks, deadline, checkpoint):
         """Dispatch *chunks* over the evaluator source the executor needs.
 
-        Process pools get the shared-memory pair, except for a single
-        chunk with no live pool, which runs in-process on the engine's
-        own pair like the serial and thread executors do.
+        Process pools get the pair their workers were primed with,
+        except for a single chunk with no live pool, which runs
+        in-process on the engine's own pair like the serial executor.
         """
         priming: dict[str, Any] = {}
         if isinstance(self.executor, ProcessExecutor) and (
             len(chunks) > 1 or self.executor.live
         ):
-            from repro.evaluation.shared_memory import (
-                initialize_worker,
-                primed_evaluators,
-            )
-
-            context = self._warm_shared_context(
+            priming = self._worker_priming(
                 [design for chunk in chunks for design in chunk]
             )
-            source = primed_evaluators
-            priming = {
-                "initializer": initialize_worker,
-                "initargs": (context.worker_payload(),),
-                "key": context.segment_name,
-            }
+            source = _worker_evaluators
         else:
             source = self._evaluators
         options = observability.telemetry_options()
@@ -932,9 +909,8 @@ class SweepEngine:
         submitted and at every chunk boundary the loop consumes, for
         every executor — a stop there forfeits at most the chunks
         computed ahead, which simply recompute on resume (chunk
-        evaluation is pure).  In-process executors (serial/thread) also
-        check at chunk entry, where closing over the checkpoint needs no
-        pickling.
+        evaluation is pure).  The serial executor also checks at chunk
+        entry, where closing over the checkpoint needs no pickling.
         """
 
         def check() -> None:
@@ -945,7 +921,7 @@ class SweepEngine:
 
         check()
         if (deadline is not None or checkpoint is not None) and isinstance(
-            self.executor, (SerialExecutor, ThreadExecutor)
+            self.executor, SerialExecutor
         ):
             fn = partial(_checked_chunk, deadline, checkpoint, fn)
         dispatched = time.time()

@@ -1,13 +1,12 @@
 """Resident evaluation service: warm :class:`SweepEngine` lanes behind HTTP.
 
 The CLI pays the full start-up bill on every invocation — interpreter,
-case-study solves, process-pool spawn, shared-memory priming.  This
-module keeps all of that resident: one :class:`EvaluationService` owns
-a pool of warm :class:`~repro.evaluation.engine.SweepEngine` *lanes*
-(each with its own warm worker pool, retained shared-memory segment
-and caches) and fronts them with a small asyncio HTTP/JSON API
-(stdlib only), multiplexing many concurrent sweep/timeline requests
-over per-context engines.
+case-study solves, process-pool spawn, worker priming.  This module
+keeps all of that resident: one :class:`EvaluationService` owns a pool
+of warm :class:`~repro.evaluation.engine.SweepEngine` *lanes* (each
+with its own warm, primed worker pool and caches) and fronts them with
+a small asyncio HTTP/JSON API (stdlib only), multiplexing many
+concurrent sweep/timeline requests over per-context engines.
 
 /v1 API
 -------
@@ -111,7 +110,7 @@ Request semantics
   * **Graceful drain.**  SIGTERM (when serving via :meth:`run` on the
     main thread) stops accepting new computations (503), finishes
     in-flight requests up to ``drain_grace`` seconds, then closes the
-    lanes, pools and segments cleanly; a second SIGTERM forces an
+    lanes and pools cleanly; a second SIGTERM forces an
     immediate stop.
   * **Degraded cache.**  Persistent sqlite-cache contention degrades
     the cache to memory-only (``repro_cache_degraded``) instead of
@@ -255,11 +254,21 @@ _MAX_REMEMBERED_RESPONSES = 128
 #: Hard cap on request body size (a design-space spec is tiny).
 _MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a client gets to send its request head and body.  Past it
+#: the request is answered 408, so an idle connection cannot hold a
+#: SIGTERM drain open for the whole ``drain_grace``.
+_READ_TIMEOUT_S = 10.0
+
+#: Cap on request header lines; more are answered 431.
+_MAX_HEADER_LINES = 100
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -282,6 +291,24 @@ def _error(status: int, code: str, message: str, detail: dict | None = None):
 def _ndjson(obj) -> bytes:
     """One compact NDJSON line (the streaming wire format)."""
     return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
+
+
+class _UnreadableRequest(Exception):
+    """Internal: a request that cannot be read, with its HTTP status."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader) -> bytes:
+    """One line of a request head; an over-long line is a 431."""
+    try:
+        return await reader.readline()
+    except ValueError:  # the line overran the stream's buffer limit
+        raise _UnreadableRequest(
+            431, "request line or header line too long"
+        ) from None
 
 
 # -- engine lanes -------------------------------------------------------------
@@ -310,7 +337,6 @@ def _describe_engine(engine) -> dict:
         "persistent_pool": executor.max_workers is not None,
         "pool_recycles": getattr(executor, "recycle_count", 0),
         "cache_info": engine.cache_info,
-        "shared_context": engine.shared_context_info,
     }
 
 
@@ -615,9 +641,9 @@ class EvaluationService:
     case_study / policy:
         Evaluation context of the default lane (defaults: the paper's).
     executor:
-        ``"process"`` (default) or ``"thread"`` give every lane a warm
-        worker pool — what the service exists for; ``"serial"`` runs
-        in-process (useful for tests).
+        ``"process"`` (default) gives every lane a warm worker pool —
+        what the service exists for; ``"serial"`` runs in-process
+        (useful for tests).
     max_workers / chunk_size / cache_path:
         Passed through to every lane engine (``cache_path`` enables the
         thread-safe sqlite result store shared across lanes, restarts
@@ -645,7 +671,7 @@ class EvaluationService:
     Use :meth:`run` to serve blocking (the CLI; SIGTERM drains
     gracefully), or :meth:`start_in_thread`/:meth:`stop` for an
     in-process instance (tests); :meth:`close` releases every lane's
-    warm pool, segment and cache.
+    warm pool and cache.
     """
 
     def __init__(
@@ -667,10 +693,10 @@ class EvaluationService:
         from repro._validation import check_positive_int
         from repro.vulnerability.diversity import diversity_database
 
-        if executor not in ("serial", "thread", "process"):
+        if executor not in ("serial", "process"):
             raise EvaluationError(
-                "executor must be 'serial', 'thread' or 'process' (every "
-                f"lane builds its own), got {executor!r}"
+                "executor must be 'serial' or 'process' (every lane "
+                f"builds its own), got {executor!r}"
             )
         check_positive_int(max_designs, "max_designs")
         self.max_designs = max_designs
@@ -907,19 +933,16 @@ class EvaluationService:
         try:
             try:
                 request = await self._read_request(reader)
-                if request is None:
-                    status, payload = 400, api.error_payload(
-                        api.ERROR_INVALID_REQUEST, "malformed HTTP request"
-                    )
-                else:
-                    result = await self._dispatch(*request)
-                    if isinstance(result, _StreamPlan):
-                        status = await self._write_stream(writer, result)
-                        self._log_access(
-                            request, status, time.perf_counter() - started
-                        )
-                        return
-                    status, payload, extra_headers = result
+                result = await self._dispatch(*request)
+                if isinstance(result, _StreamPlan):
+                    status = await self._write_stream(writer, result)
+                    self._log_access(request, status, time.perf_counter() - started)
+                    return
+                status, payload, extra_headers = result
+            except _UnreadableRequest as exc:
+                status, payload = exc.status, api.error_payload(
+                    api.ERROR_INVALID_REQUEST, str(exc)
+                )
             except (ConnectionError, asyncio.IncompleteReadError):
                 writer.close()
                 return
@@ -986,30 +1009,45 @@ class EvaluationService:
 
     @staticmethod
     async def _read_request(reader):
-        """``(method, path, body, headers)`` of one request, else None.
+        """``(method, path, body, headers)`` of one request.
 
         *headers* maps lower-cased names to values (last wins) — enough
-        for content-length framing and ``Accept`` negotiation.
+        for content-length framing and ``Accept`` negotiation.  Reading
+        is bounded; an unreadable request raises
+        :class:`_UnreadableRequest`: 400 when malformed, 408 when head
+        and body take over :data:`_READ_TIMEOUT_S`, 431 for more than
+        :data:`_MAX_HEADER_LINES` header lines or an over-long line.
         """
-        line = await reader.readline()
-        parts = line.decode("latin1").split()
-        if len(parts) < 2:
-            return None
-        method, target = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin1").partition(":")
-            headers[name.strip().lower()] = value.strip()
         try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            return None
-        if length < 0 or length > _MAX_BODY_BYTES:
-            return None
-        body = await reader.readexactly(length) if length else b""
+            async with asyncio.timeout(_READ_TIMEOUT_S):
+                parts = (await _read_line(reader)).decode("latin1").split()
+                if len(parts) < 2:
+                    raise _UnreadableRequest(400, "malformed HTTP request")
+                method, target = parts[0].upper(), parts[1]
+                headers: dict[str, str] = {}
+                lines = 0
+                while True:
+                    header = await _read_line(reader)
+                    if header in (b"\r\n", b"\n", b""):
+                        break
+                    lines += 1
+                    if lines > _MAX_HEADER_LINES:
+                        raise _UnreadableRequest(
+                            431, f"more than {_MAX_HEADER_LINES} header lines"
+                        )
+                    name, _, value = header.decode("latin1").partition(":")
+                    headers[name.strip().lower()] = value.strip()
+                try:
+                    length = int(headers.get("content-length", "0"))
+                except ValueError:
+                    length = -1
+                if length < 0 or length > _MAX_BODY_BYTES:
+                    raise _UnreadableRequest(400, "malformed HTTP request")
+                body = await reader.readexactly(length) if length else b""
+        except TimeoutError:
+            raise _UnreadableRequest(
+                408, f"request not received within {_READ_TIMEOUT_S:g} s"
+            ) from None
         return method, target.split("?", 1)[0], body, headers
 
     # -- dispatch -----------------------------------------------------------
@@ -1571,6 +1609,19 @@ class EvaluationService:
 # -- client -------------------------------------------------------------------
 
 
+def _request_failed(what: str, parsed) -> EvaluationError:
+    """The client error for a failed answer, typed by its error envelope.
+
+    A ``deadline_exceeded`` code gives :class:`DeadlineExceeded` (still
+    an :class:`EvaluationError`), so callers branch on the type.
+    """
+    detail = parsed.get("error", parsed) if isinstance(parsed, dict) else parsed
+    code = detail.get("code") if isinstance(detail, dict) else None
+    if code == api.ERROR_DEADLINE_EXCEEDED:
+        return DeadlineExceeded(f"{what}: {detail}")
+    return EvaluationError(f"{what}: {detail}")
+
+
 class ServiceClient:
     """Small synchronous client for :class:`EvaluationService`.
 
@@ -1706,9 +1757,8 @@ class ServiceClient:
     def _checked(self, method: str, path: str, payload: dict | None = None) -> dict:
         status, parsed = self.request(method, path, payload)
         if status != 200:
-            detail = parsed.get("error", parsed) if isinstance(parsed, dict) else parsed
-            raise EvaluationError(
-                f"service {path} request failed (HTTP {status}): {detail}"
+            raise _request_failed(
+                f"service {path} request failed (HTTP {status})", parsed
             )
         return parsed
 
@@ -1785,14 +1835,9 @@ class ServiceClient:
                     parsed = json.loads(data)
                 except json.JSONDecodeError:
                     parsed = data
-                detail = (
-                    parsed.get("error", parsed)
-                    if isinstance(parsed, dict)
-                    else parsed
-                )
-                raise EvaluationError(
-                    f"service {path} stream failed "
-                    f"(HTTP {response.status}): {detail}"
+                raise _request_failed(
+                    f"service {path} stream failed (HTTP {response.status})",
+                    parsed,
                 )
             while True:
                 line = response.readline()

@@ -37,7 +37,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro import observability
-from repro.errors import EvaluationError, FaultInjected, ValidationError
+from repro.errors import (
+    DeadlineExceeded,
+    EvaluationError,
+    FaultInjected,
+    ValidationError,
+)
 from repro.evaluation import api
 from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy
@@ -187,10 +192,16 @@ class ShardCoordinator:
                 continue
             _SHARD_REQUESTS.inc(outcome="ok")
             return response
-        raise EvaluationError(
+        # A deadline that ran out on every attempt stays a deadline.
+        error = (
+            DeadlineExceeded
+            if isinstance(last_error, DeadlineExceeded)
+            else EvaluationError
+        )
+        raise error(
             f"shard {index}/{self.shard_count} failed on every endpoint "
             f"({self.retry.attempts} attempt(s)); last error: {last_error}"
-        )
+        ) from last_error
 
     @staticmethod
     def _merge(designs, responses: list[dict], timeline: bool) -> dict:

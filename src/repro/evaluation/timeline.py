@@ -676,8 +676,8 @@ def evaluate_timelines_shared(
     :class:`AvailabilityEvaluator` amortises the per-role and
     per-variant lower-layer SRN solves across every design in the
     chunk, whatever mix of spec kinds the chunk holds.  Pass
-    evaluator instances (e.g. primed from shared memory) to reuse their
-    caches.  Failures carry the design label (see
+    evaluator instances (e.g. a pool worker's primed pair) to reuse
+    their caches.  Failures carry the design label (see
     :func:`repro.evaluation.combined.labelled`).
     """
     if security_evaluator is None:
@@ -721,9 +721,9 @@ def evaluate_timelines(
 ) -> list[DesignTimeline]:
     """Timelines of many designs, optionally fanned out in parallel.
 
-    *executor* selects a sweep-engine executor (``"serial"``,
-    ``"thread"`` or ``"process"``); the default runs in-process without
-    engine overhead.  Results are in input order and byte-identical
+    *executor* selects a sweep-engine executor (``"serial"`` or
+    ``"process"``); the default runs in-process without engine
+    overhead.  Results are in input order and byte-identical
     across executors.  *campaign* stages the rollout (shared by every
     design; completion-fraction triggers still resolve per design).
     """

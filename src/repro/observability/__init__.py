@@ -72,7 +72,7 @@ def telemetry_options() -> dict[str, Any]:
     """Options to ship to a worker-process chunk entry point.
 
     ``parent`` pins the dispatching pid: :func:`capture` only engages
-    when it runs in a *different* process, so serial/thread executors
+    when it runs in a *different* process, so the serial executor
     (and the single-batch in-parent shortcut) record straight into the
     shared registry with no delta round-trip.
     """
@@ -85,9 +85,9 @@ def capture(
     """Run *fn* under worker-side telemetry capture.
 
     With falsy *options*, or when still in the dispatching process
-    (serial/thread executors — the registry and trace buffer are
-    already shared), this is a plain call returning *fn*'s result
-    unchanged.  Otherwise the worker syncs its tracing flag to the
+    (the serial executor or an in-process chunk — the registry and
+    trace buffer are already shared), this is a plain call returning
+    *fn*'s result unchanged.  Otherwise the worker syncs its tracing flag to the
     parent's, snapshots the registry, runs the chunk, and wraps the
     results with the metric delta (and spans, when tracing) for the
     engine to :func:`absorb`.
@@ -113,7 +113,7 @@ def absorb(chunk_result: Any, dispatched: float | None = None) -> Any:
     """Fold a chunk's telemetry into this process; return bare results.
 
     Results that are not :class:`ChunkTelemetry` pass through
-    untouched, so serial/thread chunk results (recorded directly into
+    untouched, so in-process chunk results (recorded directly into
     the shared registry) need no special-casing at call sites.  When
     *dispatched* (parent wall-clock at submit time) is given, the
     queue wait until the worker started is observed into

@@ -2,8 +2,7 @@
 
 Zero-dependency (stdlib only) Prometheus-style instrumentation for the
 whole pipeline.  One global :data:`REGISTRY` collects every series the
-solvers, caches, executors, shared-memory plumbing and the evaluation
-service report; the registry knows how to
+solvers, caches, executors and the evaluation service report; the registry knows how to
 
 * snapshot itself (:meth:`MetricsRegistry.state`) and compute the
   **delta** since a snapshot (:meth:`MetricsRegistry.delta_since`) —

@@ -23,8 +23,8 @@ orthogonal primitives, all stdlib-only and deterministic:
   surfaced in ``/healthz`` and the metrics registry.
 * :mod:`~repro.resilience.faults` — a deterministic fault-injection
   harness: ``REPRO_FAULTS="cache.write:error@2;worker.chunk:kill@1"``
-  arms named fault points wired into cache writes, shared-memory
-  attach, solver solves and worker chunk entry, so every recovery path
+  arms named fault points wired into cache reads and writes, solver
+  solves, worker chunk entry and shard requests, so every recovery path
   can be provoked on demand and asserted byte-identical to a fault-free
   run.
 """

@@ -30,7 +30,6 @@ Instrumented points:
 ========================  ====================================================
 ``cache.write``           :meth:`PersistentEvaluationCache.put` (sqlite write)
 ``cache.read``            :meth:`PersistentEvaluationCache.get` (sqlite read)
-``shared.attach``         shared-memory segment attach in worker init
 ``worker.chunk``          chunk-entry in pool workers (``worker_only``)
 ``solver.iterative``      iterative steady-state core
 ``solver.transient``      batch transient distribution solve

@@ -46,7 +46,7 @@ class TestSinglePhaseDegeneracy:
     def test_big_bang_bit_identical_across_executors(self, grid):
         designs = paper_designs()[:3]
         reference = SweepEngine(executor="serial").timeline(designs, grid)
-        for executor in ("serial", "thread", "process"):
+        for executor in ("serial", "process"):
             with SweepEngine(
                 executor=executor,
                 max_workers=None if executor == "serial" else 2,

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.enterprise import RedundancyDesign
+from repro.enterprise import (
+    HeterogeneousDesign,
+    RedundancyDesign,
+    paper_variant_space,
+)
 from repro.errors import EvaluationError
 from repro.evaluation import (
     AvailabilityEvaluator,
@@ -16,16 +20,32 @@ from repro.evaluation import (
     pareto_front,
     sweep_designs,
 )
-from repro.evaluation.engine import (
-    ProcessExecutor,
-    ThreadExecutor,
-    _chunk,
-)
+from repro.evaluation.engine import ProcessExecutor, _chunk
+from repro.patching import PatchAllPolicy
+from repro.vulnerability.diversity import diversity_database
+
+
+# Module-level so they pickle across the process boundary.
 
 
 def _total_servers(design):
-    """Module-level so it pickles across the process boundary."""
     return design.total_servers
+
+
+def _identity(value):
+    return value
+
+
+def _increment(value):
+    return value + 1
+
+
+def _double(value):
+    return value * 2
+
+
+def _seven():
+    return 7
 
 
 class RecordingExecutor(SerialExecutor):
@@ -106,16 +126,9 @@ class TestSweepEngine:
         assert totals == [design.total_servers for design in small_space]
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(EvaluationError):
-            SweepEngine(executor="greenlet")
-
-    def test_thread_executor_matches_serial(self, small_space):
-        serial = SweepEngine().evaluate(small_space)
-        with SweepEngine(
-            executor="thread", max_workers=2, chunk_size=1
-        ) as engine:
-            threaded = engine.evaluate(small_space)
-        assert serial == threaded
+        for name in ("greenlet", "thread"):
+            with pytest.raises(EvaluationError):
+                SweepEngine(executor=name)
 
     def test_custom_executor_instance_accepted(self, small_space):
         executor = RecordingExecutor()
@@ -125,7 +138,7 @@ class TestSweepEngine:
 
     def test_executor_instance_with_max_workers_rejected(self):
         with pytest.raises(EvaluationError):
-            SweepEngine(executor=ThreadExecutor(), max_workers=2)
+            SweepEngine(executor=ProcessExecutor(), max_workers=2)
 
     def test_serial_with_max_workers_rejected(self):
         with pytest.raises(EvaluationError):
@@ -175,6 +188,13 @@ class TestModuleLevelApi:
 
 
 class TestProcessExecutor:
+    def test_ordered_results(self):
+        batches = [(value,) for value in range(20)]
+        with ProcessExecutor(max_workers=2) as executor:
+            assert executor.run(_double, batches) == [
+                value * 2 for value in range(20)
+            ]
+
     def test_single_batch_avoids_pool(self):
         executor = ProcessExecutor(max_workers=2)
         # A lambda is not picklable: it only works because a single batch
@@ -192,31 +212,6 @@ class TestProcessExecutor:
         assert ProcessExecutor().max_workers >= 1
 
 
-class TestThreadExecutor:
-    def test_ordered_results(self):
-        batches = [(value,) for value in range(20)]
-        with ThreadExecutor(max_workers=4) as executor:
-            assert executor.run(lambda value: value * 2, batches) == [
-                value * 2 for value in range(20)
-            ]
-
-    def test_closures_allowed(self):
-        # No pickling boundary: closures and lambdas are fine.
-        offset = 10
-        with ThreadExecutor(max_workers=2) as executor:
-            assert executor.run(lambda x: x + offset, [(1,), (2,)]) == [11, 12]
-
-    def test_empty_batches(self):
-        assert ThreadExecutor(max_workers=2).run(_total_servers, []) == []
-
-    def test_invalid_workers(self):
-        with pytest.raises(Exception):
-            ThreadExecutor(max_workers=0)
-
-    def test_default_workers_positive(self):
-        assert ThreadExecutor().max_workers >= 1
-
-
 class TestEngineDefaults:
     def test_defaults_to_paper_case_study(self):
         engine = SweepEngine()
@@ -227,40 +222,40 @@ class TestEngineDefaults:
 
 
 class TestPersistentExecutors:
-    def test_thread_pool_reused_across_runs(self):
-        executor = ThreadExecutor(max_workers=2)
+    def test_process_pool_reused_across_runs(self):
+        executor = ProcessExecutor(max_workers=2)
         try:
-            assert executor.run(lambda x: x + 1, [(41,)]) == [42]
+            assert executor.run(_increment, [(41,)]) == [42]
             assert executor._pool is None  # one batch, no pool: in-process
-            assert executor.run(lambda x: x + 1, [(1,), (2,)]) == [2, 3]
+            assert executor.run(_increment, [(1,), (2,)]) == [2, 3]
             first_pool = executor._pool
             assert first_pool is not None
-            assert executor.run(lambda x: x * 2, [(21,)]) == [42]
+            assert executor.run(_double, [(21,)]) == [42]
             assert executor._pool is first_pool  # a live pool serves it
         finally:
             executor.close()
         assert executor._pool is None
 
     def test_close_is_idempotent_and_context_manager(self):
-        with ThreadExecutor(max_workers=2) as executor:
-            assert executor.run(lambda: 7, [(), ()]) == [7, 7]
+        with ProcessExecutor(max_workers=2) as executor:
+            assert executor.run(_seven, [(), ()]) == [7, 7]
         executor.close()
         assert executor._pool is None
 
     def test_prime_key_change_recycles_pool(self):
-        executor = ThreadExecutor(max_workers=2)
+        executor = ProcessExecutor(max_workers=2)
         try:
             executor.run(
-                lambda x: x, [(1,)], initializer=str, initargs=("a",), key="a"
+                _identity, [(1,)], initializer=str, initargs=("a",), key="a"
             )
             first_pool = executor._pool
             assert first_pool is not None  # priming always needs the pool
             executor.run(
-                lambda x: x, [(2,)], initializer=str, initargs=("a",), key="a"
+                _identity, [(2,)], initializer=str, initargs=("a",), key="a"
             )
             assert executor._pool is first_pool  # same key: stays warm
             executor.run(
-                lambda x: x, [(3,)], initializer=str, initargs=("b",), key="b"
+                _identity, [(3,)], initializer=str, initargs=("b",), key="b"
             )
             assert executor._pool is not first_pool  # new key: recycled
         finally:
@@ -299,22 +294,50 @@ class TestWarmEngine:
             assert a.after.security.as_dict() == b.after.security.as_dict()
 
     def test_warm_context_reused_for_covered_spaces(self, small_space):
-        with SweepEngine(executor="process", max_workers=2) as engine:
+        variants = paper_variant_space()
+        with SweepEngine(
+            executor="process", max_workers=2, database=diversity_database()
+        ) as engine:
             engine.evaluate(small_space)
-            context = engine._warm_context
-            assert context is not None
-            segment_name = context.segment_name
+            pool = engine.executor._pool
+            assert pool is not None
             engine.clear_cache()
-            engine.evaluate(small_space[:2])  # subset: no rebuild
-            assert engine._warm_context is context
+            engine.evaluate(small_space[:2])  # subset: same pool
+            assert engine.executor._pool is pool
+            # Any counts over the primed roles are covered ...
             engine.evaluate(
-                list(enumerate_designs(["dns", "web", "app"], max_replicas=2))
+                [RedundancyDesign({"web": 3}), RedundancyDesign({"dns": 3})]
             )
-            rebuilt = engine._warm_context
-            assert rebuilt is not context  # new role: rebuilt (old unlinked)
-            assert rebuilt.segment_name != segment_name
-            assert context.segment is None  # superseded segment released
-        assert engine._warm_context is None  # close() released the segment
+            assert engine.executor._pool is pool
+            # ... a new role is not: the pool is replaced once.
+            wider = list(enumerate_designs(["dns", "web", "app"], max_replicas=2))
+            engine.evaluate(wider)
+            rebuilt = engine.executor._pool
+            assert rebuilt is not None and rebuilt is not pool
+            engine.clear_cache()
+            engine.evaluate(wider)
+            assert engine.executor._pool is rebuilt
+            # A variant stack is new too.
+            engine.evaluate(
+                [
+                    HeterogeneousDesign({"web": {variants["web"][1]: 1}}),
+                    HeterogeneousDesign({"web": {variants["web"][1]: 2}}),
+                ]
+            )
+            assert engine.executor._pool not in (None, rebuilt)
+        assert engine.executor._pool is None  # close() shut the pool down
+
+    def test_executor_shared_between_engines_reprimes(self, small_space):
+        executor = ProcessExecutor(max_workers=2)
+        try:
+            SweepEngine(executor=executor, chunk_size=1).evaluate(small_space)
+            patch_all = SweepEngine(
+                policy=PatchAllPolicy(), executor=executor, chunk_size=1
+            ).evaluate(small_space)
+        finally:
+            executor.close()
+        reference = SweepEngine(policy=PatchAllPolicy()).evaluate(small_space)
+        assert patch_all == reference
 
 
 class TestBatchLabelTruncation:

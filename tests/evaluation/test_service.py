@@ -331,6 +331,10 @@ class TestLifecycle:
         with pytest.raises(EvaluationError, match="every lane builds its own"):
             EvaluationService(executor=SerialExecutor())
 
+    def test_thread_executor_rejected(self):
+        with pytest.raises(EvaluationError, match="'serial' or 'process'"):
+            EvaluationService(executor="thread")
+
     def test_client_reports_unreachable_service(self):
         client = ServiceClient("127.0.0.1", 1, timeout=2)
         with pytest.raises(EvaluationError, match="not ready"):

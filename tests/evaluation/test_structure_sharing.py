@@ -2,36 +2,30 @@
 
 Covers the canonical tier layout the closed-form COA reads
 (:func:`repro.evaluation.availability.design_tiers`), one evaluator's
-aggregates shared across designs, the shared-memory transport of those
-aggregates to pool workers (:mod:`repro.evaluation.shared_memory`), the
-upper-layer explorations the closed form saves and worker failure
-reporting.
+aggregates shared across designs, the priming of pool workers with
+those aggregates through the pool initializer, the upper-layer
+explorations the closed form saves and worker failure reporting.
 """
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
-
-import numpy as np
 import pytest
 
 from repro.enterprise import (
     HeterogeneousDesign,
     RedundancyDesign,
+    paper_case_study,
     paper_variant_space,
 )
 from repro.errors import EvaluationError, ValidationError
 from repro.evaluation import AvailabilityEvaluator, SweepEngine
+from repro.evaluation import engine as engine_module
 from repro.evaluation.availability import design_tiers
-from repro.evaluation.engine import _chunk
-from repro.evaluation.shared_memory import (
-    SharedSweepContext,
-    initialize_worker,
-    pack_arrays,
-    primed_evaluators,
-    read_arrays,
-)
+from repro.evaluation.engine import _chunk, _worker_evaluators
 from repro.evaluation.sweep import enumerate_designs
+from repro.evaluation.timeline import default_time_grid
+from repro.patching import CriticalVulnerabilityPolicy, PatchCampaign
+from repro.srn.reachability import exploration_count
 from repro.vulnerability.diversity import diversity_database
 
 
@@ -143,157 +137,106 @@ class TestEvaluatorSharing:
         )
 
 
-class TestSharedMemoryTransport:
-    def test_pack_read_roundtrip(self):
-        arrays = {
-            "a": np.arange(6, dtype=float).reshape(2, 3),
-            "b": np.array([1, 5, 7], dtype=np.intp),
-            "c": np.array([], dtype=float),
-        }
-        segment, index = pack_arrays(arrays)
-        try:
-            out = read_arrays(segment, index)
-            for name, array in arrays.items():
-                assert out[name].dtype == array.dtype
-                assert out[name].tobytes() == array.tobytes()
-                assert out[name].shape == array.shape
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_context_primes_worker_bitwise(
-        self, case_study, critical_policy, space27
+class TestWorkerPriming:
+    def test_initializer_primes_worker_bitwise(
+        self, case_study, critical_policy, space27, monkeypatch
     ):
         designs = space27[:6]
-        context = SharedSweepContext.build(
-            case_study, critical_policy, None, designs
-        )
-        try:
-            initialize_worker(context.worker_payload())
-            shared = _chunk(primed_evaluators, "evaluation", (), designs)
-        finally:
-            context.unlink()
+        priming = SweepEngine(
+            case_study=case_study, policy=critical_policy
+        )._worker_priming(designs)
+        monkeypatch.setattr(engine_module, "_WORKER_PAIR", None)
+        priming["initializer"](*priming["initargs"])
+        before = exploration_count()
+        primed = _chunk(_worker_evaluators, "evaluation", (), designs)
+        assert exploration_count() == before  # no lower-layer re-solve
         reference = SweepEngine(
             case_study=case_study, policy=critical_policy
         ).evaluate(designs)
-        for a, b in zip(shared, reference):
+        for a, b in zip(primed, reference):
             assert a.after.coa.hex() == b.after.coa.hex()
             assert a.before == b.before and a.after == b.after
 
-    def test_context_covers_roles_and_variants(
+    def test_priming_covers_roles_and_variants(
         self, case_study, critical_policy, variant_space
     ):
-        context = SharedSweepContext.build(
-            case_study,
-            critical_policy,
-            None,
-            [RedundancyDesign({"dns": 1, "web": 2})],
-        )
-        try:
-            # Any counts over the published roles are covered ...
-            assert context.covers(
-                [RedundancyDesign({"web": 3}), RedundancyDesign({"dns": 2})]
-            )
-            # ... a new role or a variant stack is not.
-            assert not context.covers([RedundancyDesign({"app": 1})])
-            assert not context.covers(
-                [HeterogeneousDesign({"web": {variant_space["web"][1]: 1}})]
-            )
-            assert set(context.describe()) == {
-                "segment",
-                "bytes",
-                "roles",
-                "variants",
-            }
-        finally:
-            context.unlink()
-
-    def test_context_unlinks_segment(self, case_study, critical_policy):
-        context = SharedSweepContext.build(
-            case_study,
-            critical_policy,
-            None,
-            [RedundancyDesign({"dns": 1})],
-        )
-        name = context.segment_name
-        context.unlink()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-        context.unlink()  # idempotent
-
-    def test_engine_unlinks_after_sweep(
-        self, case_study, critical_policy, space27, monkeypatch
-    ):
-        created: list[str] = []
-        original = SharedSweepContext.build.__func__
-
-        def recording_build(cls, *args, **kwargs):
-            context = original(cls, *args, **kwargs)
-            created.append(context.segment_name)
-            return context
-
-        monkeypatch.setattr(
-            SharedSweepContext, "build", classmethod(recording_build)
-        )
-        with SweepEngine(
+        engine = SweepEngine(
             case_study=case_study,
             policy=critical_policy,
-            executor="process",
-            max_workers=2,
-            chunk_size=3,
-        ) as engine:
-            engine.evaluate(space27[:6])
-            assert created, "process sweep did not use the shared-memory path"
-        for name in created:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_engine_unlinks_when_pool_crashes(
-        self, case_study, critical_policy, space27, monkeypatch
-    ):
-        from repro.evaluation import engine as engine_module
-
-        created: list[str] = []
-        original = SharedSweepContext.build.__func__
-
-        def recording_build(cls, *args, **kwargs):
-            context = original(cls, *args, **kwargs)
-            created.append(context.segment_name)
-            return context
-
-        monkeypatch.setattr(
-            SharedSweepContext, "build", classmethod(recording_build)
+            database=diversity_database(),
         )
-
-        def broken_run(self, fn, batches, **priming):
-            raise RuntimeError("worker pool exploded")
-            yield
-
-        monkeypatch.setattr(
-            engine_module.ProcessExecutor, "iter_run", broken_run
+        first = engine._worker_priming([RedundancyDesign({"dns": 1, "web": 2})])
+        # Any counts over the primed roles are covered ...
+        covered = engine._worker_priming(
+            [RedundancyDesign({"web": 3}), RedundancyDesign({"dns": 2})]
         )
-        with SweepEngine(
-            case_study=case_study,
-            policy=critical_policy,
-            executor="process",
-            max_workers=2,
-            chunk_size=3,
-        ) as engine:
-            with pytest.raises(RuntimeError):
-                engine.evaluate(space27[:6])
-        assert created
-        for name in created:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        assert covered["key"] == first["key"]
+        # ... a new role or a variant stack is not.
+        wider = engine._worker_priming([RedundancyDesign({"app": 1})])
+        assert wider["key"] != first["key"]
+        nginx = variant_space["web"][1]
+        variant = engine._worker_priming(
+            [HeterogeneousDesign({"web": {nginx: 1}})]
+        )
+        assert variant["key"] != wider["key"]
+        _, _, _, roles, variants = variant["initargs"]
+        assert set(roles) == {"app", "dns", "web"}
+        assert set(variants) == {("web", nginx)}
 
     def test_uninitialized_worker_fails_loudly(self, monkeypatch):
-        from repro.evaluation import shared_memory as sm
-
-        monkeypatch.setattr(sm, "_WORKER", None)
+        monkeypatch.setattr(engine_module, "_WORKER_PAIR", None)
         with pytest.raises(EvaluationError):
             _chunk(
-                primed_evaluators, "evaluation", (), [RedundancyDesign({"dns": 1})]
+                _worker_evaluators, "evaluation", (), [RedundancyDesign({"dns": 1})]
             )
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_pool_workers_never_resolve_lower_layer(
+        self, case_study, critical_policy, space27, executor
+    ):
+        # Byte-identity cannot see this: an unprimed worker re-solves
+        # the lower layer and still returns the same bytes.  The count
+        # can, because worker metric deltas merge into this registry.
+        kwargs = {} if executor == "serial" else {"max_workers": 2, "chunk_size": 1}
+        campaign = PatchCampaign.parse("canary:0.1:48:1,ramp:0.5:50%,fleet:1.0")
+        runs = (
+            lambda engine: engine.evaluate(space27),
+            lambda engine: engine.timeline(
+                space27[:6], default_time_grid(720.0, 40), campaign=campaign
+            ),
+        )
+        for run in runs:
+            with SweepEngine(
+                case_study=case_study,
+                policy=critical_policy,
+                executor=executor,
+                **kwargs,
+            ) as engine:
+                before = exploration_count()
+                run(engine)
+                assert exploration_count() - before == 3
+
+    def test_worker_explorations_reach_the_parent(
+        self, case_study, critical_policy, space27
+    ):
+        # The control for the test above: fresh evaluators in the
+        # workers explore 3 lower-layer nets per design, and it shows.
+        with SweepEngine(
+            case_study=case_study,
+            policy=critical_policy,
+            executor="process",
+            max_workers=2,
+            chunk_size=1,
+        ) as engine:
+            before = exploration_count()
+            engine.map(_fresh_coa, space27[:8])
+            assert exploration_count() - before == 24
+
+
+def _fresh_coa(design):
+    return AvailabilityEvaluator(
+        paper_case_study(), CriticalVulnerabilityPolicy()
+    ).coa(design)
 
 
 class TestEngineSharingParity:
@@ -301,9 +244,9 @@ class TestEngineSharingParity:
     def test_mixed_population_process_parity(
         self, case_study, critical_policy, variant_space, hetero_first
     ):
-        # hetero_first guards the shared-memory aggregate-table layout:
-        # variant rows must never displace the role-row block, whichever
-        # design kind the precompute encounters first.
+        # hetero_first guards the worker priming: role and variant
+        # aggregates must both reach the workers, whichever design kind
+        # the priming encounters first.
         designs = [
             RedundancyDesign({"dns": 1, "web": 2}),
             HeterogeneousDesign(

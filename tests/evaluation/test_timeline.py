@@ -158,15 +158,14 @@ class TestEngineTimeline:
     def test_executors_byte_identical(self, grid):
         designs = paper_designs()
         reference = SweepEngine(executor="serial").timeline(designs, grid)
-        for executor in ("thread", "process"):
-            with SweepEngine(executor=executor, max_workers=2) as engine:
-                parallel = engine.timeline(designs, grid)
-            for a, b in zip(reference, parallel):
-                assert a.coa == b.coa
-                assert a.completion_probability == b.completion_probability
-                assert a.unpatched_fraction == b.unpatched_fraction
-                assert a.mean_time_to_completion == b.mean_time_to_completion
-                assert a.before.as_dict() == b.before.as_dict()
+        with SweepEngine(executor="process", max_workers=2) as engine:
+            parallel = engine.timeline(designs, grid)
+        for a, b in zip(reference, parallel):
+            assert a.coa == b.coa
+            assert a.completion_probability == b.completion_probability
+            assert a.unpatched_fraction == b.unpatched_fraction
+            assert a.mean_time_to_completion == b.mean_time_to_completion
+            assert a.before.as_dict() == b.before.as_dict()
 
     def test_memoised_per_design_and_grid(self, grid):
         engine = SweepEngine()
@@ -183,7 +182,7 @@ class TestEngineTimeline:
     def test_evaluate_timelines_entrypoint_matches_engine(self, grid):
         designs = paper_designs()[:3]
         direct = evaluate_timelines(designs, grid)
-        threaded = evaluate_timelines(designs, grid, executor="thread", max_workers=2)
-        for a, b in zip(direct, threaded):
+        parallel = evaluate_timelines(designs, grid, executor="process", max_workers=2)
+        for a, b in zip(direct, parallel):
             assert a.coa == b.coa
             assert a.completion_probability == b.completion_probability

@@ -204,7 +204,7 @@ class TestHomogeneousHeterogeneousParity:
 
     COUNTS = {"dns": 1, "web": 2, "app": 2, "db": 1}
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_snapshots_byte_identical(
         self, case_study, critical_policy, executor
     ):
@@ -316,9 +316,8 @@ class TestUnifiedEngine:
         assert front
         assert set(front) <= set(evaluations)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_parallel_heterogeneous_sweep_matches_serial(
-        self, variant_space, diversity_db, executor
+        self, variant_space, diversity_db
     ):
         designs = list(
             enumerate_heterogeneous_designs(["web", "db"], variant_space, 2)
@@ -326,7 +325,7 @@ class TestUnifiedEngine:
         serial = SweepEngine(database=diversity_db).evaluate(designs)
         with SweepEngine(
             database=diversity_db,
-            executor=executor,
+            executor="process",
             max_workers=2,
             chunk_size=4,
         ) as engine:

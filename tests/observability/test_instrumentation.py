@@ -106,7 +106,7 @@ class TestLayerCounters:
 
 
 class TestByteIdentityWithInstrumentation:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_sweep_identical_tracing_on_vs_off(
         self, case_study, critical_policy, space, executor
     ):
@@ -132,7 +132,7 @@ class TestByteIdentityWithInstrumentation:
             assert a.after.coa.hex() == b.after.coa.hex()
             assert a.before == b.before and a.after == b.after
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_timeline_identical_tracing_on_vs_off(
         self, case_study, critical_policy, space, executor
     ):

@@ -128,7 +128,7 @@ class TestWorkerKillRecovery:
         designs = list(enumerate_designs(["dns", "web"], max_replicas=2))
         clean = SweepEngine().evaluate(designs)
 
-        # Workers primed from shared memory.
+        # Workers primed through the pool initializer.
         engine = SweepEngine(executor="process", max_workers=2)
         try:
             recovered = engine.evaluate(designs)

@@ -2,17 +2,21 @@
 
 Covers the request-deadline 504 path (answered promptly, within the
 acceptance bound of twice the budget), 503 + ``Retry-After`` load
-shedding, the client's bounded 503 retry, and SIGTERM-style draining.
+shedding, the client's bounded 503 retry, SIGTERM-style draining and
+the bounds on reading a request (408 and 431).
 """
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 import time
 
 import pytest
 
-from repro.errors import EvaluationError
+from repro.errors import DeadlineExceeded, EvaluationError
+from repro.evaluation import service as service_module
 from repro.evaluation.service import DEFAULT_MAX_QUEUE, EvaluationService, ServiceClient
 from repro.resilience import RetryPolicy
 
@@ -79,6 +83,19 @@ class TestDeadline504:
         assert body["error"]["detail"]["deadline_ms"] == 250
         assert "deadline" in body["error"]["message"]
         assert elapsed < 2 * 0.25 + 0.3  # 2x budget plus transport slack
+
+    def test_client_raises_the_typed_deadline_error(self, service):
+        svc, client = service()
+        release = threading.Event()
+        slow_sweep_job(svc, release)
+        try:
+            with pytest.raises(DeadlineExceeded):
+                client.sweep(roles=["dns"], max_replicas=2, deadline_ms=100)
+        finally:
+            release.set()
+        with pytest.raises(EvaluationError) as excinfo:
+            client.sweep(roles=["deadline_exceeded"], max_replicas=1)
+        assert not isinstance(excinfo.value, DeadlineExceeded)
 
     def test_deadline_504_counts_as_an_error(self, service):
         svc, client = service()
@@ -288,6 +305,102 @@ class TestDrain:
             stuck.join(timeout=30)
         svc._thread.join(timeout=10)
         assert not svc._thread.is_alive()
+
+
+def raw_exchange(address, data: bytes) -> tuple[int, dict]:
+    """Send raw request bytes; ``(status, parsed JSON body)`` of the answer.
+
+    The service may answer and close before reading everything sent, so
+    a failed send is tolerated: the answer is already on its way.
+    """
+    with socket.create_connection(address, timeout=30) as sock:
+        try:
+            sock.sendall(data)
+        except OSError:
+            pass
+        response = b""
+        try:
+            while chunk := sock.recv(65536):
+                response += chunk
+        except ConnectionResetError:
+            pass
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+def healthz_request(header_lines: int) -> bytes:
+    """``GET /v1/healthz`` with *header_lines* distinct header lines."""
+    headers = "".join(f"X-Filler-{n}: {n}\r\n" for n in range(header_lines))
+    return f"GET /v1/healthz HTTP/1.1\r\n{headers}\r\n".encode()
+
+
+class TestBoundedReads:
+    def test_header_count_at_the_cap_is_served(self, service):
+        svc, _ = service()
+        status, body = raw_exchange(
+            svc.address, healthz_request(service_module._MAX_HEADER_LINES)
+        )
+        assert status == 200
+        assert body["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "lines", [service_module._MAX_HEADER_LINES + 1, 20_000]
+    )
+    def test_too_many_header_lines_answer_431(self, service, lines):
+        svc, _ = service()
+        status, body = raw_exchange(svc.address, healthz_request(lines))
+        assert status == 431
+        assert body["error"]["code"] == "invalid_request"
+        assert "header lines" in body["error"]["message"]
+
+    def test_over_long_header_line_answers_431(self, service):
+        svc, _ = service()
+        request = (
+            "GET /v1/healthz HTTP/1.1\r\n"
+            f"X-Big: {'a' * 70_000}\r\n\r\n"
+        ).encode()
+        status, body = raw_exchange(svc.address, request)
+        assert status == 431
+        assert body["error"]["code"] == "invalid_request"
+        assert "too long" in body["error"]["message"]
+
+    def test_idle_connection_answers_408(self, service, monkeypatch):
+        monkeypatch.setattr(service_module, "_READ_TIMEOUT_S", 0.3)
+        svc, _ = service()
+        start = time.monotonic()
+        status, body = raw_exchange(svc.address, b"")
+        elapsed = time.monotonic() - start
+        assert status == 408
+        assert body["error"]["code"] == "invalid_request"
+        assert 0.3 <= elapsed < 0.3 + 5.0
+
+    def test_trickled_body_answers_408(self, service, monkeypatch):
+        monkeypatch.setattr(service_module, "_READ_TIMEOUT_S", 0.3)
+        svc, _ = service()
+        head = (
+            "POST /v1/sweep HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"
+        ).encode()
+        status, body = raw_exchange(svc.address, head)
+        assert status == 408
+        assert body["error"]["code"] == "invalid_request"
+
+    def test_drain_with_idle_connection_stops_within_read_deadline(
+        self, service, monkeypatch
+    ):
+        read_timeout = 0.5
+        monkeypatch.setattr(service_module, "_READ_TIMEOUT_S", read_timeout)
+        svc, _ = service(drain_grace=30.0)
+        with socket.create_connection(svc.address, timeout=30):
+            deadline = time.monotonic() + 5
+            while not svc._active_requests and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert svc._active_requests == 1
+            start = time.monotonic()
+            svc._loop.call_soon_threadsafe(svc._begin_drain)
+            svc._thread.join(timeout=10)
+            elapsed = time.monotonic() - start
+        assert not svc._thread.is_alive()
+        assert elapsed < read_timeout + 1.0
 
 
 class TestLifecycleTimeouts:

@@ -153,27 +153,12 @@ class TestCli:
         assert main(["sweep", "--variants", "--roles", "cache"]) == 2
         assert "no variant pool" in capsys.readouterr().err
 
-    def test_sweep_thread_executor(self, capsys):
-        assert (
-            main(
-                [
-                    "sweep",
-                    "--roles",
-                    "dns,web",
-                    "--max-replicas",
-                    "2",
-                    "--executor",
-                    "thread",
-                    "--jobs",
-                    "2",
-                    "--json",
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["executor"] == "thread"
-        assert payload["design_count"] == 4
+    @pytest.mark.parametrize("command", ["sweep", "timeline", "serve"])
+    def test_thread_executor_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--executor", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
     def test_sweep_rejects_empty_roles(self, capsys):
         assert main(["sweep", "--roles", " , "]) == 2
@@ -529,7 +514,7 @@ class TestSharedMemoryFlag:
             main(["--help"])
         out = capsys.readouterr().out
         assert "closed-form COA" in out
-        assert "multiprocessing.shared_memory" in out
+        assert "pool-initializer arguments" in out
 
 
 class TestCacheSubcommand:
@@ -751,3 +736,28 @@ class TestShardCli:
             == 2
         )
         assert "shard failed" in capsys.readouterr().err
+
+    @staticmethod
+    def _shard_against_serial_service(*arguments: str) -> int:
+        from repro.evaluation.service import EvaluationService
+
+        with EvaluationService(executor="serial") as service:
+            service.start_in_thread()
+            endpoint = f"{service.address[0]}:{service.address[1]}"
+            return main(["shard", "--endpoints", endpoint, *arguments])
+
+    def test_error_naming_a_deadline_exits_2(self, capsys):
+        # A 400 whose message merely mentions deadline_exceeded is a
+        # domain error, not a blown deadline.
+        code = self._shard_against_serial_service(
+            "--roles", "deadline_exceeded", "--max-replicas", "1"
+        )
+        assert code == 2
+        assert "invalid_request" in capsys.readouterr().err
+
+    def test_expired_deadline_exits_3(self, capsys):
+        code = self._shard_against_serial_service(
+            "--roles", "dns,web,app,db", "--max-replicas", "4", "--deadline", "1"
+        )
+        assert code == 3
+        assert "deadline_exceeded" in capsys.readouterr().err
