@@ -12,8 +12,9 @@ time-resolved curves for the five paper designs plus two heterogeneous
    its after-patch value as servers get patched,
 4. the time-to-patch-completion ranking of all seven designs.
 
-Every design's curves come from one batched uniformisation pass
-(`BatchTransientSolver`), fanned out through `evaluate_timelines`.
+Every curve is closed-form (each server is an independent patch clock
+and up/down chain, `repro.availability.product_form`), fanned out over
+the designs through `evaluate_timelines`.
 
 Usage::
 

@@ -13,9 +13,9 @@ timeline subsystem (`evaluate_timelines(..., campaign=...)`):
    quarter of the fleet is expected patched (a completion-fraction
    trigger), then everything.
 
-Each phase is uniformised once and the state vector carried across the
-phase boundaries (`transient_piecewise`), so a staged curve costs one
-batch pass per phase.  The trade-off the tables show: staging softens
+Each server's patch and up/down probabilities are carried across the
+phase boundaries in closed form, so a staged curve costs no more than a
+stationary one.  The trade-off the tables show: staging softens
 the availability dip of the patch wave but stretches the security
 exposure window — the canary fleet stays unpatched (and attackable)
 for longer.

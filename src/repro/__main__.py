@@ -16,10 +16,10 @@ Commands
     (software-diversity) space, enumerating variant-count assignments
     from the paper's variant pools and the diversity database.
 ``timeline``
-    Patch-timeline curves over a design space: transient COA (closed
-    form), patch completion probability and security-exposure curves on
-    a shared time grid, one batched uniformisation pass per design's
-    completion chain.  Takes the same space/executor options as
+    Patch-timeline curves over a design space: transient COA, patch
+    completion probability, expected unpatched fraction, mean time to
+    completion and security-exposure curves on a shared time grid, all
+    in closed form.  Takes the same space/executor options as
     ``sweep`` plus the time grid (``--horizon``/``--points`` or an
     explicit ``--times`` list) and an optional staged rollout:
     ``--campaign FILE`` (JSON spec) or
@@ -386,7 +386,6 @@ def _timeline(args: argparse.Namespace) -> int:
                 designs,
                 times,
                 campaign=campaign,
-                method=args.method,
                 deadline=_deadline_from_args(args),
             )
     except DeadlineExceeded as exc:
@@ -547,8 +546,6 @@ def _shard(args: argparse.Namespace) -> int:
                 fields["points"] = args.points
             if args.phases:
                 fields["phases"] = args.phases
-            if args.method != "uniformisation":
-                fields["method"] = args.method
             payload = coordinator.timeline(**fields)
         else:
             payload = coordinator.sweep(**fields)
@@ -607,23 +604,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             "  (trigger '48' = 48 h) or once the expected patched fraction\n"
             "  reaches a threshold (trigger '25%' ); the final phase must\n"
             "  omit its trigger (it runs forever).\n"
-            "  A canary host count caps concurrent patching fleet-wide.  The\n"
-            "  COA curve carries each server's down-probability across\n"
-            "  boundaries in closed form and the completion chain is\n"
-            "  uniformised once per phase; '--phases fleet:1.0' is\n"
-            "  byte-identical to the stationary timeline.\n"
+            "  A canary host count caps concurrent patching fleet-wide.\n"
+            "  Every curve carries each server's state across boundaries in\n"
+            "  closed form; '--phases fleet:1.0' is byte-identical to the\n"
+            "  stationary timeline.\n"
             "\n"
             "large state spaces:\n"
             "  --scaled HxT generates a chain enterprise of T tiers with H\n"
             "  replicas each ((H+1)^T availability states; 9x4 = 10,000) and\n"
             "  evaluates that single design through the same engine stack.\n"
-            "  'timeline --method' picks the completion-chain transient\n"
-            "  backend: exact uniformisation (default, bit-identical\n"
-            "  anchored iterates), adaptive (steady-state-detecting\n"
-            "  uniformisation, error bounded by the solver tolerance) or\n"
-            "  auto (exact up to 5000 states, adaptive above).  REPRO_DENSE_THRESHOLD overrides the\n"
-            "  dense/sparse cutoff; steady solves above 5000 states use a\n"
-            "  preconditioned iterative path automatically.\n"
+            "  The CTMC solvers behind the SRNs read REPRO_DENSE_THRESHOLD,\n"
+            "  the dense/sparse cutoff; steady solves above 5000 states use\n"
+            "  a preconditioned iterative path automatically.\n"
             "\n"
             "observability:\n"
             "  -v/--verbose logs engine decisions (evaluator builds, pool\n"
@@ -828,17 +820,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         ),
     )
     timeline.add_argument(
-        "--method",
-        choices=("auto", "uniformisation", "adaptive"),
-        default="uniformisation",
-        help=(
-            "completion-chain transient backend: exact uniformisation "
-            "(default), steady-state-detecting adaptive uniformisation, "
-            "or size-dispatching auto (exact up to 5000 states, adaptive "
-            "above); COA curves are closed-form"
-        ),
-    )
-    timeline.add_argument(
         "--phases",
         default=None,
         metavar="SPEC",
@@ -1029,12 +1010,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=None,
         metavar="SPEC",
         help="inline campaign shorthand (see timeline --help)",
-    )
-    shard.add_argument(
-        "--method",
-        choices=("auto", "uniformisation", "adaptive"),
-        default="uniformisation",
-        help="timeline completion-chain backend (see timeline --help)",
     )
     shard.add_argument(
         "--priority",

@@ -14,7 +14,7 @@ Request envelope (``POST /v1/sweep`` and ``POST /v1/timeline``)::
       "options": {"max_designs": N, "shard": {"index": I, "count": C},
                   # timeline only:
                   "horizon": H, "points": P, "times": [...],
-                  "campaign": {...}, "phases": "...", "method": "..."},
+                  "campaign": {...}, "phases": "..."},
       "priority": "interactive" | "batch",
       "deadline_ms": N,
       "stream": bool
@@ -114,7 +114,6 @@ _V1_TIMELINE_OPTIONS = _V1_SWEEP_OPTIONS | {
     "times",
     "campaign",
     "phases",
-    "method",
 }
 
 _PRIORITIES = ("interactive", "batch")
@@ -207,9 +206,10 @@ def parse_times(payload: dict) -> tuple[float, ...]:
         raise ValidationError(f"horizon must be a number, got {horizon!r}")
     if isinstance(points, bool) or not isinstance(points, int):
         raise ValidationError(f"points must be an integer, got {points!r}")
-    if horizon <= 0 or points < 2:
+    if not (math.isfinite(horizon) and horizon > 0) or points < 2:
         raise ValidationError(
-            f"need horizon > 0 and points >= 2, got {horizon!r} and {points!r}"
+            f"need a finite horizon > 0 and points >= 2, got {horizon!r} "
+            f"and {points!r}"
         )
     _check_time_points(points)
     return default_time_grid(float(horizon), points)
@@ -226,7 +226,11 @@ def _check_time_points(count: int) -> None:
 def parse_deadline_ms(value: object) -> float | None:
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not (math.isfinite(value) and value > 0)
+    ):
         raise ValidationError(
             f"deadline_ms must be a positive number of milliseconds, got {value!r}"
         )
@@ -257,18 +261,6 @@ def _parse_priority(value: object) -> str:
     if value not in _PRIORITIES:
         raise ValidationError(
             f"priority must be one of {list(_PRIORITIES)}, got {value!r}"
-        )
-    return value
-
-
-def _parse_method(value: object) -> str:
-    from repro.ctmc.transient import TRANSIENT_METHODS
-
-    if value is None:
-        return "uniformisation"
-    if value not in TRANSIENT_METHODS:
-        raise ValidationError(
-            f"method must be one of {list(TRANSIENT_METHODS)}, got {value!r}"
         )
     return value
 
@@ -497,7 +489,6 @@ class TimelineRequest(SweepRequest):
 
     times: tuple[float, ...] = ()
     campaign: object = None
-    method: str = "uniformisation"
 
     endpoint = "/timeline"
 
@@ -516,7 +507,6 @@ class TimelineRequest(SweepRequest):
             stream=bool(payload.get("stream", False)),
             times=parse_times(options),
             campaign=parse_campaign(options),
-            method=_parse_method(options.get("method")),
         )
 
     def to_payload(self) -> dict:
@@ -525,8 +515,6 @@ class TimelineRequest(SweepRequest):
         options["times"] = list(self.times)
         if self.campaign is not None:
             options["campaign"] = self.campaign.to_dict()
-        if self.method != "uniformisation":
-            options["method"] = self.method
         return payload
 
     def canonical(self) -> dict:
@@ -535,8 +523,6 @@ class TimelineRequest(SweepRequest):
         canonical["campaign"] = (
             self.campaign.to_dict() if self.campaign is not None else None
         )
-        if self.method != "uniformisation":
-            canonical["method"] = self.method
         return canonical
 
     def context_label(self) -> str:

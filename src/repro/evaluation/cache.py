@@ -100,8 +100,10 @@ __all__ = ["PersistentEvaluationCache", "context_fingerprint"]
 #: sparse-first solver dispatch (method-aware timeline keys, iterative
 #: steady-state auto path above the size cutoff — entries keyed before
 #: the dispatch change must miss cleanly); version 5 = the closed-form
-#: upper layer (COA values move in the last ulp).
-_PIPELINE_VERSION = b"repro-evaluation-pipeline-v5"
+#: upper layer (COA values move in the last ulp); version 6 = the
+#: closed-form patch completion (completion curves and mean time to
+#: completion move in the last bits).
+_PIPELINE_VERSION = b"repro-evaluation-pipeline-v6"
 
 #: How long a contended statement retries before sqlite gives up with
 #: ``database is locked`` — generous, because a competing writer only

@@ -16,9 +16,9 @@ Caching / batching contract
 * **One memo.**  ``SweepEngine.evaluate`` and ``SweepEngine.timeline``
   are thin wrappers over one memo keyed by ``(kind, design, params)``
   (specs are hashable value objects; a timeline's params are its time
-  grid, tolerance, campaign and method).  Re-sweeping an overlapping
-  space only pays for the results not seen before; ``clear_cache()``
-  resets it.  An optional sqlite tier sits behind the memo.
+  grid and campaign).  Re-sweeping an overlapping space only pays for
+  the results not seen before; ``clear_cache()`` resets it.  An
+  optional sqlite tier sits behind the memo.
 * **Chunked, incremental dispatch.**  Uncached designs are split into
   contiguous chunks; one dispatch loop hands them to the executor and
   memoises each chunk's results as it arrives, so a call stopped by a
@@ -438,7 +438,7 @@ def _chunk(
     engine's own long-lived pair (in-process chunks) or
     :func:`_worker_evaluators` (the pair a pool worker's initializer
     primed).  *kind* is ``"evaluation"`` or ``"timeline"``; a
-    timeline's *params* are ``(times, tolerance, campaign, method)``.
+    timeline's *params* are ``(times, campaign)``.
     """
     fault_point("worker.chunk", worker_only=True)
     return observability.capture(
@@ -459,18 +459,16 @@ def _evaluate_chunk(pair: tuple, kind: str, params: tuple, designs) -> list:
             )
     from repro.evaluation.timeline import evaluate_timelines_shared
 
-    times, tolerance, campaign, method = params
+    times, campaign = params
     with tracing.span("chunk:timeline", designs=len(designs), points=len(times)):
         return evaluate_timelines_shared(
             designs,
             times,
             case_study,
             policy,
-            tolerance=tolerance,
             security_evaluator=security,
             availability_evaluator=availability,
             campaign=campaign,
-            method=method,
         )
 
 
@@ -640,9 +638,7 @@ class SweepEngine:
         self,
         designs: Iterable[DesignSpec],
         times: Sequence[float],
-        tolerance: float = 1e-10,
         campaign=None,
-        method: str = "uniformisation",
         deadline: Deadline | None = None,
         checkpoint: Callable[[], None] | None = None,
         progress: Callable[[list], None] | None = None,
@@ -650,18 +646,16 @@ class SweepEngine:
         """Patch timelines of *designs* over *times*, in input order.
 
         The transient companion of :meth:`evaluate`, over the same memo
-        (keyed per design by time grid, tolerance, campaign and method,
-        and persisted on disk when a ``cache_path`` is configured), the
-        same dispatch and the same deterministic ordering.  *campaign*
-        optionally stages the rollout
-        (:class:`~repro.patching.campaign.PatchCampaign`); *method*
-        selects the transient backend; see
-        :func:`repro.evaluation.timeline.evaluate_timeline`.
+        (keyed per design by time grid and campaign, and persisted on
+        disk when a ``cache_path`` is configured), the same dispatch and
+        the same deterministic ordering.  *campaign* optionally stages
+        the rollout (:class:`~repro.patching.campaign.PatchCampaign`);
+        see :func:`repro.evaluation.timeline.evaluate_timeline`.
         *deadline*, *checkpoint* and *progress* behave exactly as in
         :meth:`evaluate`.
         """
         designs = list(designs)
-        params = (tuple(float(t) for t in times), tolerance, campaign, method)
+        params = (tuple(float(t) for t in times), campaign)
         with tracing.span(
             "engine:timeline", designs=len(designs), points=len(params[0])
         ) as sp:
@@ -938,9 +932,8 @@ class SweepEngine:
     def _disk_key(self, kind: str, design: DesignSpec, params: tuple) -> str:
         """Persistent-cache key: context fingerprint + design identity.
 
-        Timeline keys append the time grid and tolerance, plus the
-        campaign and the method only when they differ from the default,
-        so default-shaped keys keep their original form.
+        Timeline keys append the time grid, plus the campaign when
+        there is one.
         """
         from repro.evaluation.cache import PersistentEvaluationCache, context_fingerprint
 
@@ -950,12 +943,10 @@ class SweepEngine:
             )
         parts: tuple = ()
         if kind == "timeline":
-            times, tolerance, campaign, method = params
-            parts = (times, tolerance)
+            times, campaign = params
+            parts = (times,)
             if campaign is not None:
                 parts += (campaign.cache_key(),)
-            if method != "uniformisation":
-                parts += (("method", method),)
         return PersistentEvaluationCache.entry_key(
             self._fingerprint, design.cache_key(), *parts
         )

@@ -20,7 +20,7 @@ canonical envelope::
       "options": {"max_designs": N, "shard": {"index": I, "count": C},
                   # timeline only:
                   "horizon": H, "points": P, "times": [...],
-                  "campaign": {...}, "phases": "...", "method": "..."},
+                  "campaign": {...}, "phases": "..."},
       "priority": "interactive" | "batch",
       "deadline_ms": N,
       "stream": bool
@@ -286,6 +286,11 @@ _ENDPOINTS = ("/healthz", "/metrics", "/sweep", "/timeline")
 def _error(status: int, code: str, message: str, detail: dict | None = None):
     """``(status, payload, headers)`` of an error answer."""
     return status, api.error_payload(code, message, detail), {}
+
+
+def _reject_constant(name: str):
+    """JSON has no ``NaN`` or ``Infinity``; Python's decoder accepts them."""
+    raise ValidationError(f"{name} is not a JSON number")
 
 
 def _ndjson(obj) -> bytes:
@@ -1079,8 +1084,10 @@ class EvaluationService:
         if method != "POST":
             return _error(405, api.ERROR_METHOD_NOT_ALLOWED, f"{path} is POST-only")
         try:
-            request = json.loads(body.decode() or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            request = json.loads(
+                body.decode() or "{}", parse_constant=_reject_constant
+            )
+        except (UnicodeDecodeError, json.JSONDecodeError, ValidationError) as exc:
             return _error(400, api.ERROR_INVALID_REQUEST, f"invalid JSON body: {exc}")
         if not isinstance(request, dict):
             return _error(
@@ -1293,7 +1300,6 @@ class EvaluationService:
                 designs=designs,
                 times=req.times,
                 campaign=req.campaign,
-                method=req.method,
                 deadline=deadline,
             )
         else:
@@ -1487,7 +1493,6 @@ class EvaluationService:
         designs,
         times,
         campaign,
-        method: str = "uniformisation",
         deadline=None,
         checkpoint=None,
         progress=None,
@@ -1496,7 +1501,6 @@ class EvaluationService:
             designs,
             times,
             campaign=campaign,
-            method=method,
             deadline=deadline,
             checkpoint=checkpoint,
             progress=progress,
@@ -1656,7 +1660,6 @@ class ServiceClient:
         "times",
         "campaign",
         "phases",
-        "method",
     )
     _TOP_FIELDS = ("priority", "deadline_ms", "stream")
 

@@ -7,9 +7,9 @@ partial ramp, then the full fleet — which makes the effective patch
 rate piecewise constant in time.  A :class:`PatchCampaign` describes
 that staging as an ordered sequence of :class:`CampaignPhase` records;
 the timeline subsystem (:mod:`repro.evaluation.timeline`) evaluates a
-design under a campaign by uniformising once per phase and carrying the
-state vector across phase boundaries
-(:func:`repro.ctmc.transient.transient_piecewise`).
+design under a campaign by carrying each server's patch and up/down
+probabilities across phase boundaries in closed form
+(:mod:`repro.availability.product_form`).
 
 Each phase scales every patch rate by ``rate_multiplier`` and ends on
 one of three triggers:

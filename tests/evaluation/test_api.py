@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -94,13 +95,11 @@ class TestRequests:
                     "horizon": 100,
                     "points": 4,
                     "phases": "canary:0.1:48,fleet:1.0",
-                    "method": "adaptive",
                 },
             }
         )
         assert len(request.times) == 4
         assert request.campaign is not None
-        assert request.method == "adaptive"
         assert "campaign:" in request.context_label()
 
     def test_canonical_ignores_transport_fields(self):
@@ -127,12 +126,19 @@ class TestRequests:
         request = api.TimelineRequest.from_payload(
             {
                 "space": {"roles": ["dns"], "max_replicas": 2},
-                "options": {"times": [1.0, 2.0], "method": "adaptive"},
+                "options": {"times": [1.0, 2.0]},
                 "priority": "batch",
             }
         )
         again = api.TimelineRequest.from_payload(request.to_payload())
         assert again == request
+
+    def test_non_finite_numbers_rejected(self):
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(ValidationError, match="finite horizon"):
+                api.parse_times({"horizon": horizon})
+            with pytest.raises(ValidationError, match="deadline_ms"):
+                api.parse_deadline_ms(horizon)
 
     def test_time_points_capped(self):
         cap = api.MAX_TIME_POINTS

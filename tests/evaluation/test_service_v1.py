@@ -4,6 +4,7 @@ streaming, and the connection-handling regression."""
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 
@@ -142,6 +143,46 @@ class TestEnvelope:
         assert body["error"]["code"] == "over_budget"
         assert "time points" in body["error"]["message"]
         assert client.healthz()["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            pytest.param({"options": {"horizon": math.nan}}, id="horizon-nan"),
+            pytest.param({"options": {"horizon": math.inf}}, id="horizon-inf"),
+            pytest.param({"options": {"times": [0.0, -math.inf]}}, id="times"),
+            pytest.param({"deadline_ms": math.nan}, id="deadline-nan"),
+        ],
+    )
+    def test_non_standard_json_numbers_are_invalid_request(
+        self, serial_service, fields
+    ):
+        """NaN and Infinity are not JSON: refused while decoding the
+        body, with a valid JSON error envelope."""
+        _, client = serial_service
+        status, body = client.request(
+            "POST", "/v1/timeline", {"space": {"roles": ["dns"]}, **fields}
+        )
+        assert status == 400
+        assert body["error"]["code"] == "invalid_request"
+        assert "not a JSON number" in body["error"]["message"]
+
+    def test_huge_time_point_answers_fast(self, serial_service):
+        """A far-future time costs no more than any other time."""
+        _, client = serial_service
+        start = time.monotonic()
+        status, body = client.request(
+            "POST",
+            "/v1/timeline",
+            {
+                "space": {"roles": ["dns", "web", "app", "db"], "max_replicas": 1},
+                "options": {"times": [0, 1e12]},
+            },
+        )
+        assert time.monotonic() - start < 2.0
+        assert status == 200
+        for design in body["designs"]:
+            assert design["completion_probability"][-1] == 1.0
+            assert design["unpatched_fraction"][-1] == 0.0
 
     def test_v1_unknown_path_is_not_found(self, serial_service):
         _, client = serial_service
@@ -334,12 +375,23 @@ class TestPriorities:
         )
         assert result["batch"] == _wire(expected)
 
-    def test_scaled_batch_does_not_block_interactive(self):
+    def test_scaled_batch_does_not_block_interactive(self, monkeypatch):
         """Satellite: a batch --scaled request in flight must not delay an
         interactive 27-design request beyond one chunk boundary — with
         two lanes they never even share a queue.  The batch is a 9x4
-        timeline: its 10,000-state completion chain keeps the lane busy
-        far longer than the interactive sweep takes."""
+        timeline held on its lane until the interactive sweep has
+        returned, so the outcome does not depend on how long either
+        computation takes."""
+        from repro.evaluation import timeline as timeline_module
+
+        release = threading.Event()
+        compute = timeline_module.evaluate_timelines_shared
+
+        def held(*args, **kwargs):
+            release.wait(timeout=60)
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(timeline_module, "evaluate_timelines_shared", held)
         with EvaluationService(
             executor="serial", max_designs=64, lanes=2
         ) as service:
@@ -352,18 +404,21 @@ class TestPriorities:
 
             batch = threading.Thread(target=run_batch)
             batch.start()
-            # Wait until the batch actually occupies its scaled lane.
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and "batch" not in order:
-                lanes = client.healthz()["lanes"]["lanes"]
-                if any(
-                    lane["context"] != "default" and lane["busy"]
-                    for lane in lanes
-                ):
-                    break
-                time.sleep(0.005)
-            client.sweep(roles=["dns", "web", "app"], max_replicas=3)
-            order.append("interactive")
+            try:
+                # Wait until the batch actually occupies its scaled lane.
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline and "batch" not in order:
+                    lanes = client.healthz()["lanes"]["lanes"]
+                    if any(
+                        lane["context"] != "default" and lane["busy"]
+                        for lane in lanes
+                    ):
+                        break
+                    time.sleep(0.005)
+                client.sweep(roles=["dns", "web", "app"], max_replicas=3)
+                order.append("interactive")
+            finally:
+                release.set()
             batch.join(timeout=180)
             assert order[0] == "interactive"
             entry = client.metrics()["registry"][

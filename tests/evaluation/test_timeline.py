@@ -20,7 +20,7 @@ from repro.evaluation import (
     evaluate_timeline,
     evaluate_timelines,
 )
-from repro.evaluation.timeline import _completion_chain, _patch_groups
+from repro.evaluation.timeline import _patch_groups
 from repro.vulnerability.diversity import diversity_database
 
 
@@ -110,6 +110,11 @@ class TestDesignTimeline:
         with pytest.raises(EvaluationError):
             default_time_grid(10.0, 1)
 
+    def test_non_finite_horizon_rejected(self):
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(EvaluationError, match="horizon"):
+                default_time_grid(horizon, 5)
+
 
 class TestHeterogeneousTimeline:
     def test_mixed_variant_design(self, grid):
@@ -148,10 +153,6 @@ class TestHeterogeneousTimeline:
             ("web_apache", 2),
             ("web_nginx", 1),
         ]
-        chain, full, zero = _completion_chain(groups)
-        assert full == (2, 1)
-        assert zero == (0, 0)
-        assert chain.number_of_states() == 6
 
 
 class TestEngineTimeline:

@@ -14,7 +14,8 @@ import time
 
 import pytest
 
-from repro.enterprise import example_network_design
+from repro.ctmc import Ctmc
+from repro.ctmc.transient import BatchTransientSolver
 from repro.evaluation import SweepEngine
 from repro.evaluation.sweep import enumerate_designs
 from repro.observability import REGISTRY, tracing
@@ -38,6 +39,13 @@ def space():
 
 def _counter_value(name, **labels):
     return REGISTRY.counter(name).labels(**labels).value
+
+
+def _transient_solve(rate):
+    """One uniformised transient solve of an up/down chain (a picklable
+    task for pool workers)."""
+    chain = Ctmc.from_rates({("up", "down"): rate, ("down", "up"): 8.0})
+    return float(BatchTransientSolver(chain).distributions({"up": 1.0}, [1.0])[0, 0])
 
 
 def _updown_net():
@@ -89,19 +97,10 @@ class TestLayerCounters:
             == hits_before + len(space)
         )
 
-    def test_transient_solve_ticks_method_counter(
-        self, case_study, critical_policy
-    ):
-        from repro.evaluation.timeline import evaluate_timeline
-
+    def test_transient_solve_ticks_method_counter(self):
         family = REGISTRY.counter("repro_transient_solves_total")
         before = family.labels(method="uniformisation").value
-        evaluate_timeline(
-            example_network_design(),
-            (0.0, 24.0),
-            case_study=case_study,
-            policy=critical_policy,
-        )
+        _transient_solve(2.0)
         assert family.labels(method="uniformisation").value > before
 
 
@@ -188,12 +187,10 @@ class TestWorkerTelemetryMerge:
         # Parent-side engine spans are present in the same trace.
         assert any(e["name"] == "engine:evaluate" for e in spans)
 
-    def test_process_sweep_merges_worker_counters(
-        self, case_study, critical_policy, space
-    ):
-        # The memo cache is cold and the executor is a process pool, so
-        # every completion-chain transient solve happens in a worker; the
-        # parent-visible count must still rise via telemetry merge.
+    def test_process_sweep_merges_worker_counters(self, case_study, critical_policy):
+        # The mapped task runs its transient solves in pool workers
+        # only; the parent-visible count must still rise via telemetry
+        # merge.
         solves = REGISTRY.counter("repro_transient_solves_total").labels(
             method="uniformisation"
         )
@@ -205,7 +202,7 @@ class TestWorkerTelemetryMerge:
             max_workers=2,
             chunk_size=2,
         ) as engine:
-            engine.timeline(space, (0.0, 24.0, 720.0))
+            engine.map(_transient_solve, [1.0, 2.0, 3.0, 4.0])
         assert solves.value > before
 
     def test_chunk_queue_wait_observed_for_process_chunks(

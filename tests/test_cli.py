@@ -280,35 +280,23 @@ class TestTimelineCli:
 
 
 class TestScaledAndMethodCli:
-    def _timeline_payload(self, capsys, *extra):
-        argv = [
-            "timeline",
-            "--roles",
-            "dns",
-            "--times",
-            "0,24,168",
-            "--json",
-            *extra,
-        ]
-        assert main(argv) == 0
-        return json.loads(capsys.readouterr().out)
-
-    def test_method_default_is_uniformisation(self, capsys):
-        base = self._timeline_payload(capsys)
-        explicit = self._timeline_payload(capsys, "--method", "uniformisation")
-        assert base["designs"] == explicit["designs"]
-
-    @pytest.mark.parametrize("method", ["adaptive", "auto"])
-    def test_method_curves_match_default(self, capsys, method):
-        base = self._timeline_payload(capsys)
-        other = self._timeline_payload(capsys, "--method", method)
-        for a, b in zip(base["designs"], other["designs"]):
-            assert a["coa"] == pytest.approx(b["coa"], abs=1e-8)
-
     def test_bad_method_exits_2(self, capsys):
-        argv = ["timeline", "--roles", "dns", "--method", "simpson"]
-        with pytest.raises(SystemExit):
-            main(argv)
+        """Completion is closed-form: no command takes ``--method``."""
+        for argv in (
+            ["timeline", "--roles", "dns", "--method", "uniformisation"],
+            [
+                "shard",
+                "--endpoints",
+                "127.0.0.1:1",
+                "--timeline",
+                "--method",
+                "uniformisation",
+            ],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "--method" in capsys.readouterr().err
 
     def test_scaled_timeline_json(self, capsys):
         assert (
@@ -319,8 +307,6 @@ class TestScaledAndMethodCli:
                     "2x3",
                     "--times",
                     "0,24,720",
-                    "--method",
-                    "auto",
                     "--json",
                 ]
             )
@@ -364,6 +350,11 @@ class TestCampaignCli:
         }
         for design in payload["designs"]:
             assert design["phase_starts"] == [0.0, 48.0]
+
+    def test_infinite_horizon_exits_2(self, capsys):
+        assert main(["timeline", "--roles", "dns", "--horizon", "inf"]) == 2
+        err = capsys.readouterr().err
+        assert "timeline failed: horizon must be finite" in err
 
     def test_plain_timeline_has_null_campaign(self, capsys):
         assert main(self.BASE + ["--json"]) == 0
