@@ -9,7 +9,7 @@ sweep twice, clean and faulted, and verifies three things:
 2. its results are identical to the clean run's, metric for metric;
 3. the recovery paths really ran, visible in the process metrics
    registry (``repro_pool_recycles_total``, ``repro_cache_degraded``,
-   ``repro_breaker_opens_total``, ``repro_faults_injected_total``).
+   ``repro_faults_injected_total``).
 
 The same drill runs from the shell via ``REPRO_FAULTS`` (see the CI
 chaos-smoke job)::
@@ -30,7 +30,7 @@ import tempfile
 from repro import observability
 from repro.evaluation.engine import SweepEngine
 from repro.evaluation.sweep import enumerate_designs
-from repro.resilience import RetryPolicy, breaker_states
+from repro.resilience import RetryPolicy
 from repro.resilience import faults
 
 
@@ -94,17 +94,6 @@ def main() -> None:
         f"cache degraded={engine.persistent_cache.degraded}, "
         f"{int(injected)} fault(s) injected in this process"
     )
-    states = breaker_states()
-    if not states:
-        print(
-            "breakers:    none exercised (paper-scale models never route "
-            "to the iterative solver; see REPRO_BREAKER_THRESHOLD)"
-        )
-    for name, state in states.items():
-        print(
-            f"breaker:     {name}: {state['state']} "
-            f"({state['opens']} open(s), {state['failures']} failure(s))"
-        )
 
 
 if __name__ == "__main__":

@@ -156,20 +156,6 @@ def _parse_roles(spec: str) -> list[str]:
     )
 
 
-def _parse_scaled(spec: str) -> tuple[int, int]:
-    """Parse a --scaled HxT spec into (hosts_per_tier, tiers)."""
-    from repro.errors import ValidationError
-
-    parts = spec.lower().replace("x", ",").split(",")
-    try:
-        hosts, tiers = (int(part) for part in parts)
-    except ValueError:
-        raise ValidationError(
-            f"--scaled expects HOSTSxTIERS (e.g. 9x4), got {spec!r}"
-        ) from None
-    return hosts, tiers
-
-
 def _space_engine_and_designs(args: argparse.Namespace, roles):
     """Build the sweep engine and enumerate the requested design space.
 
@@ -194,8 +180,9 @@ def _space_engine_and_designs(args: argparse.Namespace, roles):
                 "--scaled and --variants are mutually exclusive"
             )
         from repro.enterprise import scaled_case_study
+        from repro.evaluation.api import parse_scaled
 
-        hosts, tiers = _parse_scaled(args.scaled)
+        hosts, tiers = parse_scaled(args.scaled)
         case_study, design = scaled_case_study(hosts, tiers)
         engine = SweepEngine(
             case_study=case_study,
@@ -613,9 +600,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             "  --scaled HxT generates a chain enterprise of T tiers with H\n"
             "  replicas each ((H+1)^T availability states; 9x4 = 10,000) and\n"
             "  evaluates that single design through the same engine stack.\n"
-            "  The CTMC solvers behind the SRNs read REPRO_DENSE_THRESHOLD,\n"
-            "  the dense/sparse cutoff; steady solves above 5000 states use\n"
-            "  a preconditioned iterative path automatically.\n"
+            "  Steady solves of the SRN oracles above 5000 states use a\n"
+            "  preconditioned iterative path, falling back to the direct\n"
+            "  factorisation if it fails.\n"
             "\n"
             "observability:\n"
             "  -v/--verbose logs engine decisions (evaluator builds, pool\n"
@@ -637,13 +624,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             "  the pool and replays the batch; a locked sqlite cache\n"
             "  retries, then degrades to memory-only for the rest of the\n"
             "  process (repro_cache_degraded gauge) instead of failing the\n"
-            "  run.  Repeated iterative steady-state failures open a\n"
-            "  circuit breaker that routes solves to the direct path\n"
-            "  (REPRO_BREAKER_THRESHOLD / REPRO_BREAKER_RECOVERY tune it).\n"
-            "  'serve' answers 503 + Retry-After when saturated\n"
+            "  run.  'serve' answers 503 + Retry-After when saturated\n"
             "  (--max-queue) or draining, and on SIGTERM finishes in-flight\n"
             "  requests (up to --drain-grace seconds) before exiting 0;\n"
-            "  GET /healthz reports draining/queue/breaker/cache state.\n"
+            "  GET /v1/healthz reports draining/queue/cache state.\n"
             "  'shard' retries a failed shard request against the other\n"
             "  endpoints (deterministic backoff) and, when the services\n"
             "  share a --cache file, a survivor serves the dead shard's\n"
@@ -656,7 +640,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "  fires exactly once fleet-wide at the n-th hit of its\n"
             "  point, and recovered runs are byte-identical to clean\n"
             "  ones.  --metrics FILE snapshots the registry (recycles,\n"
-            "  degradations, breaker opens, injected faults) for\n"
+            "  degradations, injected faults) for\n"
             "  assertions in CI."
         ),
     )
@@ -773,8 +757,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             metavar="FILE",
             help=(
                 "write the process metrics registry (counters, gauges, "
-                "histograms — pool recycles, cache degradation, breaker "
-                "opens, injected faults) as JSON after the run"
+                "histograms — pool recycles, cache degradation, injected "
+                "faults) as JSON after the run"
             ),
         )
 

@@ -1,7 +1,10 @@
 """Continuous-time Markov chain engine.
 
 :class:`Ctmc` wraps a labelled infinitesimal generator; solvers compute
-steady-state and transient distributions; :mod:`repro.ctmc.rewards`
+steady-state distributions (:func:`steady_state` and
+:class:`BatchSteadySolver` share one GTH / direct / iterative size
+ladder) and transient ones (exact uniformisation,
+:class:`BatchTransientSolver`); :mod:`repro.ctmc.rewards`
 evaluates expected reward rates (the SPNP-style output measures);
 :mod:`repro.ctmc.aggregate` implements the Trivedi-style two-state
 aggregation the paper uses in Eqs. (1)-(2); and
@@ -21,12 +24,10 @@ from repro.ctmc.rewards import expected_reward_rate, reward_vector
 from repro.ctmc.steady import (
     BatchSteadySolver,
     steady_state,
-    steady_state_batch,
     steady_state_iterative,
 )
 from repro.ctmc.transient import (
     BatchTransientSolver,
-    transient_batch,
     transient_distribution,
     transient_rewards,
 )
@@ -34,13 +35,11 @@ from repro.ctmc.transient import (
 __all__ = [
     "Ctmc",
     "steady_state",
-    "steady_state_batch",
     "steady_state_iterative",
     "BatchSteadySolver",
     "BatchTransientSolver",
     "transient_distribution",
     "transient_rewards",
-    "transient_batch",
     "expected_reward_rate",
     "reward_vector",
     "TwoStateAggregate",

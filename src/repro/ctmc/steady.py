@@ -18,24 +18,25 @@ Four methods are provided:
 ``power``
     Uniformised power iteration; a derivative-free fallback.
 
-``steady_state`` picks ``gth`` for small chains, ``iterative`` above
-:data:`_ITERATIVE_CUTOFF` states (env ``REPRO_ITERATIVE_THRESHOLD``)
-and ``direct`` otherwise, falling back across methods on numerical
-failure.
+``method="auto"`` walks one size ladder: ``gth`` up to
+:data:`_GTH_CUTOFF` states, ``direct`` up to :data:`_ITERATIVE_CUTOFF`,
+``iterative`` above, falling back iterative → direct → power on
+:class:`~repro.errors.SolverError`.
 
 Each method is split into a matrix-level core (operating on the generator
 directly) and a thin :class:`~repro.ctmc.chain.Ctmc` wrapper, so that
 :class:`BatchSteadySolver` can solve whole families of chains that share
 one transition structure without rebuilding per-chain ``Ctmc`` objects:
 the sparsity pattern, index arrays and dense scaffolding are assembled
-once and only the rate values change between solves.
+once and only the rate values change between solves.  Both
+:func:`steady_state` and :meth:`BatchSteadySolver.solve` dispatch
+through the same ladder.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -45,7 +46,6 @@ from repro.ctmc.chain import Ctmc
 from repro.errors import SolverError
 from repro.observability import metrics as _metrics
 from repro.observability import tracing as _tracing
-from repro.resilience.breaker import CircuitBreaker, breaker
 from repro.resilience.faults import fault_point
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "steady_state_gth",
     "steady_state_iterative",
     "steady_state_power",
-    "steady_state_batch",
     "BatchSteadySolver",
 ]
 
@@ -65,83 +64,17 @@ _STEADY_SOLVES = _metrics.counter(
     "Steady-state solves by elimination path (core invocations).",
 )
 
+#: Up to this state count ``method="auto"`` uses dense GTH elimination.
 _GTH_CUTOFF = 200
 
 #: Above this state count ``method="auto"`` tries the preconditioned
 #: Krylov solve before the sparse direct factorisation (whose LU
 #: fill-in dominates runtime from a few thousand states up).  Kept
 #: above the 2401-state paper model so paper-scale solves stay on the
-#: exact direct path.  Overridable via ``REPRO_ITERATIVE_THRESHOLD``.
+#: exact direct path.
 _ITERATIVE_CUTOFF = 5000
-_ITERATIVE_CUTOFF_ENV = "REPRO_ITERATIVE_THRESHOLD"
 
-
-def _iterative_cutoff() -> int:
-    raw = os.environ.get(_ITERATIVE_CUTOFF_ENV)
-    if raw is None:
-        return _ITERATIVE_CUTOFF
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SolverError(
-            f"{_ITERATIVE_CUTOFF_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise SolverError(f"{_ITERATIVE_CUTOFF_ENV} must be >= 1, got {value}")
-    return value
-
-
-#: Consecutive iterative failures before ``auto`` stops attempting the
-#: Krylov path and routes straight to the direct factorisation for
-#: ``REPRO_BREAKER_RECOVERY`` seconds.  The fallback is always correct
-#: (just slower at large n), so an open breaker degrades latency, never
-#: results.  Overridable via ``REPRO_BREAKER_THRESHOLD``.
-_BREAKER_THRESHOLD = 3
-_BREAKER_THRESHOLD_ENV = "REPRO_BREAKER_THRESHOLD"
-_BREAKER_RECOVERY = 60.0
-_BREAKER_RECOVERY_ENV = "REPRO_BREAKER_RECOVERY"
-
-
-def _env_number(env: str, default: float, kind=float) -> float:
-    raw = os.environ.get(env)
-    if raw is None:
-        return default
-    try:
-        value = kind(raw)
-    except ValueError:
-        raise SolverError(f"{env} must be a number, got {raw!r}") from None
-    if value < (1 if kind is int else 0.0):
-        raise SolverError(f"{env} is out of range: {value}")
-    return value
-
-
-def _iterative_breaker() -> CircuitBreaker:
-    # The registry caches the first construction, so the env knobs are
-    # read once per process (consistent with the cutoff envs, which
-    # workers inherit on fork).
-    return breaker(
-        "solver.iterative",
-        failure_threshold=int(_env_number(_BREAKER_THRESHOLD_ENV, _BREAKER_THRESHOLD, int)),
-        recovery_time=_env_number(_BREAKER_RECOVERY_ENV, _BREAKER_RECOVERY),
-    )
-
-
-def _try_iterative(solve, n: int, label: str):
-    """One breaker-guarded iterative attempt; ``None`` means "go direct"."""
-    brk = _iterative_breaker()
-    if not brk.allow():
-        _logger.debug(
-            "%s: n=%d iterative breaker open, routing direct", label, n
-        )
-        return None
-    try:
-        result = solve()
-    except SolverError:
-        brk.record_failure()
-        _logger.debug("%s: n=%d iterative failed, trying direct", label, n)
-        return None
-    brk.record_success()
-    return result
+_METHODS = ("auto", "gth", "direct", "iterative", "power")
 
 
 def steady_state(chain: Ctmc, method: str = "auto") -> np.ndarray:
@@ -156,40 +89,52 @@ def steady_state(chain: Ctmc, method: str = "auto") -> np.ndarray:
         ``"auto"``, ``"direct"``, ``"gth"``, ``"iterative"`` or
         ``"power"``.
     """
-    with _tracing.span(
-        "ctmc:steady", states=chain.number_of_states(), method=method
-    ):
-        return _steady_state(chain, method)
+    n = chain.number_of_states()
+    with _tracing.span("ctmc:steady", states=n, method=method):
+        return _solve(
+            n,
+            chain.dense_generator,
+            lambda: chain.generator().astype(float),
+            method,
+        )
 
 
-def _steady_state(chain: Ctmc, method: str) -> np.ndarray:
-    if method == "auto":
-        n = chain.number_of_states()
-        if n <= _GTH_CUTOFF:
-            _logger.debug("steady state: n=%d auto -> gth", n)
-            return steady_state_gth(chain)
-        if n > _iterative_cutoff():
-            _logger.debug("steady state: n=%d auto -> iterative", n)
-            result = _try_iterative(
-                lambda: steady_state_iterative(chain), n, "steady state"
-            )
-            if result is not None:
-                return result
-        try:
-            _logger.debug("steady state: n=%d auto -> direct", n)
-            return steady_state_direct(chain)
-        except SolverError:
-            _logger.debug("steady state: n=%d direct failed -> power", n)
-            return steady_state_power(chain)
+def _solve(
+    n: int,
+    dense: Callable[[], np.ndarray],
+    generator: Callable[[], sparse.spmatrix],
+    method: str,
+) -> np.ndarray:
+    """Solve the chain whose dense / sparse generator the thunks build.
+
+    ``method="auto"`` walks the size ladder of the module docstring.
+    """
+    if method not in _METHODS:
+        raise SolverError(f"unknown steady-state method {method!r}")
+    if n == 1:
+        return np.array([1.0])
+    if method == "gth" or (method == "auto" and n <= _GTH_CUTOFF):
+        _logger.debug("steady state: n=%d %s -> gth", n, method)
+        return _gth_core(dense())
+    q = generator()
     if method == "direct":
-        return steady_state_direct(chain)
-    if method == "gth":
-        return steady_state_gth(chain)
+        return _direct_core(q)
     if method == "iterative":
-        return steady_state_iterative(chain)
+        return _iterative_core(q)
     if method == "power":
-        return steady_state_power(chain)
-    raise SolverError(f"unknown steady-state method {method!r}")
+        return _power_core(q)
+    if n > _ITERATIVE_CUTOFF:
+        _logger.debug("steady state: n=%d auto -> iterative", n)
+        try:
+            return _iterative_core(q)
+        except SolverError:
+            _logger.debug("steady state: n=%d iterative failed -> direct", n)
+    try:
+        _logger.debug("steady state: n=%d auto -> direct", n)
+        return _direct_core(q)
+    except SolverError:
+        _logger.debug("steady state: n=%d direct failed -> power", n)
+        return _power_core(q)
 
 
 def steady_state_direct(chain: Ctmc) -> np.ndarray:
@@ -477,43 +422,12 @@ class BatchSteadySolver:
     def solve(self, rates: Sequence[float], method: str = "auto") -> np.ndarray:
         """Steady-state vector for the chain with the given rate values."""
         with _tracing.span("ctmc:steady", states=self.n, method=method):
-            return self._solve(rates, method)
-
-    def _solve(self, rates: Sequence[float], method: str) -> np.ndarray:
-        if self.n == 1:
-            return np.array([1.0])
-        if method == "auto":
-            if self.n <= _GTH_CUTOFF:
-                return _gth_core(self.dense_generator(rates))
-            q = self.generator(rates)
-            if self.n > _iterative_cutoff():
-                result = _try_iterative(
-                    lambda: _iterative_core(q), self.n, "batch steady state"
-                )
-                if result is not None:
-                    return result
-            try:
-                return _direct_core(q)
-            except SolverError:
-                return _power_core(q)
-        if method == "gth":
-            return _gth_core(self.dense_generator(rates))
-        if method == "direct":
-            return _direct_core(self.generator(rates))
-        if method == "iterative":
-            return _iterative_core(self.generator(rates))
-        if method == "power":
-            return _power_core(self.generator(rates))
-        raise SolverError(f"unknown steady-state method {method!r}")
-
-    def solve_batch(
-        self, rate_rows: Iterable[Sequence[float]], method: str = "auto"
-    ) -> np.ndarray:
-        """Solve one chain per row of *rate_rows*; rows align with input."""
-        rows = [self.solve(rates, method=method) for rates in rate_rows]
-        if not rows:
-            return np.zeros((0, self.n))
-        return np.vstack(rows)
+            return _solve(
+                self.n,
+                lambda: self.dense_generator(rates),
+                lambda: self.generator(rates),
+                method,
+            )
 
     def _values(self, rates: Sequence[float]) -> np.ndarray:
         values = np.asarray(rates, dtype=float)
@@ -524,28 +438,3 @@ class BatchSteadySolver:
         if np.any(~np.isfinite(values)) or np.any(values < 0):
             raise SolverError("rates must be finite and non-negative")
         return values
-
-
-def steady_state_batch(
-    chains: Sequence[Ctmc], method: str = "auto"
-) -> list[np.ndarray]:
-    """Steady states of many chains, reusing structure where shared.
-
-    Chains are grouped by (state count, transition pattern); each group
-    shares one :class:`BatchSteadySolver` so pattern index arrays and
-    dense scaffolding are built once per distinct structure.  Results are
-    returned in input order.
-    """
-    groups: dict[tuple[int, tuple[tuple[int, int], ...]], BatchSteadySolver] = {}
-    results: list[np.ndarray] = []
-    for chain in chains:
-        key = (
-            chain.number_of_states(),
-            tuple(sorted((i, j) for i, j, _ in chain.transitions())),
-        )
-        solver = groups.get(key)
-        if solver is None:
-            solver = BatchSteadySolver(key[0], key[1])
-            groups[key] = solver
-        results.append(solver.solve(solver.rates_of(chain), method=method))
-    return results

@@ -4,12 +4,12 @@
 ``P = I + Q / Lambda``.  The truncation point is chosen so the neglected
 Poisson tail is below the requested tolerance.
 
-Two evaluation paths are provided:
+Three evaluation paths are provided:
 
 :func:`transient_distribution`
     The single-time reference implementation (one uniformisation per
     call, matrix-power left-truncation shortcut for dense chains).
-:class:`BatchTransientSolver` / :func:`transient_batch`
+:class:`BatchTransientSolver`
     The batched path: uniformise *once* per chain — one generator, one
     Poisson-weight table, one stream of uniformised iterates — and
     evaluate many time points and many reward vectors in a single pass.
@@ -30,30 +30,15 @@ Two evaluation paths are provided:
     oracle that re-propagates phase by phase for every single time
     point.
 
-Large state spaces pick an alternative backend through
-``BatchTransientSolver(method=...)``:
-
-``"uniformisation"`` (default)
-    The exact anchored-iterate path above.
-``"adaptive"``
-    Steady-state-detecting uniformisation for long horizons: iterate
-    streaming stops once successive uniformised iterates converge
-    (L1 difference small enough that the remaining Poisson tail cannot
-    move any answer by more than ``atol``), and all remaining weight is
-    served from the detected fixed point.
-``"auto"``
-    Size dispatch: exact uniformisation up to the auto threshold
-    (:data:`_AUTO_CUTOFF`, env ``REPRO_AUTO_METHOD_THRESHOLD``),
-    adaptive above it (it shares the exact path's arithmetic until its
-    bounded early exit).  The paper-scale models stay below the
-    threshold, so ``auto`` is bit-identical to the default there.
+Chains of up to :data:`_DENSE_CUTOFF` states are densified; larger ones
+stream sparse vector-matrix products.  Either way the result is the
+exact truncated uniformisation sum.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -67,9 +52,11 @@ from repro.resilience.faults import fault_point
 
 _logger = logging.getLogger(__name__)
 
+# ``method`` is always ``"uniformisation"``; the label stays because
+# scrapers and tests select these series by it.
 _SOLVER_BUILDS = _metrics.counter(
     "repro_transient_solver_builds_total",
-    "Transient solver constructions by resolved method and backend.",
+    "Transient solver constructions by method and backend.",
 )
 _SOLVES = _metrics.counter(
     "repro_transient_solves_total",
@@ -79,17 +66,11 @@ _ITERATIONS = _metrics.counter(
     "repro_transient_uniformisation_iterations_total",
     "Uniformisation iterates streamed (vector-matrix products).",
 ).labels()
-_ADAPTIVE_EXITS = _metrics.counter(
-    "repro_transient_adaptive_exits_total",
-    "Adaptive uniformisation solves that detected steady state early.",
-).labels()
 
 __all__ = [
-    "TRANSIENT_METHODS",
     "transient_distribution",
     "transient_rewards",
     "BatchTransientSolver",
-    "transient_batch",
     "transient_piecewise",
 ]
 
@@ -98,10 +79,7 @@ __all__ = [
 #: advance can use matrix powers (repeated squaring) instead of
 #: ``left`` sequential multiplications — for stiff chains ``left`` is of
 #: the order ``Lambda t`` and the sequential loop dominated whole runs.
-#: Overridable per solver (``dense_threshold=``) or process-wide via
-#: the ``REPRO_DENSE_THRESHOLD`` environment variable.
 _DENSE_CUTOFF = 400
-_DENSE_CUTOFF_ENV = "REPRO_DENSE_THRESHOLD"
 
 #: Safety net on the Poisson truncation search (matches the historical
 #: per-side cap of the list-based implementation).
@@ -109,65 +87,7 @@ _MAX_POISSON_TERMS = 100_000
 
 #: Memory cap (in matrix entries) for the dense block-power table; the
 #: block size is chosen so ``block * n * n`` stays below this.
-#: Overridable per solver (``block_entry_budget=``) or via the
-#: ``REPRO_DENSE_BLOCK_BUDGET`` environment variable.
 _BLOCK_ENTRY_BUDGET = 1 << 21
-_BLOCK_BUDGET_ENV = "REPRO_DENSE_BLOCK_BUDGET"
-
-#: Above this state count ``method="auto"`` switches from exact
-#: uniformisation to adaptive (steady-state-detecting) streaming.
-#: Deliberately above the 2401-state paper model so paper-scale results
-#: stay bit-identical.  Overridable via ``REPRO_AUTO_METHOD_THRESHOLD``.
-_AUTO_CUTOFF = 5000
-_AUTO_CUTOFF_ENV = "REPRO_AUTO_METHOD_THRESHOLD"
-
-#: The transient backends ``BatchTransientSolver(method=...)`` accepts.
-TRANSIENT_METHODS = ("uniformisation", "adaptive", "auto")
-
-
-def _positive_int(value: object, label: str) -> int:
-    try:
-        number = int(value)  # type: ignore[call-overload]
-    except (TypeError, ValueError):
-        raise SolverError(f"{label} must be an integer, got {value!r}") from None
-    if number < 1:
-        raise SolverError(f"{label} must be >= 1, got {number}")
-    return number
-
-
-def _env_int(env: str, default: int) -> int:
-    raw = os.environ.get(env)
-    if raw is None:
-        return default
-    return _positive_int(raw, env)
-
-
-def _resolve_dense_threshold(override: int | None = None) -> int:
-    """Densification threshold: constructor override > env var > default."""
-    if override is not None:
-        return _positive_int(override, "dense_threshold")
-    return _env_int(_DENSE_CUTOFF_ENV, _DENSE_CUTOFF)
-
-
-def _resolve_block_budget(override: int | None = None) -> int:
-    """Dense block-power memory cap: override > env var > default."""
-    if override is not None:
-        return _positive_int(override, "block_entry_budget")
-    return _env_int(_BLOCK_BUDGET_ENV, _BLOCK_ENTRY_BUDGET)
-
-
-def _resolve_auto_cutoff() -> int:
-    """State count above which ``method="auto"`` leaves the exact path."""
-    return _env_int(_AUTO_CUTOFF_ENV, _AUTO_CUTOFF)
-
-
-def _check_method(method: str) -> str:
-    if method not in TRANSIENT_METHODS:
-        raise SolverError(
-            f"unknown transient method {method!r}; "
-            f"expected one of {TRANSIENT_METHODS}"
-        )
-    return method
 
 
 def _use_matrix_power(n: int, left: int) -> bool:
@@ -179,16 +99,16 @@ def _use_matrix_power(n: int, left: int) -> bool:
     return left > 64 and left > 3 * n * math.log2(left)
 
 
-def _block_size(n: int, budget: int = _BLOCK_ENTRY_BUDGET) -> int:
+def _block_size(n: int) -> int:
     """Power block length for dense chains (pure function of ``n``).
 
     The batch solver streams uniformised iterates in blocks of this
     many Poisson indices per BLAS call; it must depend on nothing but
-    the state count and the solver's fixed entry budget so that any two
-    calls over the same chain walk the exact same block boundaries (the
+    the state count and the fixed entry budget so that any two calls
+    over the same chain walk the exact same block boundaries (the
     bit-identity contract).
     """
-    return max(1, min(128, budget // (n * n)))
+    return max(1, min(128, _BLOCK_ENTRY_BUDGET // (n * n)))
 
 
 def transient_distribution(
@@ -214,7 +134,7 @@ def transient_distribution(
         return pi0  # no transitions: distribution is frozen
     lam = max_exit * 1.02
     p = sparse.identity(n, format="csr") + q / lam
-    if n <= _resolve_dense_threshold():
+    if n <= _DENSE_CUTOFF:
         p = p.toarray()
 
     # Poisson weights with left/right truncation.
@@ -287,13 +207,8 @@ class BatchTransientSolver:
     is the same bit pattern no matter which set of times is requested:
     a batched call over ``times`` equals a per-time loop byte for byte.
 
-    *method* selects the backend (see the module docstring): the exact
-    default ``"uniformisation"``, steady-state-detecting ``"adaptive"``
-    uniformisation (early exit bounded by *atol*, default *tolerance*),
-    or ``"auto"`` size dispatch.  ``solver.method`` records the request,
-    ``solver.resolved_method`` what dispatch chose, and
-    ``solver.backend`` the storage path (``"dense"``, ``"sparse"`` or
-    ``"frozen"``).
+    ``solver.backend`` records the storage path: ``"dense"``,
+    ``"sparse"`` or ``"frozen"`` (a chain without transitions).
 
     Examples
     --------
@@ -303,21 +218,13 @@ class BatchTransientSolver:
     [[1.0, 0.0]]
     """
 
-    def __init__(
-        self,
-        chain: Ctmc,
-        tolerance: float = 1e-10,
-        method: str = "uniformisation",
-        dense_threshold: int | None = None,
-        block_entry_budget: int | None = None,
-        atol: float | None = None,
-    ) -> None:
+    def __init__(self, chain: Ctmc, tolerance: float = 1e-10) -> None:
         if tolerance <= 0:
             raise SolverError(f"tolerance must be > 0, got {tolerance}")
         self._chain = chain
+        self._states = None
         self.tolerance = float(tolerance)
         self.n = chain.number_of_states()
-        self._configure(method, dense_threshold, block_entry_budget, atol)
         q = chain.generator().tocsr().astype(float)
         self._init_from_generator(q)
 
@@ -327,10 +234,6 @@ class BatchTransientSolver:
         q: sparse.spmatrix,
         states: Sequence[State] | None = None,
         tolerance: float = 1e-10,
-        method: str = "uniformisation",
-        dense_threshold: int | None = None,
-        block_entry_budget: int | None = None,
-        atol: float | None = None,
     ) -> "BatchTransientSolver":
         """A solver over an already-assembled generator matrix.
 
@@ -348,88 +251,45 @@ class BatchTransientSolver:
             raise SolverError(f"generator must be square, got shape {q.shape}")
         solver.n = q.shape[0]
         solver._states = list(states) if states is not None else None
-        solver._configure(method, dense_threshold, block_entry_budget, atol)
         solver._init_from_generator(q)
         return solver
 
-    def _configure(
-        self,
-        method: str,
-        dense_threshold: int | None,
-        block_entry_budget: int | None,
-        atol: float | None,
-    ) -> None:
-        self.method = _check_method(method)
-        self.dense_threshold = _resolve_dense_threshold(dense_threshold)
-        self.block_entry_budget = _resolve_block_budget(block_entry_budget)
-        if atol is not None and atol <= 0:
-            raise SolverError(f"atol must be > 0, got {atol}")
-        self.atol = float(atol) if atol is not None else self.tolerance
-        self.adaptive_exits = 0
-        self.last_adaptive_exit: int | None = None
-
     def _init_from_generator(self, q: sparse.csr_matrix) -> None:
-        if not hasattr(self, "_states"):
-            self._states = None
-        if self.method == "auto":
-            cutoff = _resolve_auto_cutoff()
-            self.resolved_method = (
-                "adaptive" if self.n > cutoff else "uniformisation"
-            )
-        else:
-            self.resolved_method = self.method
         max_exit = float(np.max(-q.diagonal())) if self.n else 0.0
+        self._block = 1
+        self._powers = None
         if max_exit == 0.0:
             # No transitions: every distribution is frozen at pi(0).
             self.lam = 0.0
             self._p = None
-            self._powers = None
-            self._block = 1
             self.backend = "frozen"
-            self._log_path()
-            return
-        self.lam = max_exit * 1.02
-        p = sparse.identity(self.n, format="csr") + q / self.lam
-        if self.n <= self.dense_threshold:
-            p = p.toarray()
-            self.backend = "dense"
         else:
-            self.backend = "sparse"
-        if self.backend == "dense" and self.resolved_method == "uniformisation":
-            self._block = _block_size(self.n, self.block_entry_budget)
-            # powers[:, (j-1)*n:j*n] = P^j for j = 1..block, laid out so
-            # one vec-mat produces a whole block of iterates.  Built by
-            # doubling: [P^1..P^m] @ P^m = [P^(m+1)..P^(2m)].
-            stack = p[None, :, :]
-            while stack.shape[0] < self._block:
-                grown = np.matmul(stack, stack[-1])
-                stack = np.concatenate((stack, grown))[: self._block]
-            self._powers = np.ascontiguousarray(
-                stack.transpose(1, 0, 2).reshape(self.n, self._block * self.n)
-            )
-        else:
-            # The adaptive path streams iterates sequentially (it must
-            # inspect every successive difference), so it skips the
-            # block-power table even when P is densified.
-            self._block = 1
-            self._powers = None
-        self._p = p
-        self._log_path()
-
-    def _log_path(self) -> None:
+            self.lam = max_exit * 1.02
+            p = sparse.identity(self.n, format="csr") + q / self.lam
+            if self.n <= _DENSE_CUTOFF:
+                p = p.toarray()
+                self.backend = "dense"
+                self._block = _block_size(self.n)
+                # powers[:, (j-1)*n:j*n] = P^j for j = 1..block, laid out
+                # so one vec-mat produces a whole block of iterates.  Built
+                # by doubling: [P^1..P^m] @ P^m = [P^(m+1)..P^(2m)].
+                stack = p[None, :, :]
+                while stack.shape[0] < self._block:
+                    grown = np.matmul(stack, stack[-1])
+                    stack = np.concatenate((stack, grown))[: self._block]
+                self._powers = np.ascontiguousarray(
+                    stack.transpose(1, 0, 2).reshape(self.n, self._block * self.n)
+                )
+            else:
+                self.backend = "sparse"
+            self._p = p
         _logger.debug(
-            "transient solver: n=%d method=%s resolved=%s backend=%s "
-            "dense_threshold=%d block=%d",
+            "transient solver: n=%d backend=%s block=%d",
             self.n,
-            self.method,
-            self.resolved_method,
             self.backend,
-            self.dense_threshold,
             self._block,
         )
-        _SOLVER_BUILDS.inc(
-            method=self.resolved_method, backend=self.backend
-        )
+        _SOLVER_BUILDS.inc(method="uniformisation", backend=self.backend)
 
     # -- Poisson table -------------------------------------------------------
 
@@ -492,18 +352,14 @@ class BatchTransientSolver:
                 "solver.transient",
                 error=SolverError("injected transient solve failure"),
             )
-            _SOLVES.inc(method=self.resolved_method)
+            _SOLVES.inc(method="uniformisation")
             with _tracing.span(
                 "ctmc:transient",
                 states=self.n,
-                method=self.resolved_method,
                 backend=self.backend,
                 times=len(active),
             ):
-                if self.resolved_method == "adaptive":
-                    self._accumulate_adaptive(pi0, active, out)
-                else:
-                    self._accumulate(pi0, active, out)
+                self._accumulate(pi0, active, out)
             for i, _, _ in active:
                 result = np.clip(out[i], 0.0, None)
                 total = result.sum()
@@ -604,56 +460,6 @@ class BatchTransientSolver:
                         out[i] += weights[offset] * term
                 term = np.asarray(term @ self._p).ravel()
 
-    def _accumulate_adaptive(
-        self,
-        pi0: np.ndarray,
-        active: list[tuple[int, int, np.ndarray]],
-        out: np.ndarray,
-    ) -> None:
-        """Sequential streaming with steady-state early exit.
-
-        ``P`` is stochastic, so ``||x P||_1 <= ||x||_1`` for any ``x``
-        and successive-iterate differences can only shrink: once
-        ``delta = ||pi_{k+1} - pi_k||_1`` satisfies
-        ``delta * (last - k) <= atol / 2``, every later iterate lies
-        within ``atol / 2`` (L1) of ``pi_{k+1}``.  The remaining Poisson
-        weight of every window is then served from that fixed-point
-        estimate, changing no accumulated row by more than ``atol``
-        even after the final renormalisation.
-        """
-        last = max(left + len(weights) for _, left, weights in active) - 1
-        ran = last + 1
-        term = pi0.copy()
-        self.last_adaptive_exit = None
-        for k in range(last + 1):
-            for i, left, weights in active:
-                offset = k - left
-                if 0 <= offset < len(weights):
-                    out[i] += weights[offset] * term
-            if k == last:
-                break
-            nxt = np.asarray(term @ self._p).ravel()
-            delta = float(np.abs(nxt - term).sum())
-            if delta * (last - k) <= 0.5 * self.atol:
-                for i, left, weights in active:
-                    lo = max(k + 1 - left, 0)
-                    if lo < len(weights):
-                        out[i] += float(weights[lo:].sum()) * nxt
-                self.last_adaptive_exit = k
-                self.adaptive_exits += 1
-                _ADAPTIVE_EXITS.inc()
-                ran = k + 1
-                _logger.debug(
-                    "adaptive uniformisation: steady state at iterate "
-                    "%d of %d (delta=%.3e)",
-                    k,
-                    last,
-                    delta,
-                )
-                break
-            term = nxt
-        _ITERATIONS.inc(ran)
-
     def _initial(
         self, initial: Mapping[State, float] | np.ndarray
     ) -> np.ndarray:
@@ -683,65 +489,6 @@ class BatchTransientSolver:
                 "initial distribution must be non-negative and sum to 1"
             )
         return vector / vector.sum()
-
-
-def transient_batch(
-    chains: Sequence[Ctmc],
-    initials: Mapping[State, float] | np.ndarray | Sequence,
-    rewards: np.ndarray | Sequence[np.ndarray],
-    times: Sequence[float],
-    tolerance: float = 1e-10,
-    method: str = "uniformisation",
-) -> list[np.ndarray]:
-    """Transient rewards of many chains, reusing structure where shared.
-
-    The family counterpart of :func:`~repro.ctmc.steady.steady_state_batch`:
-    chains are grouped by (state count, transition pattern) and each
-    group assembles its generators through one
-    :class:`~repro.ctmc.steady.BatchSteadySolver` pattern (index arrays
-    built once per distinct structure); each chain then gets one
-    :class:`BatchTransientSolver` that serves every time point and
-    reward vector in a single pass.
-
-    *initials* and *rewards* are either one shared value (a mapping /
-    vector applied to every chain) or sequences aligned with *chains*.
-    Results are returned in input order, one array per chain shaped like
-    :meth:`BatchTransientSolver.rewards` output.
-    """
-    from repro.ctmc.steady import BatchSteadySolver
-
-    chains = list(chains)
-    shared_initial = isinstance(initials, (Mapping, np.ndarray))
-    shared_rewards = isinstance(rewards, np.ndarray)
-    if not shared_initial and len(initials) != len(chains):
-        raise SolverError(
-            f"got {len(initials)} initial distributions for {len(chains)} chains"
-        )
-    if not shared_rewards and len(rewards) != len(chains):
-        raise SolverError(
-            f"got {len(rewards)} reward specs for {len(chains)} chains"
-        )
-    groups: dict[tuple[int, tuple[tuple[int, int], ...]], BatchSteadySolver] = {}
-    results: list[np.ndarray] = []
-    for position, chain in enumerate(chains):
-        key = (
-            chain.number_of_states(),
-            tuple(sorted((i, j) for i, j, _ in chain.transitions())),
-        )
-        assembler = groups.get(key)
-        if assembler is None:
-            assembler = BatchSteadySolver(key[0], key[1])
-            groups[key] = assembler
-        solver = BatchTransientSolver.from_generator(
-            assembler.generator(assembler.rates_of(chain)),
-            states=chain.states,
-            tolerance=tolerance,
-            method=method,
-        )
-        initial = initials if shared_initial else initials[position]
-        reward = rewards if shared_rewards else rewards[position]
-        results.append(solver.rewards(initial, reward, times))
-    return results
 
 
 def transient_piecewise(

@@ -153,6 +153,15 @@ def parse_count(value: object, name: str, default: int | None) -> int | None:
     return value
 
 
+def parse_flag(value: object, name: str) -> bool:
+    """A JSON boolean; absent or ``null`` is ``False``."""
+    if value is None:
+        return False
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be a JSON boolean, got {value!r}")
+    return value
+
+
 def parse_scaled(value: object) -> tuple[int, int] | None:
     """``"HxT"`` / ``[H, T]`` → ``(hosts_per_tier, tiers)`` (or None)."""
     if value is None:
@@ -191,10 +200,11 @@ def parse_times(payload: dict) -> tuple[float, ...]:
         if not isinstance(times, (list, tuple)) or not times:
             raise ValidationError("times must be a non-empty list of hours")
         _check_time_points(len(times))
-        try:
-            grid = tuple(float(t) for t in times)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"bad time grid: {exc}") from exc
+        if any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in times):
+            raise ValidationError(
+                f"times must be numbers of hours, got {list(times)!r}"
+            )
+        grid = tuple(float(t) for t in times)
         if not all(math.isfinite(t) and t >= 0.0 for t in grid):
             raise ValidationError(
                 f"times must be finite and non-negative, got {list(times)!r}"
@@ -337,13 +347,14 @@ class SpaceSpec:
     @classmethod
     def from_payload(cls, payload: dict) -> "SpaceSpec":
         scaled = parse_scaled(payload.get("scaled"))
-        if scaled is not None and payload.get("variants"):
+        variants = parse_flag(payload.get("variants"), "variants")
+        if scaled is not None and variants:
             raise ValidationError("scaled and variants are mutually exclusive")
         return cls(
             roles=tuple(parse_roles(payload.get("roles"))),
             max_replicas=parse_count(payload.get("max_replicas"), "max_replicas", 2),
             max_total=parse_count(payload.get("max_total"), "max_total", None),
-            variants=bool(payload.get("variants", False)),
+            variants=variants,
             scaled=scaled,
         )
 
@@ -436,7 +447,7 @@ class SweepRequest:
             shard=ShardSpec.from_payload(options.get("shard")),
             priority=_parse_priority(payload.get("priority")),
             deadline_ms=parse_deadline_ms(payload.get("deadline_ms")),
-            stream=bool(payload.get("stream", False)),
+            stream=parse_flag(payload.get("stream"), "stream"),
         )
 
     @staticmethod
@@ -504,7 +515,7 @@ class TimelineRequest(SweepRequest):
             shard=ShardSpec.from_payload(options.get("shard")),
             priority=_parse_priority(payload.get("priority")),
             deadline_ms=parse_deadline_ms(payload.get("deadline_ms")),
-            stream=bool(payload.get("stream", False)),
+            stream=parse_flag(payload.get("stream"), "stream"),
             times=parse_times(options),
             campaign=parse_campaign(options),
         )

@@ -724,24 +724,6 @@ class SweepEngine:
 
         return self.evaluate(enumerate_designs(roles, max_replicas, max_total))
 
-    def sweep_variants(
-        self,
-        roles: Sequence[str],
-        variants: dict[str, Sequence[ServerRole]],
-        max_replicas: int,
-        max_total: int | None = None,
-    ) -> list[DesignEvaluation]:
-        """Enumerate and evaluate the heterogeneous (diversity) space.
-
-        *variants* maps each role to its candidate stacks; see
-        :func:`repro.evaluation.sweep.enumerate_heterogeneous_designs`.
-        """
-        from repro.evaluation.sweep import enumerate_heterogeneous_designs
-
-        return self.evaluate(
-            enumerate_heterogeneous_designs(roles, variants, max_replicas, max_total)
-        )
-
     def pareto(
         self,
         evaluations: Iterable[DesignEvaluation],

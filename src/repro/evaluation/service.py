@@ -114,8 +114,8 @@ Request semantics
     immediate stop.
   * **Degraded cache.**  Persistent sqlite-cache contention degrades
     the cache to memory-only (``repro_cache_degraded``) instead of
-    failing requests; ``/healthz`` surfaces the flag alongside circuit
-    -breaker states under ``resilience``.
+    failing requests; ``/healthz`` surfaces the flag under
+    ``resilience``.
 """
 
 from __future__ import annotations
@@ -139,7 +139,6 @@ from repro.errors import (
 )
 from repro.evaluation import api
 from repro.evaluation.api import sweep_response, timeline_response
-from repro.resilience.breaker import breaker_states
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import RetryPolicy
 
@@ -1585,9 +1584,8 @@ class EvaluationService:
         for compatibility); ``lanes`` reports the whole pool — bounds,
         evictions, parked jobs and per-lane context/queue/preemption
         telemetry.  The ``resilience`` section reports degradation
-        state: drain status, queue occupancy against ``max_queue``,
-        whether the persistent cache fell back to memory-only, and
-        every registered circuit breaker (name → state/failures/opens).
+        state: drain status, queue occupancy against ``max_queue`` and
+        whether the persistent cache fell back to memory-only.
         """
         cache = self.engine.persistent_cache
         return {
@@ -1604,7 +1602,6 @@ class EvaluationService:
                 "drain_grace_s": self.drain_grace,
                 "retry_after_s": self.retry_after,
                 "cache_degraded": bool(cache.degraded) if cache else False,
-                "breakers": breaker_states(),
             },
             **self.metrics(),
         }

@@ -1,8 +1,8 @@
-"""Resilience layer: deadlines, retries, breakers, fault injection.
+"""Resilience layer: deadlines, retries, fault injection.
 
 The paper's subject is keeping redundant systems available while
 patches (and failures) roll through them; this package makes the
-evaluation stack itself practice that discipline.  Four small,
+evaluation stack itself practice that discipline.  Three small,
 orthogonal primitives, all stdlib-only and deterministic:
 
 * :class:`~repro.resilience.retry.RetryPolicy` — bounded attempts with
@@ -16,11 +16,6 @@ orthogonal primitives, all stdlib-only and deterministic:
   ``/timeline``, ``--deadline`` on the CLI), checked between chunk
   dispatches and raised as the typed
   :class:`~repro.errors.DeadlineExceeded`.
-* :class:`~repro.resilience.breaker.CircuitBreaker` — consecutive
-  failures open the breaker; while open, callers route to their
-  fallback without re-attempting (the iterative steady-state solver
-  degrades to the direct factorisation this way).  Breaker state is
-  surfaced in ``/healthz`` and the metrics registry.
 * :mod:`~repro.resilience.faults` — a deterministic fault-injection
   harness: ``REPRO_FAULTS="cache.write:error@2;worker.chunk:kill@1"``
   arms named fault points wired into cache reads and writes, solver
@@ -32,19 +27,15 @@ orthogonal primitives, all stdlib-only and deterministic:
 from __future__ import annotations
 
 from repro.errors import DeadlineExceeded, FaultInjected
-from repro.resilience.breaker import CircuitBreaker, breaker, breaker_states
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import FaultPlan, fault_point
 from repro.resilience.retry import RetryPolicy
 
 __all__ = [
-    "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",
     "FaultInjected",
     "FaultPlan",
     "RetryPolicy",
-    "breaker",
-    "breaker_states",
     "fault_point",
 ]

@@ -17,7 +17,7 @@ the parent materialises a token directory (``REPRO_FAULTS_STATE``),
 forked pool workers inherit it, and firing requires winning an
 ``O_CREAT | O_EXCL`` claim on the spec's token file.  That one-shot
 guarantee is what lets chaos tests assert byte-identical output — the
-fault fires, the recovery path (recycle, retry, degrade, breaker) runs
+fault fires, the recovery path (recycle, retry, degrade, fallback) runs
 once, and the re-executed work proceeds unfaulted.
 
 ``worker_only`` points consult ``REPRO_FAULTS_PARENT`` (set alongside

@@ -9,7 +9,8 @@ functions, marking-dependent rates and reward functions.  The engine
 3. eliminates vanishing markings by the matrix method (handles immediate
    cycles; detects timeless traps),
 4. hands the resulting CTMC to :mod:`repro.ctmc` for steady-state,
-   transient and reward analysis.
+   transient and reward analysis (:func:`solve_family` solves nets that
+   share one structure from a single exploration).
 
 A discrete-event simulator (:mod:`repro.srn.simulate`) provides an
 independent estimate used to cross-validate the analytic pipeline.
@@ -22,10 +23,7 @@ from repro.srn.solver import (
     SrnSolution,
     family_signature,
     solve,
-    solve_families,
     solve_family,
-    transient_families,
-    transient_family,
 )
 from repro.srn.simulate import SimulationResult, simulate
 
@@ -39,9 +37,6 @@ __all__ = [
     "SrnSolution",
     "solve",
     "solve_family",
-    "solve_families",
-    "transient_family",
-    "transient_families",
     "family_signature",
     "SimulationResult",
     "simulate",

@@ -10,13 +10,7 @@ the parity tests and benchmarks compare against.
 :func:`solve_family` solves a family of structurally identical nets
 (same places, transitions and arcs; only rate values differ) while
 exploring the reachability graph once and batching the steady-state
-solves over the shared transition pattern.  :func:`transient_family` is
-its transient counterpart: one reachability exploration, one reward
-evaluation over the shared tangible markings, and one
-:class:`~repro.ctmc.transient.BatchTransientSolver` pass per net that
-serves every time point and reward function at once.  Unlike the
-steady-state path it accepts absorbing chains — patch-completion models
-are naturally absorbing.
+solves over the shared transition pattern.
 """
 
 from __future__ import annotations
@@ -39,9 +33,6 @@ __all__ = [
     "SrnSolution",
     "solve",
     "solve_family",
-    "solve_families",
-    "transient_family",
-    "transient_families",
     "family_signature",
 ]
 
@@ -202,7 +193,6 @@ def solve(
     net: StochasticRewardNet,
     initial: Marking | None = None,
     max_markings: int = DEFAULT_MAX_MARKINGS,
-    method: str = "auto",
 ) -> SrnSolution:
     """Explore *net*, build its CTMC and solve for the steady state.
 
@@ -221,7 +211,7 @@ def solve(
             f"net has {len(absorbing)} absorbing tangible markings "
             f"(e.g. {absorbing[0]!r}); steady-state analysis is ill-posed"
         )
-    probabilities = steady_state(chain, method=method)
+    probabilities = steady_state(chain)
     return SrnSolution(graph=graph, chain=chain, probabilities=probabilities)
 
 
@@ -229,7 +219,6 @@ def solve_family(
     nets: Sequence[StochasticRewardNet],
     initial: Marking | None = None,
     max_markings: int = DEFAULT_MAX_MARKINGS,
-    method: str = "auto",
 ) -> list[SrnSolution]:
     """Solve structurally identical nets, exploring reachability once.
 
@@ -261,8 +250,7 @@ def solve_family(
     base_graph = explore(base, initial=initial, max_markings=max_markings)
     if base_graph.vanishing_count > 0:
         return [
-            solve(net, initial=initial, max_markings=max_markings, method=method)
-            for net in nets
+            solve(net, initial=initial, max_markings=max_markings) for net in nets
         ]
 
     index = {marking: i for i, marking in enumerate(base_graph.tangible)}
@@ -292,7 +280,7 @@ def solve_family(
                     "steady-state analysis is ill-posed"
                 )
         values = [rates.get(pair, 0.0) for pair in pattern]
-        probabilities = solver.solve(values, method=method)
+        probabilities = solver.solve(values)
         graph = ReachabilityGraph(
             tangible=base_graph.tangible,
             initial_distribution=base_graph.initial_distribution,
@@ -307,97 +295,13 @@ def solve_family(
     return solutions
 
 
-def transient_family(
-    nets: Sequence[StochasticRewardNet],
-    rewards: RewardFn | Sequence[RewardFn],
-    times: Sequence[float],
-    initial: Marking | None = None,
-    max_markings: int = DEFAULT_MAX_MARKINGS,
-    tolerance: float = 1e-10,
-) -> list[np.ndarray]:
-    """Transient reward curves for structurally identical nets.
-
-    The transient counterpart of :func:`solve_family`: the first net's
-    reachability graph is explored once, every reward function is
-    evaluated once over the shared tangible markings, and each net's
-    rates are re-evaluated on the stored markings and handed to one
-    :class:`~repro.ctmc.transient.BatchTransientSolver` (generators
-    assembled through a shared
-    :class:`~repro.ctmc.steady.BatchSteadySolver` pattern), which
-    serves every time point and reward in a single uniformisation pass.
-
-    Unlike :func:`solve` and :func:`solve_family` there is **no**
-    absorbing-marking guard: transient questions are well-posed on
-    absorbing chains (patch-completion models are naturally absorbing —
-    the probability mass simply accumulates in the absorbing markings).
-
-    Returns one array per net: shape ``(len(times),)`` for a single
-    reward function, ``(len(times), len(rewards))`` for a sequence.
-    Nets with vanishing markings fall back to independent explorations
-    (immediate-weight changes can reshape the eliminated graph).
-    """
-    nets = list(nets)
-    if not nets:
-        return []
-    single = callable(rewards)
-    reward_fns: list[RewardFn] = [rewards] if single else list(rewards)
-    if not reward_fns:
-        raise SrnError("transient_family needs at least one reward function")
-
-    def reward_matrix(markings: Sequence[Marking]) -> np.ndarray:
-        matrix = np.array(
-            [[float(fn(marking)) for marking in markings] for fn in reward_fns]
-        )
-        return matrix[0] if single else matrix
-
-    base = nets[0]
-    _check_family_signature(base, nets)
-    base_graph = explore(base, initial=initial, max_markings=max_markings)
-    if base_graph.vanishing_count > 0:
-        results = []
-        for net in nets:
-            graph = explore(net, initial=initial, max_markings=max_markings)
-            solver = BatchTransientSolver(graph.to_ctmc(), tolerance=tolerance)
-            results.append(
-                solver.rewards(
-                    graph.initial_distribution, reward_matrix(graph.tangible), times
-                )
-            )
-        return results
-
-    index = {marking: i for i, marking in enumerate(base_graph.tangible)}
-    place_count = len(base.places)
-    all_rates: list[dict[tuple[int, int], float]] = [dict(base_graph.rates)]
-    for net in nets[1:]:
-        all_rates.append(
-            _rates_on_graph(net, base_graph.tangible, index, place_count)
-        )
-    pattern = sorted(
-        {key for rates in all_rates for key in rates if key[0] != key[1]}
-    )
-    assembler = BatchSteadySolver(base_graph.number_of_states, pattern)
-    matrix = reward_matrix(base_graph.tangible)
-    results = []
-    for rates in all_rates:
-        values = [rates.get(pair, 0.0) for pair in pattern]
-        solver = BatchTransientSolver.from_generator(
-            assembler.generator(values), tolerance=tolerance
-        )
-        results.append(
-            solver.rewards(base_graph.initial_distribution, matrix, times)
-        )
-    return results
-
-
 def family_signature(net: StochasticRewardNet):
     """The transition-pattern signature grouping structurally equal nets.
 
     Two nets with equal signatures differ at most in their rate/weight
     *values*: places (names and initial tokens), transitions (names,
     kinds, arcs, inhibitors) all match, so they share one reachability
-    graph and can be solved through :func:`solve_family` /
-    :func:`transient_family`.  This is the key :func:`solve_families`
-    and :func:`transient_families` group nets by.
+    graph and can be solved through :func:`solve_family`.
     """
     places = tuple((p.name, p.initial_tokens) for p in net.places)
     transitions = tuple(
@@ -405,73 +309,6 @@ def family_signature(net: StochasticRewardNet):
         for t in net.transitions
     )
     return places, transitions
-
-
-def solve_families(
-    nets: Sequence[StochasticRewardNet],
-    initial: Marking | None = None,
-    max_markings: int = DEFAULT_MAX_MARKINGS,
-    method: str = "auto",
-) -> list[SrnSolution]:
-    """Solve *nets*, sharing one exploration per structural family.
-
-    The generalisation of :func:`solve_family` to a heterogeneous
-    population: nets are grouped by :func:`family_signature` and each
-    group is solved through one :func:`solve_family` call (one
-    reachability exploration, one batched steady-state pattern), so a
-    design sweep with ``d`` designs but only ``p`` distinct transition
-    patterns pays for ``p`` explorations.  Results are returned in input
-    order and are bit-identical to calling :func:`solve` per net.
-    """
-    return _per_family(
-        nets,
-        lambda members: solve_family(
-            members, initial=initial, max_markings=max_markings, method=method
-        ),
-    )
-
-
-def transient_families(
-    nets: Sequence[StochasticRewardNet],
-    rewards: RewardFn | Sequence[RewardFn],
-    times: Sequence[float],
-    initial: Marking | None = None,
-    max_markings: int = DEFAULT_MAX_MARKINGS,
-    tolerance: float = 1e-10,
-) -> list[np.ndarray]:
-    """Transient curves for *nets*, one exploration per structural family.
-
-    The transient counterpart of :func:`solve_families`: nets are
-    grouped by :func:`family_signature` and each group runs through one
-    :func:`transient_family` call (shared exploration, shared reward
-    evaluation, one uniformisation per net).  Results align with the
-    input order.
-    """
-    return _per_family(
-        nets,
-        lambda members: transient_family(
-            members,
-            rewards,
-            times,
-            initial=initial,
-            max_markings=max_markings,
-            tolerance=tolerance,
-        ),
-    )
-
-
-def _per_family(nets: Sequence[StochasticRewardNet], solve_group) -> list:
-    """Group *nets* by signature, apply *solve_group* per group, and
-    scatter the per-group results back into input order."""
-    nets = list(nets)
-    groups: dict[object, list[int]] = {}
-    for position, net in enumerate(nets):
-        groups.setdefault(family_signature(net), []).append(position)
-    results: list = [None] * len(nets)
-    for members in groups.values():
-        for position, result in zip(members, solve_group([nets[i] for i in members])):
-            results[position] = result
-    return results
 
 
 def _check_family_signature(

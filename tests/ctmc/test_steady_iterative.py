@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ctmc import Ctmc, steady_state, steady_state_iterative
+from repro.ctmc import Ctmc, steady, steady_state, steady_state_iterative
 from repro.ctmc.steady import (
-    _ITERATIVE_CUTOFF_ENV,
     BatchSteadySolver,
     steady_state_direct,
     steady_state_gth,
@@ -83,28 +82,18 @@ class TestIterativeSolver:
 
 
 class TestAutoDispatch:
-    def test_env_cutoff_routes_large_chains_through_iterative(
+    def test_cutoff_routes_large_chains_through_iterative(
         self, monkeypatch, caplog
     ):
         import logging
 
         chain = availability_grid(220)  # 221 states, above the gth cutoff
         reference = steady_state(chain, method="direct")
-        monkeypatch.setenv(_ITERATIVE_CUTOFF_ENV, "10")
+        monkeypatch.setattr(steady, "_ITERATIVE_CUTOFF", 10)
         with caplog.at_level(logging.DEBUG, logger="repro.ctmc.steady"):
             via_iterative = steady_state(chain, method="auto")
         assert "auto -> iterative" in caplog.text
         np.testing.assert_allclose(via_iterative, reference, rtol=0.0, atol=1e-8)
-
-    def test_invalid_env_value_raises(self, monkeypatch):
-        from repro.ctmc.steady import _iterative_cutoff
-
-        monkeypatch.setenv(_ITERATIVE_CUTOFF_ENV, "many")
-        with pytest.raises(SolverError, match=_ITERATIVE_CUTOFF_ENV):
-            _iterative_cutoff()
-        monkeypatch.setenv(_ITERATIVE_CUTOFF_ENV, "0")
-        with pytest.raises(SolverError, match=_ITERATIVE_CUTOFF_ENV):
-            _iterative_cutoff()
 
     def test_batch_solver_iterative_method(self):
         chain = availability_grid(12)

@@ -15,7 +15,6 @@ from repro.ctmc import Ctmc, steady_state
 from repro.ctmc.transient import (
     BatchTransientSolver,
     _poisson_weights,
-    transient_batch,
     transient_distribution,
     transient_rewards,
 )
@@ -198,37 +197,6 @@ class TestValidation:
         labelled = BatchTransientSolver.from_generator(q, states=["up", "down"])
         dists = labelled.distributions({"up": 1.0}, [0.0])
         assert dists[0].tolist() == [1.0, 0.0]
-
-
-class TestTransientBatchFamily:
-    def test_matches_per_chain_solvers(self):
-        chains = [updown(2.0, 8.0), updown(1.0, 3.0), updown(2.0, 8.0)]
-        times = [0.0, 0.4, 2.5, 60.0]
-        rewards = np.array([1.0, 0.0])
-        results = transient_batch(chains, {"up": 1.0}, rewards, times)
-        assert len(results) == 3
-        for chain, result in zip(chains, results):
-            direct = transient_rewards(chain, {"up": 1.0}, rewards, times)
-            assert result == pytest.approx(direct, abs=1e-9)
-        # identical chains give identical curves
-        assert results[0].tobytes() == results[2].tobytes()
-
-    def test_per_chain_initials_and_rewards(self):
-        chains = [updown(), updown(1.0, 1.0)]
-        results = transient_batch(
-            chains,
-            [{"up": 1.0}, {"down": 1.0}],
-            [np.array([1.0, 0.0]), np.array([0.0, 1.0])],
-            [0.0],
-        )
-        assert results[0][0] == pytest.approx(1.0)
-        assert results[1][0] == pytest.approx(1.0)
-
-    def test_misaligned_sequences_rejected(self):
-        with pytest.raises(SolverError):
-            transient_batch([updown()], [{"up": 1.0}, {"up": 1.0}], np.array([1.0, 0.0]), [0.0])
-        with pytest.raises(SolverError):
-            transient_batch([updown()], {"up": 1.0}, [], [0.0])
 
 
 class TestPoissonWeights:

@@ -9,6 +9,7 @@ from repro.enterprise import paper_case_study, scaled_case_study
 from repro.enterprise.scaled import scaled_design
 from repro.errors import ValidationError
 from repro.evaluation import AvailabilityEvaluator
+from repro.observability import REGISTRY
 from repro.patching import CriticalVulnerabilityPolicy
 from repro.srn import explore
 
@@ -99,9 +100,22 @@ class TestEndToEnd:
         exact = evaluator.transient_coa(design, times)
         reward = coa_reward(design.counts)
         rewards = np.array([reward(m) for m in graph.tangible])
-        for method in ("uniformisation", "adaptive", "auto"):
-            solver = BatchTransientSolver.from_generator(
-                graph.generator(), method=method
-            )
-            other = solver.rewards(graph.initial_distribution, rewards, times)
-            np.testing.assert_allclose(other, exact, rtol=0.0, atol=1e-8)
+        solver = BatchTransientSolver.from_generator(graph.generator())
+        other = solver.rewards(graph.initial_distribution, rewards, times)
+        np.testing.assert_allclose(other, exact, rtol=0.0, atol=1e-8)
+
+    def test_large_srn_steady_state_runs_iterative(self):
+        # 9x4 is a 10,000-state SRN, above the iterative cutoff: the
+        # default ladder must take the Krylov path and match the
+        # closed-form COA.
+        case_study, design = scaled_case_study(hosts_per_tier=9, tiers=4)
+        evaluator = AvailabilityEvaluator(case_study, CriticalVulnerabilityPolicy())
+        model = evaluator.network_model(design)
+        iterative = REGISTRY.counter("repro_steady_solves_total").labels(
+            path="iterative"
+        )
+        before = iterative.value
+        coa = model.capacity_oriented_availability()
+        assert iterative.value == before + 1
+        assert len(model.solve().markings) == 10_000
+        assert abs(coa - evaluator.coa(design)) <= 1e-9

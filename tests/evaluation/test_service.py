@@ -162,6 +162,8 @@ class TestValidation:
             {"max_replicas": 0},
             {"max_replicas": True},
             {"max_total": -1},
+            {"roles": ["dns"], "variants": "false"},
+            {"roles": ["dns"], "variants": 1},
         ],
     )
     def test_bad_space_fields_are_400(self, serial_service, payload):
@@ -180,6 +182,8 @@ class TestValidation:
             {"horizon": -5},
             {"points": 1},
             {"times": [-1.0, 2.0]},
+            {"times": ["720"]},
+            {"times": [True]},
         ],
     )
     def test_bad_timeline_fields_are_400(self, serial_service, payload):

@@ -51,6 +51,16 @@ class TestEnvelope:
         assert "bogus" in body["error"]["message"]
         assert set(body["error"]) == {"code", "message", "detail"}
 
+    def test_non_boolean_stream_is_invalid_request(self, serial_service):
+        # "false" is a truthy string: it must not switch on NDJSON.
+        _, client = serial_service
+        status, body = client.request(
+            "POST", "/v1/sweep", {"space": {"roles": ["dns"]}, "stream": "false"}
+        )
+        assert status == 400
+        assert body["error"]["code"] == "invalid_request"
+        assert "stream" in body["error"]["message"]
+
     def test_unknown_priority_rejected(self, serial_service):
         _, client = serial_service
         status, body = client.request(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ctmc import BatchSteadySolver, Ctmc, steady_state_batch
+from repro.ctmc import BatchSteadySolver, Ctmc
 from repro.ctmc.steady import (
     steady_state_direct,
     steady_state_gth,
@@ -83,14 +83,6 @@ class TestSteadyMethodAgreement:
         ):
             batched = solver.solve(rates, method=method)
             assert np.max(np.abs(batched - reference(chain))) < 1e-12
-
-    @settings(max_examples=20, deadline=None)
-    @given(chains=st.lists(irreducible_chains(max_states=5), min_size=1, max_size=4))
-    def test_steady_state_batch_order_and_values(self, chains):
-        batched = steady_state_batch(chains)
-        assert len(batched) == len(chains)
-        for pi, chain in zip(batched, chains):
-            assert np.max(np.abs(pi - steady_state_gth(chain))) < 1e-12
 
 
 def _float_bits(value: float) -> bytes:

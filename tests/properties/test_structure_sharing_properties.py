@@ -4,8 +4,8 @@ The load-bearing invariants: one evaluator's cached lower-layer
 aggregates serve arbitrary mixed populations of homogeneous and
 heterogeneous designs **bit-identically** to a fresh evaluator per
 design, and solving a family of structurally identical nets together
-(:func:`repro.srn.solve_families`) is bit-identical to solving each net
-on its own.
+(:func:`repro.srn.solve_family`, once per signature group) is
+bit-identical to solving each net on its own.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.enterprise import (
 )
 from repro.evaluation import AvailabilityEvaluator
 from repro.patching import CriticalVulnerabilityPolicy
-from repro.srn import StochasticRewardNet, solve, solve_families
+from repro.srn import StochasticRewardNet, family_signature, solve, solve_family
 from repro.vulnerability.diversity import diversity_database
 
 _CASE_STUDY = paper_case_study()
@@ -136,8 +136,16 @@ class TestSolveFamiliesParity:
             net.add_arc("Tu", "Pup")
             nets.append(net)
 
-        grouped = solve_families(nets)
-        for net, solution in zip(nets, grouped):
+        groups: dict = {}
+        for net in nets:
+            groups.setdefault(family_signature(net), []).append(net)
+        solved = [
+            pair
+            for members in groups.values()
+            for pair in zip(members, solve_family(members))
+        ]
+        assert len(solved) == len(nets)
+        for net, solution in solved:
             reference = solve(net)
             assert (
                 solution.probabilities.tobytes()

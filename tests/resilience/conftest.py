@@ -1,9 +1,8 @@
 """Shared isolation for the resilience tests.
 
-Fault plans and circuit breakers are process-wide singletons (so forked
-workers and ``/healthz`` see one state); every test here gets a clean
-slate before and after, and the ``REPRO_*`` knobs never leak between
-tests.
+Fault plans are process-wide singletons (so forked workers see one
+state); every test here gets a clean slate before and after, and the
+``REPRO_FAULTS*`` variables never leak between tests.
 """
 
 from __future__ import annotations
@@ -13,25 +12,16 @@ import os
 import pytest
 
 from repro.resilience import faults as faults_mod
-from repro.resilience.breaker import reset_breakers
 
 _FAULT_ENVS = (faults_mod.ENV_PLAN, faults_mod.ENV_STATE, faults_mod.ENV_PARENT)
-_KNOB_ENVS = (
-    "REPRO_BREAKER_THRESHOLD",
-    "REPRO_BREAKER_RECOVERY",
-    "REPRO_ITERATIVE_THRESHOLD",
-)
 
 
 @pytest.fixture(autouse=True)
 def clean_resilience_state():
-    saved = {
-        env: os.environ.get(env) for env in _FAULT_ENVS + _KNOB_ENVS
-    }
-    for env in _FAULT_ENVS + _KNOB_ENVS:
+    saved = {env: os.environ.get(env) for env in _FAULT_ENVS}
+    for env in _FAULT_ENVS:
         os.environ.pop(env, None)
     faults_mod.reset()
-    reset_breakers()
     yield
     for env, value in saved.items():
         if value is None:
@@ -39,4 +29,3 @@ def clean_resilience_state():
         else:
             os.environ[env] = value
     faults_mod.reset()
-    reset_breakers()

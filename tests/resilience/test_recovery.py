@@ -2,7 +2,7 @@
 
 Each test arms a ``REPRO_FAULTS`` plan, exercises the real component,
 and asserts the resilience contract: the fault is absorbed by a retry,
-a degrade or a breaker fallback — never surfaced to the caller — and
+a degrade or a solver fallback — never surfaced to the caller — and
 the recovered output is identical to a clean run.
 """
 
@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import os
 
+from repro.ctmc import steady
 from repro.evaluation.cache import PersistentEvaluationCache
 from repro.evaluation.engine import SweepEngine
 from repro.evaluation.sweep import enumerate_designs
-from repro.resilience import RetryPolicy, breaker, breaker_states
+from repro.observability import REGISTRY
+from repro.resilience import RetryPolicy
 from repro.resilience import faults as faults_mod
 
 FAST_RETRY = RetryPolicy(attempts=3, base_delay=0.0)
@@ -76,18 +78,11 @@ class TestCacheDegrade:
         assert engine.cache_info["disk_degraded"] == 1
 
 
-class TestBreakerFallback:
-    def test_open_breaker_routes_steady_state_direct(self, monkeypatch):
+class TestIterativeFallback:
+    def test_failed_iterative_routes_steady_state_direct(self, monkeypatch):
         from repro.enterprise import scaled_case_study
         from repro.evaluation import AvailabilityEvaluator
         from repro.patching import CriticalVulnerabilityPolicy
-
-        # Push the auto path onto the iterative solver for this model
-        # size, then make its very first solve fail: threshold 1 opens
-        # the breaker immediately.
-        monkeypatch.setenv("REPRO_ITERATIVE_THRESHOLD", "300")
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "1")
-        arm(monkeypatch, "solver.iterative:fail@1")
 
         case_study, design = scaled_case_study(6, 3)  # 343 states
 
@@ -98,25 +93,17 @@ class TestBreakerFallback:
             model = evaluator.network_model(design)
             return model.capacity_oriented_availability()
 
+        # Below the default cutoff this model solves direct.
         clean = srn_coa()
-        faulted = srn_coa()
-        assert faulted == clean
-
-        brk = breaker("solver.iterative")
-        assert brk.opens == 1
-        assert breaker_states()["solver.iterative"]["opens"] == 1
-
-    def test_breaker_disallow_skips_iterative_entirely(self, monkeypatch):
-        from repro.ctmc.steady import _try_iterative
-
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "1")
-        brk = breaker("solver.iterative", failure_threshold=1)
-        brk.record_failure()  # open
-
-        def must_not_run():
-            raise AssertionError("iterative attempted with an open breaker")
-
-        assert _try_iterative(must_not_run, 1000, "test") is None
+        # Push the auto path onto the iterative solver for this model
+        # size, then make its very first solve fail: the ladder falls
+        # back to the same direct solve.
+        monkeypatch.setattr(steady, "_ITERATIVE_CUTOFF", 300)
+        arm(monkeypatch, "solver.iterative:fail@1")
+        direct = REGISTRY.counter("repro_steady_solves_total").labels(path="direct")
+        before = direct.value
+        assert srn_coa() == clean
+        assert direct.value == before + 1
 
 
 class TestWorkerKillRecovery:

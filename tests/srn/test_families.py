@@ -1,18 +1,11 @@
-"""Tests for signature-keyed family solving (solve_families et al.)."""
+"""Tests for signature-keyed family solving (solve_family per group)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import SrnError
-from repro.srn import (
-    StochasticRewardNet,
-    family_signature,
-    solve,
-    solve_families,
-    transient_families,
-)
+from repro.srn import StochasticRewardNet, family_signature, solve, solve_family
 from repro.srn.reachability import exploration_count
 
 
@@ -48,6 +41,14 @@ class TestFamilySignature:
         assert family_signature(a) != family_signature(b)
 
 
+def _by_signature(nets):
+    """*nets* grouped by :func:`family_signature`, in first-seen order."""
+    groups: dict = {}
+    for net in nets:
+        groups.setdefault(family_signature(net), []).append(net)
+    return list(groups.values())
+
+
 class TestSolveFamilies:
     def test_bitwise_equal_to_per_net_solve(self):
         nets = [
@@ -56,14 +57,14 @@ class TestSolveFamilies:
             _birth_death_net("c", 2, 7.0, 0.25),
             _birth_death_net("d", 3, 0.1, 11.0),
         ]
-        grouped = solve_families(nets)
-        for net, solution in zip(nets, grouped):
-            reference = solve(net)
-            assert (
-                solution.probabilities.tobytes()
-                == reference.probabilities.tobytes()
-            )
-            assert solution.markings == reference.markings
+        for members in _by_signature(nets):
+            for net, solution in zip(members, solve_family(members)):
+                reference = solve(net)
+                assert (
+                    solution.probabilities.tobytes()
+                    == reference.probabilities.tobytes()
+                )
+                assert solution.markings == reference.markings
 
     def test_one_exploration_per_family(self):
         nets = [
@@ -71,20 +72,24 @@ class TestSolveFamilies:
             for i, tokens in enumerate([2, 3, 2, 3, 2])
         ]
         before = exploration_count()
-        solve_families(nets)
+        for members in _by_signature(nets):
+            solve_family(members)
         assert exploration_count() - before == 2  # two distinct signatures
 
     def test_results_in_input_order(self):
+        # Pup's mean is tokens * up / (up + down) per net, in input order.
         nets = [
             _birth_death_net("a", 3, 1.0, 1.0),
-            _birth_death_net("b", 2, 1.0, 1.0),
-            _birth_death_net("c", 3, 2.0, 2.0),
+            _birth_death_net("b", 3, 3.0, 1.0),
+            _birth_death_net("c", 3, 1.0, 3.0),
         ]
-        solutions = solve_families(nets)
-        assert [len(s.markings) for s in solutions] == [4, 3, 4]
+        solutions = solve_family(nets)
+        assert [s.expected_tokens("Pup") for s in solutions] == pytest.approx(
+            [1.5, 2.25, 0.75]
+        )
 
     def test_empty_population(self):
-        assert solve_families([]) == []
+        assert solve_family([]) == []
 
     def test_absorbing_member_rejected(self):
         # A zero up-rate makes the all-down marking absorbing.
@@ -93,43 +98,4 @@ class TestSolveFamilies:
             _birth_death_net("absorbing", 2, 0.0, 1.0),
         ]
         with pytest.raises(SrnError):
-            solve_families(nets)
-
-
-class TestTransientFamilies:
-    def test_bitwise_equal_to_per_net_transient(self):
-        times = [0.0, 0.5, 2.0, 10.0]
-        nets = [
-            _birth_death_net("a", 2, 1.0, 3.0),
-            _birth_death_net("b", 3, 2.0, 5.0),
-            _birth_death_net("c", 2, 7.0, 0.25),
-        ]
-
-        def reward(marking):
-            return float(marking["Pup"])
-
-        grouped = transient_families(nets, reward, times)
-        for net, curve in zip(nets, grouped):
-            solution = solve(net)
-            reference = solution.transient_reward(reward, times)
-            assert curve.tobytes() == reference.tobytes()
-
-    def test_exploration_shared_across_members(self):
-        times = [0.0, 1.0]
-        nets = [
-            _birth_death_net(f"n{i}", 2, 1.0 + i, 2.0) for i in range(4)
-        ]
-        before = exploration_count()
-        transient_families(nets, lambda m: 1.0, times)
-        assert exploration_count() - before == 1
-
-    def test_results_align_with_inputs(self):
-        times = [0.0]
-        nets = [
-            _birth_death_net("a", 2, 1.0, 1.0),
-            _birth_death_net("b", 4, 1.0, 1.0),
-        ]
-        curves = transient_families(nets, lambda m: float(m["Pup"]), times)
-        assert curves[0][0] == pytest.approx(2.0)
-        assert curves[1][0] == pytest.approx(4.0)
-        assert all(isinstance(c, np.ndarray) for c in curves)
+            solve_family(nets)
