@@ -600,6 +600,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             "  --scaled HxT generates a chain enterprise of T tiers with H\n"
             "  replicas each ((H+1)^T availability states; 9x4 = 10,000) and\n"
             "  evaluates that single design through the same engine stack.\n"
+            "  Security metrics are computed over classes of identical\n"
+            "  replicas, so their cost does not depend on replica counts:\n"
+            "  9x7's 4,782,969 attack paths are one weighted class path.\n"
+            "  A spec with more attack paths (H^T) than a float can count\n"
+            "  exits 2.\n"
             "  Steady solves of the SRN oracles above 5000 states use a\n"
             "  preconditioned iterative path, falling back to the direct\n"
             "  factorisation if it fails.\n"

@@ -40,7 +40,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Sequence
+import sys
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,7 @@ __all__ = [
     "error_payload",
     "error_status",
     "enumerate_space",
+    "iter_space",
     "shard_of",
     "pareto_flags",
     "sweep_response",
@@ -162,6 +164,10 @@ def parse_flag(value: object, name: str) -> bool:
     return value
 
 
+#: ln of the largest float: the bound on a scaled chain's attack paths.
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def parse_scaled(value: object) -> tuple[int, int] | None:
     """``"HxT"`` / ``[H, T]`` → ``(hosts_per_tier, tiers)`` (or None)."""
     if value is None:
@@ -187,6 +193,15 @@ def parse_scaled(value: object) -> tuple[int, int] | None:
     if hosts < 1 or tiers < 1:
         raise ValidationError(
             f"scaled needs positive hosts_per_tier and tiers, got {value!r}"
+        )
+    # The chain has hosts**tiers attack paths, and that count must stay
+    # a float (ASP raises path terms to it).  Compare logarithms:
+    # tiers * ln(hosts) > ln(float max), never hosts**tiers itself.
+    if hosts > 1 and tiers > _LN_FLOAT_MAX / math.log(hosts):
+        raise ValidationError(
+            f"scaled {hosts}x{tiers} has {hosts}^{tiers} attack paths, more "
+            "than a float can count; choose HOSTSxTIERS with "
+            "TIERS * ln(HOSTS) <= ln(sys.float_info.max)"
         )
     return (hosts, tiers)
 
@@ -382,6 +397,15 @@ def enumerate_space(space: SpaceSpec) -> list:
     The one enumeration shared by the service, the CLI and the shard
     coordinator — shard merging relies on all three agreeing on it.
     """
+    return list(iter_space(space))
+
+
+def iter_space(space: SpaceSpec) -> Iterator:
+    """The designs of *space* one at a time, in :func:`enumerate_space` order.
+
+    Lazy, so a caller that only needs a bounded prefix (the service's
+    design-count budget) never builds the whole space.
+    """
     from repro.evaluation.sweep import (
         enumerate_designs,
         enumerate_heterogeneous_designs,
@@ -391,7 +415,7 @@ def enumerate_space(space: SpaceSpec) -> list:
         from repro.enterprise.scaled import scaled_case_study
 
         _, design = scaled_case_study(*space.scaled)
-        return [design]
+        return iter([design])
     if space.variants:
         from repro.enterprise import paper_variant_space
 
@@ -402,20 +426,16 @@ def enumerate_space(space: SpaceSpec) -> list:
                 f"no variant pool for roles {unknown}; "
                 f"choose from {sorted(pools)}"
             )
-        return list(
-            enumerate_heterogeneous_designs(
-                list(space.roles),
-                {role: pools[role] for role in space.roles},
-                max_replicas=space.max_replicas,
-                max_total=space.max_total,
-            )
-        )
-    return list(
-        enumerate_designs(
+        return enumerate_heterogeneous_designs(
             list(space.roles),
+            {role: pools[role] for role in space.roles},
             max_replicas=space.max_replicas,
             max_total=space.max_total,
         )
+    return enumerate_designs(
+        list(space.roles),
+        max_replicas=space.max_replicas,
+        max_total=space.max_total,
     )
 
 

@@ -102,8 +102,10 @@ __all__ = ["PersistentEvaluationCache", "context_fingerprint"]
 #: the dispatch change must miss cleanly); version 5 = the closed-form
 #: upper layer (COA values move in the last ulp); version 6 = the
 #: closed-form patch completion (completion curves and mean time to
-#: completion move in the last bits).
-_PIPELINE_VERSION = b"repro-evaluation-pipeline-v6"
+#: completion move in the last bits); version 7 = security metrics over
+#: host classes (``SecurityMetrics`` drops its per-path tuples; ASP and
+#: ``total_risk`` move in the last bits).
+_PIPELINE_VERSION = b"repro-evaluation-pipeline-v7"
 
 #: How long a contended statement retries before sqlite gives up with
 #: ``database is locked`` — generous, because a competing writer only

@@ -129,6 +129,7 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future, InvalidStateError
 from functools import partial
+from itertools import islice
 
 from repro import observability
 from repro.errors import (
@@ -1266,17 +1267,20 @@ class EvaluationService:
             if req.deadline_ms is None
             else Deadline.after_ms(req.deadline_ms)
         )
-        designs = api.enumerate_space(req.space)
+        designs = api.iter_space(req.space)
         if req.shard is not None:
-            designs = [d for d in designs if req.shard.owns(d)]
+            designs = (d for d in designs if req.shard.owns(d))
         budget = (
             self.max_designs
             if req.max_designs is None
             else min(req.max_designs, self.max_designs)
         )
+        # Stop one design past the budget: the space itself may be
+        # far too large to build.
+        designs = list(islice(designs, budget + 1))
         if len(designs) > budget:
             raise api.OverBudgetError(
-                f"request enumerates {len(designs)} designs, over the "
+                f"request enumerates more than {budget} designs, over the "
                 f"budget of {budget}; shrink the space or raise the "
                 "service's --max-designs"
             )

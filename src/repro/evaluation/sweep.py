@@ -45,15 +45,34 @@ def enumerate_designs(
     check_positive_int(max_replicas, "max_replicas")
     if not roles:
         return
-    for counts in product(range(1, max_replicas + 1), repeat=len(roles)):
-        if max_total is not None and sum(counts) > max_total:
-            continue
+    for counts in _count_vectors(len(roles), max_replicas, max_total):
         yield RedundancyDesign(dict(zip(roles, counts)))
+
+
+def _count_vectors(
+    length: int, max_replicas: int, max_total: int | None
+) -> Iterator[tuple[int, ...]]:
+    """Count tuples of 1..max_replicas summing to at most *max_total*.
+
+    Lexicographic order.  Counts that cannot fit the total are never
+    generated, so a small *max_total* over a huge *max_replicas* stays
+    cheap.
+    """
+    if max_total is None:
+        yield from product(range(1, max_replicas + 1), repeat=length)
+        return
+    if length == 0:
+        yield ()
+        return
+    # Every later role needs at least one server.
+    for first in range(1, min(max_replicas, max_total - length + 1) + 1):
+        for rest in _count_vectors(length - 1, max_replicas, max_total - first):
+            yield (first, *rest)
 
 
 def _role_assignments(
     variants: Sequence[ServerRole], max_replicas: int
-) -> list[dict[ServerRole, int]]:
+) -> Iterator[dict[ServerRole, int]]:
     """Every way to deploy 1..max_replicas servers over the variants.
 
     Each variant gets 0..max_replicas replicas; at least one server must
@@ -61,19 +80,39 @@ def _role_assignments(
     same per-role budget :func:`enumerate_designs` applies).  Variants
     with a zero count are dropped from the assignment.
     """
-    assignments: list[dict[ServerRole, int]] = []
     for counts in product(range(max_replicas + 1), repeat=len(variants)):
         total = sum(counts)
         if not 1 <= total <= max_replicas:
             continue
-        assignments.append(
-            {
-                variant: count
-                for variant, count in zip(variants, counts)
-                if count > 0
-            }
-        )
-    return assignments
+        yield {
+            variant: count
+            for variant, count in zip(variants, counts)
+            if count > 0
+        }
+
+
+def _assignment_combos(
+    pools: Sequence[Sequence[ServerRole]],
+    max_replicas: int,
+    max_total: int | None,
+) -> Iterator[tuple[dict[ServerRole, int], ...]]:
+    """``product`` of the roles' assignments, generated lazily.
+
+    Same order as ``itertools.product`` over the materialised
+    assignment lists, without materialising them; with *max_total*, a
+    role's total is capped by what the later roles (one server each at
+    least) leave over.
+    """
+    if not pools:
+        yield ()
+        return
+    cap = max_replicas
+    if max_total is not None:
+        cap = min(cap, max_total - len(pools) + 1)
+    for assignment in _role_assignments(pools[0], cap):
+        rest_total = None if max_total is None else max_total - sum(assignment.values())
+        for rest in _assignment_combos(pools[1:], max_replicas, rest_total):
+            yield (assignment, *rest)
 
 
 def enumerate_heterogeneous_designs(
@@ -98,16 +137,13 @@ def enumerate_heterogeneous_designs(
     check_positive_int(max_replicas, "max_replicas")
     if not roles:
         return
-    pools: list[list[dict[ServerRole, int]]] = []
+    pools: list[list[ServerRole]] = []
     for role in roles:
         pool = list(variants.get(role, ()))
         if not pool:
             raise ValidationError(f"role {role!r} has no candidate variants")
-        pools.append(_role_assignments(pool, max_replicas))
-    for combo in product(*pools):
-        total = sum(sum(assignment.values()) for assignment in combo)
-        if max_total is not None and total > max_total:
-            continue
+        pools.append(pool)
+    for combo in _assignment_combos(pools, max_replicas, max_total):
         yield HeterogeneousDesign(dict(zip(roles, combo)))
 
 

@@ -16,7 +16,7 @@ from repro.errors import HarmError
 from repro.harm.model import Harm
 from repro.vulnerability.model import Vulnerability
 
-__all__ = ["build_harm"]
+__all__ = ["build_harm", "host_tree"]
 
 
 def build_harm(
@@ -67,17 +67,31 @@ def build_harm(
             raise HarmError(f"entry host {host!r} has no vulnerability entry")
         graph.add_entry_point(host)
 
-    trees: dict[str, AttackTree | None] = {}
-    for host, vulns in host_vulnerabilities.items():
-        exploitable = [vuln for vuln in vulns if vuln.exploitable]
-        if not exploitable:
-            trees[host] = None
-            continue
-        spec = tree_specs.get(host)
-        if spec is not None:
-            _check_spec_covers(host, spec, exploitable)
-        trees[host] = AttackTree.from_vulnerabilities(exploitable, spec)
+    trees = {
+        host: host_tree(host, vulns, tree_specs.get(host))
+        for host, vulns in host_vulnerabilities.items()
+    }
     return Harm(graph, trees)
+
+
+def host_tree(
+    host: str,
+    vulnerabilities: Sequence[Vulnerability],
+    spec: Sequence[BranchSpec] | None = None,
+) -> AttackTree | None:
+    """The lower-layer attack tree of one host.
+
+    Only records with ``exploitable=True`` enter the tree; ``None``
+    means the host has none and stays off the attack surface.  *spec*
+    is the optional branch specification; naming a CVE outside the
+    exploitable records raises :class:`HarmError` naming *host*.
+    """
+    exploitable = [vuln for vuln in vulnerabilities if vuln.exploitable]
+    if not exploitable:
+        return None
+    if spec is not None:
+        _check_spec_covers(host, spec, exploitable)
+    return AttackTree.from_vulnerabilities(exploitable, spec)
 
 
 def _check_spec_covers(

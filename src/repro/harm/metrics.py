@@ -21,10 +21,21 @@ the most probable single path (max).  *independent paths* treats paths as
 independent attempts, ``1 - prod(1 - p_path)``; this is the semantics
 consistent with the paper's observations (redundancy increases ASP, and
 designs whose extra replica is off-path keep the baseline value).
+
+Every metric is one reduction, :func:`reduce_paths`, over *weighted*
+paths ``(impact, probability, length, weight)``.  :func:`evaluate_security`
+enumerates the host-level paths of an explicit HARM, each with weight 1;
+:class:`repro.evaluation.security.SecurityEvaluator` walks classes of
+identical replicas instead, one path per class sequence weighted by the
+product of the classes' replica counts.  Paths with equal probability
+are grouped, so the independent-paths product is
+``prod((1 - p) ** W_p)`` over the distinct ``p`` in ascending order and
+both routes give the same bits.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from math import prod
@@ -33,7 +44,13 @@ from repro.attacktree.semantics import GateSemantics, WORST_CASE
 from repro.errors import HarmError
 from repro.harm.model import Harm
 
-__all__ = ["PathAggregation", "SecurityMetrics", "evaluate_security"]
+__all__ = [
+    "PathAggregation",
+    "SecurityMetrics",
+    "WeightedPath",
+    "evaluate_security",
+    "reduce_paths",
+]
 
 
 class PathAggregation(str, Enum):
@@ -50,11 +67,12 @@ class PathAggregation(str, Enum):
 class SecurityMetrics:
     """The paper's five metrics plus supporting detail.
 
-    ``attack_paths`` holds the enumerated paths (host-name lists);
-    ``path_impacts`` and ``path_probabilities`` align with it.  The extra
-    metrics (``max_path_probability``, ``shortest_attack_path``,
-    ``mean_path_length``, ``total_risk``, ``unique_cve_count``) come from
-    the systems-security-metrics survey the paper cites.
+    Every field is a reduction over weighted attack paths (see
+    :func:`reduce_paths`); no per-path data is kept, so a result's size
+    does not grow with the number of paths.  The extra metrics
+    (``max_path_probability``, ``shortest_attack_path``,
+    ``mean_path_length``, ``total_risk``, ``unique_cve_count``) come
+    from the systems-security-metrics survey the paper cites.
     """
 
     attack_impact: float
@@ -62,9 +80,6 @@ class SecurityMetrics:
     number_of_exploitable_vulnerabilities: int
     number_of_attack_paths: int
     number_of_entry_points: int
-    attack_paths: tuple[tuple[str, ...], ...]
-    path_impacts: tuple[float, ...]
-    path_probabilities: tuple[float, ...]
     max_path_probability: float
     shortest_attack_path: int
     mean_path_length: float
@@ -82,6 +97,83 @@ class SecurityMetrics:
         }
 
 
+#: One attack path as the reduction sees it:
+#: ``(impact, probability, length, weight)``.
+WeightedPath = tuple[float, float, int, int]
+
+
+def reduce_paths(
+    paths: Iterable[WeightedPath],
+    aggregation: PathAggregation,
+    exploitable_vulnerabilities: int,
+    unique_cves: int,
+    entry_points: int,
+) -> SecurityMetrics:
+    """Reduce weighted attack paths to :class:`SecurityMetrics`.
+
+    Each path is ``(impact, probability, length, weight)``: *weight*
+    identical paths (an exact int) with that impact (the sum of the
+    host-tree impacts, from the entry), probability (their product)
+    and host count.  The path-independent counts — NoEV, the unique
+    CVEs and NoEP — are passed through.
+
+    Equal paths are grouped before any floating-point arithmetic:
+    independent-paths ASP is ``1 - prod((1 - p) ** W_p)`` over the
+    distinct probabilities in ascending order, and ``total_risk`` sums
+    ``impact * p * W`` over ascending ``(impact, p)``.  The result
+    therefore depends only on the multiset of paths, not on the order
+    they arrive in or on how they are split into weights.
+    """
+    groups: dict[tuple[float, float], int] = {}
+    lengths: dict[int, int] = {}
+    for impact, probability, length, weight in paths:
+        key = (impact, probability)
+        groups[key] = groups.get(key, 0) + weight
+        lengths[length] = lengths.get(length, 0) + weight
+
+    count = sum(lengths.values())
+    if not groups:
+        aim = asp = max_path_prob = 0.0
+    else:
+        aim = max(impact for impact, _ in groups)
+        max_path_prob = max(probability for _, probability in groups)
+        if aggregation is PathAggregation.WORST_CASE:
+            asp = max_path_prob
+        elif aggregation is PathAggregation.INDEPENDENT_PATHS:
+            by_probability: dict[float, int] = {}
+            for (_, probability), weight in groups.items():
+                by_probability[probability] = (
+                    by_probability.get(probability, 0) + weight
+                )
+            asp = 1.0 - prod(
+                (1.0 - probability) ** weight
+                for probability, weight in sorted(by_probability.items())
+            )
+        else:  # pragma: no cover - exhaustive enum
+            raise HarmError(f"unknown aggregation {aggregation!r}")
+
+    total_risk = sum(
+        impact * probability * weight
+        for (impact, probability), weight in sorted(groups.items())
+    )
+    return SecurityMetrics(
+        attack_impact=aim,
+        attack_success_probability=asp,
+        number_of_exploitable_vulnerabilities=exploitable_vulnerabilities,
+        number_of_attack_paths=count,
+        number_of_entry_points=entry_points,
+        max_path_probability=max_path_prob,
+        shortest_attack_path=min(lengths, default=0),
+        mean_path_length=(
+            sum(length * weight for length, weight in lengths.items()) / count
+            if count
+            else 0.0
+        ),
+        total_risk=total_risk,
+        unique_cve_count=unique_cves,
+    )
+
+
 def evaluate_security(
     harm: Harm,
     semantics: GateSemantics = WORST_CASE,
@@ -89,6 +181,9 @@ def evaluate_security(
     max_path_length: int | None = None,
 ) -> SecurityMetrics:
     """Compute :class:`SecurityMetrics` for *harm*.
+
+    Enumerates every host-level attack path of the attack surface and
+    feeds each to :func:`reduce_paths` with weight 1.
 
     Parameters
     ----------
@@ -104,59 +199,35 @@ def evaluate_security(
     surface = harm.attack_surface()
     trees = harm.trees
 
-    if surface.targets:
-        paths = [tuple(p) for p in surface.attack_paths(max_path_length)]
-    else:
-        paths = []
-    entry_points = surface.entry_points() if surface.targets else []
-
     host_impact: dict[str, float] = {}
     host_probability: dict[str, float] = {}
     for host, tree in trees.items():
         host_impact[host] = tree.impact(semantics)
         host_probability[host] = tree.probability(semantics)
 
-    path_impacts = tuple(
-        sum(host_impact[host] for host in path) for path in paths
-    )
-    path_probabilities = tuple(
-        prod(host_probability[host] for host in path) for path in paths
-    )
+    paths: Iterable[WeightedPath] = ()
+    entry_points = 0
+    if surface.targets:
+        # Attacker-rooted paths: path[0] is the attacker node.
+        paths = (
+            (
+                sum(host_impact[host] for host in path[1:]),
+                prod(host_probability[host] for host in path[1:]),
+                len(path) - 1,
+                1,
+            )
+            for path in surface.iter_attack_paths(max_path_length)
+        )
+        entry_points = len(surface.entry_points())
 
-    aim = max(path_impacts, default=0.0)
-    if not path_probabilities:
-        asp = 0.0
-        max_path_prob = 0.0
-    else:
-        max_path_prob = max(path_probabilities)
-        if aggregation is PathAggregation.WORST_CASE:
-            asp = max_path_prob
-        elif aggregation is PathAggregation.INDEPENDENT_PATHS:
-            asp = 1.0 - prod(1.0 - p for p in path_probabilities)
-        else:  # pragma: no cover - exhaustive enum
-            raise HarmError(f"unknown aggregation {aggregation!r}")
-
-    noev = sum(len(tree.leaves()) for tree in trees.values())
-    unique_cves = {leaf.name for tree in trees.values() for leaf in tree.leaves()}
-
-    lengths = [len(path) for path in paths]
-    total_risk = sum(
-        impact * probability
-        for impact, probability in zip(path_impacts, path_probabilities)
-    )
-
-    return SecurityMetrics(
-        attack_impact=aim,
-        attack_success_probability=asp,
-        number_of_exploitable_vulnerabilities=noev,
-        number_of_attack_paths=len(paths),
-        number_of_entry_points=len(entry_points),
-        attack_paths=tuple(paths),
-        path_impacts=path_impacts,
-        path_probabilities=path_probabilities,
-        max_path_probability=max_path_prob,
-        shortest_attack_path=min(lengths, default=0),
-        mean_path_length=(sum(lengths) / len(lengths)) if lengths else 0.0,
-        total_risk=total_risk,
-        unique_cve_count=len(unique_cves),
+    return reduce_paths(
+        paths,
+        aggregation,
+        exploitable_vulnerabilities=sum(
+            len(tree.leaves()) for tree in trees.values()
+        ),
+        unique_cves=len(
+            {leaf.name for tree in trees.values() for leaf in tree.leaves()}
+        ),
+        entry_points=entry_points,
     )

@@ -46,6 +46,21 @@ class TestSpaceSpec:
             assert space.scaled == (3, 2)
             assert space.context_label() == "scaled:3x2"
 
+    @pytest.mark.parametrize(
+        "value", ["lots", "0x4", "3x0", [3], [3, True], "100000x62"]
+    )
+    def test_bad_scaled_specs_rejected(self, value):
+        # 100000x62 has 10^310 attack paths, more than a float counts.
+        with pytest.raises(ValidationError):
+            api.SpaceSpec.from_payload({"scaled": value})
+
+    def test_scaled_path_count_bound_is_the_float_range(self):
+        # 10^305 paths still fit; 1 host per tier is one path at any depth.
+        assert api.parse_scaled("100000x61") == (100000, 61)
+        assert api.parse_scaled([1, 1000]) == (1, 1000)
+        with pytest.raises(ValidationError, match="attack paths"):
+            api.parse_scaled([2, 10**400])
+
     def test_scaled_excludes_variants(self):
         with pytest.raises(ValidationError, match="mutually exclusive"):
             api.SpaceSpec.from_payload({"scaled": "3x2", "variants": True})

@@ -4,8 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attacktree import PROBABILISTIC
+from dataclasses import replace
+
+from repro.attacktree import PROBABILISTIC, AttackTree
+from repro.enterprise import (
+    EnterpriseCaseStudy,
+    HeterogeneousDesign,
+    RedundancyDesign,
+    ServerRole,
+    paper_variants,
+    scaled_case_study,
+)
+from repro.errors import HarmError, ValidationError
 from repro.evaluation import AvailabilityEvaluator, SecurityEvaluator
+from repro.evaluation.sweep import enumerate_designs
 from repro.harm import PathAggregation
 from repro.patching import NoPatchPolicy
 
@@ -43,6 +55,74 @@ class TestSecurityEvaluator:
             case_study, semantics=PROBABILISTIC
         ).before_patch(example_design)
         assert probabilistic.attack_impact == worst.attack_impact
+
+
+class TestSecurityClasses:
+    """The class-level walk: cost, caching and validation."""
+
+    def test_each_stack_tree_built_once_per_evaluator(
+        self, case_study, critical_policy, monkeypatch
+    ):
+        built = []
+        original = AttackTree.from_vulnerabilities.__func__
+
+        def counting(cls, vulnerabilities, branches=None):
+            built.append(branches)
+            return original(cls, vulnerabilities, branches)
+
+        monkeypatch.setattr(AttackTree, "from_vulnerabilities", classmethod(counting))
+
+        def no_host_harm(*args, **kwargs):
+            raise AssertionError("metrics must not build a host-level HARM")
+
+        monkeypatch.setattr(SecurityEvaluator, "build_harm", no_host_harm)
+        evaluator = SecurityEvaluator(case_study)
+        for design in enumerate_designs(["dns", "web", "app", "db"], 3):
+            evaluator.before_patch(design)
+            evaluator.after_patch(design, critical_policy)
+        assert len(built) == 4  # one per role stack
+
+    def test_cost_does_not_depend_on_replica_counts(self):
+        case_study, design = scaled_case_study(1000, 3)
+        metrics = SecurityEvaluator(case_study).before_patch(design)
+        assert metrics.number_of_attack_paths == 1000**3
+        assert metrics.number_of_entry_points == 1000
+        assert metrics.mean_path_length == 3.0
+        assert metrics.shortest_attack_path == 3
+        assert metrics.number_of_exploitable_vulnerabilities == 1000 * (1 + 5 + 5)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "unknown role",
+            "role off the topology",
+            "variant without records",
+            "tree spec naming unknown CVEs",
+        ],
+    )
+    def test_errors_match_the_host_level_builders(self, case_study, bad):
+        roles = dict(case_study.roles)
+        if bad == "unknown role":
+            design = RedundancyDesign({"web": 1, "cache": 1})
+        elif bad == "role off the topology":
+            design = HeterogeneousDesign({"cache": {paper_variants()["web_apache"]: 1}})
+        elif bad == "variant without records":
+            design = HeterogeneousDesign(
+                {"web": {ServerRole("web_x", "No OS", "No App"): 2}}
+            )
+        else:
+            roles["web"] = replace(roles["web"], attack_tree_spec=("CVE-0000-0001",))
+            design = RedundancyDesign({"dns": 1, "web": 2, "db": 1})
+        broken = EnterpriseCaseStudy(
+            roles=roles, topology=case_study.topology, database=case_study.database
+        )
+        evaluator = SecurityEvaluator(broken)
+        with pytest.raises((ValidationError, HarmError)) as oracle:
+            evaluator.build_harm(design)
+        with pytest.raises(type(oracle.value)) as raised:
+            evaluator.before_patch(design)
+        assert type(raised.value) is type(oracle.value)
+        assert str(raised.value) == str(oracle.value)
 
 
 class TestAvailabilityEvaluator:

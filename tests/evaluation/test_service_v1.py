@@ -71,14 +71,22 @@ class TestEnvelope:
 
     def test_over_budget_code(self, serial_service):
         _, client = serial_service
-        status, body = client.request(
-            "POST",
-            "/v1/sweep",
-            {"space": {"roles": ["dns", "web", "app", "db"], "max_replicas": 3}},
-        )
-        assert status == 400
-        assert body["error"]["code"] == "over_budget"
-        assert "budget" in body["error"]["message"]
+        # 1000 replicas over 4 roles is 10^12 designs: the budget check
+        # must answer without enumerating them.
+        for max_replicas in (3, 1000):
+            status, body = client.request(
+                "POST",
+                "/v1/sweep",
+                {
+                    "space": {
+                        "roles": ["dns", "web", "app", "db"],
+                        "max_replicas": max_replicas,
+                    }
+                },
+            )
+            assert status == 400
+            assert body["error"]["code"] == "over_budget"
+            assert "budget" in body["error"]["message"]
 
     def test_evaluation_time_validation_error_is_invalid_request(
         self, serial_service

@@ -19,6 +19,18 @@ class TestEnumeration:
         assert all(d.total_servers <= 4 for d in designs)
         assert len(designs) == 6  # (1,1)(1,2)(1,3)(2,1)(2,2)(3,1)
 
+    def test_small_total_never_walks_the_replica_range(self):
+        # 1000 replicas over 4 roles is 10^12 candidates; a total of 4
+        # admits one design, found without visiting the rest.
+        designs = list(
+            enumerate_designs(
+                ["dns", "web", "app", "db"], max_replicas=1000, max_total=4
+            )
+        )
+        assert designs == [
+            RedundancyDesign({"dns": 1, "web": 1, "app": 1, "db": 1})
+        ]
+
     def test_empty_roles(self):
         assert list(enumerate_designs([], max_replicas=2)) == []
 

@@ -144,6 +144,23 @@ class TestHeterogeneousEnumeration:
         assert designs
         assert all(d.total_servers <= 3 for d in designs)
 
+    def test_huge_replica_range_is_enumerated_lazily(self, variant_space):
+        roles = ["dns", "web", "app", "db"]
+        designs = enumerate_heterogeneous_designs(
+            roles, variant_space, max_replicas=1000
+        )
+        assert next(designs).total_servers == 4
+        small = list(
+            enumerate_heterogeneous_designs(
+                roles, variant_space, max_replicas=1000, max_total=5
+            )
+        )
+        # 4 servers: web and db pick one of 2 stacks each (4 designs).
+        # 5 servers: a second dns (4), web (3 ways x 2 db), app (4) or
+        # db (3 ways x 2 web) server.
+        assert len(small) == 4 + 4 + 6 + 4 + 6
+        assert max(d.total_servers for d in small) == 5
+
     def test_missing_pool_rejected(self, variant_space):
         with pytest.raises(ValidationError):
             list(
@@ -340,9 +357,6 @@ def _point(asp: float, coa: float) -> DesignEvaluation:
         number_of_exploitable_vulnerabilities=0,
         number_of_attack_paths=0,
         number_of_entry_points=0,
-        attack_paths=(),
-        path_impacts=(),
-        path_probabilities=(),
         max_path_probability=0.0,
         shortest_attack_path=0,
         mean_path_length=0.0,

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.attackgraph import AttackGraph
 from repro.attacktree import AttackTree
 from repro.attacktree.nodes import LeafNode
 from repro.harm import Harm, PathAggregation, evaluate_security
+from repro.harm.metrics import reduce_paths
 
 
 def tree(name: str, impact=10.0, probability=1.0):
@@ -37,11 +40,10 @@ class TestPathMetrics:
         assert metrics.attack_impact == pytest.approx(17.0)  # web2 + db
 
     def test_path_probabilities_multiply(self, two_path_harm):
+        """Each path's probability is its hosts' product, 0.5 x 0.5."""
         metrics = evaluate_security(two_path_harm)
-        assert sorted(metrics.path_probabilities) == [
-            pytest.approx(0.25),
-            pytest.approx(0.25),
-        ]
+        assert metrics.max_path_probability == pytest.approx(0.25)
+        assert metrics.total_risk == pytest.approx(0.25 * (13.0 + 17.0))
 
     def test_worst_case_network_asp(self, two_path_harm):
         metrics = evaluate_security(
@@ -126,3 +128,68 @@ class TestDegenerateCases:
     def test_max_path_length_bounds_enumeration(self, two_path_harm):
         metrics = evaluate_security(two_path_harm, max_path_length=1)
         assert metrics.number_of_attack_paths == 0
+
+
+class TestReducePaths:
+    """The one reduction both the host-level and the class-level route use."""
+
+    PATHS = [
+        (13.0, 0.25, 2, 1),
+        (17.0, 0.25, 2, 1),
+        (13.0, 0.25, 2, 1),
+        (40.1, 0.39**3, 3, 1),
+        (52.2, 0.39**3, 4, 1),
+    ]
+
+    def reduce(self, paths, aggregation):
+        return reduce_paths(
+            paths,
+            aggregation,
+            exploitable_vulnerabilities=7,
+            unique_cves=5,
+            entry_points=2,
+        )
+
+    @pytest.mark.parametrize("aggregation", list(PathAggregation))
+    def test_depends_only_on_the_multiset_of_paths(self, aggregation):
+        rng = random.Random(3)
+        paths = [
+            # Small probabilities keep ASP off 1.0, so order would show.
+            (
+                rng.choice([3.0, 12.9, 16.4]),
+                rng.random() / 50,
+                rng.randint(1, 6),
+                rng.randint(1, 4),
+            )
+            for _ in range(40)
+        ]
+        expected = self.reduce(paths, aggregation)
+        # The same multiset, split into unit weights and shuffled.
+        units = [(i, p, n, 1) for i, p, n, w in paths for _ in range(w)]
+        for _ in range(20):
+            rng.shuffle(units)
+            assert self.reduce(units, aggregation) == expected
+        merged = [(13.0, 0.25, 2, 2)] + self.PATHS[1:2] + self.PATHS[3:]
+        assert self.reduce(merged, aggregation) == self.reduce(
+            self.PATHS, aggregation
+        )
+
+    def test_weights_count_paths_exactly(self):
+        metrics = self.reduce(
+            [(1.0, 0.5, 3, 10**12), (2.0, 0.5, 5, 10**12)],
+            PathAggregation.INDEPENDENT_PATHS,
+        )
+        assert metrics.number_of_attack_paths == 2 * 10**12
+        assert metrics.mean_path_length == 4.0
+        assert metrics.shortest_attack_path == 3
+        assert metrics.attack_success_probability == 1.0
+        assert metrics.total_risk == pytest.approx(1.5 * 10**12)
+
+    def test_no_paths(self):
+        metrics = self.reduce([], PathAggregation.INDEPENDENT_PATHS)
+        assert metrics.number_of_attack_paths == 0
+        assert metrics.attack_impact == metrics.attack_success_probability == 0.0
+        assert metrics.mean_path_length == 0.0
+        assert metrics.number_of_exploitable_vulnerabilities == 7
+        assert metrics.unique_cve_count == 5
+        assert metrics.number_of_entry_points == 2

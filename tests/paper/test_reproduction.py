@@ -62,8 +62,9 @@ class TestTableII:
         assert before.number_of_entry_points == 3
         assert after.number_of_entry_points == 2
 
-    def test_longest_path_is_dns_web_app_db(self, before):
-        longest = max(before.attack_paths, key=len)
+    def test_longest_path_is_dns_web_app_db(self, case_study, example_design):
+        surface = case_study.build_harm(example_design).attack_surface()
+        longest = max(surface.attack_paths(), key=len)
         assert [h[:-1] for h in longest] == ["dns", "web", "app", "db"]
 
     def test_worst_case_single_path_asp(self, case_study, example_design, critical_policy):
@@ -92,8 +93,12 @@ class TestSectionIIIExamples:
     def test_aim_ap1_is_52_2(self, case_study, example_design):
         """aim(ap1) = 10.0 + 12.9 + 16.4 + 12.9 = 52.2."""
         harm = case_study.build_harm(example_design)
-        metrics = evaluate_security(harm)
-        assert max(metrics.path_impacts) == pytest.approx(52.2)
+        ap1 = harm.attack_surface().attack_paths()[0]
+        assert ap1 == ["dns1", "web1", "app1", "db1"]
+        assert sum(harm.tree_for(host).impact() for host in ap1) == pytest.approx(
+            52.2
+        )
+        assert evaluate_security(harm).attack_impact == pytest.approx(52.2)
 
 
 class TestTableIV:
