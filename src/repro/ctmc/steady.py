@@ -291,9 +291,11 @@ def _gth_core(q: np.ndarray) -> np.ndarray:
                 "the chain is reducible"
             )
         a[:k, k] /= total
-        for j in range(k):
-            if a[k, j] != 0.0:
-                a[:k, j] += a[:k, k] * a[k, j]
+        # One rank-1 update per pivot.  Each entry gets one multiply and
+        # one add, and a zero a[k, j] adds +0.0 to a non-negative entry,
+        # so this equals a column loop that skips zero columns bit for
+        # bit (tests/ctmc keeps that loop as the oracle).
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
     # Back substitution.
     pi = np.zeros(n)
     pi[0] = 1.0

@@ -29,7 +29,8 @@ class NetworkTopology:
     """
 
     def __init__(self, roles: Iterable[str] = ()) -> None:
-        self._roles: list[str] = []
+        # The graph's nodes are the roles, in insertion order: one
+        # hash lookup per membership test, whatever the tier count.
         self._graph = DiGraph()
         self._entry_roles: list[str] = []
         self._target_roles: list[str] = []
@@ -41,9 +42,7 @@ class NetworkTopology:
     def add_role(self, role: str) -> None:
         """Register a role (idempotent)."""
         check_name(role, "role")
-        if role not in self._roles:
-            self._roles.append(role)
-            self._graph.add_node(role)
+        self._graph.add_node(role)
 
     def add_role_reachability(self, src: str, dst: str) -> None:
         """Allow connections from tier *src* to tier *dst*."""
@@ -68,7 +67,7 @@ class NetworkTopology:
     @property
     def roles(self) -> list[str]:
         """Roles in insertion order."""
-        return list(self._roles)
+        return self._graph.nodes()
 
     @property
     def entry_roles(self) -> list[str]:
@@ -93,7 +92,7 @@ class NetworkTopology:
 
     def validate(self) -> None:
         """Check the topology is usable for HARM construction."""
-        if not self._roles:
+        if not len(self._graph):
             raise ValidationError("topology has no roles")
         if not self._entry_roles:
             raise ValidationError("topology has no entry roles")
@@ -106,5 +105,5 @@ class NetworkTopology:
             raise ValidationError("role-level topology contains a cycle")
 
     def _require_role(self, role: str) -> None:
-        if role not in self._roles:
+        if role not in self._graph:
             raise ValidationError(f"unknown role {role!r}")

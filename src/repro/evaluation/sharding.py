@@ -145,7 +145,6 @@ class ShardCoordinator:
                 if name in fields
             }
         )
-        designs = api.enumerate_space(space)
         count = self.shard_count
         with ThreadPoolExecutor(
             max_workers=count, thread_name_prefix="repro-shard"
@@ -155,7 +154,10 @@ class ShardCoordinator:
                 for index in range(count)
             ]
             responses = [future.result() for future in futures]
-        return self._merge(designs, responses, timeline)
+        # The space is walked only once every shard has answered: a
+        # space past the services' budget fails there, never enumerated
+        # on the client.
+        return self._merge(space, responses, timeline)
 
     def _shard_request(self, index: int, fields: dict, timeline: bool) -> dict:
         """One shard's partition, failing over across endpoints."""
@@ -204,14 +206,16 @@ class ShardCoordinator:
         ) from last_error
 
     @staticmethod
-    def _merge(designs, responses: list[dict], timeline: bool) -> dict:
+    def _merge(
+        space: api.SpaceSpec, responses: list[dict], timeline: bool
+    ) -> dict:
         """Re-interleave shard partitions into the single-process payload."""
         from collections import deque
 
         count = len(responses)
         queues = [deque(response["designs"]) for response in responses]
         merged = []
-        for design in designs:
+        for design in api.iter_space(space):
             queue = queues[api.shard_of(design, count)]
             if not queue:
                 raise EvaluationError(

@@ -10,14 +10,18 @@ with cycles of immediate transitions:
 
 where ``R_tt``/``R_tv`` hold timed rates from tangible markings into
 tangible/vanishing successors and ``P_vv``/``P_vt`` hold immediate
-branching probabilities.  A singular ``I - P_vv`` indicates a *timeless
-trap* (a set of vanishing markings that can never reach a tangible one)
-and raises :class:`repro.errors.SrnError`.
+branching probabilities.  ``I - P_vv`` is assembled as a sparse CSC
+matrix and LU-factored once (SuperLU, COLAMD ordering); ``P_vt`` is then
+solved against that one factor in dense blocks of ``_SOLVE_CHUNK``
+columns, so the work array is ``n_v x _SOLVE_CHUNK`` floats whatever the
+tangible count, and only the non-zeros of each solved block are kept.
+A singular ``I - P_vv`` indicates a *timeless trap* (a set of vanishing
+markings that can never reach a tangible one) and raises
+:class:`repro.errors.SrnError`.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
@@ -34,6 +38,10 @@ from repro.srn.net import StochasticRewardNet, TransitionKind
 __all__ = ["ReachabilityGraph", "explore", "exploration_count"]
 
 DEFAULT_MAX_MARKINGS = 200_000
+
+#: Columns of ``P_vt`` solved per call against the factor of
+#: ``I - P_vv``; bounds the dense work array at ``n_v x _SOLVE_CHUNK``.
+_SOLVE_CHUNK = 256
 
 #: Process-wide count of reachability explorations, incremented by
 #: :func:`explore`.  Benchmarks diff it around a sweep to count the
@@ -245,9 +253,10 @@ def _eliminate_vanishing(
             vanishing_count=0,
         )
 
-    # Branching probabilities out of vanishing markings.
-    p_vv = sparse.lil_matrix((n_v, n_v))
-    p_vt = sparse.lil_matrix((n_v, n_t))
+    # Branching probabilities out of vanishing markings, keyed by
+    # (row, column); parallel arcs into one successor add up in arc order.
+    p_vv: dict[tuple[int, int], float] = {}
+    p_vt: dict[tuple[int, int], float] = {}
     for orig in vanishing_ids:
         row = vanishing_pos[orig]
         out = edges[orig]
@@ -260,37 +269,61 @@ def _eliminate_vanishing(
         for dst, weight in out:
             probability = weight / weight_total
             if is_vanishing[dst]:
-                p_vv[row, vanishing_pos[dst]] += probability
+                key = (row, vanishing_pos[dst])
+                p_vv[key] = p_vv.get(key, 0.0) + probability
             else:
-                p_vt[row, tangible_pos[dst]] += probability
+                key = (row, tangible_pos[dst])
+                p_vt[key] = p_vt.get(key, 0.0) + probability
 
-    # Solve (I - P_vv) Y = P_vt  =>  Y[v, t] = P(eventually reach t | start v).
-    # Both sides stay sparse end to end: the factor is applied to the
-    # sparse right-hand side, never to an (n_v, n_t) dense block, so
-    # elimination memory scales with the non-zeros, not with n_v * n_t.
-    identity = sparse.identity(n_v, format="csc")
-    system = (identity - p_vv.tocsc()).tocsc()
+    # I - P_vv as CSC, straight from its triplets.
+    entries = {(v, v): 1.0 for v in range(n_v)}
+    for key, probability in p_vv.items():
+        entries[key] = entries.get(key, 0.0) - probability
+    rows, cols, values = _triplets(entries)
+    system = sparse.csc_matrix((values, (rows, cols)), shape=(n_v, n_v))
     try:
-        with warnings.catch_warnings():
-            # A singular system surfaces as MatrixRankWarning + inf/nan
-            # on the sparse right-hand-side path; promote it so both
-            # failure shapes funnel into the timeless-trap error below.
-            warnings.simplefilter("error", sparse_linalg.MatrixRankWarning)
-            y = sparse_linalg.spsolve(system, p_vt.tocsc())
-    except (RuntimeError, sparse_linalg.MatrixRankWarning) as exc:
+        factor = sparse_linalg.splu(system)
+    except RuntimeError as exc:  # an exactly singular factor
         raise SrnError(
             "timeless trap: a cycle of vanishing markings never reaches a "
             f"tangible marking ({exc})"
         ) from exc
-    y = sparse.csr_matrix(y.reshape(n_v, n_t) if isinstance(y, np.ndarray) else y)
-    if not np.all(np.isfinite(y.data)):
-        raise SrnError("vanishing elimination produced non-finite probabilities")
-    row_sums = np.asarray(y.sum(axis=1)).ravel()
+
+    # Solve (I - P_vv) Y = P_vt  =>  Y[v, t] = P(eventually reach t | start v).
+    # Each block of P_vt columns is solved densely against the one
+    # factor and only its non-zeros are kept, so Y stays sparse and the
+    # work array is n_v x _SOLVE_CHUNK.  Each column gets the same solve
+    # as a column-by-column sparse solve with this factor, so Y does not
+    # depend on the block width.
+    rhs_rows, rhs_cols, rhs_values = _triplets(p_vt)
+    y_rows: list[np.ndarray] = []
+    y_cols: list[np.ndarray] = []
+    y_data: list[np.ndarray] = []
+    row_sums = np.zeros(n_v)
+    for start in range(0, n_t, _SOLVE_CHUNK):
+        stop = min(start + _SOLVE_CHUNK, n_t)
+        in_block = (rhs_cols >= start) & (rhs_cols < stop)
+        block = np.zeros((n_v, stop - start), order="F")
+        block[rhs_rows[in_block], rhs_cols[in_block] - start] = rhs_values[in_block]
+        block = factor.solve(block)
+        if not np.all(np.isfinite(block)):
+            raise SrnError(
+                "vanishing elimination produced non-finite probabilities"
+            )
+        row_sums += block.sum(axis=1)
+        nonzero_rows, nonzero_cols = np.nonzero(block)
+        y_rows.append(nonzero_rows)
+        y_cols.append(nonzero_cols + start)
+        y_data.append(block[nonzero_rows, nonzero_cols])
     if np.any(row_sums < 1.0 - 1e-6):
         raise SrnError(
             "timeless trap: some vanishing marking reaches a tangible "
             "marking with probability < 1"
         )
+    y = sparse.csr_matrix(
+        (np.concatenate(y_data), (np.concatenate(y_rows), np.concatenate(y_cols))),
+        shape=(n_v, n_t),
+    )
 
     # Effective tangible-to-tangible rates, walking only the stored
     # non-zeros of each vanishing row.
@@ -325,3 +358,12 @@ def _eliminate_vanishing(
         rates=rates,
         vanishing_count=n_v,
     )
+
+
+def _triplets(
+    entries: dict[tuple[int, int], float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, values)`` arrays of a ``{(row, col): value}`` dict."""
+    keys = np.array(list(entries), dtype=np.intp).reshape(-1, 2)
+    values = np.fromiter(entries.values(), dtype=float, count=len(entries))
+    return keys[:, 0], keys[:, 1], values

@@ -95,6 +95,57 @@ class TestProperties:
         assert steady_state_power(chain) == pytest.approx(reference, abs=1e-8)
 
 
+def _gth_loop(q):
+    """GTH with one column update per non-zero entry of the pivot row.
+
+    The reference for ``steady_state_gth``'s rank-1 pivot update, which
+    must reproduce it bit for bit.
+    """
+    n = q.shape[0]
+    a = np.abs(q - np.diag(np.diag(q)))
+    for k in range(n - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        for j in range(k):
+            if a[k, j] != 0.0:
+                a[:k, j] += a[:k, k] * a[k, j]
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ a[:k, k]
+    return pi / pi.sum()
+
+
+def _random_chain(n, seed):
+    rng = np.random.default_rng(seed)
+    rates = rng.exponential(size=(n, n)) * (rng.random((n, n)) < 0.2)
+    chain = Ctmc(list(range(n)))
+    for i in range(n):
+        chain.add_rate(i, (i + 1) % n, 1.0)
+        for j in np.flatnonzero(rates[i]):
+            if j != i:
+                chain.add_rate(i, int(j), float(rates[i, j]))
+    return chain
+
+
+def _server_chains():
+    from repro.availability.parameters import paper_server_parameters
+    from repro.availability.server import build_server_srn
+    from repro.srn import explore
+
+    return [
+        explore(build_server_srn(parameters)).to_ctmc()
+        for parameters in paper_server_parameters().values()
+    ]
+
+
+class TestGthOracle:
+    def test_rank1_update_matches_column_loop(self):
+        chains = _server_chains() + [_random_chain(56, 1), _random_chain(200, 2)]
+        for chain in chains:
+            expected = _gth_loop(chain.dense_generator())
+            assert np.array_equal(steady_state_gth(chain), expected)
+
+
 class TestFailures:
     def test_no_transitions_power_raises(self):
         with pytest.raises(SolverError):

@@ -8,7 +8,7 @@ import socket
 import pytest
 
 from repro.errors import EvaluationError, ValidationError
-from repro.evaluation import SweepEngine, enumerate_designs
+from repro.evaluation import SweepEngine, api, enumerate_designs
 from repro.evaluation.api import sweep_response, timeline_response
 from repro.evaluation.service import EvaluationService
 from repro.evaluation.sharding import ShardCoordinator, parse_endpoint
@@ -137,7 +137,18 @@ class TestFailover:
         )
         assert merged == json.loads(json.dumps(expected))
 
-    def test_all_endpoints_dead_raises_descriptively(self):
+    def test_all_endpoints_dead_raises_descriptively(self, monkeypatch):
+        """The shard requests go out before the space is walked, so a
+        10^12-design space fails on the endpoints, never enumerated."""
+        real_iter_space = api.iter_space
+
+        def bounded_iter_space(space):
+            for count, design in enumerate(real_iter_space(space)):
+                if count == 10_000:
+                    raise AssertionError("coordinator walked past 10,000 designs")
+                yield design
+
+        monkeypatch.setattr(api, "iter_space", bounded_iter_space)
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         dead_port = probe.getsockname()[1]
@@ -147,8 +158,9 @@ class TestFailover:
             timeout=2.0,
             retry=RetryPolicy(attempts=2, base_delay=0.01, max_delay=0.05),
         )
-        with pytest.raises(EvaluationError, match="failed on every endpoint"):
-            coordinator.sweep(roles=["dns"], max_replicas=1)
+        for roles, max_replicas in ((["dns"], 1), (["dns", "web", "app", "db"], 1000)):
+            with pytest.raises(EvaluationError, match="failed on every endpoint"):
+                coordinator.sweep(roles=roles, max_replicas=max_replicas)
 
     def test_injected_request_fault_recovers(
         self, shard_services, monkeypatch

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
-import pytest
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from repro.availability.parameters import paper_server_parameters
+from repro.availability.server import build_server_srn
 from repro.errors import SrnError, StateSpaceError
-from repro.srn import StochasticRewardNet, explore
+from repro.srn import StochasticRewardNet, explore, reachability
+from tests.properties.test_srn_properties import cyclic_nets
 
 
 def updown_net():
@@ -142,21 +149,29 @@ class TestVanishingElimination:
         assert chain.rate(a, d) == pytest.approx(2.0)
 
     def test_timeless_trap_detected(self):
-        """An immediate cycle with no exit must raise."""
-        net = StochasticRewardNet()
-        for name, tokens in (("a", 1), ("b", 0), ("c", 0)):
-            net.add_place(name, tokens=tokens)
-        net.add_timed_transition("t", rate=1.0)
-        net.add_arc("a", "t")
-        net.add_arc("t", "b")
-        net.add_immediate_transition("bc")
-        net.add_arc("b", "bc")
-        net.add_arc("bc", "c")
-        net.add_immediate_transition("cb")
-        net.add_arc("c", "cb")
-        net.add_arc("cb", "b")
-        with pytest.raises(SrnError):
-            explore(net)
+        """An immediate cycle with no exit must raise.
+
+        The two-marking cycle makes ``I - P_vv`` exactly singular.  The
+        three-marking one branches 1:2, so its probabilities (1/3, 2/3)
+        are not exact in floating point and the factor need not be
+        singular: the row-sum check must catch it instead.
+        """
+        two = [("b", "c", 1.0), ("c", "b", 1.0)]
+        three = [("b", "c", 1.0), ("c", "b", 1.0), ("c", "d", 2.0), ("d", "b", 1.0)]
+        for cycle in (two, three):
+            net = StochasticRewardNet()
+            net.add_place("a", tokens=1)
+            for place in sorted({name for arc in cycle for name in arc[:2]}):
+                net.add_place(place)
+            net.add_timed_transition("t", rate=1.0)
+            net.add_arc("a", "t")
+            net.add_arc("t", "b")
+            for src, dst, weight in cycle:
+                net.add_immediate_transition(src + dst, weight=weight)
+                net.add_arc(src, src + dst)
+                net.add_arc(src + dst, dst)
+            with pytest.raises(SrnError, match="timeless trap"):
+                explore(net)
 
     def test_vanishing_initial_marking(self):
         """An immediate enabled at t=0 spreads the initial distribution."""
@@ -214,3 +229,131 @@ class TestSparseGenerator:
         q = graph.generator()
         rows = np.asarray(q.sum(axis=1)).ravel()
         np.testing.assert_allclose(rows, 0.0, atol=0.0)
+
+
+def _two_pool_net(n):
+    """Two pools of *n* tokens whose failures pass through vanishing markings.
+
+    A failed token lands in its pool's ``mid`` place, from which it
+    settles (weight 1) or knocks a token of the other pool into that
+    pool's ``mid`` place (weight 2), so chains of vanishing markings
+    form.  (n+1)^2 tangible and 2n(n+1) vanishing markings.
+    """
+    net = StochasticRewardNet(f"two-pool-{n}")
+    pools = (("x", "y", 1.0), ("y", "x", 1.5))
+    for pool, _, _ in pools:
+        net.add_place(f"{pool}_up", tokens=n)
+        net.add_place(f"{pool}_down")
+        net.add_place(f"{pool}_mid")
+    for pool, other, rate in pools:
+        up, down, mid = f"{pool}_up", f"{pool}_down", f"{pool}_mid"
+        net.add_timed_transition(
+            f"{pool}_fail", rate=lambda m, up=up, r=rate: r * m[up]
+        )
+        net.add_arc(up, f"{pool}_fail")
+        net.add_arc(f"{pool}_fail", mid)
+        net.add_timed_transition(
+            f"{pool}_repair", rate=lambda m, down=down: 3.0 * m[down]
+        )
+        net.add_arc(down, f"{pool}_repair")
+        net.add_arc(f"{pool}_repair", up)
+        net.add_immediate_transition(f"{pool}_settle", weight=1.0)
+        net.add_arc(mid, f"{pool}_settle")
+        net.add_arc(f"{pool}_settle", down)
+        net.add_immediate_transition(f"{pool}_pass", weight=2.0)
+        net.add_arc(mid, f"{pool}_pass")
+        net.add_arc(f"{other}_up", f"{pool}_pass")
+        net.add_arc(f"{pool}_pass", down)
+        net.add_arc(f"{pool}_pass", f"{other}_mid")
+    return net
+
+
+def _explore_capturing(net):
+    """``explore(net)`` and the ``(markings, is_vanishing, edges)`` it eliminated."""
+    captured = []
+    eliminate = reachability._eliminate_vanishing
+
+    def capture(*args):
+        captured.append(args)
+        return eliminate(*args)
+
+    with mock.patch.object(reachability, "_eliminate_vanishing", capture):
+        graph = explore(net)
+    return graph, captured[0]
+
+
+def _dense_elimination(markings, is_vanishing, edges):
+    """Dense reference elimination: ``np.linalg.solve`` on ``I - P_vv``.
+
+    Returns ``(rates, initial_distribution)`` built by the same walk as
+    :func:`repro.srn.reachability.explore`.
+    """
+    tangible = [i for i, vanishing in enumerate(is_vanishing) if not vanishing]
+    vanishing = [i for i, vanishing in enumerate(is_vanishing) if vanishing]
+    position = {orig: k for k, orig in enumerate(tangible)}
+    position.update({orig: k for k, orig in enumerate(vanishing)})
+    p_vv = np.zeros((len(vanishing), len(vanishing)))
+    p_vt = np.zeros((len(vanishing), len(tangible)))
+    for orig in vanishing:
+        total = sum(weight for _, weight in edges[orig])
+        for dst, weight in edges[orig]:
+            target = p_vv if is_vanishing[dst] else p_vt
+            target[position[orig], position[dst]] += weight / total
+    y = np.linalg.solve(np.eye(len(vanishing)) - p_vv, p_vt)
+    rates = {}
+    for orig in tangible:
+        i = position[orig]
+        for dst, rate in edges[orig]:
+            if is_vanishing[dst]:
+                row = y[position[dst]]
+                for j in np.flatnonzero(row):
+                    split = rate * row[j]
+                    if split > 0.0:
+                        rates[i, int(j)] = rates.get((i, int(j)), 0.0) + split
+            else:
+                key = (i, position[dst])
+                rates[key] = rates.get(key, 0.0) + rate
+    initial = np.zeros(len(tangible))
+    if is_vanishing[0]:
+        initial[:] = y[position[0]]
+    else:
+        initial[position[0]] = 1.0
+    return rates, initial
+
+
+def _assert_matches_dense_oracle(net):
+    graph, inputs = _explore_capturing(net)
+    rates, initial = _dense_elimination(*inputs)
+    assert list(graph.rates.items()) == list(rates.items())
+    assert np.array_equal(graph.initial_distribution, initial)
+
+
+class TestEliminationOracle:
+    """The one sparse factor and blocked solve against a dense solve."""
+
+    @pytest.mark.parametrize("hardware", [True, False])
+    @pytest.mark.parametrize("software", [True, False])
+    def test_server_nets_match_dense_solve(self, hardware, software):
+        for parameters in paper_server_parameters().values():
+            net = build_server_srn(
+                parameters,
+                hardware_can_fail_during_patch=hardware,
+                software_can_fail_during_patch=software,
+            )
+            _assert_matches_dense_oracle(net)
+
+    @given(cyclic_nets())
+    @settings(max_examples=200, deadline=None)
+    def test_cyclic_nets_match_dense_solve(self, net):
+        _assert_matches_dense_oracle(net)
+
+    def test_block_width_does_not_change_rates(self, monkeypatch):
+        net = _two_pool_net(30)
+        graphs = []
+        for chunk in (1, 7, reachability._SOLVE_CHUNK):
+            monkeypatch.setattr(reachability, "_SOLVE_CHUNK", chunk)
+            graphs.append(explore(net))
+        assert graphs[0].number_of_states == 961 > reachability._SOLVE_CHUNK
+        assert graphs[0].vanishing_count == 1860
+        for graph in graphs[1:]:
+            assert list(graph.rates.items()) == list(graphs[0].rates.items())
