@@ -23,12 +23,16 @@ from __future__ import annotations
 from repro.enterprise import (
     HeterogeneousDesign,
     build_heterogeneous_harm,
-    heterogeneous_availability_model,
     paper_case_study,
     paper_variant_space,
     paper_variants,
 )
-from repro.evaluation import SweepEngine, enumerate_designs, pareto_front
+from repro.evaluation import (
+    AvailabilityEvaluator,
+    SweepEngine,
+    enumerate_designs,
+    pareto_front,
+)
 from repro.evaluation.sweep import enumerate_heterogeneous_designs
 from repro.harm import evaluate_security
 from repro.patching import CriticalVulnerabilityPolicy
@@ -39,6 +43,7 @@ def main() -> None:
     case_study = paper_case_study()
     database = diversity_database()
     policy = CriticalVulnerabilityPolicy()
+    availability = AvailabilityEvaluator(case_study, policy, database=database)
     variants = paper_variants()
 
     def base_tiers():
@@ -77,9 +82,8 @@ def main() -> None:
     for name, design in designs.items():
         harm = build_heterogeneous_harm(case_study, design, database, policy)
         metrics = evaluate_security(harm)
-        model = heterogeneous_availability_model(
-            case_study, design, database, policy
-        )
+        # The upper-layer SRN: one server group per variant.
+        model = availability.network_model(design)
         print(
             f"{name:<26}"
             f" {metrics.attack_success_probability:7.4f}"

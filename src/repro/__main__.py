@@ -163,6 +163,9 @@ def _space_engine_and_designs(args: argparse.Namespace, roles):
     space by default, the heterogeneous variant space with
     ``--variants``, or a single generated large design with ``--scaled``
     (which also returns the generated tier names in place of *roles*).
+    Both paper-network spaces evaluate under the context every ``repro
+    serve`` lane uses, the diversity database included (homogeneous
+    designs never read it), so the two share ``--cache`` files.
     Raises ``ReproError`` on domain errors (mapped to exit code 2 by the
     callers).  Returns ``(engine, designs, roles)``.
     """
@@ -191,9 +194,10 @@ def _space_engine_and_designs(args: argparse.Namespace, roles):
             cache_path=cache_path,
         )
         return engine, [design], design.roles
+    from repro.vulnerability.diversity import diversity_database
+
     if args.variants:
         from repro.enterprise import paper_variant_space
-        from repro.vulnerability.diversity import diversity_database
 
         space = paper_variant_space()
         unknown = [role for role in roles if role not in space]
@@ -202,28 +206,22 @@ def _space_engine_and_designs(args: argparse.Namespace, roles):
                 f"no variant pool for roles {unknown}; "
                 f"choose from {sorted(space)}"
             )
-        engine = SweepEngine(
-            executor=args.executor,
-            max_workers=args.jobs,
-            database=diversity_database(),
-            cache_path=cache_path,
-        )
         designs = enumerate_heterogeneous_designs(
             roles,
             {role: space[role] for role in roles},
             max_replicas=args.max_replicas,
             max_total=args.max_total,
         )
-        return engine, designs, roles
     else:
-        engine = SweepEngine(
-            executor=args.executor,
-            max_workers=args.jobs,
-            cache_path=cache_path,
-        )
         designs = enumerate_designs(
             roles, max_replicas=args.max_replicas, max_total=args.max_total
         )
+    engine = SweepEngine(
+        executor=args.executor,
+        max_workers=args.jobs,
+        database=diversity_database(),
+        cache_path=cache_path,
+    )
     return engine, designs, roles
 
 

@@ -8,12 +8,14 @@ probabilities (p_up, p_pd, p_prrb) and
 patch/recovery rates of Eqs. (1)-(2) (Table V).
 
 Upper layer (:mod:`repro.availability.network`): one two-state chain per
-server with marking-dependent rates (Fig. 4); the capacity-oriented
-availability (COA) reward of Table VI is evaluated on the joint model.
-Because those chains are independent, COA factorises per tier:
-:mod:`repro.availability.product_form` computes it — steady, over time
+server with marking-dependent rates (Fig. 4), grouped into tiers of
+identical servers; a homogeneous role is a one-group tier, and a tier
+that mixes software variants has one group per variant.  The
+capacity-oriented availability (COA) reward of Table VI is evaluated on
+the joint model.  Because those chains are independent, COA factorises
+per tier: :mod:`repro.availability.product_form` computes it — steady, over time
 and under staged campaigns — in closed form, and that is the path the
-evaluators take.  The SRN models stay the paper-faithful oracle.
+evaluators take.  The SRN model stays the paper-faithful oracle.
 """
 
 from repro.availability.aggregation import ServiceAggregate, aggregate_service
@@ -29,7 +31,6 @@ from repro.availability.parameters import (
     dns_server_parameters,
     paper_server_parameters,
 )
-from repro.availability.heterogeneous import HeterogeneousAvailabilityModel
 from repro.availability.product_form import product_form_coa
 from repro.availability.server import build_server_srn, solve_server
 from repro.availability.survivability import mean_time_to_outage, transient_coa
@@ -49,7 +50,6 @@ __all__ = [
     "ServiceAggregate",
     "aggregate_service",
     "NetworkAvailabilityModel",
-    "HeterogeneousAvailabilityModel",
     "coa_reward",
     "product_form_coa",
     "mean_time_to_outage",

@@ -6,7 +6,8 @@ aggregated rate ``lambda_eq`` and returns at ``mu_eq``, whatever the
 other servers do.  So the number of up servers ``U_i`` of each tier is
 a sum of independent indicators, the tiers are independent of each
 other, and COA factorises per tier with no state space at all.  Per
-tier *i* with variant groups *g* of ``n_g`` servers, each down with
+tier *i* with server groups *g* of ``n_g`` servers (one group for a
+homogeneous role, one per variant in a diverse tier), each down with
 probability ``d_g``:
 
     E[U_i]     = sum_g n_g * (1 - d_g)
@@ -44,9 +45,9 @@ This is exact only because servers are independent.  A model that
 couples them — shared components, correlated failures, a limited patch
 crew — has no product form; build it as an SRN and solve it with
 :func:`repro.srn.solve`, the pipeline behind
-:class:`~repro.availability.network.NetworkAvailabilityModel` and
-:class:`~repro.availability.heterogeneous.HeterogeneousAvailabilityModel`
-that stays the paper-faithful oracle for this module.
+:class:`~repro.availability.network.NetworkAvailabilityModel` (the same
+tiers of server groups as an SRN) that stays the paper-faithful oracle
+for this module.
 """
 
 from __future__ import annotations

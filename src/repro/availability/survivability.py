@@ -10,13 +10,10 @@ Two questions beyond the paper's steady-state COA:
   from a given starting marking (uniformisation), showing how quickly
   the patch process erodes and restores capacity.
 
-Both accept either availability model kind: the homogeneous
-:class:`~repro.availability.network.NetworkAvailabilityModel` (one group
-per tier) and the variant-aware
-:class:`~repro.availability.heterogeneous.HeterogeneousAvailabilityModel`
-(a tier is down only when *every* variant group of the tier has zero
-running servers) — the heterogeneous model already exposes its solved
-chain, so the absorbing-state analysis is identical.
+Both read the :class:`~repro.availability.network.NetworkAvailabilityModel`
+as tiers of server groups: a tier is down only when *every* one of its
+groups (one for a homogeneous role, one per variant in a diverse tier)
+has zero running servers.
 """
 
 from __future__ import annotations
@@ -26,26 +23,12 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.availability.coa import up_place
-from repro.availability.heterogeneous import HeterogeneousAvailabilityModel
 from repro.availability.network import NetworkAvailabilityModel
 from repro.ctmc import make_absorbing, mean_time_to_absorption
 from repro.errors import EvaluationError
 from repro.srn import Marking
 
 __all__ = ["mean_time_to_outage", "transient_coa"]
-
-
-def _tier_groups(
-    model: NetworkAvailabilityModel | HeterogeneousAvailabilityModel,
-) -> dict[str, Mapping[str, int]]:
-    """Tier name -> {group name -> capacity}, for either model kind."""
-    if isinstance(model, HeterogeneousAvailabilityModel):
-        return model.tiers
-    if isinstance(model, NetworkAvailabilityModel):
-        return {svc: {svc: count} for svc, count in model.capacities.items()}
-    raise EvaluationError(
-        f"unknown availability model kind {type(model).__name__!r}"
-    )
 
 
 def _is_outage(
@@ -57,17 +40,15 @@ def _is_outage(
     )
 
 
-def mean_time_to_outage(
-    model: NetworkAvailabilityModel | HeterogeneousAvailabilityModel,
-) -> float:
+def mean_time_to_outage(model: NetworkAvailabilityModel) -> float:
     """Expected hours from all-up until some tier first loses all servers.
 
     Patch downs are short and independent, so for redundant designs this
     is dominated by the rare coincidence of every replica of one tier
-    being patched at once.  For a heterogeneous model a tier survives
-    while *any* of its variant groups keeps a server up.
+    being patched at once.  A tier of several variant groups survives
+    while *any* of its groups keeps a server up.
     """
-    tiers = _tier_groups(model)
+    tiers = model.tiers
     solution = model.solve()
     chain = make_absorbing(
         solution.chain, lambda marking: _is_outage(marking, tiers)
@@ -89,13 +70,12 @@ def mean_time_to_outage(
     return float(mean_time_to_absorption(chain, start=all_up))
 
 
-def transient_coa(model, times: Sequence[float]) -> np.ndarray:
+def transient_coa(
+    model: NetworkAvailabilityModel, times: Sequence[float]
+) -> np.ndarray:
     """Expected COA at each time, starting from the all-up marking.
 
-    Accepts either availability model kind
-    (:class:`~repro.availability.network.NetworkAvailabilityModel` or
-    :class:`~repro.availability.heterogeneous.HeterogeneousAvailabilityModel`);
-    both serve the whole time grid from one uniformisation pass.
+    The whole time grid is served from one uniformisation pass.
     """
     if any(t < 0 for t in times):
         raise EvaluationError("times must be non-negative")

@@ -19,7 +19,6 @@ from repro.enterprise.design import (
 from repro.enterprise.heterogeneous import (
     HeterogeneousDesign,
     build_heterogeneous_harm,
-    heterogeneous_availability_model,
     paper_variant_space,
     paper_variants,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "scaled_design",
     "HeterogeneousDesign",
     "build_heterogeneous_harm",
-    "heterogeneous_availability_model",
     "paper_variants",
     "paper_variant_space",
 ]

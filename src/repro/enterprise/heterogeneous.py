@@ -2,8 +2,11 @@
 
 Implements the paper's §V future-work item: a
 :class:`HeterogeneousDesign` assigns replica counts per *variant* (a
-:class:`ServerRole` describing an alternative stack), and the builders
-expand it into a host-level HARM and a variant-aware availability model.
+:class:`ServerRole` describing an alternative stack).
+:func:`design_tiers` maps every design kind onto the one view the
+evaluators read: tiers of server groups, a homogeneous role being a
+tier of one group.  :func:`build_heterogeneous_harm` expands a
+heterogeneous design into the host-level HARM.
 
 Security intuition: with identical replicas, compromising one web server
 strategy compromises both; with diverse stacks an attacker needs a
@@ -14,13 +17,9 @@ that stack's paths.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import replace
 
 from repro._validation import check_positive_int
 from repro.attacktree.tree import BranchSpec
-from repro.availability.aggregation import ServiceAggregate, aggregate_service
-from repro.availability.heterogeneous import HeterogeneousAvailabilityModel
-from repro.availability.parameters import ComponentRates
 from repro.enterprise.casestudy import EnterpriseCaseStudy, variant_vulnerabilities
 from repro.enterprise.roles import ServerRole
 from repro.errors import EvaluationError, ValidationError
@@ -33,7 +32,7 @@ __all__ = [
     "HeterogeneousDesign",
     "build_heterogeneous_harm",
     "check_design_kind",
-    "heterogeneous_availability_model",
+    "design_tiers",
     "paper_variants",
     "paper_variant_space",
 ]
@@ -42,9 +41,10 @@ __all__ = [
 def check_design_kind(design: object) -> None:
     """Reject :class:`DesignSpec` implementations no evaluator knows.
 
-    The evaluators dispatch on the two concrete spec kinds; an unknown
-    implementation must fail loudly here rather than silently fall into
-    the homogeneous code path and produce plausible-but-wrong metrics.
+    The evaluators read designs through :func:`design_tiers`, which
+    knows the two concrete spec kinds; an unknown implementation must
+    fail loudly here rather than silently pass for a homogeneous design
+    and produce plausible-but-wrong metrics.
     """
     from repro.enterprise.design import RedundancyDesign
 
@@ -53,6 +53,35 @@ def check_design_kind(design: object) -> None:
             f"unknown design kind {type(design).__name__!r}; the evaluation "
             "pipeline dispatches on RedundancyDesign and HeterogeneousDesign"
         )
+
+
+def design_tiers(
+    design: object,
+) -> list[tuple[str, list[tuple[ServerRole | None, int]]]]:
+    """The server groups of *design*, per tier: ``(role, [(variant,
+    count), ...])``.
+
+    The one view of a design every evaluator reads: a group is a set of
+    identical servers, *variant* is ``None`` for a homogeneous role (the
+    case study's own stack) and a diverse tier is simply several groups.
+    Tiers are sorted by role and groups by variant name, so equal
+    designs map onto the same order whatever their insertion order, and
+    a single-variant-per-role heterogeneous design onto the same tiers
+    and counts as its homogeneous twin.
+    """
+    if isinstance(design, HeterogeneousDesign):
+        return [
+            (
+                role,
+                sorted(
+                    design.variants(role).items(),
+                    key=lambda item: item[0].name,
+                ),
+            )
+            for role in sorted(design.roles)
+        ]
+    check_design_kind(design)
+    return [(role, [(None, count)]) for role, count in sorted(design.counts.items())]
 
 
 def paper_variants() -> dict[str, ServerRole]:
@@ -192,14 +221,6 @@ class HeterogeneousDesign:
         except KeyError:
             raise ValidationError(f"role {role!r} not in design") from None
 
-    def all_variants(self) -> dict[ServerRole, int]:
-        """Variant -> count over every role (names are globally unique)."""
-        return {
-            variant: count
-            for variants in self._assignment.values()
-            for variant, count in variants.items()
-        }
-
     def tiers(self) -> dict[str, dict[str, int]]:
         """Role -> {variant name -> count}, the availability-model shape."""
         return {
@@ -317,31 +338,3 @@ def build_heterogeneous_harm(
         host: policy.patched_cve_ids(vulns) for host, vulns in host_vulns.items()
     }
     return harm.after_patching(patched)
-
-
-def heterogeneous_availability_model(
-    case_study: EnterpriseCaseStudy,
-    design: HeterogeneousDesign,
-    database: VulnerabilityDatabase,
-    policy: PatchPolicy,
-    component_rates: Mapping[str, ComponentRates] | None = None,
-) -> HeterogeneousAvailabilityModel:
-    """Build the variant-aware availability model for *design*.
-
-    Each variant gets its own lower-layer SRN (its patch pipeline derives
-    from the vulnerabilities *policy* selects on that variant's products)
-    and becomes one group in the upper-layer model.
-    """
-    rates_overrides = dict(component_rates or {})
-    aggregates: dict[str, ServiceAggregate] = {}
-    for role in design.roles:
-        for variant in design.variants(role):
-            parameters = case_study.variant_parameters(
-                variant, policy, database=database, role=role
-            )
-            if variant.name in rates_overrides:
-                parameters = replace(
-                    parameters, rates=rates_overrides[variant.name]
-                )
-            aggregates[variant.name] = aggregate_service(parameters)
-    return HeterogeneousAvailabilityModel(design.tiers(), aggregates)

@@ -1,6 +1,6 @@
 """Availability evaluation of designs: lower-layer solve + aggregation,
-then the upper-layer COA in closed form, with the per-role and
-per-variant aggregates cached across designs."""
+then the upper-layer COA in closed form, with each server group's
+aggregate cached across designs."""
 
 from __future__ import annotations
 
@@ -11,64 +11,40 @@ import numpy as np
 
 from repro.availability import product_form
 from repro.availability.aggregation import ServiceAggregate, aggregate_service
-from repro.availability.heterogeneous import HeterogeneousAvailabilityModel
 from repro.availability.network import NetworkAvailabilityModel
 from repro.enterprise.casestudy import EnterpriseCaseStudy
 from repro.enterprise.design import DesignSpec
-from repro.enterprise.heterogeneous import (
-    HeterogeneousDesign,
-    check_design_kind as _check_spec_kind,
-)
+from repro.enterprise.heterogeneous import design_tiers
 from repro.enterprise.roles import ServerRole
 from repro.patching.policy import PatchPolicy
 from repro.vulnerability.database import VulnerabilityDatabase
 
-__all__ = ["AvailabilityEvaluator", "design_tiers"]
+__all__ = ["AvailabilityEvaluator"]
 
-
-def design_tiers(
-    design: DesignSpec,
-) -> list[tuple[str, list[tuple[ServerRole | None, int]]]]:
-    """The server groups of *design*, per tier: ``(role, [(variant,
-    count), ...])``.
-
-    *variant* is ``None`` for a homogeneous role.  Tiers are sorted by
-    role and groups by variant name, so equal designs map onto the same
-    order whatever their insertion order, and a single-variant-per-role
-    heterogeneous design onto the same tiers and counts as its
-    homogeneous twin.
-    """
-    if isinstance(design, HeterogeneousDesign):
-        return [
-            (
-                role,
-                sorted(
-                    design.variants(role).items(),
-                    key=lambda item: item[0].name,
-                ),
-            )
-            for role in sorted(design.roles)
-        ]
-    _check_spec_kind(design)
-    return [(role, [(None, count)]) for role, count in sorted(design.counts.items())]
+#: An aggregate's cache key: the tier's role and the group's variant
+#: (``None`` for the case study's own stack of that role).
+GroupKey = tuple[str, ServerRole | None]
 
 
 class AvailabilityEvaluator:
     """Compute COA and related availability measures for designs.
 
-    Accepts any :class:`~repro.enterprise.design.DesignSpec`.  The
-    expensive part — solving each stack's lower-layer SRN and
-    aggregating it into (lambda_eq, mu_eq) — depends only on the stack
+    Accepts any :class:`~repro.enterprise.design.DesignSpec`, read as
+    tiers of server groups
+    (:func:`~repro.enterprise.heterogeneous.design_tiers`): a
+    homogeneous role is a one-group tier, a diverse tier one group per
+    variant.  The expensive part — solving a group's lower-layer SRN and
+    aggregating it into (lambda_eq, mu_eq) — depends only on its stack
     and the patch policy, not on the replica counts, so aggregates are
-    cached per role (homogeneous designs) and per variant (heterogeneous
-    designs) and reused across every design the evaluator scores.
+    cached per ``(role, variant)`` group and reused across every design
+    the evaluator scores.
 
     The upper-layer COA — steady, transient and under a staged
     campaign — comes from the closed form of
     :mod:`repro.availability.product_form`, which needs no state space.
-    :meth:`network_model` builds the paper's upper-layer SRN, which
-    stays the oracle and serves the measures the closed form does not
-    cover (system availability, time to outage).
+    :meth:`network_model` builds the paper's upper-layer SRN over the
+    same groups, which stays the oracle and serves the measures the
+    closed form does not cover (system availability, time to outage).
 
     Parameters
     ----------
@@ -90,91 +66,87 @@ class AvailabilityEvaluator:
         self.case_study = case_study
         self.policy = policy
         self.database = database if database is not None else case_study.database
-        self._aggregates: dict[str, ServiceAggregate] = {}
-        self._variant_aggregates: dict[tuple[str, ServerRole], ServiceAggregate] = {}
+        self._aggregates: dict[GroupKey, ServiceAggregate] = {}
         self._aggregate_solves = 0
 
-    # -- per-role aggregation (Table V) ------------------------------------
+    # -- per-group aggregation (Table V) -----------------------------------
 
-    def aggregate(self, role: str) -> ServiceAggregate:
-        """The (cached) Table V row for *role*."""
-        if role not in self._aggregates:
-            parameters = self.case_study.server_parameters(role, self.policy)
-            self._aggregate_solves += 1
-            self._aggregates[role] = aggregate_service(parameters)
-        return self._aggregates[role]
-
-    def variant_aggregate(
-        self, variant: ServerRole, role: str | None = None
+    def aggregate(
+        self, role: str, variant: ServerRole | None = None
     ) -> ServiceAggregate:
-        """The (cached) lower-layer aggregate for a variant stack.
+        """The (cached) Table V row of one server group.
 
-        *role* is the tier the variant serves; it only matters for
-        component-rate override lookup (variant name first, then role).
+        Without *variant* the group runs the case study's stack of
+        *role*; with one, the variant stack serving that tier, whose
+        component rates fall back to *role*'s override.
         """
-        key = (role or "", variant)
-        if key not in self._variant_aggregates:
-            parameters = self.case_study.variant_parameters(
-                variant, self.policy, database=self.database, role=role
-            )
+        aggregate = self._aggregates.get((role, variant))
+        if aggregate is None:
+            if variant is None:
+                parameters = self.case_study.server_parameters(role, self.policy)
+            else:
+                parameters = self.case_study.variant_parameters(
+                    variant, self.policy, database=self.database, role=role
+                )
             self._aggregate_solves += 1
-            self._variant_aggregates[key] = aggregate_service(parameters)
-        return self._variant_aggregates[key]
+            aggregate = self._aggregates[(role, variant)] = aggregate_service(
+                parameters
+            )
+        return aggregate
 
     def aggregates_for(self, design: DesignSpec) -> dict[str, ServiceAggregate]:
-        """Aggregates for every role (or variant) the design uses."""
-        if isinstance(design, HeterogeneousDesign):
-            return {
-                variant.name: self.variant_aggregate(variant, role)
-                for role in design.roles
-                for variant in design.variants(role)
-            }
-        _check_spec_kind(design)
-        return {role: self.aggregate(role) for role in design.roles}
+        """Group name -> aggregate for every group of *design*.
+
+        A group is named after its variant, or after its role when it
+        runs the role's own stack; tiers follow the design's own role
+        order (Table V lists them as the design does).
+        """
+        return {
+            name: self.aggregate(role, variant)
+            for role, groups in _design_order(design)
+            for name, variant, _ in groups
+        }
 
     def prime_aggregates(
-        self,
-        roles: Mapping[str, ServiceAggregate] | None = None,
-        variants: Mapping[tuple[str, ServerRole], ServiceAggregate] | None = None,
+        self, aggregates: Mapping[GroupKey, ServiceAggregate]
     ) -> None:
-        """Seed the aggregate caches with already-solved Table V rows.
+        """Seed the aggregate cache with already-solved Table V rows.
 
         Used by the process-pool sweep: the parent solves the
         lower-layer SRNs once and ships the rows to pool workers, which
         prime their evaluators instead of re-solving.
         """
-        if roles:
-            self._aggregates.update(roles)
-        if variants:
-            self._variant_aggregates.update(variants)
+        self._aggregates.update(aggregates)
 
     def _tiers(self, design: DesignSpec) -> list[list[product_form.Group]]:
-        """``(count, lambda_eq, mu_eq)`` per server group, per tier."""
+        """``(count, lambda_eq, mu_eq)`` per server group, per tier, in
+        the canonical order of
+        :func:`~repro.enterprise.heterogeneous.design_tiers`."""
         tiers = []
         for role, groups in design_tiers(design):
             tier = []
             for variant, count in groups:
-                aggregate = (
-                    self.aggregate(role)
-                    if variant is None
-                    else self.variant_aggregate(variant, role)
-                )
+                aggregate = self.aggregate(role, variant)
                 tier.append((count, aggregate.patch_rate, aggregate.recovery_rate))
             tiers.append(tier)
         return tiers
 
     # -- per-design measures ------------------------------------------------
 
-    def network_model(
-        self, design: DesignSpec
-    ) -> NetworkAvailabilityModel | HeterogeneousAvailabilityModel:
-        """The upper-layer SRN model for *design*, per spec kind."""
-        if isinstance(design, HeterogeneousDesign):
-            return HeterogeneousAvailabilityModel(
-                design.tiers(), self.aggregates_for(design)
-            )
-        _check_spec_kind(design)
-        return NetworkAvailabilityModel(design.counts, self.aggregates_for(design))
+    def network_model(self, design: DesignSpec) -> NetworkAvailabilityModel:
+        """The upper-layer SRN model of *design*, one group per
+        ``(role, variant)``.
+
+        Places follow the design's own role order: the SRN's state
+        order, and so the last bits of its solution, follow place order.
+        """
+        return NetworkAvailabilityModel(
+            {
+                role: {name: count for name, _, count in groups}
+                for role, groups in _design_order(design)
+            },
+            self.aggregates_for(design),
+        )
 
     def coa(self, design: DesignSpec) -> float:
         """Steady-state capacity-oriented availability of *design*."""
@@ -214,7 +186,7 @@ class AvailabilityEvaluator:
 
     def mean_time_to_outage(self, design: DesignSpec) -> float:
         """Expected hours from all-up until some tier first loses all
-        servers, for any design kind (per-spec-kind model dispatch)."""
+        servers, for any design kind."""
         from repro.availability.survivability import mean_time_to_outage
 
         return mean_time_to_outage(self.network_model(design))
@@ -225,3 +197,21 @@ class AvailabilityEvaluator:
     def solve_stats(self) -> dict[str, int]:
         """Counters for the benchmarks: lower-layer aggregate solves."""
         return {"aggregate_solves": self._aggregate_solves}
+
+
+def _design_order(
+    design: DesignSpec,
+) -> list[tuple[str, list[tuple[str, ServerRole | None, int]]]]:
+    """:func:`design_tiers` in the design's own role order, each group
+    as ``(name, variant, count)``."""
+    tiers = dict(design_tiers(design))
+    return [
+        (
+            role,
+            [
+                (role if variant is None else variant.name, variant, count)
+                for variant, count in tiers[role]
+            ],
+        )
+        for role in design.roles
+    ]

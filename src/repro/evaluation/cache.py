@@ -104,8 +104,11 @@ __all__ = ["PersistentEvaluationCache", "context_fingerprint"]
 #: closed-form patch completion (completion curves and mean time to
 #: completion move in the last bits); version 7 = security metrics over
 #: host classes (``SecurityMetrics`` drops its per-path tuples; ASP and
-#: ``total_risk`` move in the last bits).
-_PIPELINE_VERSION = b"repro-evaluation-pipeline-v7"
+#: ``total_risk`` move in the last bits); version 8 = one server-group
+#: order (patch-completion curves follow the canonical tier order of
+#: the COA and move in the last bits where a design lists its roles
+#: out of order).
+_PIPELINE_VERSION = b"repro-evaluation-pipeline-v8"
 
 #: How long a contended statement retries before sqlite gives up with
 #: ``database is locked`` — generous, because a competing writer only

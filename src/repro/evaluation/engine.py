@@ -25,15 +25,16 @@ Caching / batching contract
   deadline or a preemption checkpoint keeps every finished chunk.
 * **One evaluator pair.**  The serial executor runs every chunk over
   the engine's long-lived ``SecurityEvaluator``/``AvailabilityEvaluator``
-  pair (one lower-layer SRN solve per role or variant; the upper-layer
-  COA is closed-form).  The process executor solves those aggregates in
-  the parent and hands them to every pool worker as pool-initializer
-  arguments, so workers never re-solve the lower layer and chunks carry
-  only designs.
+  pair (one lower-layer SRN solve per server group, that is per role or
+  variant; the upper-layer COA is closed-form).  The process executor
+  solves those aggregates in the parent and hands them to every pool
+  worker as pool-initializer arguments, so workers never re-solve the
+  lower layer and chunks carry only designs.
 * **Deterministic ordering.**  Results are always returned in input
   order, regardless of executor: chunks are indexed at submission and
   reassembled positionally.  Every executor produces byte-identical
-  results.
+  results.  A memo or disk hit answers for the requested design: equal
+  specs built in a different role order get their own labels back.
 * **Failure reporting.**  A design that fails inside any executor
   raises an error carrying the design label (a
   :class:`~repro.errors.ValidationError` for bad input, otherwise an
@@ -57,7 +58,7 @@ A process pool starts on first use and stays warm until
 :meth:`Executor.close` (or :meth:`SweepEngine.close`; use the engine as
 a context manager).  A single chunk with no live pool runs in-process
 instead of spawning one.  The engine keeps one growing table of the
-roles and variants it has primed workers with: a dispatch that adds an
+server groups it has primed workers with: a dispatch that adds an
 entry recycles the pool once so fresh workers get the larger table;
 every other dispatch, new replica counts over known stacks included,
 reuses the warm pool.  A worker death (``BrokenExecutor``) recycles the
@@ -83,6 +84,7 @@ import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import closing
+from dataclasses import replace
 from functools import partial
 from typing import Any
 
@@ -91,9 +93,9 @@ from repro._validation import check_positive_int
 from repro.availability.aggregation import ServiceAggregate
 from repro.enterprise.casestudy import EnterpriseCaseStudy, paper_case_study
 from repro.enterprise.design import DesignSpec
-from repro.enterprise.roles import ServerRole
+from repro.enterprise.heterogeneous import design_tiers
 from repro.errors import EvaluationError
-from repro.evaluation.availability import AvailabilityEvaluator, design_tiers
+from repro.evaluation.availability import AvailabilityEvaluator, GroupKey
 from repro.evaluation.combined import (
     DesignEvaluation,
     evaluate_designs_shared,
@@ -486,18 +488,17 @@ def _new_evaluator_pair(case_study, policy, database) -> tuple:
 _WORKER_PAIR: tuple | None = None
 
 
-def _initialize_worker(case_study, policy, database, roles, variants) -> None:
+def _initialize_worker(case_study, policy, database, aggregates) -> None:
     """Pool initializer: build this worker's primed evaluator pair.
 
-    *roles* (role -> aggregate) and *variants* ((role, variant) ->
-    aggregate) are the parent's lower-layer Table V rows.  They arrive
-    as initializer arguments, bit-exact, so no worker re-solves the
-    lower layer and worker results are byte-identical to in-process
-    ones.
+    *aggregates* (``(role, variant)`` -> aggregate) are the parent's
+    lower-layer Table V rows.  They arrive as initializer arguments,
+    bit-exact, so no worker re-solves the lower layer and worker results
+    are byte-identical to in-process ones.
     """
     global _WORKER_PAIR
     pair = _new_evaluator_pair(case_study, policy, database)
-    pair[1].prime_aggregates(roles=roles, variants=variants)
+    pair[1].prime_aggregates(aggregates)
     _WORKER_PAIR = pair
 
 
@@ -509,6 +510,17 @@ def _worker_evaluators() -> tuple:
             "did not run"
         )
     return _WORKER_PAIR
+
+
+def _answering(result, design: DesignSpec):
+    """*result* bound to the requested *design*.
+
+    The memo and the disk tier match specs by value, so a hit may carry
+    an equal spec built in another role or variant order, whose label
+    and ``counts`` read differently.  The numbers are the same: every
+    evaluator reads a design in canonical order.
+    """
+    return result if result.design is design else replace(result, design=design)
 
 
 def _map_chunk(
@@ -598,9 +610,8 @@ class SweepEngine:
         # pool workers fork, so they inherit it through the environment.
         active_plan()
         # The lower-layer aggregates process-pool workers are primed
-        # with.  Grows per distinct role or variant, never per design.
-        self._primed_roles: dict[str, ServiceAggregate] = {}
-        self._primed_variants: dict[tuple[str, ServerRole], ServiceAggregate] = {}
+        # with.  Grows per distinct server group, never per design.
+        self._primed: dict[GroupKey, ServiceAggregate] = {}
 
     # -- sweeping -----------------------------------------------------------
 
@@ -671,6 +682,7 @@ class SweepEngine:
         Memo hits are free, disk hits are promoted into the memo, and
         the distinct remaining designs are dispatched in chunks whose
         results are memoised (and written to disk) as each arrives.
+        Every result answers for the design this call asked for.
         """
         pending: list[DesignSpec] = []
         seen_pending: set[DesignSpec] = set()
@@ -711,7 +723,10 @@ class SweepEngine:
                         )
                 if progress is not None:
                     progress(list(chunk_result))
-        return [self._memo[(kind, design, params)] for design in designs]
+        return [
+            _answering(self._memo[(kind, design, params)], design)
+            for design in designs
+        ]
 
     def sweep(
         self,
@@ -814,7 +829,7 @@ class SweepEngine:
         return self._evaluator_pair
 
     def _worker_priming(self, designs: Sequence[DesignSpec]) -> dict[str, Any]:
-        """Pool priming that covers every role and variant of *designs*.
+        """Pool priming that covers every server group of *designs*.
 
         Folds their aggregates into the engine's primed table, solving
         only stacks not seen before; a bad design raises its labelled
@@ -824,17 +839,12 @@ class SweepEngine:
         reuses it, and an executor shared between engines re-primes.
         """
         availability = self._evaluators()[1]
-        roles, variants = self._primed_roles, self._primed_variants
+        primed = self._primed
 
         def fold(design: DesignSpec) -> None:
             for role, groups in design_tiers(design):
                 for variant, _ in groups:
-                    if variant is None:
-                        roles[role] = availability.aggregate(role)
-                    else:
-                        variants[(role, variant)] = availability.variant_aggregate(
-                            variant, role
-                        )
+                    primed[(role, variant)] = availability.aggregate(role, variant)
 
         for design in designs:
             labelled(
@@ -846,10 +856,9 @@ class SweepEngine:
                 self.case_study,
                 self.policy,
                 self.database,
-                dict(roles),
-                dict(variants),
+                dict(primed),
             ),
-            "key": (self, len(roles), len(variants)),
+            "key": (self, len(primed)),
         }
 
     def _run_chunks(self, kind, params, chunks, deadline, checkpoint):

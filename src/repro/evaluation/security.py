@@ -1,13 +1,14 @@
 """Security evaluation of designs over classes of identical hosts.
 
 In the paper's two-layer HARM a host's attack tree comes from its
-software stack alone, not from the reachability layer, so the replicas
-of one role (or of one variant in a heterogeneous design) are
+software stack alone, not from the reachability layer, so the servers
+of one group — the replicas of a role, or of one variant in a diverse
+tier (:func:`~repro.enterprise.heterogeneous.design_tiers`) — are
 interchangeable.  :class:`SecurityEvaluator` therefore computes the
-metrics without building the host-level HARM: it groups a design's
-hosts into such classes, builds each class's tree once per (stack,
-policy), and walks the role-level topology, which yields each class
-path once, weighted by the product of its classes' replica counts.
+metrics without building the host-level HARM: each server group is a
+host class, whose tree is built once per (stack, patch set), and a walk
+of the role-level topology yields each class path once, weighted by the
+product of its classes' replica counts.
 The cost per design depends on the role topology, not on replica
 counts.  :func:`~repro.harm.evaluate_security` over
 :meth:`SecurityEvaluator.build_harm` is the oracle: both reduce through
@@ -27,6 +28,7 @@ from repro.enterprise.heterogeneous import (
     HeterogeneousDesign,
     build_heterogeneous_harm,
     check_design_kind as _check_spec_kind,
+    design_tiers,
 )
 from repro.enterprise.roles import ServerRole
 from repro.errors import ValidationError
@@ -39,11 +41,6 @@ from repro.vulnerability.database import VulnerabilityDatabase
 from repro.vulnerability.model import Vulnerability
 
 __all__ = ["SecurityEvaluator"]
-
-#: Where a class's vulnerability records come from: the case study's
-#: database for a homogeneous role, the evaluator's for a variant.
-_ROLE = "role"
-_VARIANT = "variant"
 
 
 @dataclass(frozen=True)
@@ -60,13 +57,14 @@ class _ClassTree:
 class SecurityEvaluator:
     """Compute before/after-patch security metrics for designs.
 
-    Accepts any :class:`~repro.enterprise.design.DesignSpec`: homogeneous
-    :class:`~repro.enterprise.design.RedundancyDesign` specs expand
-    through the case study's role definitions, heterogeneous specs
-    through their per-variant stacks — one evaluator, one metric
-    pipeline.  Attack trees are cached per software stack, patch set
-    and gate semantics, so an evaluator shared across a sweep builds
-    each distinct tree once.
+    Accepts any :class:`~repro.enterprise.design.DesignSpec`, read as
+    tiers of server groups
+    (:func:`~repro.enterprise.heterogeneous.design_tiers`): a group runs
+    the case study's stack of its role, or a variant stack whose records
+    come from *database* — one evaluator, one metric pipeline.  Attack
+    trees are cached per software stack, patch set and gate semantics,
+    and each stack's patch set is computed once per policy, so an
+    evaluator shared across a sweep builds each distinct tree once.
 
     Parameters
     ----------
@@ -95,10 +93,16 @@ class SecurityEvaluator:
         self.semantics = semantics
         self.aggregation = aggregation
         self.database = database if database is not None else case_study.database
-        #: (source, products) -> the stack's vulnerability records.
+        #: (own stack?, products) -> the stack's vulnerability records.
         self._records: dict[tuple, list[Vulnerability]] = {}
-        #: (source, products, spec, patched CVEs, semantics) -> tree or None.
+        #: (own stack?, products, spec, patched CVEs, semantics) -> tree
+        #: or None.
         self._trees: dict[tuple, _ClassTree | None] = {}
+        #: The policy :attr:`_patched` holds the patch sets of: one slot,
+        #: so a caller with a new policy per call cannot grow it.
+        self._patch_policy: PatchPolicy | None = None
+        #: (own stack?, products) -> the CVEs that policy patches.
+        self._patched: dict[tuple, frozenset[str]] = {}
 
     def build_harm(
         self, design: DesignSpec, policy: PatchPolicy | None = None
@@ -153,8 +157,8 @@ class SecurityEvaluator:
             # order the host-level builders do.
             classes = self._classes(design)
             by_role: dict[str, list[tuple[int, _ClassTree]]] = {}
-            for role, count, label, source, stack in classes:
-                record = self._class_tree(label, source, stack, policy)
+            for role, count, label, own, stack in classes:
+                record = self._class_tree(label, own, stack, policy)
                 if record is not None:
                     by_role.setdefault(role, []).append((count, record))
 
@@ -188,51 +192,64 @@ class SecurityEvaluator:
 
     def _classes(
         self, design: DesignSpec
-    ) -> list[tuple[str, int, str, str, ServerRole]]:
-        """``(role, count, first host, source, stack)`` per host class.
+    ) -> list[tuple[str, int, str, bool, ServerRole]]:
+        """``(role, count, first host, own stack?, stack)`` per host class.
 
-        Raises what the host-level builders raise for an unknown design
-        kind, an unknown role or a variant without records.
+        One class per server group, with roles in the design's own
+        order, the order the host-level builders check them in.  Raises
+        what they raise for an unknown design kind, an unknown role or
+        a variant without records.
         """
-        if isinstance(design, HeterogeneousDesign):
-            topology_roles = self.case_study.topology.roles
-            classes = []
-            for role in design.roles:
-                if role not in topology_roles:
-                    raise ValidationError(f"role {role!r} unknown to the topology")
-                for variant, count in design.variants(role).items():
-                    self._stack_records(_VARIANT, variant)
-                    classes.append(
-                        (role, count, f"{variant.name}1", _VARIANT, variant)
-                    )
-            return classes
-        _check_spec_kind(design)
+        tiers = dict(design_tiers(design))
         roles = self.case_study.roles
+        topology_roles = self.case_study.topology.roles
+        classes = []
         for role in design.roles:
-            if role not in roles:
-                raise ValidationError(f"unknown role {role!r}")
-        return [
-            (role, count, f"{role}1", _ROLE, roles[role])
-            for role, count in design.counts.items()
-        ]
+            for variant, count in tiers[role]:
+                own = variant is None
+                if own and role not in roles:
+                    raise ValidationError(f"unknown role {role!r}")
+                if not own and role not in topology_roles:
+                    raise ValidationError(f"role {role!r} unknown to the topology")
+                stack = roles[role] if own else variant
+                self._stack_records(own, stack)
+                label = f"{role if own else stack.name}1"
+                classes.append((role, count, label, own, stack))
+        return classes
 
-    def _stack_records(
-        self, source: str, stack: ServerRole
-    ) -> list[Vulnerability]:
-        key = (source, stack.products)
+    def _stack_records(self, own: bool, stack: ServerRole) -> list[Vulnerability]:
+        """The case study's records of its *own* stack, or a variant's
+        records from the evaluator's database (refusing none)."""
+        key = (own, stack.products)
         records = self._records.get(key)
         if records is None:
-            if source == _VARIANT:
-                records = variant_vulnerabilities(self.database, stack)
-            else:
+            if own:
                 records = self.case_study.database.for_products(stack.products)
+            else:
+                records = variant_vulnerabilities(self.database, stack)
             self._records[key] = records
         return records
+
+    def _patched_ids(
+        self, own: bool, stack: ServerRole, policy: PatchPolicy
+    ) -> frozenset[str]:
+        """The CVEs *policy* patches on *stack*, computed once per stack."""
+        if policy is not self._patch_policy:
+            self._patch_policy = policy
+            self._patched = {}
+        key = (own, stack.products)
+        patched = self._patched.get(key)
+        if patched is None:
+            patched = frozenset(
+                policy.patched_cve_ids(self._stack_records(own, stack))
+            )
+            self._patched[key] = patched
+        return patched
 
     def _class_tree(
         self,
         label: str,
-        source: str,
+        own: bool,
         stack: ServerRole,
         policy: PatchPolicy | None,
     ) -> _ClassTree | None:
@@ -241,21 +258,19 @@ class SecurityEvaluator:
         *label* (the class's first host) names the class in a tree-spec
         error, as the host-level builder names the host.
         """
-        records = self._stack_records(source, stack)
-        patched = frozenset(
-            () if policy is None else policy.patched_cve_ids(records)
+        patched = (
+            frozenset() if policy is None else self._patched_ids(own, stack, policy)
         )
-        key = (
-            source, stack.products, stack.attack_tree_spec, patched, self.semantics
-        )
+        key = (own, stack.products, stack.attack_tree_spec, patched, self.semantics)
         try:
             return self._trees[key]
         except KeyError:
             pass
         if patched:
-            unpatched = self._class_tree(label, source, stack, None)
+            unpatched = self._class_tree(label, own, stack, None)
             tree = unpatched and unpatched.tree.without_leaves(patched)
         else:
+            records = self._stack_records(own, stack)
             tree = host_tree(label, records, stack.attack_tree_spec)
         record = None
         if tree is not None:

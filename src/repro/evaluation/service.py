@@ -198,6 +198,13 @@ _LANE_WAIT = observability.histogram(
 )
 
 
+def _observe_latency(endpoint: str, start: float, outcome: str = "ok") -> None:
+    """Record one request's latency since *start* (``perf_counter``)."""
+    _REQUEST_SECONDS.observe(
+        time.perf_counter() - start, endpoint=endpoint, outcome=outcome
+    )
+
+
 def _swallow_abandoned_error(future) -> None:
     """Retrieve an abandoned future's exception so asyncio never warns."""
     if not future.cancelled():
@@ -360,8 +367,9 @@ class EngineLane:
 
     Lanes other than the default build their engine lazily *on the
     lane thread* (``engine_factory``) so a cold context never blocks
-    the event loop, and close it at retirement; the default lane wraps
-    the service's own engine and never closes it.
+    the event loop, and close and release it when the thread exits
+    after retirement; the default lane wraps the service's own engine
+    and never closes it.
     """
 
     def __init__(
@@ -416,6 +424,10 @@ class EngineLane:
 
     def join(self, timeout: float | None = None) -> None:
         self._thread.join(timeout=timeout)
+
+    def alive(self) -> bool:
+        """Whether the lane thread still runs (a retired lane drains)."""
+        return self._thread.is_alive()
 
     def describe(self) -> dict:
         """Per-lane ``/healthz`` telemetry."""
@@ -484,6 +496,7 @@ class EngineLane:
                 self._on_idle(self)
         if self._owns_engine and self._engine is not None:
             self._engine.close()
+            self._engine = None
 
 
 class LanePool:
@@ -492,8 +505,11 @@ class LanePool:
     ``submit`` routes to the context's lane, creating one (evicting the
     least-recently-used *idle* lane when at capacity) or parking the
     job until any lane drains — parked jobs are the serialisation
-    baseline a multi-lane service avoids.  The ``"default"`` label
-    wraps the engine passed at construction; it is never closed here.
+    baseline a multi-lane service avoids.  An evicted lane is kept only
+    until its thread exits, so the engines alive are at most
+    ``max_lanes`` plus the evicted lanes still draining.  The
+    ``"default"`` label wraps the engine passed at construction; it is
+    never closed here.
     """
 
     def __init__(self, max_lanes: int, default_engine) -> None:
@@ -543,6 +559,7 @@ class LanePool:
             return None
         victim = self._lanes.pop(victim_label)
         victim.retire()
+        self._retired = [lane for lane in self._retired if lane.alive()]
         self._retired.append(victim)
         self.evictions += 1
         _LANE_EVENTS.inc(event="evicted")
@@ -749,15 +766,6 @@ class EvaluationService:
         #: requests dedup-unique (separate budgets / separate wires
         #: must not share a future).
         self._unique_serial = 0
-        self._counters = {
-            "requests_total": 0,
-            "dedup_hits": 0,
-            "response_cache_hits": 0,
-            "computed": 0,
-            "errors": 0,
-            "rejected": 0,
-        }
-        self._latency: dict[str, dict] = {}
         self._started = time.monotonic()
         self.address: tuple[str, int] | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -958,7 +966,6 @@ class EvaluationService:
                 writer.close()
                 return
             except Exception as exc:  # never leak a traceback as a hang
-                self._counters["errors"] += 1
                 _SERVICE_ERRORS.inc()
                 status, payload = 500, api.error_payload(
                     api.ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
@@ -1061,7 +1068,6 @@ class EvaluationService:
         self, method: str, path: str, body: bytes, headers=None
     ):
         """``(status, payload, headers)`` of one request, or a stream plan."""
-        self._counters["requests_total"] += 1
         base = path[3:] if path.startswith("/v1/") else None
         _REQUESTS.inc(endpoint=base if base in _ENDPOINTS else "other")
         if base in ("/healthz", "/metrics"):
@@ -1104,16 +1110,14 @@ class EvaluationService:
             )
         response = self._responses.get(key)
         if response is not None:
-            self._counters["response_cache_hits"] += 1
             _SERVICE_CACHE.inc(tier="response")
-            self._record_latency(base, time.perf_counter() - start)
+            _observe_latency(base, start)
             return 200, response, {}
         loop = asyncio.get_running_loop()
         future = self._inflight.get(key)
         if future is not None:
             # Identical request already computing: one computation,
             # many responders.
-            self._counters["dedup_hits"] += 1
             _SERVICE_CACHE.inc(tier="dedup")
         else:
             rejected = self._reject_new_computation(base, start)
@@ -1152,7 +1156,7 @@ class EvaluationService:
             )
         except ReproError as exc:
             return self._failed(base, start, exc)
-        self._record_latency(base, time.perf_counter() - start)
+        _observe_latency(base, start)
         return 200, response, {}
 
     def _failed(self, base, start, exc, outcome="errors", detail=None):
@@ -1161,9 +1165,8 @@ class EvaluationService:
         Failing requests stay visible in the latency aggregates, under
         the *outcome* class.
         """
-        self._counters["errors"] += 1
         _SERVICE_ERRORS.inc()
-        self._record_latency(base, time.perf_counter() - start, outcome=outcome)
+        _observe_latency(base, start, outcome)
         status, code = api.error_status(exc)
         return _error(status, code, str(exc), detail)
 
@@ -1172,11 +1175,8 @@ class EvaluationService:
         rejection = self._admission_rejection()
         if rejection is None:
             return None
-        self._counters["rejected"] += 1
         _SERVICE_REJECTED.inc()
-        self._record_latency(
-            base, time.perf_counter() - start, outcome="rejected"
-        )
+        _observe_latency(base, start, "rejected")
         status, payload, _ = _error(
             503,
             api.ERROR_SATURATED,
@@ -1210,7 +1210,6 @@ class EvaluationService:
                 future.set_exception(exc)
             return
         self._inflight.pop(key, None)
-        self._counters["computed"] += 1
         _SERVICE_COMPUTED.inc()
         if remember:
             self._remember(key, response)
@@ -1415,7 +1414,6 @@ class EvaluationService:
                     )
                 else:
                     outcome = "errors"
-                    self._counters["errors"] += 1
                     _SERVICE_ERRORS.inc()
                     _, code = api.error_status(value)
                     writer.write(
@@ -1435,7 +1433,6 @@ class EvaluationService:
             # surfaces as a final error event instead of a 504 head.
             plan.future.add_done_callback(_swallow_abandoned_error)
             outcome = "deadline"
-            self._counters["errors"] += 1
             _SERVICE_ERRORS.inc()
             budget_ms = plan.deadline.budget * 1000.0
             try:
@@ -1465,9 +1462,7 @@ class EvaluationService:
             await writer.wait_closed()
         except (ConnectionError, BrokenPipeError):
             pass
-        self._record_latency(
-            plan.endpoint, time.perf_counter() - plan.started, outcome=outcome
-        )
+        _observe_latency(plan.endpoint, plan.started, outcome)
         return 200
 
     # The job bodies run on lane threads — the only place engines are
@@ -1524,39 +1519,6 @@ class EvaluationService:
             self._responses.pop(next(iter(self._responses)))
         self._responses[key] = response
 
-    def _record_latency(
-        self, path: str, seconds: float, outcome: str = "ok"
-    ) -> None:
-        """Fold one request's latency into the per-endpoint aggregates.
-
-        Failing requests land in a separate ``<path>#<outcome>`` class
-        so error latencies never skew the healthy aggregates — and are
-        never silently dropped.  The path is the endpoint without its
-        ``/v1`` prefix.
-        """
-        key = path if outcome == "ok" else f"{path}#{outcome}"
-        stats = self._latency.setdefault(
-            key,
-            {
-                "count": 0,
-                "total_s": 0.0,
-                "mean_s": 0.0,
-                "min_s": None,
-                "max_s": 0.0,
-                "last_s": 0.0,
-            },
-        )
-        stats["count"] += 1
-        stats["total_s"] = round(stats["total_s"] + seconds, 6)
-        stats["mean_s"] = round(stats["total_s"] / stats["count"], 6)
-        previous_min = stats["min_s"]
-        stats["min_s"] = round(
-            seconds if previous_min is None else min(previous_min, seconds), 6
-        )
-        stats["max_s"] = round(max(stats["max_s"], seconds), 6)
-        stats["last_s"] = round(seconds, 6)
-        _REQUEST_SECONDS.observe(seconds, endpoint=path, outcome=outcome)
-
     # -- observability ------------------------------------------------------
 
     def _sync_registry(self) -> None:
@@ -1565,19 +1527,56 @@ class EvaluationService:
         _DRAINING.set(1 if self._draining else 0)
 
     def metrics(self) -> dict:
-        """Request/cache counters, latency aggregates and the registry.
+        """Request counters, latency aggregates and the registry.
 
-        ``counters``/``latency`` keep their original shapes;
-        ``registry`` is the process-wide observability registry — every
-        solver/cache/executor series, including telemetry merged back
-        from pool workers.  ``GET /metrics`` with an ``Accept`` header
-        naming ``text/plain`` (or ``prometheus``/``openmetrics``)
+        All three read the process-wide observability registry, the
+        only bookkeeping the service keeps: ``counters`` sums the
+        ``repro_service_*`` counter families, and ``latency`` reduces
+        the ``repro_service_request_seconds`` histogram per endpoint
+        (``<endpoint>#<outcome>`` for failed requests, so error
+        latencies never skew the healthy aggregates).  ``registry`` is
+        every solver/cache/executor series, including telemetry merged
+        back from pool workers.  ``GET /metrics`` with an ``Accept``
+        header naming ``text/plain`` (or ``prometheus``/``openmetrics``)
         serves the same registry in Prometheus text exposition format.
         """
         self._sync_registry()
+
+        def total(family, **labels) -> int:
+            return int(
+                sum(
+                    child.value
+                    for items, child in family.series().items()
+                    if labels.items() <= dict(items).items()
+                )
+            )
+
+        latency = {}
+        for items, child in sorted(_REQUEST_SECONDS.series().items()):
+            labels = dict(items)
+            if not child.count:
+                continue
+            key = labels["endpoint"]
+            if labels["outcome"] != "ok":
+                key = f"{key}#{labels['outcome']}"
+            latency[key] = {
+                "count": child.count,
+                "total_s": round(child.sum, 6),
+                "mean_s": round(child.sum / child.count, 6),
+                "min_s": round(child.min, 6),
+                "max_s": round(child.max, 6),
+            }
         return {
-            "counters": dict(self._counters, in_flight=len(self._inflight)),
-            "latency": {path: dict(stats) for path, stats in self._latency.items()},
+            "counters": {
+                "requests_total": total(_REQUESTS),
+                "dedup_hits": total(_SERVICE_CACHE, tier="dedup"),
+                "response_cache_hits": total(_SERVICE_CACHE, tier="response"),
+                "computed": int(_SERVICE_COMPUTED.value),
+                "errors": int(_SERVICE_ERRORS.value),
+                "rejected": int(_SERVICE_REJECTED.value),
+                "in_flight": len(self._inflight),
+            },
+            "latency": latency,
             "registry": observability.REGISTRY.to_dict(),
         }
 

@@ -12,10 +12,10 @@ for any :class:`~repro.enterprise.design.DesignSpec`:
   all servers up, in closed form
   (:func:`repro.availability.product_form.coa_curve`);
 - **patch-completion curves**: every unpatched server patches
-  independently at its role's (or variant's) Table V ``lambda_eq``, so
-  P(campaign complete by t), the expected unpatched fraction and the
-  mean **time to patch completion** follow in closed form from each
-  group's probability of being still unpatched
+  independently at its group's (role's or variant's) Table V
+  ``lambda_eq``, so P(campaign complete by t), the expected unpatched
+  fraction and the mean **time to patch completion** follow in closed
+  form from each group's probability of being still unpatched
   (:func:`repro.availability.product_form.completion_curves`);
 - **security exposure curves**: each HARM metric interpolated between
   its before- and after-patch values by the expected unpatched
@@ -50,10 +50,7 @@ from functools import partial
 from repro.availability.product_form import completion_curves, trigger_time
 from repro.enterprise.casestudy import EnterpriseCaseStudy, paper_case_study
 from repro.enterprise.design import DesignSpec
-from repro.enterprise.heterogeneous import (
-    HeterogeneousDesign,
-    check_design_kind as _check_spec_kind,
-)
+from repro.enterprise.heterogeneous import HeterogeneousDesign
 from repro.errors import EvaluationError
 from repro.evaluation.availability import AvailabilityEvaluator
 from repro.evaluation.combined import labelled
@@ -181,28 +178,7 @@ def timeline_payload(timeline: DesignTimeline) -> dict:
     return payload
 
 
-# -- patch groups and campaigns -----------------------------------------------
-
-
-def _patch_groups(
-    availability_evaluator: AvailabilityEvaluator, design: DesignSpec
-) -> list[tuple[str, int, float]]:
-    """``(group name, replica count, lambda_eq)`` per role or variant."""
-    if isinstance(design, HeterogeneousDesign):
-        return [
-            (
-                variant.name,
-                count,
-                availability_evaluator.variant_aggregate(variant, role).patch_rate,
-            )
-            for role in design.roles
-            for variant, count in design.variants(role).items()
-        ]
-    _check_spec_kind(design)
-    return [
-        (role, count, availability_evaluator.aggregate(role).patch_rate)
-        for role, count in design.counts.items()
-    ]
+# -- campaigns ----------------------------------------------------------------
 
 
 def _resolve_campaign(
@@ -258,8 +234,8 @@ def evaluate_timeline(
 
     With no arguments beyond *design* and *times*, uses the paper's case
     study and critical-vulnerability policy.  Pass shared evaluator
-    instances when scoring many designs so the per-role / per-variant
-    lower-layer aggregates are solved once (*database* supplies variant
+    instances when scoring many designs so each server group's
+    lower-layer aggregate is solved once (*database* supplies variant
     records for heterogeneous designs and is ignored when explicit
     evaluators are given).
 
@@ -292,9 +268,12 @@ def evaluate_timeline(
         )
 
     steady_coa = availability_evaluator.coa(design)
+    # The server groups the COA reads, in the same canonical order, so
+    # equal designs built in different orders get equal timelines.
     groups = [
         (count, rate)
-        for _, count, rate in _patch_groups(availability_evaluator, design)
+        for tier in availability_evaluator._tiers(design)
+        for count, rate, _ in tier
     ]
     multipliers, durations, phase_starts = [1.0], [math.inf], ()
     if campaign is not None:
@@ -333,11 +312,10 @@ def evaluate_timelines_shared(
     """Serial timelines of *designs* with one shared evaluator pair.
 
     The chunk primitive of :meth:`SweepEngine.timeline`: the shared
-    :class:`AvailabilityEvaluator` amortises the per-role and
-    per-variant lower-layer SRN solves across every design in the
-    chunk, whatever mix of spec kinds the chunk holds.  Pass
-    evaluator instances (e.g. a pool worker's primed pair) to reuse
-    their caches.  Failures carry the design label (see
+    :class:`AvailabilityEvaluator` amortises the per-group lower-layer
+    SRN solves across every design in the chunk, whatever mix of spec
+    kinds the chunk holds.  Pass evaluator instances (e.g. a pool
+    worker's primed pair) to reuse their caches.  Failures carry the design label (see
     :func:`repro.evaluation.combined.labelled`).
     """
     if security_evaluator is None:

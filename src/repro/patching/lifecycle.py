@@ -104,10 +104,8 @@ class CycleOutcome:
 
 @dataclass(frozen=True)
 class _Unit:
-    """One independently-tracked software stack of a design.
-
-    A homogeneous design has one unit per role (all replicas share the
-    role's list); a heterogeneous design one unit per variant.
+    """One independently-tracked software stack of a design: a server
+    group, that is a role's replicas or one variant's in a diverse tier.
     """
 
     key: str
@@ -121,43 +119,33 @@ def _design_units(
     design: DesignSpec,
     database: VulnerabilityDatabase | None,
 ) -> tuple[list[_Unit], dict[str, list[Vulnerability]]]:
-    """The design's units and their initial (catalog) vulnerability lists."""
+    """The design's units, one per server group, and their initial
+    (catalog) vulnerability lists."""
     from repro.enterprise.casestudy import variant_vulnerabilities
-    from repro.enterprise.heterogeneous import (
-        HeterogeneousDesign,
-        check_design_kind,
-    )
+    from repro.enterprise.heterogeneous import design_tiers
 
+    db = database if database is not None else case_study.database
+    tiers = dict(design_tiers(design))
     units: list[_Unit] = []
     initial: dict[str, list[Vulnerability]] = {}
-    if isinstance(design, HeterogeneousDesign):
-        db = database if database is not None else case_study.database
-        for role in design.roles:
-            hosts_by_variant: dict[str, list[str]] = {}
-            for host, variant in design.instances(role).items():
-                hosts_by_variant.setdefault(variant.name, []).append(host)
-            for variant in design.variants(role):
-                units.append(
-                    _Unit(
-                        key=variant.name,
-                        role=role,
-                        products=tuple(variant.products),
-                        hosts=tuple(hosts_by_variant[variant.name]),
-                    )
-                )
-                initial[variant.name] = variant_vulnerabilities(db, variant)
-        return units, initial
-    check_design_kind(design)
     for role in design.roles:
-        units.append(
-            _Unit(
-                key=role,
-                role=role,
-                products=tuple(case_study.roles[role].products),
-                hosts=tuple(design.instances(role)),
+        for variant, count in tiers[role]:
+            if variant is None:
+                key = role
+                initial[key] = list(case_study.role_vulnerabilities(role))
+                products = case_study.roles[role].products
+            else:
+                key = variant.name
+                initial[key] = variant_vulnerabilities(db, variant)
+                products = variant.products
+            units.append(
+                _Unit(
+                    key=key,
+                    role=role,
+                    products=tuple(products),
+                    hosts=tuple(f"{key}{i}" for i in range(1, count + 1)),
+                )
             )
-        )
-        initial[role] = list(case_study.role_vulnerabilities(role))
     return units, initial
 
 

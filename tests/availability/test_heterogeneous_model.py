@@ -1,13 +1,10 @@
-"""Cross-checks for the heterogeneous availability model."""
+"""Cross-checks for tiers of several server groups in the network model."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.availability import (
-    HeterogeneousAvailabilityModel,
-    NetworkAvailabilityModel,
-)
+from repro.availability import NetworkAvailabilityModel
 
 
 @pytest.fixture(scope="module")
@@ -16,29 +13,28 @@ def aggregates(availability_evaluator, example_design):
 
 
 class TestHomogeneousEquivalence:
-    """Single-variant tiers must reproduce the homogeneous model exactly."""
+    """One-group tiers written out as groups are the homogeneous model."""
 
     def test_example_network_coa(self, aggregates):
         capacities = {"dns": 1, "web": 2, "app": 2, "db": 1}
         homogeneous = NetworkAvailabilityModel(capacities, aggregates)
-        heterogeneous = HeterogeneousAvailabilityModel(
+        grouped = NetworkAvailabilityModel(
             {role: {role: count} for role, count in capacities.items()},
             aggregates,
         )
-        assert heterogeneous.capacity_oriented_availability() == pytest.approx(
-            homogeneous.capacity_oriented_availability(), abs=1e-12
+        assert (
+            grouped.capacity_oriented_availability()
+            == homogeneous.capacity_oriented_availability()
         )
 
     def test_system_availability(self, aggregates):
         capacities = {"dns": 1, "web": 2, "app": 2, "db": 1}
         homogeneous = NetworkAvailabilityModel(capacities, aggregates)
-        heterogeneous = HeterogeneousAvailabilityModel(
+        grouped = NetworkAvailabilityModel(
             {role: {role: count} for role, count in capacities.items()},
             aggregates,
         )
-        assert heterogeneous.system_availability() == pytest.approx(
-            homogeneous.system_availability(), abs=1e-12
-        )
+        assert grouped.system_availability() == homogeneous.system_availability()
 
 
 class TestVariantSplit:
@@ -49,12 +45,12 @@ class TestVariantSplit:
         variants: the COA cannot tell them apart."""
         base = dict(aggregates)
         base["web_b"] = aggregates["web"]
-        merged = HeterogeneousAvailabilityModel(
-            {"dns": {"dns": 1}, "web": {"web": 2}, "db": {"db": 1}},
+        merged = NetworkAvailabilityModel(
+            {"dns": 1, "web": 2, "db": 1},
             base,
         )
-        split = HeterogeneousAvailabilityModel(
-            {"dns": {"dns": 1}, "web": {"web": 1, "web_b": 1}, "db": {"db": 1}},
+        split = NetworkAvailabilityModel(
+            {"dns": 1, "web": {"web": 1, "web_b": 1}, "db": 1},
             base,
         )
         assert split.capacity_oriented_availability() == pytest.approx(
@@ -62,13 +58,14 @@ class TestVariantSplit:
         )
 
     def test_total_servers(self, aggregates):
-        model = HeterogeneousAvailabilityModel(
+        model = NetworkAvailabilityModel(
             {"web": {"web": 2}, "db": {"db": 1}}, aggregates
         )
         assert model.total_servers == 3
+        assert model.tiers == {"web": {"web": 2}, "db": {"db": 1}}
 
     def test_solution_cached(self, aggregates):
-        model = HeterogeneousAvailabilityModel(
+        model = NetworkAvailabilityModel(
             {"web": {"web": 1}, "db": {"db": 1}}, aggregates
         )
         assert model.solve() is model.solve()

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.availability import (
-    HeterogeneousAvailabilityModel,
     NetworkAvailabilityModel,
     coa_reward,
     product_form_coa,
@@ -266,7 +265,7 @@ def _hetero_builder(tiers):
     total = sum(sum(groups.values()) for groups in counts.values())
 
     def build(multiplier):
-        return HeterogeneousAvailabilityModel(
+        return NetworkAvailabilityModel(
             counts,
             {
                 group: SimpleNamespace(

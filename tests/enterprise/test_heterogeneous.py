@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.availability import NetworkAvailabilityModel
 from repro.enterprise import (
     HeterogeneousDesign,
     build_heterogeneous_harm,
-    heterogeneous_availability_model,
     paper_variants,
 )
 from repro.errors import EvaluationError, ValidationError
+from repro.evaluation import AvailabilityEvaluator
 from repro.harm import evaluate_security
 from repro.vulnerability.diversity import diversity_database
 
@@ -142,10 +143,17 @@ class TestHeterogeneousHarm:
             build_heterogeneous_harm(case_study, design, diversity_db)
 
 
+def _network_model(case_study, database, policy, design):
+    evaluator = AvailabilityEvaluator(case_study, policy, database=database)
+    return evaluator.network_model(design)
+
+
 class TestHeterogeneousAvailability:
-    def test_model_solves(self, case_study, diversity_db, diverse_design, critical_policy):
-        model = heterogeneous_availability_model(
-            case_study, diverse_design, diversity_db, critical_policy
+    def test_model_solves(
+        self, case_study, diversity_db, diverse_design, critical_policy
+    ):
+        model = _network_model(
+            case_study, diversity_db, critical_policy, diverse_design
         )
         coa = model.capacity_oriented_availability()
         assert 0.99 < coa < 1.0
@@ -153,8 +161,8 @@ class TestHeterogeneousAvailability:
     def test_variant_groups_in_tiers(
         self, case_study, diversity_db, diverse_design, critical_policy
     ):
-        model = heterogeneous_availability_model(
-            case_study, diverse_design, diversity_db, critical_policy
+        model = _network_model(
+            case_study, diversity_db, critical_policy, diverse_design
         )
         assert set(model.tiers["web"]) == {"web_apache", "web_nginx"}
         assert model.total_servers == 5
@@ -179,27 +187,23 @@ class TestHeterogeneousAvailability:
                 "db": {variants["db_mysql"]: 1},
             }
         )
-        coa_single = heterogeneous_availability_model(
-            case_study, single, diversity_db, critical_policy
+        coa_single = _network_model(
+            case_study, diversity_db, critical_policy, single
         ).system_availability()
-        coa_diverse = heterogeneous_availability_model(
-            case_study, diverse, diversity_db, critical_policy
+        coa_diverse = _network_model(
+            case_study, diversity_db, critical_policy, diverse
         ).system_availability()
         assert coa_diverse > coa_single
 
     def test_missing_aggregate_rejected(self):
-        from repro.availability import HeterogeneousAvailabilityModel
-
         with pytest.raises(EvaluationError):
-            HeterogeneousAvailabilityModel({"web": {"ghost": 1}}, {})
+            NetworkAvailabilityModel({"web": {"ghost": 1}}, {})
 
     def test_variant_in_two_tiers_rejected(
         self, availability_evaluator, example_design
     ):
-        from repro.availability import HeterogeneousAvailabilityModel
-
         aggregates = availability_evaluator.aggregates_for(example_design)
         with pytest.raises(EvaluationError):
-            HeterogeneousAvailabilityModel(
+            NetworkAvailabilityModel(
                 {"a": {"web": 1}, "b": {"web": 1}}, aggregates
             )

@@ -31,7 +31,7 @@ from repro.evaluation import (
     evaluate_timeline,
 )
 from repro.evaluation.sweep import enumerate_designs
-from repro.evaluation.timeline import _patch_groups, _resolve_campaign
+from repro.evaluation.timeline import _resolve_campaign
 from repro.patching import (
     CANARY_THEN_FLEET,
     CampaignPhase,
@@ -47,6 +47,15 @@ MEAN_RTOL = 1e-9
 #: so the chain must resolve expected unpatched fractions that small to
 #: well within MEAN_RTOL; the solver default (1e-10 absolute) cannot.
 ORACLE_TOLERANCE = 1e-30
+
+
+def _patch_groups(availability, design):
+    """``(count, lambda_eq)`` per server group, in the COA's tier order."""
+    return [
+        (count, rate)
+        for tier in availability._tiers(design)
+        for count, rate, _ in tier
+    ]
 
 
 def completion_chain(groups):
@@ -269,7 +278,7 @@ class TestDesignSpace:
                 availability_evaluator=availability,
                 campaign=campaign,
             )
-            groups = [(n, rate) for _, n, rate in _patch_groups(availability, design)]
+            groups = _patch_groups(availability, design)
             assert_matches_oracle(
                 _timeline_outputs(timeline), chain_oracle(groups, times, campaign)
             )
@@ -287,7 +296,7 @@ class TestDesignSpace:
             CriticalVulnerabilityPolicy(),
             database=diversity_database(),
         )
-        groups = [(n, rate) for _, n, rate in _patch_groups(availability, design)]
+        groups = _patch_groups(availability, design)
         times = default_time_grid(2000.0, 9)
         for campaign in (None, PERFBENCH):
             assert_matches_oracle(
@@ -301,7 +310,7 @@ class TestScaled:
     def test_scaled_9x4_matches_chain(self, campaign):
         case_study, design = scaled_case_study(hosts_per_tier=9, tiers=4)
         availability = AvailabilityEvaluator(case_study, CriticalVulnerabilityPolicy())
-        groups = [(n, rate) for _, n, rate in _patch_groups(availability, design)]
+        groups = _patch_groups(availability, design)
         times = default_time_grid(3000.0, 7)
         assert_matches_oracle(
             closed_form(groups, times, campaign),
@@ -318,7 +327,7 @@ class TestChain:
             CriticalVulnerabilityPolicy(),
             database=diversity_database(),
         )
-        groups = [(n, rate) for _, n, rate in _patch_groups(evaluator, design)]
+        groups = _patch_groups(evaluator, design)
         chain, full, zero = completion_chain(groups)
         assert full == (2, 1)
         assert zero == (0, 0)

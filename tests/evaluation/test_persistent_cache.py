@@ -63,10 +63,10 @@ class TestContextFingerprint:
         assert a == b
         assert a != c
 
-    def test_pipeline_version_is_v7(self):
+    def test_pipeline_version_is_v8(self):
         from repro.evaluation import cache as cache_module
 
-        assert cache_module._PIPELINE_VERSION == b"repro-evaluation-pipeline-v7"
+        assert cache_module._PIPELINE_VERSION == b"repro-evaluation-pipeline-v8"
 
     def test_old_pipeline_entries_are_not_served(self, tmp_path, monkeypatch):
         """Entries fingerprinted under pipeline v3 must miss under v4.

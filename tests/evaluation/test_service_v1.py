@@ -3,17 +3,19 @@ streaming, and the connection-handling regression."""
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import threading
 import time
+import weakref
 
 import pytest
 
 from repro.errors import EvaluationError
 from repro.evaluation import SweepEngine, enumerate_designs
 from repro.evaluation.api import MAX_TIME_POINTS
-from repro.evaluation.service import EvaluationService, sweep_response
+from repro.evaluation.service import EvaluationService, LanePool, sweep_response
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +297,40 @@ class TestLanes:
             assert lanes["evictions"] >= 1
             contexts = [lane["context"] for lane in lanes["lanes"]]
             assert "scaled:3x2" in contexts
+
+    def test_evicted_lanes_release_their_engines(self):
+        """Churning through many contexts keeps at most the live lanes'
+        engines alive, not one per context ever seen."""
+        engines = weakref.WeakSet()
+
+        class Engine:
+            def close(self) -> None:
+                pass
+
+        def factory():
+            engine = Engine()
+            engines.add(engine)
+            return engine
+
+        pool = LanePool(2, Engine())
+        try:
+            for index in range(36):
+                future = pool.submit(
+                    f"context-{index}",
+                    factory,
+                    lambda engine, checkpoint=None: engine is not None,
+                    "interactive",
+                )
+                assert future.result(timeout=30)
+            assert pool.evictions >= 34
+            # Only evicted lanes still draining are kept, never all 34.
+            assert len(pool._retired) <= 3
+            for lane in pool._retired:
+                lane.join(timeout=30)
+            gc.collect()
+            assert len(engines) <= pool.max_lanes
+        finally:
+            pool.close(timeout=30)
 
     def test_lane_pooled_sweep_matches_single_engine_27_designs(self):
         roles = ["dns", "web", "app"]

@@ -1,7 +1,7 @@
 """Tests for what sweeps share across designs.
 
-Covers the canonical tier layout the closed-form COA reads
-(:func:`repro.evaluation.availability.design_tiers`), one evaluator's
+Covers the canonical tier layout every evaluator reads
+(:func:`repro.enterprise.heterogeneous.design_tiers`), one evaluator's
 aggregates shared across designs, the priming of pool workers with
 those aggregates through the pool initializer, the upper-layer
 explorations the closed form saves and worker failure reporting.
@@ -17,10 +17,10 @@ from repro.enterprise import (
     paper_case_study,
     paper_variant_space,
 )
+from repro.enterprise.heterogeneous import design_tiers
 from repro.errors import EvaluationError, ValidationError
 from repro.evaluation import AvailabilityEvaluator, SweepEngine
 from repro.evaluation import engine as engine_module
-from repro.evaluation.availability import design_tiers
 from repro.evaluation.engine import _chunk, _worker_evaluators
 from repro.evaluation.sweep import enumerate_designs
 from repro.evaluation.timeline import default_time_grid
@@ -179,9 +179,13 @@ class TestWorkerPriming:
             [HeterogeneousDesign({"web": {nginx: 1}})]
         )
         assert variant["key"] != wider["key"]
-        _, _, _, roles, variants = variant["initargs"]
-        assert set(roles) == {"app", "dns", "web"}
-        assert set(variants) == {("web", nginx)}
+        _, _, _, aggregates = variant["initargs"]
+        assert set(aggregates) == {
+            ("app", None),
+            ("dns", None),
+            ("web", None),
+            ("web", nginx),
+        }
 
     def test_uninitialized_worker_fails_loudly(self, monkeypatch):
         monkeypatch.setattr(engine_module, "_WORKER_PAIR", None)

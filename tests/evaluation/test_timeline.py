@@ -20,7 +20,6 @@ from repro.evaluation import (
     evaluate_timeline,
     evaluate_timelines,
 )
-from repro.evaluation.timeline import _patch_groups
 from repro.vulnerability.diversity import diversity_database
 
 
@@ -148,10 +147,14 @@ class TestHeterogeneousTimeline:
             CriticalVulnerabilityPolicy(),
             database=diversity_database(),
         )
-        groups = _patch_groups(evaluator, design)
-        assert [(name, count) for name, count, _ in groups] == [
-            ("web_apache", 2),
-            ("web_nginx", 1),
+        apache, nginx = space["web"]
+        assert evaluator._tiers(design) == [
+            [
+                (2, evaluator.aggregate("web", apache).patch_rate,
+                 evaluator.aggregate("web", apache).recovery_rate),
+                (1, evaluator.aggregate("web", nginx).patch_rate,
+                 evaluator.aggregate("web", nginx).recovery_rate),
+            ]
         ]
 
 

@@ -296,12 +296,12 @@ class TestHomogeneousHeterogeneousParity:
             case_study.roles["web"].attack_tree_spec,
         )
         evaluator = AvailabilityEvaluator(case_study, critical_policy)
-        inherited = evaluator.variant_aggregate(renamed, role="web")
+        inherited = evaluator.aggregate("web", renamed)
         role_aggregate = evaluator.aggregate("web")
         assert inherited.patch_rate == role_aggregate.patch_rate
         assert inherited.recovery_rate == role_aggregate.recovery_rate
-        # Without the role context the override must NOT apply.
-        bare = evaluator.variant_aggregate(renamed)
+        # Serving a tier without an override, the override must NOT apply.
+        bare = evaluator.aggregate("dns", renamed)
         assert bare.recovery_rate != inherited.recovery_rate
 
 
