@@ -153,11 +153,13 @@ def test_warm_pool_speedup():
 
 CONTENTION_TRIALS = 3
 
-#: Batch workload for the lane-contention cell: the scaled 6x4 space
-#: takes ~300 ms per serial sweep (plus its per-context engine build on
-#: the lane thread), long enough to dominate a 27-design interactive
-#: request that gets stuck behind it.
-CONTENTION_SCALED = "6x4"
+#: Batch workload for the lane-contention cell: one scaled design whose
+#: evaluation (one chunk, so one lane can only yield after it) must
+#: dominate a ~6-10 ms warm 27-design interactive request that gets
+#: stuck behind it.  Since the lower layer solves each distinct stack
+#: once, 6x4 takes ~11 ms and no longer does; the 400 tiers of 3x400
+#: take ~45 ms plus the per-context engine build on the lane thread.
+CONTENTION_SCALED = "3x400"
 
 
 def _contended_interactive_latency(lanes):

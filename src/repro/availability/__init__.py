@@ -2,8 +2,10 @@
 
 Lower layer (:mod:`repro.availability.server`): one SRN per server with
 hardware, OS, service and patch-clock sub-models (Fig. 5, guards of
-Table III).  :mod:`repro.availability.measures` extracts the steady-state
-probabilities (p_up, p_pd, p_prrb) and
+Table III).  Every server runs the same net with its own Table IV rates,
+so :class:`ServerNetSolver` explores it once and solves any number of
+parameter stacks together.  :mod:`repro.availability.measures` extracts
+the steady-state probabilities (p_up, p_pd, p_prrb) and
 :mod:`repro.availability.aggregation` collapses them into the equivalent
 patch/recovery rates of Eqs. (1)-(2) (Table V).
 
@@ -18,7 +20,11 @@ and under staged campaigns — in closed form, and that is the path the
 evaluators take.  The SRN model stays the paper-faithful oracle.
 """
 
-from repro.availability.aggregation import ServiceAggregate, aggregate_service
+from repro.availability.aggregation import (
+    ServiceAggregate,
+    aggregate_service,
+    aggregate_services,
+)
 from repro.availability.coa import coa_reward
 from repro.availability.measures import ServerMeasures, compute_measures
 from repro.availability.network import NetworkAvailabilityModel
@@ -32,7 +38,7 @@ from repro.availability.parameters import (
     paper_server_parameters,
 )
 from repro.availability.product_form import product_form_coa
-from repro.availability.server import build_server_srn, solve_server
+from repro.availability.server import ServerNetSolver, build_server_srn, solve_server
 from repro.availability.survivability import mean_time_to_outage, transient_coa
 
 __all__ = [
@@ -45,10 +51,12 @@ __all__ = [
     "OS_VULN_PATCH_MINUTES",
     "build_server_srn",
     "solve_server",
+    "ServerNetSolver",
     "ServerMeasures",
     "compute_measures",
     "ServiceAggregate",
     "aggregate_service",
+    "aggregate_services",
     "NetworkAvailabilityModel",
     "coa_reward",
     "product_form_coa",

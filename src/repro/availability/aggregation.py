@@ -11,19 +11,23 @@ rate of the patch-down macro-state: only its final stage (service ready
 to reboot, hardware and OS up) returns to up, at the service reboot rate.
 
 Table V of the paper is this module applied to the four server roles.
+:func:`aggregate_services` solves any number of parameter stacks over
+one :class:`~repro.availability.server.ServerNetSolver`, so they share
+its one exploration and one stacked steady-state solve;
+:func:`aggregate_service` is its one-stack case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.availability.measures import ServerMeasures, compute_measures
+from repro.availability.measures import ServerMeasures, steady_measures
 from repro.availability.parameters import ServerParameters
-from repro.availability.server import solve_server
+from repro.availability.server import ServerNetSolver
 from repro.errors import EvaluationError
-from repro.srn import SrnSolution
 
-__all__ = ["ServiceAggregate", "aggregate_service", "aggregate_from_solution"]
+__all__ = ["ServiceAggregate", "aggregate_service", "aggregate_services"]
 
 
 @dataclass(frozen=True)
@@ -57,19 +61,32 @@ def aggregate_service(
     software_can_fail_during_patch: bool = True,
 ) -> ServiceAggregate:
     """Solve the server SRN for *parameters* and apply Eqs. (1)-(2)."""
-    solution = solve_server(
-        parameters,
+    solver = ServerNetSolver(
         hardware_can_fail_during_patch=hardware_can_fail_during_patch,
         software_can_fail_during_patch=software_can_fail_during_patch,
     )
-    return aggregate_from_solution(parameters, solution)
+    return aggregate_services(solver, [parameters])[0]
 
 
-def aggregate_from_solution(
-    parameters: ServerParameters, solution: SrnSolution
+def aggregate_services(
+    solver: ServerNetSolver, stacks: Sequence[ServerParameters]
+) -> list[ServiceAggregate]:
+    """The Table V row of each stack, all solved together by *solver*.
+
+    Each row carries its own stack's name; equal stacks under different
+    names get equal numbers.
+    """
+    markings, probabilities = solver.steady_states(stacks)
+    return [
+        _aggregate(parameters, measures)
+        for parameters, measures in zip(stacks, steady_measures(markings, probabilities))
+    ]
+
+
+def _aggregate(
+    parameters: ServerParameters, measures: ServerMeasures
 ) -> ServiceAggregate:
-    """Apply Eqs. (1)-(2) to an already-solved server SRN."""
-    measures = compute_measures(solution)
+    """Apply Eqs. (1)-(2) to one solved server SRN's measures."""
     if measures.patch_down <= 0.0:
         raise EvaluationError(
             f"server {parameters.name!r} never enters the patch pipeline; "

@@ -29,16 +29,32 @@ The patch pipeline is strictly sequential — service patch, OS patch
 (triggered by ``gosptrig: #Psvcp == 1``), OS reboot, service reboot
 (guarded by ``#Posup == 1``) — which reproduces the Table V aggregate
 recovery rates.
+
+Every role runs this one net; only the Table IV rates differ.  No guard
+and no immediate weight reads a rate, so all parameter sets share one
+reachability graph and one vanishing elimination.
+:class:`ServerNetSolver` therefore explores the net once and solves any
+number of :class:`~repro.availability.parameters.ServerParameters`
+against that graph; :func:`solve_server` is its one-stack case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from dataclasses import replace
+
+import numpy as np
+
 from repro.availability.parameters import ServerParameters
-from repro.srn import Marking, SrnSolution, StochasticRewardNet, solve
+from repro.ctmc.steady import BatchSteadySolver
+from repro.errors import ValidationError
+from repro.srn import Marking, SrnSolution, StochasticRewardNet
+from repro.srn.reachability import ReachabilityGraph, explore
 
 __all__ = [
     "build_server_srn",
     "solve_server",
+    "ServerNetSolver",
     "SERVICE_PATCH_DOWN_PLACES",
 ]
 
@@ -247,15 +263,95 @@ def build_server_srn(
     return net
 
 
+class ServerNetSolver:
+    """Steady states of the server SRN for many parameter stacks, over
+    one exploration.
+
+    The first call explores :func:`build_server_srn` of its first stack
+    under this solver's patch-failure flags.  Every stack, that one
+    included, then gets its rates read off the transitions of its own
+    net and re-weighted over the one graph
+    (:meth:`~repro.srn.reachability.ReachabilityGraph.reweighted`): each
+    eliminated rate is a fixed sum of timed rate times branching
+    probability.  The stacks of one call are solved together, in one
+    stacked GTH (:meth:`~repro.ctmc.steady.BatchSteadySolver.solve`), and
+    every result is bit-identical to ``solve(build_server_srn(p))``.
+
+    Parameters
+    ----------
+    hardware_can_fail_during_patch, software_can_fail_during_patch:
+        The flags of :func:`build_server_srn`; one solver covers one
+        pair, since the flags change the guards and so the graph.
+    """
+
+    def __init__(
+        self,
+        hardware_can_fail_during_patch: bool = True,
+        software_can_fail_during_patch: bool = True,
+    ) -> None:
+        self._flags = {
+            "hardware_can_fail_during_patch": hardware_can_fail_during_patch,
+            "software_can_fail_during_patch": software_can_fail_during_patch,
+        }
+        self._graph: ReachabilityGraph | None = None
+        self._steady: BatchSteadySolver | None = None
+
+    def steady_states(
+        self, stacks: Sequence[ServerParameters]
+    ) -> tuple[tuple[Marking, ...], np.ndarray]:
+        """The tangible markings and one steady-state row per stack."""
+        rates = self._rates(stacks)
+        return self._graph.tangible, self._solve(rates)
+
+    def solve(self, stacks: Sequence[ServerParameters]) -> list[SrnSolution]:
+        """One full solution per stack, equal to
+        ``solve(build_server_srn(p))`` for each stack ``p``."""
+        rates = self._rates(stacks)
+        solutions = []
+        for stack_rates, probabilities in zip(rates, self._solve(rates)):
+            graph = replace(self._graph, rates=stack_rates)
+            solutions.append(
+                SrnSolution(
+                    graph=graph, chain=graph.to_ctmc(), probabilities=probabilities
+                )
+            )
+        return solutions
+
+    def _rates(
+        self, stacks: Sequence[ServerParameters]
+    ) -> list[dict[tuple[int, int], float]]:
+        """Each stack's effective tangible rates, over the one graph."""
+        if not stacks:
+            raise ValidationError("no server parameter stacks to solve")
+        nets = [build_server_srn(parameters, **self._flags) for parameters in stacks]
+        if self._graph is None:
+            graph = explore(nets[0])
+            n = graph.number_of_states
+            # Every key a term can produce, so no stack leaves the pattern.
+            pattern = [
+                (int(key) // n, int(key) % n)
+                for key in np.unique(graph.term_keys)
+                if key // n != key % n
+            ]
+            self._graph, self._steady = graph, BatchSteadySolver(n, pattern)
+        return [self._graph.reweighted(self._graph.edge_rates(net)) for net in nets]
+
+    def _solve(self, rates: list[dict[tuple[int, int], float]]) -> np.ndarray:
+        pattern = self._steady.pattern
+        return self._steady.solve(
+            [[stack.get(pair, 0.0) for pair in pattern] for stack in rates]
+        )
+
+
 def solve_server(
     parameters: ServerParameters,
     hardware_can_fail_during_patch: bool = True,
     software_can_fail_during_patch: bool = True,
 ) -> SrnSolution:
-    """Build and solve the server SRN for its steady state."""
-    net = build_server_srn(
-        parameters,
+    """Build and solve the server SRN for its steady state: the
+    one-stack case of :class:`ServerNetSolver`."""
+    solver = ServerNetSolver(
         hardware_can_fail_during_patch=hardware_can_fail_during_patch,
         software_can_fail_during_patch=software_can_fail_during_patch,
     )
-    return solve(net)
+    return solver.solve([parameters])[0]

@@ -3,7 +3,8 @@
 :class:`Ctmc` wraps a labelled infinitesimal generator; solvers compute
 steady-state distributions (:func:`steady_state` and
 :class:`BatchSteadySolver` share one GTH / direct / iterative size
-ladder) and transient ones (exact uniformisation,
+ladder; the batch solver takes a stack of rate vectors and eliminates
+small chains in one stacked GTH) and transient ones (exact uniformisation,
 :class:`BatchTransientSolver`); :mod:`repro.ctmc.rewards`
 evaluates expected reward rates (the SPNP-style output measures);
 :mod:`repro.ctmc.aggregate` implements the Trivedi-style two-state

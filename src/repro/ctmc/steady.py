@@ -30,7 +30,11 @@ one transition structure without rebuilding per-chain ``Ctmc`` objects:
 the sparsity pattern, index arrays and dense scaffolding are assembled
 once and only the rate values change between solves.  Both
 :func:`steady_state` and :meth:`BatchSteadySolver.solve` dispatch
-through the same ladder.
+through the same ladder, over a *stack* of chains: the GTH core
+eliminates every chain of the stack in one pass (one chain is a stack
+of one), with the same floating-point operations per chain as a solve
+of that chain alone, so a stacked solve is bit-identical to solving
+each chain by itself.
 """
 
 from __future__ import annotations
@@ -93,30 +97,40 @@ def steady_state(chain: Ctmc, method: str = "auto") -> np.ndarray:
     with _tracing.span("ctmc:steady", states=n, method=method):
         return _solve(
             n,
-            chain.dense_generator,
-            lambda: chain.generator().astype(float),
+            1,
+            lambda: chain.dense_generator()[np.newaxis],
+            lambda: [chain.generator().astype(float)],
             method,
-        )
+        )[0]
 
 
 def _solve(
     n: int,
+    m: int,
     dense: Callable[[], np.ndarray],
-    generator: Callable[[], sparse.spmatrix],
+    generators: Callable[[], Sequence[sparse.spmatrix]],
     method: str,
 ) -> np.ndarray:
-    """Solve the chain whose dense / sparse generator the thunks build.
+    """Solve a stack of *m* chains of *n* states: ``(m, n)`` vectors.
 
-    ``method="auto"`` walks the size ladder of the module docstring.
+    *dense* builds the ``(m, n, n)`` stack of dense generators and
+    *generators* the *m* sparse ones; ``method="auto"`` walks the size
+    ladder of the module docstring.  GTH solves the stack at once, the
+    sparse methods one chain at a time.
     """
     if method not in _METHODS:
         raise SolverError(f"unknown steady-state method {method!r}")
     if n == 1:
-        return np.array([1.0])
+        return np.ones((m, 1))
     if method == "gth" or (method == "auto" and n <= _GTH_CUTOFF):
-        _logger.debug("steady state: n=%d %s -> gth", n, method)
+        _logger.debug("steady state: n=%d m=%d %s -> gth", n, m, method)
         return _gth_core(dense())
-    q = generator()
+    return np.array([_sparse_ladder(q, method) for q in generators()])
+
+
+def _sparse_ladder(q: sparse.spmatrix, method: str) -> np.ndarray:
+    """One chain through the sparse methods of the ladder (n >= 2)."""
+    n = q.shape[0]
     if method == "direct":
         return _direct_core(q)
     if method == "iterative":
@@ -150,7 +164,7 @@ def steady_state_gth(chain: Ctmc) -> np.ndarray:
     n = chain.number_of_states()
     if n == 1:
         return np.array([1.0])
-    return _gth_core(chain.dense_generator())
+    return _gth_core(chain.dense_generator()[np.newaxis])[0]
 
 
 def steady_state_iterative(chain: Ctmc, rtol: float = 1e-10) -> np.ndarray:
@@ -273,38 +287,47 @@ def _finalise_pi(pi: np.ndarray, label: str) -> np.ndarray:
 
 
 def _gth_core(q: np.ndarray) -> np.ndarray:
-    """GTH elimination given the dense generator ``Q`` (n >= 2)."""
-    _STEADY_SOLVES.inc(path="gth")
-    n = q.shape[0]
-    # Work on the off-diagonal rate matrix.
-    a = q.copy()
-    np.fill_diagonal(a, 0.0)
-    a = np.abs(a)
-    # Forward elimination.
-    for k in range(n - 1, 0, -1):
-        total = a[k, :k].sum()
-        if total <= 0.0:
-            # State k unreachable-from/isolated in the reduced chain; give it
-            # an infinitesimal self-consistency to avoid division by zero.
-            raise SolverError(
-                "GTH elimination hit a state with no outflow to lower indices; "
-                "the chain is reducible"
-            )
-        a[:k, k] /= total
-        # One rank-1 update per pivot.  Each entry gets one multiply and
-        # one add, and a zero a[k, j] adds +0.0 to a non-negative entry,
-        # so this equals a column loop that skips zero columns bit for
-        # bit (tests/ctmc keeps that loop as the oracle).
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
-    # Back substitution.
-    pi = np.zeros(n)
-    pi[0] = 1.0
+    """GTH elimination of a stack of dense generators ``q[s]`` (n >= 2).
+
+    Returns one steady-state row per chain.  Every step is elementwise
+    over the stack or reduces one chain's contiguous row, so each chain
+    gets the floating-point operations of a stack of one: stacking never
+    changes a result, and the solve counter counts chains.
+    """
+    m, n = q.shape[0], q.shape[1]
+    _STEADY_SOLVES.inc(m, path="gth")
+    # Work on the off-diagonal rate matrices.
+    a = np.abs(q)
+    diagonal = np.arange(n)
+    a[:, diagonal, diagonal] = 0.0
+    # Forward elimination.  A pivot row without outflow to lower indices
+    # (a reducible chain) is caught from the stored totals after the loop.
+    totals = np.empty((n, m, 1, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n - 1, 0, -1):
+            row = a[:, k : k + 1, :k]
+            total = np.add.reduce(row, axis=2, keepdims=True, out=totals[k])
+            column = a[:, :k, k : k + 1]
+            column /= total
+            # One rank-1 update per pivot.  Each entry gets one multiply
+            # and one add, and a zero a[k, j] adds +0.0 to a non-negative
+            # entry, so this equals a column loop that skips zero columns
+            # bit for bit (tests/ctmc keeps that loop as the oracle).
+            a[:, :k, :k] += column * row
+    if not np.all(totals[1:] > 0.0):
+        raise SolverError(
+            "GTH elimination hit a state with no outflow to lower indices; "
+            "the chain is reducible"
+        )
+    # Back substitution: one dot product per chain and state.
+    pi = np.zeros((m, 1, n))
+    pi[:, :, 0] = 1.0
     for k in range(1, n):
-        pi[k] = pi[:k] @ a[:k, k]
-    total = pi.sum()
-    if not np.isfinite(total) or total <= 0:
+        np.matmul(pi[:, :, :k], a[:, :k, k : k + 1], out=pi[:, :, k : k + 1])
+    total = np.add.reduce(pi, axis=2)
+    if not np.all(np.isfinite(total) & (total > 0)):
         raise SolverError("GTH produced a non-normalisable vector")
-    return pi / total
+    return pi[:, 0, :] / total
 
 
 def _power_core(
@@ -347,14 +370,16 @@ class BatchSteadySolver:
     transition pattern (``(src, dst)`` index pairs); each solve then only
     supplies the rate *values* aligned with that pattern.  Generator
     assembly is fully vectorised (index arrays + ``bincount`` for the
-    diagonal), so sweeping a parameter space costs one numpy assembly and
-    one linear solve per point instead of a Python dict walk per point.
+    diagonal), and a stack of rate vectors is solved in one call: small
+    chains go through one stacked GTH elimination.
 
     Examples
     --------
     >>> solver = BatchSteadySolver(2, [(0, 1), (1, 0)])
     >>> solver.solve([2.0, 8.0]).round(3).tolist()
     [0.8, 0.2]
+    >>> solver.solve([[2.0, 8.0], [1.0, 1.0]]).round(3).tolist()
+    [[0.8, 0.2], [0.5, 0.5]]
     """
 
     def __init__(self, n: int, transitions: Sequence[tuple[int, int]]) -> None:
@@ -411,31 +436,53 @@ class BatchSteadySolver:
             (data, (self._rows, self._cols)), shape=(self.n, self.n)
         )
 
-    def dense_generator(self, rates: Sequence[float]) -> np.ndarray:
-        """Assemble the dense generator for one rate vector."""
+    def dense_generator(self, rates: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Assemble the dense generator for one rate vector, or the
+        ``(m, n, n)`` stack of generators for an ``(m, k)`` stack of
+        rate vectors."""
         values = self._values(rates)
-        q = np.zeros((self.n, self.n))
-        q[self._src, self._dst] = values
-        q[np.arange(self.n), np.arange(self.n)] = -np.bincount(
-            self._src, weights=values, minlength=self.n
-        )
-        return q
+        stack = values.reshape(-1, len(self._pattern))
+        q = np.zeros((len(stack), self.n, self.n))
+        q[:, self._src, self._dst] = stack
+        diagonal = np.arange(self.n)
+        for chain, row in zip(q, stack):
+            chain[diagonal, diagonal] = -np.bincount(
+                self._src, weights=row, minlength=self.n
+            )
+        return q if values.ndim == 2 else q[0]
 
-    def solve(self, rates: Sequence[float], method: str = "auto") -> np.ndarray:
-        """Steady-state vector for the chain with the given rate values."""
-        with _tracing.span("ctmc:steady", states=self.n, method=method):
-            return _solve(
+    def solve(
+        self, rates: Sequence[float] | np.ndarray, method: str = "auto"
+    ) -> np.ndarray:
+        """Steady-state vector for the chain with the given rate values.
+
+        An ``(m, k)`` stack of rate vectors solves *m* chains at once and
+        returns one row per chain, each bit-identical to solving that
+        chain alone.
+        """
+        values = self._values(rates)
+        stack = values.reshape(-1, len(self._pattern))
+        with _tracing.span(
+            "ctmc:steady", states=self.n, method=method, chains=len(stack)
+        ):
+            pi = _solve(
                 self.n,
-                lambda: self.dense_generator(rates),
-                lambda: self.generator(rates),
+                len(stack),
+                lambda: self.dense_generator(stack),
+                lambda: [self.generator(row) for row in stack],
                 method,
             )
+        return pi if values.ndim == 2 else pi[0]
 
-    def _values(self, rates: Sequence[float]) -> np.ndarray:
+    def _values(self, rates: Sequence[float] | np.ndarray) -> np.ndarray:
         values = np.asarray(rates, dtype=float)
-        if values.shape != (len(self._pattern),):
+        k = len(self._pattern)
+        if values.shape != (k,) and not (
+            values.ndim == 2 and values.shape[1] == k and len(values) > 0
+        ):
             raise SolverError(
-                f"expected {len(self._pattern)} rates, got shape {values.shape}"
+                f"expected {k} rates (or an (m, {k}) stack), got shape "
+                f"{values.shape}"
             )
         if np.any(~np.isfinite(values)) or np.any(values < 0):
             raise SolverError("rates must be finite and non-negative")

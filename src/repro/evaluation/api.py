@@ -51,6 +51,7 @@ from repro.errors import DeadlineExceeded, ValidationError
 __all__ = [
     "SCHEMA_VERSION",
     "MAX_TIME_POINTS",
+    "MAX_SCALED_TIERS",
     "OverBudgetError",
     "SpaceSpec",
     "ShardSpec",
@@ -83,6 +84,10 @@ ERROR_INTERNAL = "internal"
 #: a ``times`` list: the grid is built on the event loop, before any
 #: other budget check.
 MAX_TIME_POINTS = 10_000
+
+#: Most tiers a ``scaled`` space may generate: its case study is built
+#: on the event loop, before any other budget check.
+MAX_SCALED_TIERS = 1_000
 
 
 class OverBudgetError(ValidationError):
@@ -202,6 +207,11 @@ def parse_scaled(value: object) -> tuple[int, int] | None:
             f"scaled {hosts}x{tiers} has {hosts}^{tiers} attack paths, more "
             "than a float can count; choose HOSTSxTIERS with "
             "TIERS * ln(HOSTS) <= ln(sys.float_info.max)"
+        )
+    if tiers > MAX_SCALED_TIERS:
+        raise OverBudgetError(
+            f"scaled {hosts}x{tiers} asks for {tiers} tiers, over the cap of "
+            f"{MAX_SCALED_TIERS}"
         )
     return (hosts, tiers)
 

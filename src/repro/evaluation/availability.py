@@ -1,21 +1,26 @@
 """Availability evaluation of designs: lower-layer solve + aggregation,
 then the upper-layer COA in closed form, with each server group's
-aggregate cached across designs."""
+aggregate cached across designs and each distinct stack solved once."""
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from repro.availability import product_form
-from repro.availability.aggregation import ServiceAggregate, aggregate_service
+from repro.availability.aggregation import ServiceAggregate, aggregate_services
 from repro.availability.network import NetworkAvailabilityModel
+from repro.availability.parameters import ServerParameters
+from repro.availability.server import ServerNetSolver
 from repro.enterprise.casestudy import EnterpriseCaseStudy
 from repro.enterprise.design import DesignSpec
 from repro.enterprise.heterogeneous import design_tiers
 from repro.enterprise.roles import ServerRole
+from repro.errors import ReproError
 from repro.patching.policy import PatchPolicy
 from repro.vulnerability.database import VulnerabilityDatabase
 
@@ -24,6 +29,10 @@ __all__ = ["AvailabilityEvaluator"]
 #: An aggregate's cache key: the tier's role and the group's variant
 #: (``None`` for the case study's own stack of that role).
 GroupKey = tuple[str, ServerRole | None]
+
+#: The name every solved stack is keyed under: two groups whose
+#: parameters differ only in name solve to the same numbers.
+_STACK = "stack"
 
 
 class AvailabilityEvaluator:
@@ -34,10 +43,16 @@ class AvailabilityEvaluator:
     (:func:`~repro.enterprise.heterogeneous.design_tiers`): a
     homogeneous role is a one-group tier, a diverse tier one group per
     variant.  The expensive part — solving a group's lower-layer SRN and
-    aggregating it into (lambda_eq, mu_eq) — depends only on its stack
-    and the patch policy, not on the replica counts, so aggregates are
-    cached per ``(role, variant)`` group and reused across every design
-    the evaluator scores.
+    aggregating it into (lambda_eq, mu_eq) — depends only on its
+    :class:`~repro.availability.parameters.ServerParameters`, not on the
+    replica counts or the group's name.  Aggregates are therefore cached
+    per ``(role, variant)`` group, and solved per distinct parameter
+    content: groups of equal stacks (the cyclic tiers of a scaled case
+    study, or a variant equal to its role's stack) share one solve and
+    keep their own names.  Every stack goes through the evaluator's one
+    :class:`~repro.availability.server.ServerNetSolver`, so the server
+    net is explored once per evaluator, and :meth:`solve_groups` solves
+    all the stacks a batch of designs is missing in one stacked call.
 
     The upper-layer COA — steady, transient and under a staged
     campaign — comes from the closed form of
@@ -67,7 +82,9 @@ class AvailabilityEvaluator:
         self.policy = policy
         self.database = database if database is not None else case_study.database
         self._aggregates: dict[GroupKey, ServiceAggregate] = {}
-        self._aggregate_solves = 0
+        #: Solved rows keyed by their parameters under the name _STACK.
+        self._stacks: dict[ServerParameters, ServiceAggregate] = {}
+        self._server = ServerNetSolver()
 
     # -- per-group aggregation (Table V) -----------------------------------
 
@@ -82,17 +99,71 @@ class AvailabilityEvaluator:
         """
         aggregate = self._aggregates.get((role, variant))
         if aggregate is None:
-            if variant is None:
-                parameters = self.case_study.server_parameters(role, self.policy)
-            else:
-                parameters = self.case_study.variant_parameters(
-                    variant, self.policy, database=self.database, role=role
-                )
-            self._aggregate_solves += 1
-            aggregate = self._aggregates[(role, variant)] = aggregate_service(
-                parameters
-            )
+            self._solve({(role, variant): self._parameters(role, variant)})
+            aggregate = self._aggregates[(role, variant)]
         return aggregate
+
+    def solve_groups(
+        self, designs: Iterable[DesignSpec], action: str
+    ) -> dict[GroupKey, ServiceAggregate]:
+        """Aggregates of every server group of *designs*, solving the
+        missing stacks in one call.
+
+        The batch entry point of the sweep and timeline chunks and of
+        pool priming.  Each design's groups are read under
+        :func:`~repro.evaluation.combined.labelled` with *action*, so a
+        bad design fails with its own label.  Returns ``(role, variant)``
+        -> aggregate for every group of *designs*.
+        """
+        from repro.evaluation.combined import labelled
+
+        groups: dict[GroupKey, ServerParameters | None] = {}
+
+        def collect(design: DesignSpec) -> None:
+            for role, tier in design_tiers(design):
+                for variant, _ in tier:
+                    key = (role, variant)
+                    if key not in groups:
+                        groups[key] = (
+                            None
+                            if key in self._aggregates
+                            else self._parameters(role, variant)
+                        )
+
+        for design in designs:
+            labelled(action, design, partial(collect, design))
+        missing = {key: p for key, p in groups.items() if p is not None}
+        if missing:
+            try:
+                self._solve(missing)
+            except ReproError:
+                # Left unsolved: each design's own lookup re-solves its
+                # groups and fails under that design's label.
+                return {}
+        return {key: self._aggregates[key] for key in groups}
+
+    def _parameters(self, role: str, variant: ServerRole | None) -> ServerParameters:
+        if variant is None:
+            return self.case_study.server_parameters(role, self.policy)
+        return self.case_study.variant_parameters(
+            variant, self.policy, database=self.database, role=role
+        )
+
+    def _solve(self, groups: Mapping[GroupKey, ServerParameters]) -> None:
+        """Solve the distinct stacks of *groups* not solved yet, in one
+        stacked call, and cache every group's row under its own name."""
+        stacks = {key: replace(p, name=_STACK) for key, p in groups.items()}
+        new: dict[ServerParameters, ServerParameters] = {}
+        for key, stack in stacks.items():
+            if stack not in self._stacks:
+                new.setdefault(stack, groups[key])
+        if new:
+            solved = aggregate_services(self._server, list(new.values()))
+            self._stacks.update(zip(new, solved))
+        for key, stack in stacks.items():
+            row = self._stacks[stack]
+            name = groups[key].name
+            self._aggregates[key] = row if row.name == name else replace(row, name=name)
 
     def aggregates_for(self, design: DesignSpec) -> dict[str, ServiceAggregate]:
         """Group name -> aggregate for every group of *design*.
@@ -195,8 +266,9 @@ class AvailabilityEvaluator:
 
     @property
     def solve_stats(self) -> dict[str, int]:
-        """Counters for the benchmarks: lower-layer aggregate solves."""
-        return {"aggregate_solves": self._aggregate_solves}
+        """Counters for the benchmarks: lower-layer solves, one per
+        distinct stack."""
+        return {"aggregate_solves": len(self._stacks)}
 
 
 def _design_order(

@@ -120,11 +120,11 @@ def evaluate_designs_shared(
     """Serial evaluation of *designs* with one shared evaluator pair.
 
     This is the chunk primitive of the sweep engine: the shared
-    :class:`AvailabilityEvaluator` amortises the per-role (and
-    per-variant) lower-layer SRN solves across every design in the
-    chunk, whatever mix of spec kinds the chunk holds.  Pass
-    evaluator instances (e.g. a pool worker's primed pair) to reuse
-    their caches.
+    :class:`AvailabilityEvaluator` first solves the lower-layer stacks
+    of every server group in the chunk that it has not solved yet, in
+    one call (:meth:`AvailabilityEvaluator.solve_groups`), whatever mix
+    of spec kinds the chunk holds.  Pass evaluator instances (e.g. a
+    pool worker's primed pair) to reuse their caches.
 
     A failing design raises an error carrying the design label (see
     :func:`labelled`) — always picklable, so process-pool sweeps surface
@@ -136,6 +136,8 @@ def evaluate_designs_shared(
         availability_evaluator = AvailabilityEvaluator(
             case_study, policy, database=database
         )
+    designs = list(designs)
+    availability_evaluator.solve_groups(designs, "evaluating design")
     return [
         labelled(
             "evaluating design",

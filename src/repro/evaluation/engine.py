@@ -25,8 +25,9 @@ Caching / batching contract
   deadline or a preemption checkpoint keeps every finished chunk.
 * **One evaluator pair.**  The serial executor runs every chunk over
   the engine's long-lived ``SecurityEvaluator``/``AvailabilityEvaluator``
-  pair (one lower-layer SRN solve per server group, that is per role or
-  variant; the upper-layer COA is closed-form).  The process executor
+  pair (one exploration of the server SRN, one lower-layer solve per
+  distinct server stack, each chunk's new stacks solved in one stacked
+  call; the upper-layer COA is closed-form).  The process executor
   solves those aggregates in the parent and hands them to every pool
   worker as pool-initializer arguments, so workers never re-solve the
   lower layer and chunks carry only designs.
@@ -93,14 +94,9 @@ from repro._validation import check_positive_int
 from repro.availability.aggregation import ServiceAggregate
 from repro.enterprise.casestudy import EnterpriseCaseStudy, paper_case_study
 from repro.enterprise.design import DesignSpec
-from repro.enterprise.heterogeneous import design_tiers
 from repro.errors import EvaluationError
 from repro.evaluation.availability import AvailabilityEvaluator, GroupKey
-from repro.evaluation.combined import (
-    DesignEvaluation,
-    evaluate_designs_shared,
-    labelled,
-)
+from repro.evaluation.combined import DesignEvaluation, evaluate_designs_shared
 from repro.evaluation.security import SecurityEvaluator
 from repro.observability import tracing
 from repro.resilience.deadline import Deadline
@@ -838,18 +834,12 @@ class SweepEngine:
         that adds an entry recycles the pool once, every other dispatch
         reuses it, and an executor shared between engines re-primes.
         """
-        availability = self._evaluators()[1]
         primed = self._primed
-
-        def fold(design: DesignSpec) -> None:
-            for role, groups in design_tiers(design):
-                for variant, _ in groups:
-                    primed[(role, variant)] = availability.aggregate(role, variant)
-
-        for design in designs:
-            labelled(
-                "precomputing aggregates for design", design, partial(fold, design)
+        primed.update(
+            self._evaluators()[1].solve_groups(
+                designs, "precomputing aggregates for design"
             )
+        )
         return {
             "initializer": _initialize_worker,
             "initargs": (

@@ -6,11 +6,13 @@ the tornado-chart data an administrator uses to see which lever actually
 moves availability.
 
 All perturbations of a scan share net *structure* — only rate values
-change — so the whole tornado is solved through
-:func:`repro.srn.solve_family`: the lower-layer server SRN of each role
-and the upper-layer network SRN are each explored once, and every
-perturbation re-evaluates rates on the stored tangible markings instead
-of re-walking the reachability graph.
+change — so the whole tornado needs two explorations.  Every role under
+every perturbation runs the one server SRN, so the lower layer is one
+:class:`~repro.availability.server.ServerNetSolver` call: one
+exploration and one stacked steady-state solve for all of them.  The
+upper-layer network SRNs of the scenarios go through
+:func:`repro.srn.solve_family`, which explores once and re-evaluates
+rates on the stored tangible markings.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
-from repro.availability.aggregation import ServiceAggregate, aggregate_from_solution
+from repro.availability.aggregation import aggregate_services
 from repro.availability.coa import coa_reward
 from repro.availability.network import NetworkAvailabilityModel
 from repro.availability.parameters import ServerParameters
-from repro.availability.server import build_server_srn
+from repro.availability.server import ServerNetSolver
 from repro.enterprise.casestudy import EnterpriseCaseStudy
 from repro.enterprise.design import RedundancyDesign
 from repro.errors import EvaluationError
@@ -133,28 +135,23 @@ def coa_sensitivity(
         (PARAMETERS[name], factor) for name in names for factor in (low, high)
     )
 
-    # Lower layer: each role's server SRNs differ only in rate values
-    # across scenarios, so the whole scan is one family per role.
+    # Lower layer: every (scenario, role) stack runs the one server SRN,
+    # so the whole scan is one solver call.
     base_params = {
         role: case_study.server_parameters(role, policy)
         for role in design.roles
     }
-    scenario_params: list[dict[str, ServerParameters]] = [
-        {
-            role: params if scaler is None else scaler(params, factor)
-            for role, params in base_params.items()
-        }
+    stacks = [
+        params if scaler is None else scaler(params, factor)
         for scaler, factor in scenarios
+        for params in base_params.values()
     ]
-    scenario_aggregates: list[dict[str, ServiceAggregate]] = [
-        {} for _ in scenarios
+    rows = aggregate_services(ServerNetSolver(), stacks)
+    roles = list(base_params)
+    scenario_aggregates = [
+        dict(zip(roles, rows[start : start + len(roles)]))
+        for start in range(0, len(rows), len(roles))
     ]
-    for role in design.roles:
-        nets = [build_server_srn(params[role]) for params in scenario_params]
-        for i, solution in enumerate(solve_family(nets)):
-            scenario_aggregates[i][role] = aggregate_from_solution(
-                scenario_params[i][role], solution
-            )
 
     # Upper layer: one network SRN per scenario, identical structure —
     # explore once, re-rate per scenario, batch-solve the steady states.

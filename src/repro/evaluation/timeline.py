@@ -312,10 +312,11 @@ def evaluate_timelines_shared(
     """Serial timelines of *designs* with one shared evaluator pair.
 
     The chunk primitive of :meth:`SweepEngine.timeline`: the shared
-    :class:`AvailabilityEvaluator` amortises the per-group lower-layer
-    SRN solves across every design in the chunk, whatever mix of spec
-    kinds the chunk holds.  Pass evaluator instances (e.g. a pool
-    worker's primed pair) to reuse their caches.  Failures carry the design label (see
+    :class:`AvailabilityEvaluator` first solves the lower-layer stacks
+    of every server group in the chunk that it has not solved yet, in
+    one call, whatever mix of spec kinds the chunk holds.  Pass
+    evaluator instances (e.g. a pool worker's primed pair) to reuse
+    their caches.  Failures carry the design label (see
     :func:`repro.evaluation.combined.labelled`).
     """
     if security_evaluator is None:
@@ -324,6 +325,8 @@ def evaluate_timelines_shared(
         availability_evaluator = AvailabilityEvaluator(
             case_study, policy, database=database
         )
+    designs = list(designs)
+    availability_evaluator.solve_groups(designs, "timeline of design")
     return [
         labelled(
             "timeline of design",

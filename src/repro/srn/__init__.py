@@ -9,8 +9,10 @@ functions, marking-dependent rates and reward functions.  The engine
 3. eliminates vanishing markings by the matrix method (handles immediate
    cycles; detects timeless traps),
 4. hands the resulting CTMC to :mod:`repro.ctmc` for steady-state,
-   transient and reward analysis (:func:`solve_family` solves nets that
-   share one structure from a single exploration).
+   transient and reward analysis (:func:`solve_family` solves
+   vanishing-free nets that share one structure from a single
+   exploration, and :meth:`ReachabilityGraph.reweighted` re-weights one
+   explored graph for other rate values).
 
 A discrete-event simulator (:mod:`repro.srn.simulate`) provides an
 independent estimate used to cross-validate the analytic pipeline.

@@ -18,12 +18,24 @@ tangible count, and only the non-zeros of each solved block are kept.
 A singular ``I - P_vv`` indicates a *timeless trap* (a set of vanishing
 markings that can never reach a tangible one) and raises
 :class:`repro.errors.SrnError`.
+
+The elimination is recorded as terms ``(key, edge, probability)``: each
+effective rate ``R_eff[i, j]`` is the sum, in one fixed walk order, of
+``rate(edge) * probability`` over the timed edges out of tangible
+marking ``i`` (probability 1 for an edge straight into ``j``, the
+branching probability ``Y[v, j]`` for an edge into vanishing ``v``).
+:meth:`ReachabilityGraph.reweighted` evaluates those terms for any timed
+rates; :func:`explore` computes the graph's own rates that way too.  A
+net whose guards and immediate weights do not depend on its rate values
+therefore needs one exploration for every set of rates: each set only
+re-weights the same terms (``repro.availability.server`` solves every
+server stack of an evaluator this way).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -91,6 +103,52 @@ class ReachabilityGraph:
     initial_distribution: np.ndarray
     rates: dict[tuple[int, int], float]
     vanishing_count: int
+    #: Source tangible index and transition name of every timed edge
+    #: out of a tangible marking, in the order :meth:`reweighted` reads
+    #: edge rates (set by :func:`explore`).
+    edge_sources: np.ndarray | None = field(default=None, repr=False)
+    edge_transitions: tuple[str, ...] = field(default=(), repr=False)
+    #: The elimination terms: the edge each term reads, its key as
+    #: ``i * n + j`` and its branching probability, in walk order.
+    term_edges: np.ndarray | None = field(default=None, repr=False)
+    term_keys: np.ndarray | None = field(default=None, repr=False)
+    term_probabilities: np.ndarray | None = field(default=None, repr=False)
+
+    def edge_rates(self, net: StochasticRewardNet) -> np.ndarray:
+        """The rate of every timed edge under *net*.
+
+        *net* must share the explored net's structure (places,
+        transitions, arcs and guards); only its rate values may differ.
+        Each rate is read off *net*'s own transition in the edge's
+        source marking.
+        """
+        transitions = {
+            name: net.transition(name) for name in dict.fromkeys(self.edge_transitions)
+        }
+        return np.array(
+            [
+                transitions[name].rate_in(self.tangible[source])
+                for source, name in zip(
+                    self.edge_sources.tolist(), self.edge_transitions
+                )
+            ],
+            dtype=float,
+        )
+
+    def reweighted(self, edge_rates: np.ndarray) -> dict[tuple[int, int], float]:
+        """Effective tangible rates ``{(i, j): rate}`` for *edge_rates*.
+
+        *edge_rates* gives one rate per timed edge (see
+        :meth:`edge_rates`).  Each term contributes ``rate *
+        probability`` when that is positive; a key's terms add up in
+        walk order, and keys follow their first contribution, so the
+        explored rates come back as :attr:`rates`, key order included.
+        """
+        return _reweighted(
+            len(self.tangible),
+            (self.term_edges, self.term_keys, self.term_probabilities),
+            edge_rates,
+        )
 
     def to_ctmc(self) -> Ctmc:
         """Build the labelled CTMC (states are the tangible markings)."""
@@ -183,6 +241,8 @@ def _explore(
     # edges[src] = list of (dst, value); value is a rate for tangible
     # sources and an (unnormalised) weight for vanishing sources.
     edges: list[list[tuple[int, float]]] = []
+    # names[src] = the transition of each edge of a tangible source.
+    names: list[list[str]] = []
 
     queue: deque[int] = deque([0])
     processed = 0
@@ -194,8 +254,10 @@ def _explore(
         while len(is_vanishing) <= current_idx:
             is_vanishing.append(False)
             edges.append([])
+            names.append([])
         is_vanishing[current_idx] = vanishing
         out: list[tuple[int, float]] = []
+        fired = names[current_idx]
         for transition in enabled:
             successor = marking.with_delta(transition.firing_delta(place_count))
             succ_idx = index.get(successor)
@@ -215,10 +277,21 @@ def _explore(
                 rate = transition.rate_in(marking)
                 if rate > 0.0:
                     out.append((succ_idx, rate))
+                    fired.append(transition.name)
         edges[current_idx] = out
         processed += 1
 
-    return _eliminate_vanishing(markings, is_vanishing, edges)
+    graph = _eliminate_vanishing(markings, is_vanishing, edges)
+    # The same tangible-source order the elimination flattens edges in.
+    return replace(
+        graph,
+        edge_transitions=tuple(
+            name
+            for orig, vanishing in enumerate(is_vanishing)
+            if not vanishing
+            for name in names[orig]
+        ),
+    )
 
 
 def _eliminate_vanishing(
@@ -236,29 +309,70 @@ def _eliminate_vanishing(
     vanishing_pos = {orig: pos for pos, orig in enumerate(vanishing_ids)}
     n_t, n_v = len(tangible_ids), len(vanishing_ids)
 
-    rates: dict[tuple[int, int], float] = {}
+    # The timed edges out of tangible markings, flattened in walk order:
+    # tangible markings in discovery order, each one's edges in firing
+    # order.  position[orig] is a marking's index within its class.
+    position = np.zeros(total, dtype=np.intp)
+    position[tangible_ids] = np.arange(n_t)
+    position[vanishing_ids] = np.arange(n_v)
+    sources = np.array(
+        [tangible_pos[orig] for orig in tangible_ids for _ in edges[orig]],
+        dtype=np.intp,
+    )
+    targets = np.array(
+        [dst for orig in tangible_ids for dst, _ in edges[orig]], dtype=np.intp
+    )
+    edge_rates = np.array(
+        [rate for orig in tangible_ids for _, rate in edges[orig]], dtype=float
+    )
 
-    if n_v == 0:
-        for orig in tangible_ids:
-            i = tangible_pos[orig]
-            for dst, rate in edges[orig]:
-                key = (i, tangible_pos[dst])
-                rates[key] = rates.get(key, 0.0) + rate
-        initial = np.zeros(n_t)
+    y = (
+        _absorption(markings, is_vanishing, edges, tangible_pos, vanishing_pos)
+        if n_v
+        else sparse.csr_matrix((0, n_t))
+    )
+    # An edge into a vanishing marking fans out over the stored
+    # non-zeros of its row of Y; any other edge is one term.
+    via = np.array(is_vanishing, dtype=bool)[targets]
+    term_edges, term_keys, term_probabilities = _terms(
+        sources, position[targets], via, y, n_t
+    )
+
+    # Initial distribution (handles a vanishing initial marking).
+    initial = np.zeros(n_t)
+    if is_vanishing[0]:
+        initial[:] = y.getrow(vanishing_pos[0]).toarray().ravel()
+    else:
         initial[tangible_pos[0]] = 1.0
-        return ReachabilityGraph(
-            tangible=tuple(markings[i] for i in tangible_ids),
-            initial_distribution=initial,
-            rates=rates,
-            vanishing_count=0,
-        )
+    return ReachabilityGraph(
+        tangible=tuple(markings[i] for i in tangible_ids),
+        initial_distribution=initial,
+        rates=_reweighted(
+            n_t, (term_edges, term_keys, term_probabilities), edge_rates
+        ),
+        vanishing_count=n_v,
+        edge_sources=sources,
+        term_edges=term_edges,
+        term_keys=term_keys,
+        term_probabilities=term_probabilities,
+    )
 
+
+def _absorption(
+    markings: list[Marking],
+    is_vanishing: list[bool],
+    edges: list[list[tuple[int, float]]],
+    tangible_pos: dict[int, int],
+    vanishing_pos: dict[int, int],
+) -> sparse.csr_matrix:
+    """``Y = (I - P_vv)^-1 P_vt``: ``Y[v, t]`` is the probability that
+    vanishing marking ``v`` first reaches tangible marking ``t``."""
+    n_t, n_v = len(tangible_pos), len(vanishing_pos)
     # Branching probabilities out of vanishing markings, keyed by
     # (row, column); parallel arcs into one successor add up in arc order.
     p_vv: dict[tuple[int, int], float] = {}
     p_vt: dict[tuple[int, int], float] = {}
-    for orig in vanishing_ids:
-        row = vanishing_pos[orig]
+    for orig, row in vanishing_pos.items():
         out = edges[orig]
         if not out:
             raise SrnError(
@@ -320,43 +434,59 @@ def _eliminate_vanishing(
             "timeless trap: some vanishing marking reaches a tangible "
             "marking with probability < 1"
         )
-    y = sparse.csr_matrix(
+    return sparse.csr_matrix(
         (np.concatenate(y_data), (np.concatenate(y_rows), np.concatenate(y_cols))),
         shape=(n_v, n_t),
     )
 
-    # Effective tangible-to-tangible rates, walking only the stored
-    # non-zeros of each vanishing row.
-    indptr, indices, data = y.indptr, y.indices, y.data
-    for orig in tangible_ids:
-        i = tangible_pos[orig]
-        for dst, rate in edges[orig]:
-            if is_vanishing[dst]:
-                v = vanishing_pos[dst]
-                for j, probability in zip(
-                    indices[indptr[v] : indptr[v + 1]],
-                    data[indptr[v] : indptr[v + 1]],
-                ):
-                    split = rate * probability
-                    if split > 0.0:
-                        key = (i, int(j))
-                        rates[key] = rates.get(key, 0.0) + split
-            else:
-                key = (i, tangible_pos[dst])
-                rates[key] = rates.get(key, 0.0) + rate
 
-    # Initial distribution (handles a vanishing initial marking).
-    initial = np.zeros(n_t)
-    if is_vanishing[0]:
-        initial[:] = y.getrow(vanishing_pos[0]).toarray().ravel()
-    else:
-        initial[tangible_pos[0]] = 1.0
+def _terms(
+    sources: np.ndarray,
+    targets: np.ndarray,
+    via: np.ndarray,
+    y: sparse.csr_matrix,
+    n_t: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(edge, key, probability)`` arrays of the elimination, in walk order.
 
-    return ReachabilityGraph(
-        tangible=tuple(markings[i] for i in tangible_ids),
-        initial_distribution=initial,
-        rates=rates,
-        vanishing_count=n_v,
+    Edge ``e`` leaves tangible ``sources[e]`` for the marking at class
+    position ``targets[e]``: a tangible marking, or row ``targets[e]``
+    of *y* where ``via[e]`` is set, fanned out over that row's stored
+    non-zeros in storage order.
+    """
+    count = len(sources)
+    fan_out = np.ones(count, dtype=np.intp)
+    fan_out[via] = np.diff(y.indptr)[targets[via]]
+    term_edges = np.repeat(np.arange(count), fan_out)
+    fanned = via[term_edges]
+    rank = np.arange(len(term_edges)) - (np.cumsum(fan_out) - fan_out)[term_edges]
+    stored = y.indptr[targets[term_edges[fanned]]] + rank[fanned]
+    columns = targets[term_edges]
+    columns[fanned] = y.indices[stored]
+    probabilities = np.ones(len(term_edges))
+    probabilities[fanned] = y.data[stored]
+    return term_edges, sources[term_edges] * n_t + columns, probabilities
+
+
+def _reweighted(
+    n: int,
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray],
+    edge_rates: np.ndarray,
+) -> dict[tuple[int, int], float]:
+    """The one rate walk: see :meth:`ReachabilityGraph.reweighted`."""
+    term_edges, term_keys, term_probabilities = terms
+    split = np.asarray(edge_rates, dtype=float)[term_edges] * term_probabilities
+    kept = split > 0.0
+    keys, first, slots = np.unique(
+        term_keys[kept], return_index=True, return_inverse=True
+    )
+    # bincount adds each slot's terms one by one in walk order, as a
+    # dict accumulation over the walk would.
+    sums = np.bincount(slots, weights=split[kept], minlength=len(keys))
+    order = np.argsort(first)
+    keys = keys[order]
+    return dict(
+        zip(zip((keys // n).tolist(), (keys % n).tolist()), sums[order].tolist())
     )
 
 

@@ -8,16 +8,21 @@ product.  The original per-marking Python loop survives as
 the parity tests and benchmarks compare against.
 
 :func:`solve_family` solves a family of structurally identical nets
-(same places, transitions and arcs; only rate values differ) while
-exploring the reachability graph once and batching the steady-state
-solves over the shared transition pattern.
+without vanishing markings (same places, transitions and arcs; only
+rate values differ) while exploring the reachability graph once and
+solving every steady state in one stacked call over the shared
+transition pattern.  Nets with vanishing markings have their own
+one-exploration route when their guards and immediate weights ignore
+the rates (:meth:`ReachabilityGraph.reweighted`, used by
+:class:`repro.availability.server.ServerNetSolver`); any single net is
+solved by :func:`solve`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -225,22 +230,22 @@ def solve_family(
     The first net's reachability graph is generated normally; every
     other net's transition rates are then re-evaluated directly on the
     stored tangible markings (no re-exploration, no re-hashing of the
-    state space), and all steady states are solved through one
-    :class:`~repro.ctmc.steady.BatchSteadySolver` over the union
+    state space), and all steady states are solved in one stacked
+    :class:`~repro.ctmc.steady.BatchSteadySolver` call over the union
     transition pattern.
 
     The nets must share structure: identical place names and initial
     tokens, identical transition names/kinds/arcs — only the *values* of
-    rates may differ.  Nets with vanishing markings fall back to
-    independent :func:`solve` calls (immediate-weight changes can reshape
-    the eliminated graph).
+    rates (marking-dependent ones included) may differ — and have no
+    vanishing markings.
 
     Raises
     ------
     SrnError
-        If a net's structure diverges from the first net's (a firing
-        leaves the shared state space, or a marking changes
-        tangible/vanishing class).
+        If the family has vanishing markings (solve each net with
+        :func:`solve`), or a net's structure diverges from the first
+        net's (a firing leaves the shared state space, or a marking
+        changes tangible/vanishing class).
     """
     nets = list(nets)
     if not nets:
@@ -249,9 +254,11 @@ def solve_family(
     _check_family_signature(base, nets)
     base_graph = explore(base, initial=initial, max_markings=max_markings)
     if base_graph.vanishing_count > 0:
-        return [
-            solve(net, initial=initial, max_markings=max_markings) for net in nets
-        ]
+        raise SrnError(
+            f"net {base.name!r} has {base_graph.vanishing_count} vanishing "
+            "markings; solve_family re-rates tangible markings only, so "
+            "solve each net with solve()"
+        )
 
     index = {marking: i for i, marking in enumerate(base_graph.tangible)}
     place_count = len(base.places)
@@ -265,8 +272,6 @@ def solve_family(
         {key for rates in all_rates for key in rates if key[0] != key[1]}
     )
     n = base_graph.number_of_states
-    solver = BatchSteadySolver(n, pattern)
-    solutions: list[SrnSolution] = []
     for net, rates in zip(nets, all_rates):
         # The same guard solve() applies: an absorbing tangible marking
         # makes the steady-state question ill-posed.
@@ -279,18 +284,14 @@ def solve_family(
                     f"markings (e.g. {base_graph.tangible[absorbing[0]]!r}); "
                     "steady-state analysis is ill-posed"
                 )
-        values = [rates.get(pair, 0.0) for pair in pattern]
-        probabilities = solver.solve(values)
-        graph = ReachabilityGraph(
-            tangible=base_graph.tangible,
-            initial_distribution=base_graph.initial_distribution,
-            rates=rates,
-            vanishing_count=0,
-        )
+    probabilities = BatchSteadySolver(n, pattern).solve(
+        [[rates.get(pair, 0.0) for pair in pattern] for rates in all_rates]
+    )
+    solutions: list[SrnSolution] = []
+    for rates, row in zip(all_rates, probabilities):
+        graph = replace(base_graph, rates=rates)
         solutions.append(
-            SrnSolution(
-                graph=graph, chain=graph.to_ctmc(), probabilities=probabilities
-            )
+            SrnSolution(graph=graph, chain=graph.to_ctmc(), probabilities=row)
         )
     return solutions
 

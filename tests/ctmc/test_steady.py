@@ -7,6 +7,7 @@ import pytest
 
 from repro.ctmc import Ctmc
 from repro.ctmc.steady import (
+    BatchSteadySolver,
     steady_state,
     steady_state_direct,
     steady_state_gth,
@@ -144,6 +145,28 @@ class TestGthOracle:
         for chain in chains:
             expected = _gth_loop(chain.dense_generator())
             assert np.array_equal(steady_state_gth(chain), expected)
+
+    def test_stacked_chains_match_column_loop(self):
+        # Chains of one size solved as one stack, and each as a stack of
+        # one, must each reproduce the per-chain column loop.
+        groups = [
+            _server_chains() + [_random_chain(56, seed) for seed in range(5)],
+            [_random_chain(200, seed) for seed in range(3)],
+        ]
+        for chains in groups:
+            solver = _union_solver(chains)
+            stack = np.array([solver.rates_of(chain) for chain in chains])
+            solved = solver.solve(stack, method="gth")
+            for chain, rates, row in zip(chains, stack, solved):
+                expected = _gth_loop(chain.dense_generator())
+                assert np.array_equal(row, expected)
+                assert np.array_equal(solver.solve(rates[None], method="gth")[0], expected)
+
+
+def _union_solver(chains):
+    """A batch solver over the union of *chains*' transition patterns."""
+    pattern = sorted({(i, j) for chain in chains for i, j, _ in chain.transitions()})
+    return BatchSteadySolver(chains[0].number_of_states(), pattern)
 
 
 class TestFailures:

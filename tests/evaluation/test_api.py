@@ -61,6 +61,13 @@ class TestSpaceSpec:
         with pytest.raises(ValidationError, match="attack paths"):
             api.parse_scaled([2, 10**400])
 
+    def test_scaled_tier_count_capped(self):
+        cap = api.MAX_SCALED_TIERS
+        assert api.parse_scaled([1, cap]) == (1, cap)
+        for value in (f"1x{cap + 1}", "1x100000", [2, cap + 1]):
+            with pytest.raises(api.OverBudgetError, match="tiers"):
+                api.parse_scaled(value)
+
     def test_scaled_excludes_variants(self):
         with pytest.raises(ValidationError, match="mutually exclusive"):
             api.SpaceSpec.from_payload({"scaled": "3x2", "variants": True})

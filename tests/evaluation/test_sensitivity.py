@@ -7,6 +7,7 @@ import pytest
 from repro.errors import EvaluationError
 from repro.evaluation import coa_sensitivity
 from repro.evaluation.sensitivity import PARAMETERS
+from repro.srn.reachability import exploration_count
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,17 @@ class TestTornado:
     def test_baseline_matches_paper(self, tornado):
         for entry in tornado:
             assert entry.coa_baseline == pytest.approx(0.99707, abs=5e-6)
+
+
+class TestExplorations:
+    def test_tornado_explores_each_layer_once(
+        self, case_study, example_design, critical_policy
+    ):
+        # 11 scenarios x 4 roles share one server-net exploration, and
+        # the 11 upper-layer nets one family exploration.
+        before = exploration_count()
+        coa_sensitivity(case_study, example_design, critical_policy)
+        assert exploration_count() - before == 2
 
 
 class TestInterface:

@@ -164,6 +164,22 @@ class TestEnvelope:
         assert "time points" in body["error"]["message"]
         assert client.healthz()["status"] == "ok"
 
+    @pytest.mark.parametrize("endpoint", ["/v1/sweep", "/v1/timeline"])
+    def test_over_cap_scaled_tiers_is_over_budget(self, serial_service, endpoint):
+        """Refused while parsing, before the case study is built on the
+        event loop."""
+        _, client = serial_service
+        computed = client.metrics()["counters"]["computed"]
+        start = time.monotonic()
+        status, body = client.request(
+            "POST", endpoint, {"space": {"scaled": "1x1001"}}
+        )
+        assert time.monotonic() - start < 1.0
+        assert status == 400
+        assert body["error"]["code"] == "over_budget"
+        assert "tiers" in body["error"]["message"]
+        assert client.metrics()["counters"]["computed"] == computed
+
     @pytest.mark.parametrize(
         "fields",
         [
@@ -347,11 +363,46 @@ class TestLanes:
             assert served["design_count"] == 27
 
 
+def _hold_chunks(monkeypatch) -> threading.Event:
+    """Hold every sweep chunk on its lane until the returned event is set."""
+    from repro.evaluation import engine as engine_module
+
+    release = threading.Event()
+    compute = engine_module.evaluate_designs_shared
+
+    def held(*args, **kwargs):
+        release.wait(timeout=60)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "evaluate_designs_shared", held)
+    return release
+
+
+def _preempt_held_batch(client, release, interactive) -> threading.Thread:
+    """Queue *interactive* behind the batch holding the one lane, then
+    release the batch: its next chunk boundary must yield to it.  The
+    outcome does not depend on how long either sweep takes."""
+    deadline = time.monotonic() + 10.0
+    while not any(lane["busy"] for lane in client.healthz()["lanes"]["lanes"]):
+        assert time.monotonic() < deadline, "the batch never took the lane"
+        time.sleep(0.005)
+    thread = threading.Thread(target=interactive)
+    thread.start()
+    while not any(
+        lane["queued_interactive"] for lane in client.healthz()["lanes"]["lanes"]
+    ):
+        assert time.monotonic() < deadline, "the interactive job never queued"
+        time.sleep(0.005)
+    release.set()
+    return thread
+
+
 class TestPriorities:
-    def test_interactive_preempts_batch_on_shared_lane(self):
+    def test_interactive_preempts_batch_on_shared_lane(self, monkeypatch):
         """A batch sweep yields its lane at a chunk boundary (satellite:
         mixed-priority fairness, same-lane case)."""
         roles = ["dns", "web", "app", "db"]
+        release = _hold_chunks(monkeypatch)
         with EvaluationService(
             executor="serial", max_designs=128, lanes=1
         ) as service:
@@ -362,17 +413,14 @@ class TestPriorities:
                 client.sweep(roles=roles, max_replicas=3, priority="batch")
                 done["batch"] = time.monotonic()
 
+            def run_interactive():
+                client.sweep(roles=["dns"], max_replicas=1)
+                done["interactive"] = time.monotonic()
+
             batch = threading.Thread(target=run_batch)
             batch.start()
-            # Wait for the batch job to occupy the default lane.
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                lanes = client.healthz()["lanes"]["lanes"]
-                if any(lane["busy"] for lane in lanes):
-                    break
-                time.sleep(0.005)
-            client.sweep(roles=["dns"], max_replicas=1)
-            done["interactive"] = time.monotonic()
+            interactive = _preempt_held_batch(client, release, run_interactive)
+            interactive.join(timeout=120)
             batch.join(timeout=120)
             assert "batch" in done
             assert done["interactive"] < done["batch"]
@@ -396,10 +444,11 @@ class TestPriorities:
             assert waits["interactive"]["count"] >= 1
             assert waits["batch"]["count"] >= 1
 
-    def test_preempted_batch_result_matches_uncontended_run(self):
+    def test_preempted_batch_result_matches_uncontended_run(self, monkeypatch):
         """Preemption must not change the batch payload (chunks are
         re-served from the engine memo, not recomputed differently)."""
         roles = ["dns", "web", "app", "db"]
+        release = _hold_chunks(monkeypatch)
         with EvaluationService(
             executor="serial", max_designs=128, lanes=1
         ) as service:
@@ -413,16 +462,12 @@ class TestPriorities:
 
             batch = threading.Thread(target=run_batch)
             batch.start()
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if any(
-                    lane["busy"]
-                    for lane in client.healthz()["lanes"]["lanes"]
-                ):
-                    break
-                time.sleep(0.005)
-            client.sweep(roles=["web"], max_replicas=1)
+            interactive = _preempt_held_batch(
+                client, release, lambda: client.sweep(roles=["web"], max_replicas=1)
+            )
+            interactive.join(timeout=120)
             batch.join(timeout=120)
+            assert client.healthz()["lanes"]["lanes"][0]["preemptions"] >= 1
         designs = list(enumerate_designs(roles, max_replicas=3))
         expected = sweep_response(
             roles, 3, None, False, "serial", SweepEngine().evaluate(designs)

@@ -16,6 +16,7 @@ from repro.enterprise import (
     RedundancyDesign,
     paper_case_study,
     paper_variant_space,
+    scaled_case_study,
 )
 from repro.enterprise.heterogeneous import design_tiers
 from repro.errors import EvaluationError, ValidationError
@@ -218,13 +219,14 @@ class TestWorkerPriming:
             ) as engine:
                 before = exploration_count()
                 run(engine)
-                assert exploration_count() - before == 3
+                # One exploration of the server net serves all 3 roles.
+                assert exploration_count() - before == 1
 
     def test_worker_explorations_reach_the_parent(
         self, case_study, critical_policy, space27
     ):
-        # The control for the test above: fresh evaluators in the
-        # workers explore 3 lower-layer nets per design, and it shows.
+        # The control for the test above: a fresh evaluator in a
+        # worker explores the server net once per design, and it shows.
         with SweepEngine(
             case_study=case_study,
             policy=critical_policy,
@@ -234,7 +236,7 @@ class TestWorkerPriming:
         ) as engine:
             before = exploration_count()
             engine.map(_fresh_coa, space27[:8])
-            assert exploration_count() - before == 24
+            assert exploration_count() - before == 8
 
 
 def _fresh_coa(design):
@@ -363,6 +365,82 @@ def _crash_worker(designs):  # pragma: no cover - runs in the worker
 
 
 class TestSolveCountReduction:
+    def test_fresh_sweep_explores_the_server_net_once(self):
+        designs = list(
+            enumerate_designs(["dns", "web", "app", "db"], max_replicas=3)
+        )
+        assert len(designs) == 81
+        before = exploration_count()
+        SweepEngine().evaluate(designs)
+        assert exploration_count() - before == 1
+
+    def test_scaled_tiers_share_their_stacks(self, critical_policy):
+        # 100 tiers cycle through the paper's 4 stacks: 4 solves, not 100.
+        case_study, design = scaled_case_study(3, 100)
+        evaluator = AvailabilityEvaluator(case_study, critical_policy)
+        before = exploration_count()
+        evaluator.coa(design)
+        assert evaluator.solve_stats["aggregate_solves"] == 4
+        assert exploration_count() - before == 1
+        aggregates = evaluator.aggregates_for(design)
+        assert list(aggregates) == list(design.roles)
+        assert all(name == row.name for name, row in aggregates.items())
+        assert aggregates["tier05"].recovery_rate == aggregates["tier01"].recovery_rate
+
+    def test_variant_sharing_a_role_stack_shares_its_solve(
+        self, case_study, critical_policy, variant_space
+    ):
+        # web_apache runs the paper's web stack: one solve, two names.
+        apache = variant_space["web"][0]
+        assert apache.name == "web_apache"
+        evaluator = AvailabilityEvaluator(
+            case_study, critical_policy, database=diversity_database()
+        )
+        role = evaluator.aggregates_for(RedundancyDesign({"web": 2}))
+        variant = evaluator.aggregates_for(
+            HeterogeneousDesign({"web": {apache: 2}})
+        )
+        assert evaluator.solve_stats["aggregate_solves"] == 1
+        assert list(role) == ["web"] and list(variant) == ["web_apache"]
+        assert role["web"].name == "web"
+        assert variant["web_apache"].name == "web_apache"
+        assert role["web"].recovery_rate == variant["web_apache"].recovery_rate
+        assert role["web"].measures == variant["web_apache"].measures
+
+    def test_batch_entry_point_solves_missing_stacks_once(
+        self, case_study, critical_policy, space27
+    ):
+        evaluator = AvailabilityEvaluator(case_study, critical_policy)
+        groups = evaluator.solve_groups(space27, "evaluating design")
+        assert set(groups) == {("app", None), ("dns", None), ("web", None)}
+        assert evaluator.solve_stats["aggregate_solves"] == 3
+        bad = RedundancyDesign({"nosuchrole": 1})
+        with pytest.raises(ValidationError) as excinfo:
+            evaluator.solve_groups(space27[:2] + [bad], "evaluating design")
+        assert f"evaluating design {bad.label!r} failed" in str(excinfo.value)
+        assert evaluator.solve_stats["aggregate_solves"] == 3
+
+    def test_failed_stack_fails_under_its_own_design(
+        self, case_study, critical_policy, monkeypatch
+    ):
+        # A stack whose solve fails is left to each design's own lookup,
+        # so the error carries the first design that needs that stack.
+        from repro.evaluation import availability as availability_module
+        from repro.evaluation.combined import evaluate_designs_shared
+
+        solve = availability_module.aggregate_services
+
+        def failing(solver, stacks):
+            if any(stack.name == "web" for stack in stacks):
+                raise EvaluationError("server 'web' never enters the pipeline")
+            return solve(solver, stacks)
+
+        monkeypatch.setattr(availability_module, "aggregate_services", failing)
+        dns, web = RedundancyDesign({"dns": 2}), RedundancyDesign({"web": 1})
+        with pytest.raises(EvaluationError) as excinfo:
+            evaluate_designs_shared([dns, web], case_study, critical_policy)
+        assert f"evaluating design {web.label!r} failed" in str(excinfo.value)
+
     def test_exploration_counter_reduction(
         self, case_study, critical_policy, space27
     ):
@@ -380,7 +458,7 @@ class TestSolveCountReduction:
             srn.network_model(design).capacity_oriented_availability()
         srn_explorations = exploration_count() - before
 
-        # Both explore the 3 lower-layer server SRNs; only the SRN path
-        # explores an upper layer, once per design.
-        assert closed_explorations == 3
-        assert srn_explorations - 3 == len(space27)
+        # Both explore the server SRN once for all 3 roles; only the SRN
+        # path explores an upper layer, once per design.
+        assert closed_explorations == 1
+        assert srn_explorations - 1 == len(space27)

@@ -91,6 +91,27 @@ class TestSolveFamilies:
     def test_empty_population(self):
         assert solve_family([]) == []
 
+    def test_vanishing_family_rejected(self):
+        # Re-rating tangible markings cannot see immediate transitions:
+        # a family with vanishing markings is refused and pointed at
+        # solve().
+        net = StochasticRewardNet("vanishing")
+        net.add_place("Pa", tokens=1)
+        net.add_place("Pb")
+        net.add_place("Pc")
+        net.add_timed_transition("Tab", rate=1.0)
+        net.add_arc("Pa", "Tab")
+        net.add_arc("Tab", "Pb")
+        net.add_immediate_transition("Tbc")
+        net.add_arc("Pb", "Tbc")
+        net.add_arc("Tbc", "Pc")
+        net.add_timed_transition("Tca", rate=2.0)
+        net.add_arc("Pc", "Tca")
+        net.add_arc("Tca", "Pa")
+        assert solve(net).graph.vanishing_count == 1
+        with pytest.raises(SrnError, match=r"solve\(\)"):
+            solve_family([net])
+
     def test_absorbing_member_rejected(self):
         # A zero up-rate makes the all-down marking absorbing.
         nets = [

@@ -337,6 +337,12 @@ class TestScaledAndMethodCli:
             assert main(["timeline", "--scaled", spec]) == 2
             assert "HOSTSxTIERS" in capsys.readouterr().err
 
+    def test_over_cap_scaled_tiers_exit_2(self, capsys):
+        # One tier past MAX_SCALED_TIERS is refused before it is built.
+        for command in ("sweep", "timeline"):
+            assert main([command, "--scaled", "1x1001"]) == 2
+            assert "over the cap of 1000" in capsys.readouterr().err
+
 
 class TestCampaignCli:
     BASE = ["timeline", "--roles", "dns,web", "--max-replicas", "1", "--points", "4"]
