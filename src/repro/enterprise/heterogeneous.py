@@ -30,12 +30,18 @@ from repro.vulnerability.model import Vulnerability
 
 __all__ = [
     "HeterogeneousDesign",
+    "Tiers",
     "build_heterogeneous_harm",
     "check_design_kind",
     "design_tiers",
     "paper_variants",
     "paper_variant_space",
 ]
+
+
+#: A design's server groups per tier, as :func:`design_tiers` returns
+#: them: ``(role, [(variant or None, count), ...])``.
+Tiers = list[tuple[str, list[tuple[ServerRole | None, int]]]]
 
 
 def check_design_kind(design: object) -> None:
@@ -55,9 +61,7 @@ def check_design_kind(design: object) -> None:
         )
 
 
-def design_tiers(
-    design: object,
-) -> list[tuple[str, list[tuple[ServerRole | None, int]]]]:
+def design_tiers(design: object) -> Tiers:
     """The server groups of *design*, per tier: ``(role, [(variant,
     count), ...])``.
 

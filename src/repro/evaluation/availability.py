@@ -18,7 +18,7 @@ from repro.availability.parameters import ServerParameters
 from repro.availability.server import ServerNetSolver
 from repro.enterprise.casestudy import EnterpriseCaseStudy
 from repro.enterprise.design import DesignSpec
-from repro.enterprise.heterogeneous import design_tiers
+from repro.enterprise.heterogeneous import Tiers, design_tiers
 from repro.enterprise.roles import ServerRole
 from repro.errors import ReproError
 from repro.patching.policy import PatchPolicy
@@ -51,7 +51,7 @@ class AvailabilityEvaluator:
     study, or a variant equal to its role's stack) share one solve and
     keep their own names.  Every stack goes through the evaluator's one
     :class:`~repro.availability.server.ServerNetSolver`, so the server
-    net is explored once per evaluator, and :meth:`solve_groups` solves
+    net is explored once per evaluator, and :meth:`read_tiers` solves
     all the stacks a batch of designs is missing in one stacked call.
 
     The upper-layer COA — steady, transient and under a staged
@@ -109,18 +109,40 @@ class AvailabilityEvaluator:
         """Aggregates of every server group of *designs*, solving the
         missing stacks in one call.
 
-        The batch entry point of the sweep and timeline chunks and of
-        pool priming.  Each design's groups are read under
+        The batch entry point of pool priming (:meth:`read_tiers` with
+        the aggregates instead of the views).  Returns ``(role,
+        variant)`` -> aggregate for every group of *designs*, or nothing
+        when a solve failed.
+        """
+        keys = dict.fromkeys(
+            (role, variant)
+            for tiers in self.read_tiers(designs, action)
+            for role, groups in tiers
+            for variant, _ in groups
+        )
+        if not keys.keys() <= self._aggregates.keys():
+            return {}
+        return {key: self._aggregates[key] for key in keys}
+
+    def read_tiers(self, designs: Iterable[DesignSpec], action: str) -> list[Tiers]:
+        """Each design's :func:`design_tiers` view, with the stacks of
+        every group solved in one call.
+
+        The one read of a design in the sweep and timeline chunks: the
+        views feed the COA (:meth:`group_rates`) and the security rows.
+        Each design is read under
         :func:`~repro.evaluation.combined.labelled` with *action*, so a
-        bad design fails with its own label.  Returns ``(role, variant)``
-        -> aggregate for every group of *designs*.
+        bad design fails with its own label.  A failed solve leaves its
+        stacks unsolved: each design's own lookup then re-solves them
+        and fails under that design's label.
         """
         from repro.evaluation.combined import labelled
 
         groups: dict[GroupKey, ServerParameters | None] = {}
 
-        def collect(design: DesignSpec) -> None:
-            for role, tier in design_tiers(design):
+        def read(design: DesignSpec) -> Tiers:
+            tiers = design_tiers(design)
+            for role, tier in tiers:
                 for variant, _ in tier:
                     key = (role, variant)
                     if key not in groups:
@@ -129,18 +151,16 @@ class AvailabilityEvaluator:
                             if key in self._aggregates
                             else self._parameters(role, variant)
                         )
+            return tiers
 
-        for design in designs:
-            labelled(action, design, partial(collect, design))
+        views = [labelled(action, design, partial(read, design)) for design in designs]
         missing = {key: p for key, p in groups.items() if p is not None}
         if missing:
             try:
                 self._solve(missing)
             except ReproError:
-                # Left unsolved: each design's own lookup re-solves its
-                # groups and fails under that design's label.
-                return {}
-        return {key: self._aggregates[key] for key in groups}
+                pass
+        return views
 
     def _parameters(self, role: str, variant: ServerRole | None) -> ServerParameters:
         if variant is None:
@@ -189,18 +209,21 @@ class AvailabilityEvaluator:
         """
         self._aggregates.update(aggregates)
 
-    def _tiers(self, design: DesignSpec) -> list[list[product_form.Group]]:
-        """``(count, lambda_eq, mu_eq)`` per server group, per tier, in
-        the canonical order of
-        :func:`~repro.enterprise.heterogeneous.design_tiers`."""
-        tiers = []
-        for role, groups in design_tiers(design):
+    def group_rates(self, tiers: Tiers) -> list[list[product_form.Group]]:
+        """``(count, lambda_eq, mu_eq)`` per server group, per tier, of a
+        :func:`design_tiers` view, in its canonical order."""
+        rates = []
+        for role, groups in tiers:
             tier = []
             for variant, count in groups:
                 aggregate = self.aggregate(role, variant)
                 tier.append((count, aggregate.patch_rate, aggregate.recovery_rate))
-            tiers.append(tier)
-        return tiers
+            rates.append(tier)
+        return rates
+
+    def _tiers(self, design: DesignSpec) -> list[list[product_form.Group]]:
+        """:meth:`group_rates` of *design*."""
+        return self.group_rates(design_tiers(design))
 
     # -- per-design measures ------------------------------------------------
 

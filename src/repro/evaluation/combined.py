@@ -6,6 +6,13 @@ diverse-stack :class:`~repro.enterprise.heterogeneous.HeterogeneousDesign`
 flow through the same evaluators and produce the same
 :class:`DesignEvaluation` shape, so sweeps and Pareto ranking can mix
 design kinds freely.
+
+Each design is read once, as its
+:func:`~repro.enterprise.heterogeneous.design_tiers` view, and that one
+view feeds its COA and both of its security rows.  The chunk primitive
+:func:`evaluate_designs_shared` reduces a whole chunk's security rows in
+one call (:meth:`SecurityEvaluator.rows`), so designs of one shape share
+one attack-path plan per patch set.
 """
 
 from __future__ import annotations
@@ -16,8 +23,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TypeVar
 
+from repro.availability import product_form
 from repro.enterprise.casestudy import EnterpriseCaseStudy, paper_case_study
 from repro.enterprise.design import DesignSpec
+from repro.enterprise.heterogeneous import design_tiers
 from repro.errors import EvaluationError, ReproError, ValidationError
 from repro.evaluation.availability import AvailabilityEvaluator
 from repro.evaluation.security import SecurityEvaluator
@@ -97,15 +106,19 @@ def evaluate_design(
             case_study, policy, database=database
         )
 
-    coa = availability_evaluator.coa(design)
+    tiers = design_tiers(design)
+    coa = product_form.coa(availability_evaluator.group_rates(tiers))
+    [(before, after)] = security_evaluator.rows([design], [tiers], policy)
+    return _evaluation(design, coa, before, after)
+
+
+def _evaluation(
+    design: DesignSpec, coa: float, before: SecurityMetrics, after: SecurityMetrics
+) -> DesignEvaluation:
     return DesignEvaluation(
         design=design,
-        before=DesignSnapshot(
-            security=security_evaluator.before_patch(design), coa=coa
-        ),
-        after=DesignSnapshot(
-            security=security_evaluator.after_patch(design, policy), coa=coa
-        ),
+        before=DesignSnapshot(security=before, coa=coa),
+        after=DesignSnapshot(security=after, coa=coa),
     )
 
 
@@ -119,16 +132,20 @@ def evaluate_designs_shared(
 ) -> list[DesignEvaluation]:
     """Serial evaluation of *designs* with one shared evaluator pair.
 
-    This is the chunk primitive of the sweep engine: the shared
-    :class:`AvailabilityEvaluator` first solves the lower-layer stacks
-    of every server group in the chunk that it has not solved yet, in
-    one call (:meth:`AvailabilityEvaluator.solve_groups`), whatever mix
-    of spec kinds the chunk holds.  Pass evaluator instances (e.g. a
-    pool worker's primed pair) to reuse their caches.
+    This is the chunk primitive of the sweep engine.  Each design is
+    read once (:meth:`AvailabilityEvaluator.read_tiers`), and the shared
+    :class:`AvailabilityEvaluator` solves the lower-layer stacks of
+    every server group in the chunk that it has not solved yet, in one
+    call, whatever mix of spec kinds the chunk holds.  The security rows
+    of the whole chunk come from one :meth:`SecurityEvaluator.rows`
+    call.  Pass evaluator instances (e.g. a pool worker's primed pair)
+    to reuse their caches.
 
     A failing design raises an error carrying the design label (see
     :func:`labelled`) — always picklable, so process-pool sweeps surface
-    the real failure instead of a bare ``BrokenProcessPool``.
+    the real failure instead of a bare ``BrokenProcessPool``.  When any
+    design fails, the chunk is re-run design by design, so the error
+    raised is the first one :func:`evaluate_design` meets.
     """
     if security_evaluator is None:
         security_evaluator = SecurityEvaluator(case_study, database=database)
@@ -137,21 +154,32 @@ def evaluate_designs_shared(
             case_study, policy, database=database
         )
     designs = list(designs)
-    availability_evaluator.solve_groups(designs, "evaluating design")
-    return [
-        labelled(
-            "evaluating design",
-            design,
-            partial(
-                evaluate_design,
+    tiers = availability_evaluator.read_tiers(designs, "evaluating design")
+    try:
+        coas = [
+            product_form.coa(availability_evaluator.group_rates(view))
+            for view in tiers
+        ]
+        rows = security_evaluator.rows(designs, tiers, policy)
+    except Exception:
+        return [
+            labelled(
+                "evaluating design",
                 design,
-                case_study=case_study,
-                policy=policy,
-                security_evaluator=security_evaluator,
-                availability_evaluator=availability_evaluator,
-            ),
-        )
-        for design in designs
+                partial(
+                    evaluate_design,
+                    design,
+                    case_study=case_study,
+                    policy=policy,
+                    security_evaluator=security_evaluator,
+                    availability_evaluator=availability_evaluator,
+                ),
+            )
+            for design in designs
+        ]
+    return [
+        _evaluation(design, coa, before, after)
+        for design, coa, (before, after) in zip(designs, coas, rows)
     ]
 
 

@@ -47,10 +47,11 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import partial
 
+from repro.availability import product_form
 from repro.availability.product_form import completion_curves, trigger_time
 from repro.enterprise.casestudy import EnterpriseCaseStudy, paper_case_study
 from repro.enterprise.design import DesignSpec
-from repro.enterprise.heterogeneous import HeterogeneousDesign
+from repro.enterprise.heterogeneous import HeterogeneousDesign, design_tiers
 from repro.errors import EvaluationError
 from repro.evaluation.availability import AvailabilityEvaluator
 from repro.evaluation.combined import labelled
@@ -247,15 +248,7 @@ def evaluate_timeline(
     open-ended multiplier-1 phase, so a campaign of exactly that is
     bit-identical to ``campaign=None``.
     """
-    times = tuple(float(t) for t in times)
-    if not times:
-        raise EvaluationError("a timeline needs at least one time point")
-    if not all(math.isfinite(t) and t >= 0 for t in times):
-        raise EvaluationError("times must be finite and non-negative")
-    if campaign is not None and not isinstance(campaign, PatchCampaign):
-        raise EvaluationError(
-            f"campaign must be a PatchCampaign, got {type(campaign).__name__}"
-        )
+    times = _checked_times(times, campaign)
     if case_study is None:
         case_study = paper_case_study()
     if policy is None:
@@ -267,36 +260,59 @@ def evaluate_timeline(
             case_study, policy, database=database
         )
 
-    steady_coa = availability_evaluator.coa(design)
+    tiers = design_tiers(design)
+    curves = _curves(availability_evaluator.group_rates(tiers), times, campaign)
+    [(before, after)] = security_evaluator.rows([design], [tiers], policy)
+    return DesignTimeline(design=design, before=before, after=after, **curves)
+
+
+def _checked_times(
+    times: Sequence[float], campaign: PatchCampaign | None
+) -> tuple[float, ...]:
+    """*times* as floats, refusing an empty, negative or non-finite grid
+    and a *campaign* that is not a :class:`PatchCampaign`."""
+    times = tuple(float(t) for t in times)
+    if not times:
+        raise EvaluationError("a timeline needs at least one time point")
+    if not all(math.isfinite(t) and t >= 0 for t in times):
+        raise EvaluationError("times must be finite and non-negative")
+    if campaign is not None and not isinstance(campaign, PatchCampaign):
+        raise EvaluationError(
+            f"campaign must be a PatchCampaign, got {type(campaign).__name__}"
+        )
+    return times
+
+
+def _curves(
+    rates: list[list[product_form.Group]],
+    times: tuple[float, ...],
+    campaign: PatchCampaign | None,
+) -> dict:
+    """Every :class:`DesignTimeline` field but the design and its
+    security metrics, from the design's ``(count, lambda_eq, mu_eq)``
+    server groups
+    (:meth:`~repro.evaluation.availability.AvailabilityEvaluator.group_rates`)."""
+    steady_coa = product_form.coa(rates)
     # The server groups the COA reads, in the same canonical order, so
     # equal designs built in different orders get equal timelines.
-    groups = [
-        (count, rate)
-        for tier in availability_evaluator._tiers(design)
-        for count, rate, _ in tier
-    ]
+    groups = [(count, rate) for tier in rates for count, rate, _ in tier]
     multipliers, durations, phase_starts = [1.0], [math.inf], ()
     if campaign is not None:
         multipliers, durations, phase_starts = _resolve_campaign(campaign, groups)
-    coa_curve = availability_evaluator.transient_coa_piecewise(
-        design, times, multipliers, durations
-    )
+    coa_curve = product_form.coa_curve(rates, times, multipliers, durations)
     completion, unpatched, mean_completion = completion_curves(
         groups, times, multipliers, durations
     )
-    return DesignTimeline(
-        design=design,
-        times=times,
-        coa=tuple(float(v) for v in coa_curve),
-        completion_probability=tuple(float(v) for v in completion),
-        unpatched_fraction=tuple(float(v) for v in unpatched),
-        mean_time_to_completion=mean_completion,
-        steady_coa=float(steady_coa),
-        before=security_evaluator.before_patch(design),
-        after=security_evaluator.after_patch(design, policy),
-        campaign=campaign,
-        phase_starts=phase_starts,
-    )
+    return {
+        "times": times,
+        "coa": tuple(float(v) for v in coa_curve),
+        "completion_probability": tuple(float(v) for v in completion),
+        "unpatched_fraction": tuple(float(v) for v in unpatched),
+        "mean_time_to_completion": mean_completion,
+        "steady_coa": float(steady_coa),
+        "campaign": campaign,
+        "phase_starts": phase_starts,
+    }
 
 
 def evaluate_timelines_shared(
@@ -311,13 +327,18 @@ def evaluate_timelines_shared(
 ) -> list[DesignTimeline]:
     """Serial timelines of *designs* with one shared evaluator pair.
 
-    The chunk primitive of :meth:`SweepEngine.timeline`: the shared
-    :class:`AvailabilityEvaluator` first solves the lower-layer stacks
-    of every server group in the chunk that it has not solved yet, in
-    one call, whatever mix of spec kinds the chunk holds.  Pass
-    evaluator instances (e.g. a pool worker's primed pair) to reuse
-    their caches.  Failures carry the design label (see
-    :func:`repro.evaluation.combined.labelled`).
+    The chunk primitive of :meth:`SweepEngine.timeline`.  Each design is
+    read once
+    (:meth:`~repro.evaluation.availability.AvailabilityEvaluator.read_tiers`),
+    and the shared :class:`AvailabilityEvaluator` solves the lower-layer
+    stacks of every server group in the chunk that it has not solved
+    yet, in one call, whatever mix of spec kinds the chunk holds; the
+    chunk's security rows come from one :meth:`SecurityEvaluator.rows`
+    call.  Pass evaluator instances (e.g. a pool worker's primed pair)
+    to reuse their caches.  Failures carry the design label (see
+    :func:`repro.evaluation.combined.labelled`): when any design fails,
+    the chunk is re-run design by design, so the error raised is the
+    first one :func:`evaluate_timeline` meets.
     """
     if security_evaluator is None:
         security_evaluator = SecurityEvaluator(case_study, database=database)
@@ -326,24 +347,37 @@ def evaluate_timelines_shared(
             case_study, policy, database=database
         )
     designs = list(designs)
-    availability_evaluator.solve_groups(designs, "timeline of design")
-    return [
-        labelled(
-            "timeline of design",
-            design,
-            partial(
-                evaluate_timeline,
+    tiers = availability_evaluator.read_tiers(designs, "timeline of design")
+    try:
+        checked = _checked_times(times, campaign)
+        rows = security_evaluator.rows(designs, tiers, policy)
+        return [
+            DesignTimeline(
+                design=design,
+                before=before,
+                after=after,
+                **_curves(availability_evaluator.group_rates(view), checked, campaign),
+            )
+            for design, view, (before, after) in zip(designs, tiers, rows)
+        ]
+    except Exception:
+        return [
+            labelled(
+                "timeline of design",
                 design,
-                times,
-                case_study=case_study,
-                policy=policy,
-                security_evaluator=security_evaluator,
-                availability_evaluator=availability_evaluator,
-                campaign=campaign,
-            ),
-        )
-        for design in designs
-    ]
+                partial(
+                    evaluate_timeline,
+                    design,
+                    times,
+                    case_study=case_study,
+                    policy=policy,
+                    security_evaluator=security_evaluator,
+                    availability_evaluator=availability_evaluator,
+                    campaign=campaign,
+                ),
+            )
+            for design in designs
+        ]
 
 
 def evaluate_timelines(

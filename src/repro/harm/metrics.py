@@ -22,33 +22,37 @@ independent attempts, ``1 - prod(1 - p_path)``; this is the semantics
 consistent with the paper's observations (redundancy increases ASP, and
 designs whose extra replica is off-path keep the baseline value).
 
-Every metric is one reduction, :func:`reduce_paths`, over *weighted*
-paths ``(impact, probability, length, weight)``.  :func:`evaluate_security`
-enumerates the host-level paths of an explicit HARM, each with weight 1;
+Every metric is one reduction, :func:`reduce_groups`, over attack paths
+grouped by ``(impact, probability)``, each group carrying the exact int
+number of paths it holds.  :func:`evaluate_security` enumerates the
+host-level paths of an explicit HARM and groups them through
+:func:`reduce_paths`, each with weight 1;
 :class:`repro.evaluation.security.SecurityEvaluator` walks classes of
-identical replicas instead, one path per class sequence weighted by the
-product of the classes' replica counts.  Paths with equal probability
-are grouped, so the independent-paths product is
-``prod((1 - p) ** W_p)`` over the distinct ``p`` in ascending order and
-both routes give the same bits.
+identical replicas instead, once per design shape, and weighs each
+class path by the product of its classes' replica counts.  Either way
+the independent-paths product is ``prod((1 - p) ** W_p)`` over the
+distinct ``p`` in ascending order and ``total_risk`` sums over ascending
+``(impact, p)``, so both routes give the same bits.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from math import prod
 
 from repro.attacktree.semantics import GateSemantics, WORST_CASE
-from repro.errors import HarmError
+from repro.errors import ValidationError
 from repro.harm.model import Harm
 
 __all__ = [
     "PathAggregation",
     "SecurityMetrics",
     "WeightedPath",
+    "aggregation_of",
     "evaluate_security",
+    "reduce_groups",
     "reduce_paths",
 ]
 
@@ -61,6 +65,18 @@ class PathAggregation(str, Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+def aggregation_of(value: object) -> PathAggregation:
+    """*value* as a :class:`PathAggregation` member (a member or its
+    string value); anything else raises :class:`ValidationError`."""
+    try:
+        return PathAggregation(value)
+    except ValueError:
+        choices = ", ".join(repr(member.value) for member in PathAggregation)
+        raise ValidationError(
+            f"unknown aggregation {value!r}; expected one of {choices}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -104,7 +120,7 @@ WeightedPath = tuple[float, float, int, int]
 
 def reduce_paths(
     paths: Iterable[WeightedPath],
-    aggregation: PathAggregation,
+    aggregation: PathAggregation | str,
     exploitable_vulnerabilities: int,
     unique_cves: int,
     entry_points: int,
@@ -117,31 +133,59 @@ def reduce_paths(
     and host count.  The path-independent counts — NoEV, the unique
     CVEs and NoEP — are passed through.
 
-    Equal paths are grouped before any floating-point arithmetic:
-    independent-paths ASP is ``1 - prod((1 - p) ** W_p)`` over the
-    distinct probabilities in ascending order, and ``total_risk`` sums
-    ``impact * p * W`` over ascending ``(impact, p)``.  The result
-    therefore depends only on the multiset of paths, not on the order
-    they arrive in or on how they are split into weights.
+    Equal paths are grouped before any floating-point arithmetic and
+    reduced by :func:`reduce_groups`, so the result depends only on the
+    multiset of paths, not on the order they arrive in or on how they
+    are split into weights.
     """
+    aggregation = aggregation_of(aggregation)
     groups: dict[tuple[float, float], int] = {}
     lengths: dict[int, int] = {}
     for impact, probability, length, weight in paths:
         key = (impact, probability)
         groups[key] = groups.get(key, 0) + weight
         lengths[length] = lengths.get(length, 0) + weight
+    return reduce_groups(
+        [(impact, p, weight) for (impact, p), weight in sorted(groups.items())],
+        lengths,
+        aggregation,
+        exploitable_vulnerabilities,
+        unique_cves,
+        entry_points,
+    )
 
+
+def reduce_groups(
+    groups: Sequence[tuple[float, float, int]],
+    lengths: Mapping[int, int],
+    aggregation: PathAggregation,
+    exploitable_vulnerabilities: int,
+    unique_cves: int,
+    entry_points: int,
+) -> SecurityMetrics:
+    """Reduce grouped attack paths to :class:`SecurityMetrics`.
+
+    *groups* holds one ``(impact, probability, weight)`` per distinct
+    ``(impact, probability)``, in ascending order of that pair, and
+    *lengths* maps each path length to its weight; every weight is an
+    exact, positive int.  *aggregation* must already be a
+    :class:`PathAggregation` member (:func:`aggregation_of`).
+
+    Independent-paths ASP is ``1 - prod((1 - p) ** W_p)`` over the
+    distinct probabilities in ascending order, and ``total_risk`` sums
+    ``impact * p * W`` over the groups in their ascending order.
+    """
     count = sum(lengths.values())
     if not groups:
         aim = asp = max_path_prob = 0.0
     else:
-        aim = max(impact for impact, _ in groups)
-        max_path_prob = max(probability for _, probability in groups)
+        aim = groups[-1][0]  # groups ascend by impact
+        max_path_prob = max(probability for _, probability, _ in groups)
         if aggregation is PathAggregation.WORST_CASE:
             asp = max_path_prob
-        elif aggregation is PathAggregation.INDEPENDENT_PATHS:
+        else:
             by_probability: dict[float, int] = {}
-            for (_, probability), weight in groups.items():
+            for _, probability, weight in groups:
                 by_probability[probability] = (
                     by_probability.get(probability, 0) + weight
                 )
@@ -149,12 +193,9 @@ def reduce_paths(
                 (1.0 - probability) ** weight
                 for probability, weight in sorted(by_probability.items())
             )
-        else:  # pragma: no cover - exhaustive enum
-            raise HarmError(f"unknown aggregation {aggregation!r}")
 
     total_risk = sum(
-        impact * probability * weight
-        for (impact, probability), weight in sorted(groups.items())
+        impact * probability * weight for impact, probability, weight in groups
     )
     return SecurityMetrics(
         attack_impact=aim,
@@ -177,7 +218,7 @@ def reduce_paths(
 def evaluate_security(
     harm: Harm,
     semantics: GateSemantics = WORST_CASE,
-    aggregation: PathAggregation = PathAggregation.INDEPENDENT_PATHS,
+    aggregation: PathAggregation | str = PathAggregation.INDEPENDENT_PATHS,
     max_path_length: int | None = None,
 ) -> SecurityMetrics:
     """Compute :class:`SecurityMetrics` for *harm*.
@@ -192,10 +233,13 @@ def evaluate_security(
     semantics:
         AND/OR gate semantics for the lower-layer trees.
     aggregation:
-        Network-level combination of path probabilities.
+        Network-level combination of path probabilities (a
+        :class:`PathAggregation` or its value; anything else raises
+        :class:`~repro.errors.ValidationError`).
     max_path_length:
         Optional bound on path length (hosts per path) for large networks.
     """
+    aggregation = aggregation_of(aggregation)
     surface = harm.attack_surface()
     trees = harm.trees
 

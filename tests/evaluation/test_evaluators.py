@@ -19,7 +19,7 @@ from repro.errors import HarmError, ValidationError
 from repro.evaluation import AvailabilityEvaluator, SecurityEvaluator
 from repro.evaluation.sweep import enumerate_designs
 from repro.harm import PathAggregation
-from repro.patching import NoPatchPolicy
+from repro.patching import NoPatchPolicy, PatchAllPolicy
 
 
 class TestSecurityEvaluator:
@@ -55,6 +55,36 @@ class TestSecurityEvaluator:
             case_study, semantics=PROBABILISTIC
         ).before_patch(example_design)
         assert probabilistic.attack_impact == worst.attack_impact
+
+
+    @pytest.mark.parametrize("member", list(PathAggregation))
+    def test_aggregation_value_is_coerced_up_front(
+        self, case_study, example_design, critical_policy, member
+    ):
+        by_value = SecurityEvaluator(case_study, aggregation=member.value)
+        by_member = SecurityEvaluator(case_study, aggregation=member)
+        assert by_value.aggregation is member
+        # Patch-all first: it leaves no attack path, so the aggregation
+        # is never read there and only an up-front check can tell a bad
+        # value.
+        patch_all = PatchAllPolicy()
+        patched = by_value.after_patch(example_design, patch_all)
+        assert patched.number_of_attack_paths == 0
+        assert patched == by_member.after_patch(example_design, patch_all)
+        assert by_value.before_patch(example_design) == by_member.before_patch(
+            example_design
+        )
+        assert by_value.after_patch(
+            example_design, critical_policy
+        ) == by_member.after_patch(example_design, critical_policy)
+
+    def test_unknown_aggregation_is_refused_at_construction(self, case_study):
+        with pytest.raises(ValidationError) as excinfo:
+            SecurityEvaluator(case_study, aggregation="bogus")
+        assert str(excinfo.value) == (
+            "unknown aggregation 'bogus'; expected one of "
+            "'worst_case', 'independent_paths'"
+        )
 
 
 class TestSecurityClasses:

@@ -310,7 +310,7 @@ class TestWorkerFailureReporting:
         design = RedundancyDesign({"dns": 1})
 
         class ExplodingSecurity:
-            def before_patch(self, design):
+            def rows(self, designs, tiers, policy):
                 raise TypeError("boom from a plain bug")
 
         with pytest.raises(EvaluationError) as excinfo:

@@ -9,6 +9,7 @@ import pytest
 from repro.attackgraph import AttackGraph
 from repro.attacktree import AttackTree
 from repro.attacktree.nodes import LeafNode
+from repro.errors import ValidationError
 from repro.harm import Harm, PathAggregation, evaluate_security
 from repro.harm.metrics import reduce_paths
 
@@ -193,3 +194,29 @@ class TestReducePaths:
         assert metrics.number_of_exploitable_vulnerabilities == 7
         assert metrics.unique_cve_count == 5
         assert metrics.number_of_entry_points == 2
+
+
+class TestAggregationValues:
+    """An aggregation is a :class:`PathAggregation` member or its value;
+    anything else is refused before any path is reduced."""
+
+    @pytest.mark.parametrize("member", list(PathAggregation))
+    def test_values_reduce_like_their_members(self, two_path_harm, member):
+        assert evaluate_security(
+            two_path_harm, aggregation=member.value
+        ) == evaluate_security(two_path_harm, aggregation=member)
+
+    def test_unknown_value_raises_validation_error_naming_the_choices(
+        self, two_path_harm
+    ):
+        message = (
+            "unknown aggregation 'bogus'; expected one of "
+            "'worst_case', 'independent_paths'"
+        )
+        with pytest.raises(ValidationError) as excinfo:
+            evaluate_security(two_path_harm, aggregation="bogus")
+        assert str(excinfo.value) == message
+        # Even with no path to reduce.
+        with pytest.raises(ValidationError) as excinfo:
+            reduce_paths([], "bogus", 0, 0, 0)
+        assert str(excinfo.value) == message

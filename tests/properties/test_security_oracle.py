@@ -1,14 +1,17 @@
 """Class-level security metrics against the host-level HARM oracle.
 
 :class:`SecurityEvaluator` computes every metric over classes of
-identical replicas on the role topology; ``evaluate_security`` over the
-explicit host-level HARM (``SecurityEvaluator.build_harm``) is the
-oracle.  Every :class:`SecurityMetrics` field must be equal (``==``),
-not merely close: both routes reduce the same multiset of paths.
+identical replicas on the role topology, from one attack-path plan per
+design shape and patch set; ``evaluate_security`` over the explicit
+host-level HARM (``SecurityEvaluator.build_harm``) is the oracle.  Every
+:class:`SecurityMetrics` field must be equal (``==``), not merely close:
+both routes reduce the same multiset of paths.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import replace
 
 import pytest
@@ -24,6 +27,7 @@ from repro.enterprise import (
     paper_variant_space,
     paper_variants,
 )
+from repro.enterprise.heterogeneous import design_tiers
 from repro.enterprise.scaled import scaled_case_study
 from repro.evaluation.security import SecurityEvaluator
 from repro.evaluation.sweep import (
@@ -53,6 +57,15 @@ def class_and_oracle(evaluator, design, policy):
         aggregation=evaluator.aggregation,
     )
     return metrics, oracle
+
+
+def host_level(evaluator, design, policy):
+    """The oracle alone: host-level metrics of *design* after *policy*."""
+    return evaluate_security(
+        evaluator.build_harm(design, policy),
+        semantics=evaluator.semantics,
+        aggregation=evaluator.aggregation,
+    )
 
 
 @st.composite
@@ -169,3 +182,87 @@ class TestFixedSpaces:
                 for policy in POLICIES[:2]:
                     metrics, oracle = class_and_oracle(evaluator, design, policy)
                     assert metrics == oracle, (design.label, policy)
+
+
+class TestPlanReuse:
+    """One evaluator per space, its plans reused across designs and
+    rebuilt for every new policy object."""
+
+    #: Three policies and a second instance of the first: a new policy
+    #: object must not reuse the patched plans of another.
+    CYCLE = (
+        None,
+        CriticalVulnerabilityPolicy(),
+        PatchAllPolicy(),
+        CriticalVulnerabilityPolicy(),
+    )
+
+    @pytest.mark.parametrize("space", ["paper-81", "paper-256", "variants-100"])
+    def test_rows_in_shuffled_order_equal_the_oracle(self, space):
+        case_study, designs, database = SPACES[space]
+        designs = list(designs)
+        random.Random(space).shuffle(designs)
+        evaluator = SecurityEvaluator(case_study, database=database)
+        policies = itertools.cycle(self.CYCLE)
+        for design in designs:
+            policy = next(policies)
+            metrics, expected = class_and_oracle(evaluator, design, policy)
+            assert metrics == expected, (design.label, policy)
+        # Whole chunks through the one evaluator, one policy per chunk.
+        for start in range(0, len(designs), 7):
+            chunk = designs[start : start + 7]
+            policy = next(policies) or PatchAllPolicy()
+            rows = evaluator.rows(chunk, [design_tiers(d) for d in chunk], policy)
+            for design, (before, after) in zip(chunk, rows):
+                assert before == host_level(evaluator, design, None), design.label
+                assert after == host_level(evaluator, design, policy), design.label
+
+    @given(
+        enterprises(),
+        st.data(),
+        st.sampled_from(POLICIES[1:]),
+        st.sampled_from(list(PathAggregation)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_chunk_of_designs_equals_the_oracle(
+        self, enterprise, data, policy, aggregation
+    ):
+        # 2-6 designs of one shape, listing its roles in any order, so
+        # they share plans within one chunk call.
+        case_study, design = enterprise
+        replicas = st.integers(min_value=1, max_value=3)
+        designs = [design]
+        for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+            roles = data.draw(st.permutations(design.roles))
+            if isinstance(design, RedundancyDesign):
+                other = RedundancyDesign({role: data.draw(replicas) for role in roles})
+            else:
+                other = HeterogeneousDesign(
+                    {
+                        role: {
+                            variant: data.draw(replicas)
+                            for variant in design.variants(role)
+                        }
+                        for role in roles
+                    }
+                )
+            designs.append(other)
+        evaluator = SecurityEvaluator(
+            case_study, aggregation=aggregation, database=DATABASE
+        )
+        rows = evaluator.rows(designs, [design_tiers(d) for d in designs], policy)
+        assert len(rows) == len(designs)
+        for design, (before, after) in zip(designs, rows):
+            assert before == host_level(evaluator, design, None)
+            assert after == host_level(evaluator, design, policy)
+
+    def test_scaled_9x40_counts_every_path_as_an_exact_int(self):
+        case_study, design = scaled_case_study(9, 40)
+        evaluator = SecurityEvaluator(case_study)
+        [(before, after)] = evaluator.rows(
+            [design], [design_tiers(design)], CriticalVulnerabilityPolicy()
+        )
+        assert type(before.number_of_attack_paths) is int
+        assert before.number_of_attack_paths == 9**40
+        assert before == evaluator.before_patch(design)
+        assert after.number_of_attack_paths == 0
