@@ -10,13 +10,13 @@ for any :class:`~repro.enterprise.design.DesignSpec`:
 
 - **transient COA**: the expected Table VI reward at each time, from
   all servers up, in closed form
-  (:func:`repro.availability.product_form.coa_curve`);
+  (:meth:`repro.availability.product_form.Rollout.coa_curves`);
 - **patch-completion curves**: every unpatched server patches
   independently at its group's (role's or variant's) Table V
   ``lambda_eq``, so P(campaign complete by t), the expected unpatched
   fraction and the mean **time to patch completion** follow in closed
   form from each group's probability of being still unpatched
-  (:func:`repro.availability.product_form.completion_curves`);
+  (:meth:`repro.availability.product_form.Rollout.completion_curves`);
 - **security exposure curves**: each HARM metric interpolated between
   its before- and after-patch values by the expected unpatched
   fraction — the attack surface decays exactly as fast as the campaign
@@ -25,7 +25,16 @@ for any :class:`~repro.enterprise.design.DesignSpec`:
 :func:`evaluate_timelines` fans whole design spaces out through the
 :class:`~repro.evaluation.engine.SweepEngine` executors with the same
 chunked, deterministic, cache-friendly dispatch as the steady-state
-sweep.
+sweep.  A chunk's curves come from one stacked pass
+(:func:`evaluate_timelines_shared`): its designs are stacked per shape,
+the number of server groups in each tier, into
+:class:`~repro.availability.product_form.GroupStack` arrays, and every
+curve, mean time to completion and campaign trigger of a stack is
+computed for all its designs at once, bit for bit as one design at a
+time.  :func:`evaluate_timeline` is a chunk of one.  Each chunk records
+one ``timeline:curves`` span (``designs``, ``points`` and trigger
+``rounds``) and the counters ``repro_timeline_curves_total`` and
+``repro_timeline_trigger_rounds_total``.
 
 Staged rollouts
 ---------------
@@ -35,7 +44,9 @@ rollout phases (canary -> ramp -> fleet), each scaling the patch rates
 by a multiplier and ending on a fixed duration or a completion-fraction
 trigger.  Both the COA and the completion curves carry each server's
 state across phase boundaries in closed form, and each design resolves
-its own triggers against its expected patched fraction.  The
+its own triggers against its expected patched fraction, all of a
+stack's designs bisecting in lock step
+(:meth:`~repro.availability.product_form.GroupStack.resolve`).  The
 stationary timeline is the single-phase multiplier-1 campaign, so such a
 campaign reproduces it bit for bit.
 """
@@ -47,8 +58,8 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import partial
 
+from repro import observability
 from repro.availability import product_form
-from repro.availability.product_form import completion_curves, trigger_time
 from repro.enterprise.casestudy import EnterpriseCaseStudy, paper_case_study
 from repro.enterprise.design import DesignSpec
 from repro.enterprise.heterogeneous import HeterogeneousDesign, design_tiers
@@ -57,6 +68,7 @@ from repro.evaluation.availability import AvailabilityEvaluator
 from repro.evaluation.combined import labelled
 from repro.evaluation.security import SecurityEvaluator
 from repro.harm import SecurityMetrics
+from repro.observability import tracing
 from repro.patching.campaign import PatchCampaign
 from repro.patching.policy import CriticalVulnerabilityPolicy, PatchPolicy
 from repro.vulnerability.database import VulnerabilityDatabase
@@ -69,6 +81,17 @@ __all__ = [
     "evaluate_timelines_shared",
     "timeline_payload",
 ]
+
+_CURVES = observability.counter(
+    "repro_timeline_curves_total",
+    "Design timelines computed by the stacked closed forms.",
+).labels()
+_ROUNDS = observability.counter(
+    "repro_timeline_trigger_rounds_total",
+    "Stacked expected-unpatched-fraction evaluations of the lock-step "
+    "campaign-trigger bisection.",
+).labels()
+
 
 def default_time_grid(horizon: float = 720.0, points: int = 24) -> tuple[float, ...]:
     """An evenly spaced grid ``0 .. horizon`` (hours), *points* samples.
@@ -183,39 +206,30 @@ def timeline_payload(timeline: DesignTimeline) -> dict:
 
 
 def _resolve_campaign(
-    campaign: PatchCampaign, groups: Sequence[tuple[int, float]]
-) -> tuple[list[float], list[float], tuple[float, ...]]:
-    """Reachable phase multipliers and durations, and every phase start.
+    campaign: PatchCampaign, stack: product_form.GroupStack
+) -> tuple[list[list[float]], list[list[float]], list[tuple[float, ...]], int]:
+    """Each design's reachable phase multipliers and durations, every
+    phase start, and the rounds of the trigger bisection.
 
     Fixed durations are taken as given; completion-fraction triggers
-    resolve against the design's *expected* patched fraction
-    (:func:`~repro.availability.product_form.trigger_time`).  The final
-    phase is open-ended (campaign validation guarantees it).  A phase
-    that never ends is the last reachable one: the phases behind it get
-    a start of ``math.inf``.
+    resolve against each design's *expected* patched fraction, all the
+    stack's designs in lock step
+    (:meth:`~repro.availability.product_form.GroupStack.resolve`).  The
+    final phase is open-ended (campaign validation guarantees it).  A
+    phase that never ends is the last reachable one: the phases behind
+    it get a start of ``math.inf``.
     """
-    total = sum(count for count, _ in groups)
-    multipliers: list[float] = []
-    durations: list[float] = []
-    starts: list[float] = []
-    start = 0.0
-    for position, phase in enumerate(campaign.phases):
-        if durations and math.isinf(durations[-1]):
-            starts.append(math.inf)
-            continue
-        starts.append(start)
-        multipliers.append(phase.effective_multiplier(total))
-        if position == len(campaign.phases) - 1:
-            duration = math.inf
-        elif phase.duration_hours is not None:
-            duration = phase.duration_hours
-        else:
-            duration = trigger_time(
-                groups, multipliers, durations, 1.0 - phase.completion_fraction
-            )
-        durations.append(duration)
-        start += duration
-    return multipliers, durations, tuple(starts)
+    last = len(campaign.phases) - 1
+    return stack.resolve(
+        (
+            [phase.effective_multiplier(total) for total in stack.totals],
+            math.inf if position == last else phase.duration_hours,
+            None
+            if position == last or phase.duration_hours is not None
+            else 1.0 - phase.completion_fraction,
+        )
+        for position, phase in enumerate(campaign.phases)
+    )
 
 
 # -- per-design evaluation ----------------------------------------------------
@@ -261,7 +275,7 @@ def evaluate_timeline(
         )
 
     tiers = design_tiers(design)
-    curves = _curves(availability_evaluator.group_rates(tiers), times, campaign)
+    [curves] = _curves([availability_evaluator.group_rates(tiers)], times, campaign)
     [(before, after)] = security_evaluator.rows([design], [tiers], policy)
     return DesignTimeline(design=design, before=before, after=after, **curves)
 
@@ -284,35 +298,61 @@ def _checked_times(
 
 
 def _curves(
-    rates: list[list[product_form.Group]],
+    rates: Sequence[list[list[product_form.Group]]],
     times: tuple[float, ...],
     campaign: PatchCampaign | None,
-) -> dict:
+) -> list[dict]:
     """Every :class:`DesignTimeline` field but the design and its
-    security metrics, from the design's ``(count, lambda_eq, mu_eq)``
+    security metrics, per design, from its ``(count, lambda_eq, mu_eq)``
     server groups
-    (:meth:`~repro.evaluation.availability.AvailabilityEvaluator.group_rates`)."""
-    steady_coa = product_form.coa(rates)
-    # The server groups the COA reads, in the same canonical order, so
-    # equal designs built in different orders get equal timelines.
-    groups = [(count, rate) for tier in rates for count, rate, _ in tier]
-    multipliers, durations, phase_starts = [1.0], [math.inf], ()
-    if campaign is not None:
-        multipliers, durations, phase_starts = _resolve_campaign(campaign, groups)
-    coa_curve = product_form.coa_curve(rates, times, multipliers, durations)
-    completion, unpatched, mean_completion = completion_curves(
-        groups, times, multipliers, durations
-    )
-    return {
-        "times": times,
-        "coa": tuple(float(v) for v in coa_curve),
-        "completion_probability": tuple(float(v) for v in completion),
-        "unpatched_fraction": tuple(float(v) for v in unpatched),
-        "mean_time_to_completion": mean_completion,
-        "steady_coa": float(steady_coa),
-        "campaign": campaign,
-        "phase_starts": phase_starts,
-    }
+    (:meth:`~repro.evaluation.availability.AvailabilityEvaluator.group_rates`,
+    in the canonical group order, so equal designs built in different
+    orders get equal timelines).
+
+    One stacked pass per design shape: the shape's designs resolve the
+    campaign and compute their curves together.
+    """
+    curves: list = [None] * len(rates)
+    shapes: dict[tuple[int, ...], list[int]] = {}
+    for index, tiers in enumerate(rates):
+        shapes.setdefault(tuple(map(len, tiers)), []).append(index)
+    rounds = 0
+    with tracing.span("timeline:curves", designs=len(rates), points=len(times)) as sp:
+        for members in shapes.values():
+            stack = product_form.GroupStack([rates[i] for i in members])
+            if campaign is None:
+                multipliers = [[1.0]] * len(members)
+                durations = [[math.inf]] * len(members)
+                phase_starts = [()] * len(members)
+            else:
+                multipliers, durations, phase_starts, spent = _resolve_campaign(
+                    campaign, stack
+                )
+                rounds += spent
+            rollout = product_form.Rollout(stack, times, multipliers, durations)
+            completion, unpatched, means = rollout.completion_curves()
+            for index, coa, done, left, mean, starts in zip(
+                members,
+                rollout.coa_curves().tolist(),
+                completion.tolist(),
+                unpatched.tolist(),
+                means,
+                phase_starts,
+            ):
+                curves[index] = {
+                    "times": times,
+                    "coa": tuple(coa),
+                    "completion_probability": tuple(done),
+                    "unpatched_fraction": tuple(left),
+                    "mean_time_to_completion": mean,
+                    "steady_coa": float(product_form.coa(rates[index])),
+                    "campaign": campaign,
+                    "phase_starts": starts,
+                }
+        sp.add(rounds=rounds)
+    _CURVES.inc(len(rates))
+    _ROUNDS.inc(rounds)
+    return curves
 
 
 def evaluate_timelines_shared(
@@ -334,8 +374,10 @@ def evaluate_timelines_shared(
     stacks of every server group in the chunk that it has not solved
     yet, in one call, whatever mix of spec kinds the chunk holds; the
     chunk's security rows come from one :meth:`SecurityEvaluator.rows`
-    call.  Pass evaluator instances (e.g. a pool worker's primed pair)
-    to reuse their caches.  Failures carry the design label (see
+    call, and its curves from one stacked pass per design shape
+    (:class:`~repro.availability.product_form.GroupStack`).  Pass
+    evaluator instances (e.g. a pool worker's primed pair) to reuse
+    their caches.  Failures carry the design label (see
     :func:`repro.evaluation.combined.labelled`): when any design fails,
     the chunk is re-run design by design, so the error raised is the
     first one :func:`evaluate_timeline` meets.
@@ -351,14 +393,14 @@ def evaluate_timelines_shared(
     try:
         checked = _checked_times(times, campaign)
         rows = security_evaluator.rows(designs, tiers, policy)
+        curves = _curves(
+            [availability_evaluator.group_rates(view) for view in tiers],
+            checked,
+            campaign,
+        )
         return [
-            DesignTimeline(
-                design=design,
-                before=before,
-                after=after,
-                **_curves(availability_evaluator.group_rates(view), checked, campaign),
-            )
-            for design, view, (before, after) in zip(designs, tiers, rows)
+            DesignTimeline(design=design, before=before, after=after, **fields)
+            for design, (before, after), fields in zip(designs, rows, curves)
         ]
     except Exception:
         return [

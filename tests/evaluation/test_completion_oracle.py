@@ -19,7 +19,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import linalg as sparse_linalg
 
-from repro.availability.product_form import completion_curves
 from repro.ctmc import Ctmc, mean_time_to_absorption
 from repro.ctmc.transient import BatchTransientSolver, transient_piecewise
 from repro.enterprise import HeterogeneousDesign, paper_case_study, paper_variant_space
@@ -31,7 +30,7 @@ from repro.evaluation import (
     evaluate_timeline,
 )
 from repro.evaluation.sweep import enumerate_designs
-from repro.evaluation.timeline import _resolve_campaign
+from repro.evaluation.timeline import _curves
 from repro.patching import (
     CANARY_THEN_FLEET,
     CampaignPhase,
@@ -173,14 +172,19 @@ def chain_oracle(groups, times, campaign=None):
 
 
 def closed_form(groups, times, campaign=None):
-    """The same four outputs from the closed form."""
-    multipliers, durations, starts = [1.0], [math.inf], (0.0,)
-    if campaign is not None:
-        multipliers, durations, starts = _resolve_campaign(campaign, groups)
-    completion, unpatched, mean = completion_curves(
-        groups, times, multipliers, durations
+    """The same four outputs from the closed form: a one-design stacked
+    pass over the groups (the recovery rate only moves the COA)."""
+    [curves] = _curves(
+        [[[(count, rate, 1.0) for count, rate in groups]]],
+        tuple(float(t) for t in times),
+        campaign,
     )
-    return completion, unpatched, mean, starts
+    return (
+        np.array(curves["completion_probability"]),
+        np.array(curves["unpatched_fraction"]),
+        curves["mean_time_to_completion"],
+        curves["phase_starts"] if campaign is not None else (0.0,),
+    )
 
 
 def assert_matches_oracle(actual, expected):

@@ -363,19 +363,26 @@ class TestLanes:
             assert served["design_count"] == 27
 
 
-def _hold_chunks(monkeypatch) -> threading.Event:
-    """Hold every sweep chunk on its lane until the returned event is set."""
+def _hold_chunks(monkeypatch) -> tuple[threading.Event, list[tuple[str, ...]]]:
+    """Hold every sweep chunk on its lane until the returned event is set.
+
+    The returned list names the request each chunk served, in the order
+    the chunks completed: the sorted roles of the chunk's designs.
+    """
     from repro.evaluation import engine as engine_module
 
     release = threading.Event()
+    completed: list[tuple[str, ...]] = []
     compute = engine_module.evaluate_designs_shared
 
-    def held(*args, **kwargs):
+    def held(designs, *args, **kwargs):
         release.wait(timeout=60)
-        return compute(*args, **kwargs)
+        result = compute(designs, *args, **kwargs)
+        completed.append(tuple(sorted({r for d in designs for r in d.roles})))
+        return result
 
     monkeypatch.setattr(engine_module, "evaluate_designs_shared", held)
-    return release
+    return release, completed
 
 
 def _preempt_held_batch(client, release, interactive) -> threading.Thread:
@@ -402,28 +409,35 @@ class TestPriorities:
         """A batch sweep yields its lane at a chunk boundary (satellite:
         mixed-priority fairness, same-lane case)."""
         roles = ["dns", "web", "app", "db"]
-        release = _hold_chunks(monkeypatch)
+        release, completed = _hold_chunks(monkeypatch)
         with EvaluationService(
             executor="serial", max_designs=128, lanes=1
         ) as service:
             client = service.start_in_thread()
-            done: dict[str, float] = {}
+            served: list[str] = []
 
             def run_batch():
                 client.sweep(roles=roles, max_replicas=3, priority="batch")
-                done["batch"] = time.monotonic()
+                served.append("batch")
 
             def run_interactive():
                 client.sweep(roles=["dns"], max_replicas=1)
-                done["interactive"] = time.monotonic()
+                served.append("interactive")
 
             batch = threading.Thread(target=run_batch)
             batch.start()
             interactive = _preempt_held_batch(client, release, run_interactive)
             interactive.join(timeout=120)
             batch.join(timeout=120)
-            assert "batch" in done
-            assert done["interactive"] < done["batch"]
+            assert sorted(served) == ["batch", "interactive"]
+            # The lane ran the interactive chunk before the batch's last
+            # one: the order the chunks completed in, not when either
+            # client thread got to record its answer.
+            batch_chunks = [
+                i for i, chunk in enumerate(completed) if chunk == tuple(sorted(roles))
+            ]
+            assert completed.count(("dns",)) == 1
+            assert completed.index(("dns",)) < batch_chunks[-1]
             lanes = client.healthz()["lanes"]
             default = next(
                 lane
@@ -448,7 +462,7 @@ class TestPriorities:
         """Preemption must not change the batch payload (chunks are
         re-served from the engine memo, not recomputed differently)."""
         roles = ["dns", "web", "app", "db"]
-        release = _hold_chunks(monkeypatch)
+        release, _ = _hold_chunks(monkeypatch)
         with EvaluationService(
             executor="serial", max_designs=128, lanes=1
         ) as service:
