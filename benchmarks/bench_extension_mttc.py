@@ -8,13 +8,11 @@ extra replicas of the patched DNS tier change nothing.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.harm import mean_time_to_compromise
 
 
 def _design_mttc(case_study, critical_policy, design):
-    """Per-design MTTC pair; module-level so the engine can fan it out."""
+    """Per-design MTTC pair, before and after patching."""
     before = mean_time_to_compromise(case_study.build_harm(design))
     after = mean_time_to_compromise(
         case_study.build_harm(design, critical_policy)
@@ -22,19 +20,15 @@ def _design_mttc(case_study, critical_policy, design):
     return design.label, (before, after)
 
 
-def _mttc_per_design(sweep_engine, case_study, five_designs, critical_policy):
-    pairs = sweep_engine.map(
-        partial(_design_mttc, case_study, critical_policy), five_designs
-    )
+def _mttc_per_design(case_study, five_designs, critical_policy):
+    pairs = [
+        _design_mttc(case_study, critical_policy, design) for design in five_designs
+    ]
     return dict(pairs)
 
 
-def test_extension_mttc(
-    benchmark, sweep_engine, case_study, five_designs, critical_policy
-):
-    results = benchmark(
-        _mttc_per_design, sweep_engine, case_study, five_designs, critical_policy
-    )
+def test_extension_mttc(benchmark, case_study, five_designs, critical_policy):
+    results = benchmark(_mttc_per_design, case_study, five_designs, critical_policy)
 
     for label, (before, after) in results.items():
         assert after > before, label

@@ -67,26 +67,27 @@ def _upper_layer_graph(hosts, tiers):
     return evaluator, design, graph, rewards
 
 
-def _counter_delta(delta, name, **labels):
-    """Total increment of counter *name* in a registry delta over the
-    series carrying *labels*."""
+def _counter_delta(snapshots, name, **labels):
+    """Total increment of counter *name* between two registry snapshots
+    over the series carrying *labels*."""
+    before, after = snapshots
     return round(
         sum(
-            entry["value"]
-            for (family, series), entry in delta.items()
-            if family == name
+            entry["value"] - before.get(key, {}).get("value", 0.0)
+            for key, entry in after.items()
+            if key[0] == name
             and entry["kind"] == "counter"
-            and all(dict(series).get(k) == v for k, v in labels.items())
+            and all(dict(key[1]).get(k) == v for k, v in labels.items())
         )
     )
 
 
 def _timed(solve):
-    """``(result, seconds, counter delta)`` of one solve."""
+    """``(result, seconds, registry snapshots around it)`` of one solve."""
     before = REGISTRY.state()
     start = time.perf_counter()
     result = solve()
-    return result, time.perf_counter() - start, REGISTRY.delta_since(before)
+    return result, time.perf_counter() - start, (before, REGISTRY.state())
 
 
 def test_scalability_frontier():

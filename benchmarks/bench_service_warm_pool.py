@@ -1,30 +1,25 @@
-"""Tentpole bench: the resident warm-pool evaluation service.
+"""Tentpole bench: the resident evaluation service against the cold CLI.
 
-Every CLI sweep pays the full start-up bill: engine construction, the
-lower-layer aggregate solves and (for the process executor) spawning
-and priming a fresh worker pool — then throws all of it away.  The
-warm path (``repro serve`` / a long-lived :class:`SweepEngine`) keeps
-the pool, the primed workers and the caches resident, so a repeated
-sweep costs only the dispatch.
+Every CLI sweep pays the full start-up bill: interpreter, imports,
+engine construction and the lower-layer aggregate solves — then throws
+all of it away.  The warm path (``repro serve`` / a long-lived
+:class:`SweepEngine`) keeps the solved evaluators and the caches
+resident, so a repeated sweep costs only the evaluation itself.
 
 Assertions on the paper's 27-design space (dns/web/app x 1..3):
 
-* **speedup** — re-sweeping through one warm engine (warm pool,
-  result memo cleared between repeats so every design is genuinely
-  re-dispatched) is >= 3x faster than the cold per-call path (a fresh
+* **speedup** — re-sweeping through one warm service (result memo and
+  response memory cleared between repeats so every design is genuinely
+  re-evaluated) is >= 3x faster than the cold per-call path (a fresh
   ``repro sweep`` process per repeat), measured min-over-trials;
 * **byte-identity** — warm results equal the cold results bit for bit,
-  repeat after repeat, including after a pool recycle;
-* **resilience** — SIGKILLing a warm worker between repeats costs one
-  pool recycle, not a failed sweep, and the retried results are
-  byte-identical too.
+  repeat after repeat.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import signal
 import time
 
 from repro.evaluation.engine import SweepEngine
@@ -39,24 +34,10 @@ SMOKE_ROLES = ("dns", "web")
 SMOKE_REPLICAS = 2
 
 
-def _space():
-    return list(enumerate_designs(ROLES, max_replicas=MAX_REPLICAS))
-
-
-def _assert_identical(reference, results):
-    assert len(reference) == len(results)
-    for a, b in zip(reference, results):
-        assert a.design == b.design
-        assert a.before == b.before
-        assert a.after == b.after
-        assert a.after.coa.hex() == b.after.coa.hex()
-        assert a.before.coa.hex() == b.before.coa.hex()
-
-
 COLD_TRIALS = 3
 
 
-def test_warm_pool_speedup():
+def test_warm_service_speedup():
     """Warm served sweeps >= 3x the cold per-call CLI, byte-identically."""
     import subprocess
     import sys
@@ -65,17 +46,13 @@ def test_warm_pool_speedup():
     import repro
     from repro.evaluation.service import EvaluationService
 
-    designs = _space()
+    designs = list(enumerate_designs(ROLES, max_replicas=MAX_REPLICAS))
     assert len(designs) == 27  # the acceptance space
     arguments = [
         "--roles",
         ",".join(ROLES),
         "--max-replicas",
         str(MAX_REPLICAS),
-        "--executor",
-        "process",
-        "--jobs",
-        "2",
         "--json",
     ]
     env = dict(
@@ -83,7 +60,7 @@ def test_warm_pool_speedup():
     )
 
     # Cold: what every per-call invocation pays — interpreter, imports,
-    # case-study precompute, pool spawn, worker priming — all discarded.
+    # case-study build, lower-layer solves — all discarded.
     cold_s, cold_payload = float("inf"), None
     for _ in range(COLD_TRIALS):
         start = time.perf_counter()
@@ -96,17 +73,14 @@ def test_warm_pool_speedup():
         cold_s = min(cold_s, time.perf_counter() - start)
         cold_payload = json.loads(completed.stdout)
 
-    # Warm: the resident service — warm pool, primed workers.  The
-    # engine memo and the service's response memory are cleared between
-    # repeats, so every repeat genuinely re-dispatches all 27 designs
-    # through the warm pool.
-    service = EvaluationService(
-        executor="process", max_workers=2, max_designs=64
-    )
+    # Warm: the resident service.  The engine memo and the service's
+    # response memory are cleared between repeats, so every repeat
+    # genuinely re-evaluates all 27 designs on the warm evaluators.
+    service = EvaluationService(max_designs=64)
     client = service.start_in_thread()
     try:
         request = {"roles": list(ROLES), "max_replicas": MAX_REPLICAS}
-        warm_payload = client.sweep(**request)  # priming call
+        warm_payload = client.sweep(**request)  # warming call
         assert warm_payload == cold_payload  # byte-identical JSON payloads
         warm_s = float("inf")
         for _ in range(TRIALS):
@@ -116,21 +90,6 @@ def test_warm_pool_speedup():
             warm_payload = client.sweep(**request)
             warm_s = min(warm_s, time.perf_counter() - start)
         assert warm_payload == cold_payload
-
-        # Resilience: a killed warm worker costs one pool recycle, not
-        # a failed request — and the retried sweep stays identical.
-        pool = service.engine.executor._pool
-        os.kill(next(iter(pool._processes)), signal.SIGKILL)
-        # Wait (bounded) until the pool notices the dead worker, so the
-        # next sweep cannot finish on the survivor without a recycle.
-        noticed = time.monotonic() + 10.0
-        while not pool._broken and time.monotonic() < noticed:
-            time.sleep(0.01)
-        service.engine.clear_cache()
-        service._responses.clear()
-        recycled_payload = client.sweep(**request)
-        assert recycled_payload == cold_payload
-        assert client.healthz()["engine"]["pool_recycles"] == 1
     finally:
         service.close()
 
@@ -144,7 +103,6 @@ def test_warm_pool_speedup():
                 "cold_s": round(cold_s, 4),
                 "warm_s": round(warm_s, 4),
                 "speedup": round(speedup, 1),
-                "pool_recycles": 1,
             }
         )
     )
@@ -171,9 +129,7 @@ def _contended_interactive_latency(lanes):
     from repro.evaluation.service import EvaluationService
 
     best, payload = float("inf"), None
-    with EvaluationService(
-        executor="serial", max_designs=64, lanes=lanes
-    ) as service:
+    with EvaluationService(max_designs=64, lanes=lanes) as service:
         client = service.start_in_thread()
         for _ in range(CONTENTION_TRIALS):
             service.engine.clear_cache()
@@ -229,7 +185,7 @@ def test_two_lane_contention():
 
 def test_service_smoke_parity(case_study, critical_policy):
     """CI smoke: one served request equals the direct engine, bit for bit
-    (reduced grid, serial executor — no pool spawn in CI)."""
+    (reduced grid)."""
     from repro.evaluation.service import EvaluationService, sweep_response
 
     designs = list(
@@ -245,7 +201,7 @@ def test_service_smoke_parity(case_study, critical_policy):
             case_study=case_study, policy=critical_policy
         ).evaluate(designs),
     )
-    service = EvaluationService(executor="serial")
+    service = EvaluationService()
     client = service.start_in_thread()
     try:
         # Counters are process-wide (registry families): compare deltas.

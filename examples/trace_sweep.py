@@ -1,13 +1,11 @@
-"""Span-trace a process-pool sweep and inspect the merged telemetry.
+"""Span-trace a sweep and inspect its telemetry.
 
-Runs one design-space sweep through the process executor with tracing
-enabled, writes the merged Chrome trace (parent engine spans plus the
-worker-side solver spans shipped back with each chunk) and prints the
-registry counters the sweep accrued — explorations, steady solves by
-path, cache lookups by tier.
+Runs one design-space sweep with tracing enabled, writes the Chrome
+trace (engine, chunk and solver spans) and prints the registry counters
+the sweep accrued — explorations, steady solves by path, cache lookups
+by tier.
 
-Open the trace file in https://ui.perfetto.dev (or chrome://tracing):
-each worker process gets its own ``repro-worker-<pid>`` track.
+Open the trace file in https://ui.perfetto.dev (or chrome://tracing).
 
 Usage::
 
@@ -29,32 +27,32 @@ def main() -> None:
     designs = list(
         enumerate_designs(["dns", "web", "app"], max_replicas=2)
     )
-    print(f"sweeping {len(designs)} designs on the process executor ...")
+    print(f"sweeping {len(designs)} designs ...")
 
     tracing.enable()
     tracing.drain()  # start from an empty trace buffer
     before = REGISTRY.state()
     try:
-        with SweepEngine(
-            case_study=paper_case_study(),
-            policy=CriticalVulnerabilityPolicy(),
-            executor="process",
-            max_workers=2,
-        ) as engine:
-            evaluations = engine.evaluate(designs)
+        engine = SweepEngine(
+            case_study=paper_case_study(), policy=CriticalVulnerabilityPolicy()
+        )
+        evaluations = engine.evaluate(designs)
     finally:
         count = write_chrome_trace(trace_path)
         tracing.disable()
     print(f"evaluated {len(evaluations)} designs; "
           f"wrote {count} span(s) to {trace_path}")
 
-    print("\ncounters accrued by this sweep (workers merged in):")
-    for (name, labels), entry in sorted(REGISTRY.delta_since(before).items()):
+    print("\ncounters accrued by this sweep:")
+    for (name, labels), entry in sorted(REGISTRY.state().items()):
         if entry["kind"] != "counter":
+            continue
+        value = entry["value"] - before.get((name, labels), {}).get("value", 0.0)
+        if not value:
             continue
         rendered = ",".join(f"{k}={v}" for k, v in labels)
         suffix = f"{{{rendered}}}" if rendered else ""
-        print(f"  {name}{suffix} = {entry['value']:g}")
+        print(f"  {name}{suffix} = {value:g}")
 
 
 if __name__ == "__main__":

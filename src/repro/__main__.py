@@ -10,8 +10,8 @@ Commands
     Print the five paper designs with their after-patch metrics and the
     Eq. (3)/(4) region selections.
 ``sweep``
-    Evaluate a whole design space through the sweep engine, optionally
-    in parallel, as a table or JSON.  The default space is roles x
+    Evaluate a whole design space through the sweep engine, as a table
+    or JSON.  The default space is roles x
     replica counts; ``--variants`` switches to the heterogeneous
     (software-diversity) space, enumerating variant-count assignments
     from the paper's variant pools and the diversity database.
@@ -19,17 +19,17 @@ Commands
     Patch-timeline curves over a design space: transient COA, patch
     completion probability, expected unpatched fraction, mean time to
     completion and security-exposure curves on a shared time grid, all
-    in closed form.  Takes the same space/executor options as
-    ``sweep`` plus the time grid (``--horizon``/``--points`` or an
-    explicit ``--times`` list) and an optional staged rollout:
-    ``--campaign FILE`` (JSON spec) or
-    ``--phases name:mult[:trigger[:canary]],...`` shorthand.  A staged
+    in closed form.  Takes the same space options as ``sweep`` plus
+    the time grid (``--horizon``/``--points`` or an explicit
+    ``--times`` list) and an optional staged rollout: ``--campaign
+    FILE`` (JSON spec) or ``--phases name:mult[:trigger[:canary]],...``
+    shorthand.  A staged
     campaign carries the state across phase boundaries; a single-phase
     multiplier-1 campaign is byte-identical to the stationary timeline.
 ``serve``
     Resident evaluation service: a bounded pool of warm sweep-engine
-    *lanes* (warm, primed worker pools and result caches), one per
-    evaluation context, behind a versioned
+    *lanes* (solved evaluators and result caches), one per evaluation
+    context, behind a versioned
     HTTP/JSON API.  ``POST /v1/sweep`` and ``POST /v1/timeline`` take
     one request envelope (space / options / priority / deadline_ms /
     stream) and answer with exactly the corresponding ``--json``
@@ -51,36 +51,33 @@ Observability
 -------------
 Every command accepts a global ``-v``/``--verbose`` flag (repeat for
 debug level) that turns on the module loggers — evaluator builds,
-pool recycles, cache writes.  ``sweep`` and
-``timeline`` accept ``--trace FILE``: span tracing is enabled for the
-run and a Chrome trace-event JSON file (open it in Perfetto or
-``chrome://tracing``) is written on success, with worker-side spans
-from process-pool chunks merged into the one timeline.  ``serve``
-exposes the process-wide metrics registry on ``GET /metrics`` — JSON
-by default, Prometheus text exposition when the ``Accept`` header asks
-for ``text/plain`` — and emits a structured JSON access log line per
-request on stderr.  Results are byte-identical with instrumentation on
-or off.
+cache writes.  ``sweep`` and ``timeline`` accept ``--trace FILE``:
+span tracing is enabled for the run and a Chrome trace-event JSON file
+(open it in Perfetto or ``chrome://tracing``) is written on success.
+``serve`` exposes the process-wide metrics registry on ``GET /metrics``
+— JSON by default, Prometheus text exposition when the ``Accept``
+header asks for ``text/plain`` — and emits a structured JSON access
+log line per request on stderr.  Results are byte-identical with
+instrumentation on or off.
 
 Resilience
 ----------
 ``sweep`` and ``timeline`` accept ``--deadline MS`` (wall-clock budget,
 checked between chunk dispatches; exceeded deadlines exit 3) and
 ``--metrics FILE`` (JSON snapshot of the process metrics registry after
-the run).  Worker crashes, cache lock contention and iterative-solver
-failures are retried/degraded/circuit-broken rather than failing the
-run; ``REPRO_FAULTS`` injects deterministic faults to exercise those
-paths (see the ``--help`` epilog).  ``serve`` sheds load with 503 +
-``Retry-After`` once ``--max-queue`` distinct computations are in
-flight, and drains gracefully on SIGTERM (``--drain-grace``).
+the run).  Cache lock contention is retried, then degraded to
+memory-only, and a failed iterative solve falls back to the direct
+one, rather than failing the run; ``REPRO_FAULTS`` injects
+deterministic faults to exercise those paths (see the ``--help``
+epilog).  ``serve`` sheds load with 503 + ``Retry-After`` once
+``--max-queue`` distinct computations are in flight, and drains
+gracefully on SIGTERM (``--drain-grace``).
 
 Both space commands accept ``--cache PATH``: a sqlite file that
 persists results across invocations, so re-running a sweep or timeline
 only pays for designs not seen before.  COA comes from the closed form
 of the independent per-server chains (no upper-layer state space); the
-lower-layer aggregates are solved once per role or variant and, with
-``--executor process``, handed to every pool worker as pool-initializer
-arguments.
+lower-layer aggregates are solved once per distinct server stack.
 """
 
 from __future__ import annotations
@@ -187,12 +184,7 @@ def _space_engine_and_designs(args: argparse.Namespace, roles):
 
         hosts, tiers = parse_scaled(args.scaled)
         case_study, design = scaled_case_study(hosts, tiers)
-        engine = SweepEngine(
-            case_study=case_study,
-            executor=args.executor,
-            max_workers=args.jobs,
-            cache_path=cache_path,
-        )
+        engine = SweepEngine(case_study=case_study, cache_path=cache_path)
         return engine, [design], design.roles
     from repro.vulnerability.diversity import diversity_database
 
@@ -216,12 +208,7 @@ def _space_engine_and_designs(args: argparse.Namespace, roles):
         designs = enumerate_designs(
             roles, max_replicas=args.max_replicas, max_total=args.max_total
         )
-    engine = SweepEngine(
-        executor=args.executor,
-        max_workers=args.jobs,
-        database=diversity_database(),
-        cache_path=cache_path,
-    )
+    engine = SweepEngine(database=diversity_database(), cache_path=cache_path)
     return engine, designs, roles
 
 
@@ -313,7 +300,7 @@ def _sweep(args: argparse.Namespace) -> int:
             args.max_replicas,
             args.max_total,
             bool(args.variants),
-            engine.executor.name,
+            "serial",
             evaluations,
         )
         print(json.dumps(payload, indent=2))
@@ -391,7 +378,7 @@ def _timeline(args: argparse.Namespace) -> int:
             args.max_replicas,
             args.max_total,
             bool(args.variants),
-            engine.executor.name,
+            "serial",
             campaign,
             times,
             timelines,
@@ -471,8 +458,6 @@ def _serve(args: argparse.Namespace) -> int:
 
     try:
         service = EvaluationService(
-            executor=args.executor,
-            max_workers=args.jobs,
             cache_path=args.cache,
             lanes=args.lanes,
             max_designs=args.max_designs,
@@ -575,11 +560,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             "  layer SRN is a product of independent per-server up/down\n"
             "  chains, so COA factorises per tier and needs no state space\n"
             "  (the SRN stays the oracle behind 'reproduce').  The per-role\n"
-            "  Table V aggregates are solved once and reused across the whole\n"
-            "  design space; with --executor process every pool worker gets\n"
-            "  them as pool-initializer arguments, so chunks carry only\n"
-            "  designs.  Persistent result caches (--cache PATH) are\n"
-            "  maintained with 'python -m repro cache stats|purge|trim'.\n"
+            "  Table V aggregates are solved once per distinct server stack\n"
+            "  and reused across the whole design space.  Persistent result\n"
+            "  caches (--cache PATH) are maintained with\n"
+            "  'python -m repro cache stats|purge|trim'.\n"
             "\n"
             "staged rollouts:\n"
             "  'timeline' models staged patch campaigns (canary -> ramp ->\n"
@@ -608,12 +592,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             "  factorisation if it fails.\n"
             "\n"
             "observability:\n"
-            "  -v/--verbose logs engine decisions (evaluator builds, pool\n"
-            "  recycles, cache writes) to stderr; repeat for debug.\n"
+            "  -v/--verbose logs engine decisions (evaluator builds, cache\n"
+            "  writes) to stderr; repeat for debug.\n"
             "  'sweep'/'timeline' --trace FILE writes a Chrome\n"
-            "  trace-event JSON of the run's spans (Perfetto-viewable),\n"
-            "  including worker-side solver spans merged from process\n"
-            "  pools.  'serve' reports the process-wide metrics registry\n"
+            "  trace-event JSON of the run's spans (Perfetto-viewable).\n"
+            "  'serve' reports the process-wide metrics registry\n"
             "  on GET /metrics (JSON, or Prometheus text with Accept:\n"
             "  text/plain) and logs one JSON access line per request.\n"
             "  Results are byte-identical with instrumentation on or off.\n"
@@ -623,11 +606,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             "  run: the budget is checked between chunk dispatches and an\n"
             "  exceeded deadline exits with code 3 (other domain errors\n"
             "  stay 2).  Transient faults are retried with deterministic\n"
-            "  exponential backoff: a crashed process-pool worker recycles\n"
-            "  the pool and replays the batch; a locked sqlite cache\n"
-            "  retries, then degrades to memory-only for the rest of the\n"
-            "  process (repro_cache_degraded gauge) instead of failing the\n"
-            "  run.  'serve' answers 503 + Retry-After when saturated\n"
+            "  exponential backoff: a locked sqlite cache retries, then\n"
+            "  degrades to memory-only for the rest of the process\n"
+            "  (repro_cache_degraded gauge) instead of failing the run.\n"
+            "  'serve' answers 503 + Retry-After when saturated\n"
             "  (--max-queue) or draining, and on SIGTERM finishes in-flight\n"
             "  requests (up to --drain-grace seconds) before exiting 0;\n"
             "  GET /v1/healthz reports draining/queue/cache state.\n"
@@ -637,13 +619,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             "  finished designs from the shared sqlite result tier.\n"
             "  REPRO_FAULTS='point:action@n;...' injects deterministic\n"
             "  faults for chaos testing (points: cache.read, cache.write,\n"
-            "  solver.iterative, solver.transient, worker.chunk,\n"
-            "  shard.request; actions: error, fail, kill)\n"
-            "  — each fault\n"
-            "  fires exactly once fleet-wide at the n-th hit of its\n"
-            "  point, and recovered runs are byte-identical to clean\n"
-            "  ones.  --metrics FILE snapshots the registry (recycles,\n"
-            "  degradations, injected faults) for\n"
+            "  solver.iterative, solver.transient, shard.request;\n"
+            "  actions: error, fail) — each fault fires exactly once\n"
+            "  fleet-wide at the n-th hit of its point, and recovered runs\n"
+            "  are byte-identical to clean ones.  --metrics FILE snapshots\n"
+            "  the registry (degradations, injected faults) for\n"
             "  assertions in CI."
         ),
     )
@@ -653,7 +633,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         action="count",
         default=0,
         help=(
-            "log engine/cache/pool decisions to stderr "
+            "log engine and cache decisions to stderr "
             "(-v: info, -vv: debug)"
         ),
     )
@@ -698,18 +678,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             ),
         )
         command.add_argument(
-            "--executor",
-            choices=("serial", "process"),
-            default="serial",
-            help="sweep-engine executor (default: serial)",
-        )
-        command.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            help="worker count for the process-pool executor",
-        )
-        command.add_argument(
             "--cache",
             default=None,
             metavar="PATH",
@@ -739,8 +707,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             metavar="FILE",
             help=(
                 "record span tracing for the run and write a Chrome "
-                "trace-event JSON file (viewable in Perfetto); "
-                "process-pool worker spans are merged in"
+                "trace-event JSON file (viewable in Perfetto)"
             ),
         )
         command.add_argument(
@@ -760,8 +727,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             metavar="FILE",
             help=(
                 "write the process metrics registry (counters, gauges, "
-                "histograms — pool recycles, cache degradation, injected "
-                "faults) as JSON after the run"
+                "histograms — cache degradation, injected faults) as "
+                "JSON after the run"
             ),
         )
 
@@ -821,8 +788,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     serve = commands.add_parser(
         "serve",
         help=(
-            "resident evaluation service: a warm sweep engine (warm, "
-            "primed worker pool + result caches) behind an HTTP/JSON API"
+            "resident evaluation service: warm sweep engines (solved "
+            "evaluators + result caches) behind an HTTP/JSON API"
         ),
         description=(
             "Serve POST /v1/sweep, POST /v1/timeline, GET /v1/healthz and "
@@ -838,8 +805,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             "options.shard serves one hash partition of the space (the "
             "server half of 'repro shard').  Identical in-flight "
             "requests share one computation, repeats are answered from "
-            "a response memory, and every lane's primed worker pool "
-            "stays warm across requests."
+            "a response memory, and every lane's engine stays warm "
+            "across requests."
         ),
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -851,16 +818,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     serve.add_argument(
         "--executor",
-        choices=("serial", "process"),
-        default="process",
-        help="engine executor; the process pool stays warm across "
-        "requests (default: process)",
-    )
-    serve.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker count for the process-pool executor",
+        choices=("serial",),
+        default="serial",
+        help="engine executor; every lane evaluates in-process "
+        "(default and only choice: serial)",
     )
     serve.add_argument(
         "--cache",

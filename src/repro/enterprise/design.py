@@ -29,8 +29,8 @@ class DesignSpec(Protocol):
     """What every design kind exposes to the evaluation pipeline.
 
     Implementations are immutable value objects: hashable (so sweep
-    engines can memoise one evaluation per design), picklable (so they
-    can cross a process-pool boundary) and equality-comparable through
+    engines can memoise one evaluation per design), picklable (so the
+    persistent cache can store them) and equality-comparable through
     :meth:`cache_key`.
     """
 

@@ -10,10 +10,10 @@ tables; :mod:`repro.evaluation.charts` produces the scatter/radar data
 design spaces — homogeneous replica counts and heterogeneous variant
 assignments alike, unified behind the
 :class:`~repro.enterprise.design.DesignSpec` protocol;
-:mod:`repro.evaluation.engine` scales those sweeps with caching and
-pluggable (serial/process-pool) executors whose pools stay warm until
-closed; :mod:`repro.evaluation.service` keeps one warm engine
-resident behind an HTTP/JSON API (``repro serve``);
+:mod:`repro.evaluation.engine` scales those sweeps with a memo, an
+optional sqlite tier and chunked in-process dispatch;
+:mod:`repro.evaluation.service` keeps warm engines resident behind an
+HTTP/JSON API (``repro serve``);
 :mod:`repro.evaluation.cost` adds the operational-cost
 extension sketched in Section V.
 """
@@ -28,12 +28,7 @@ from repro.evaluation.combined import (
     evaluate_designs,
     evaluate_designs_shared,
 )
-from repro.evaluation.engine import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    SweepEngine,
-)
+from repro.evaluation.engine import SweepEngine
 from repro.evaluation.requirements import (
     MultiMetricRequirement,
     TwoMetricRequirement,
@@ -66,9 +61,6 @@ __all__ = [
     "evaluate_designs",
     "evaluate_designs_shared",
     "SweepEngine",
-    "Executor",
-    "SerialExecutor",
-    "ProcessExecutor",
     "TwoMetricRequirement",
     "MultiMetricRequirement",
     "satisfying_designs",

@@ -103,27 +103,6 @@ class AvailabilityEvaluator:
             aggregate = self._aggregates[(role, variant)]
         return aggregate
 
-    def solve_groups(
-        self, designs: Iterable[DesignSpec], action: str
-    ) -> dict[GroupKey, ServiceAggregate]:
-        """Aggregates of every server group of *designs*, solving the
-        missing stacks in one call.
-
-        The batch entry point of pool priming (:meth:`read_tiers` with
-        the aggregates instead of the views).  Returns ``(role,
-        variant)`` -> aggregate for every group of *designs*, or nothing
-        when a solve failed.
-        """
-        keys = dict.fromkeys(
-            (role, variant)
-            for tiers in self.read_tiers(designs, action)
-            for role, groups in tiers
-            for variant, _ in groups
-        )
-        if not keys.keys() <= self._aggregates.keys():
-            return {}
-        return {key: self._aggregates[key] for key in keys}
-
     def read_tiers(self, designs: Iterable[DesignSpec], action: str) -> list[Tiers]:
         """Each design's :func:`design_tiers` view, with the stacks of
         every group solved in one call.
@@ -197,17 +176,6 @@ class AvailabilityEvaluator:
             for role, groups in _design_order(design)
             for name, variant, _ in groups
         }
-
-    def prime_aggregates(
-        self, aggregates: Mapping[GroupKey, ServiceAggregate]
-    ) -> None:
-        """Seed the aggregate cache with already-solved Table V rows.
-
-        Used by the process-pool sweep: the parent solves the
-        lower-layer SRNs once and ships the rows to pool workers, which
-        prime their evaluators instead of re-solving.
-        """
-        self._aggregates.update(aggregates)
 
     def group_rates(self, tiers: Tiers) -> list[list[product_form.Group]]:
         """``(count, lambda_eq, mu_eq)`` per server group, per tier, of a

@@ -7,8 +7,8 @@ processes, keyed by ``DesignSpec.cache_key()`` plus a fingerprint of the
 evaluation context (case study, policy, database), so repeated CLI
 sweeps across sessions only pay for designs not seen before.
 
-Payloads are pickled value objects — the same objects that already
-cross the process-pool boundary.  A *scope* column separates record
+Payloads are pickled value objects (designs, evaluations and timelines
+are all plain picklable values).  A *scope* column separates record
 kinds (``"evaluation"`` vs per-time-grid ``"timeline"`` entries) so one
 cache file serves both ``repro sweep --cache`` and ``repro timeline
 --cache``.
@@ -123,8 +123,8 @@ def context_fingerprint(*parts: object) -> str:
     database they were computed under — and for the exact evaluation
     pipeline (:data:`_PIPELINE_VERSION` is salted in, so entries written
     by a numerically different release read as misses).  All
-    evaluation-context objects are plain picklable value objects (they
-    already cross the process-pool boundary), and each is pickled
+    evaluation-context objects are plain picklable value objects, and
+    each is pickled
     independently so one unpicklable part fails loudly here rather than
     silently aliasing distinct contexts.
     """

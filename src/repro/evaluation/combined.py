@@ -138,14 +138,13 @@ def evaluate_designs_shared(
     every server group in the chunk that it has not solved yet, in one
     call, whatever mix of spec kinds the chunk holds.  The security rows
     of the whole chunk come from one :meth:`SecurityEvaluator.rows`
-    call.  Pass evaluator instances (e.g. a pool worker's primed pair)
-    to reuse their caches.
+    call.  Pass evaluator instances (e.g. a sweep engine's long-lived
+    pair) to reuse their caches.
 
     A failing design raises an error carrying the design label (see
-    :func:`labelled`) — always picklable, so process-pool sweeps surface
-    the real failure instead of a bare ``BrokenProcessPool``.  When any
-    design fails, the chunk is re-run design by design, so the error
-    raised is the first one :func:`evaluate_design` meets.
+    :func:`labelled`).  When any design fails, the chunk is re-run
+    design by design, so the error raised is the first one
+    :func:`evaluate_design` meets.
     """
     if security_evaluator is None:
         security_evaluator = SecurityEvaluator(case_study, database=database)
@@ -188,12 +187,11 @@ def labelled(action: str, design: DesignSpec, fn: Callable[[], _T]) -> _T:
 
     Messages read ``"<action> '<label>' failed: <Type>: <message>"``.  A
     :class:`~repro.errors.ValidationError` re-raises as a
-    ``ValidationError`` (bad input stays the caller's mistake across the
-    process pool); other domain errors re-raise as
-    :class:`~repro.errors.EvaluationError`, their messages already
-    self-explanatory.  Unexpected exceptions additionally embed the
-    formatted traceback.  The chain is dropped, so the error survives
-    the process-pool pickle boundary whatever the original carried.
+    ``ValidationError`` (bad input stays the caller's mistake); other
+    domain errors re-raise as :class:`~repro.errors.EvaluationError`,
+    their messages already self-explanatory.  Unexpected exceptions
+    additionally embed the formatted traceback.  The chain is dropped,
+    so the error stays picklable whatever the original carried.
     """
     try:
         return fn()
@@ -213,29 +211,11 @@ def evaluate_designs(
     designs: Iterable[DesignSpec],
     case_study: EnterpriseCaseStudy | None = None,
     policy: PatchPolicy | None = None,
-    executor: str | None = None,
-    max_workers: int | None = None,
     database: VulnerabilityDatabase | None = None,
 ) -> list[DesignEvaluation]:
-    """Evaluate many designs with shared (cached) evaluators.
-
-    *executor* selects a sweep-engine executor (``"serial"`` or
-    ``"process"``); the default runs in-process without engine
-    overhead.
-    """
+    """Evaluate many designs with shared (cached) evaluators."""
     if case_study is None:
         case_study = paper_case_study()
     if policy is None:
         policy = CriticalVulnerabilityPolicy()
-    if executor is not None and executor != "serial":
-        from repro.evaluation.engine import SweepEngine
-
-        with SweepEngine(
-            case_study=case_study,
-            policy=policy,
-            executor=executor,
-            max_workers=max_workers,
-            database=database,
-        ) as engine:
-            return engine.evaluate(designs)
     return evaluate_designs_shared(designs, case_study, policy, database=database)

@@ -1,12 +1,13 @@
 """Resident evaluation service: warm :class:`SweepEngine` lanes behind HTTP.
 
 The CLI pays the full start-up bill on every invocation — interpreter,
-case-study solves, process-pool spawn, worker priming.  This module
-keeps all of that resident: one :class:`EvaluationService` owns a pool
-of warm :class:`~repro.evaluation.engine.SweepEngine` *lanes* (each
-with its own warm, primed worker pool and caches) and fronts them with
-a small asyncio HTTP/JSON API (stdlib only), multiplexing many
-concurrent sweep/timeline requests over per-context engines.
+imports, case-study build, lower-layer solves.  This module keeps all
+of that resident: one :class:`EvaluationService` owns a pool of warm
+:class:`~repro.evaluation.engine.SweepEngine` *lanes* (each with its
+own solved evaluators and result memo, running on its own thread) and
+fronts them with a small asyncio HTTP/JSON API (stdlib only),
+multiplexing many concurrent sweep/timeline requests over per-context
+engines.
 
 /v1 API
 -------
@@ -82,8 +83,10 @@ Request semantics
 * **Budgets.**  Every request's enumerated design count is checked
   against the service budget (``max_designs``, default
   :data:`DEFAULT_MAX_DESIGNS`); a request may lower — never raise — its
-  own budget with ``max_designs``.  Over budget is a 400, not a queue
-  entry.
+  own budget with ``max_designs``.  A timeline is also bounded by its
+  size, designs times time points
+  (:data:`~repro.evaluation.api.MAX_TIMELINE_CELLS`).  Over budget is a
+  400, not a queue entry.
 * **Dedup.**  Requests are canonicalised (defaults filled, grids
   resolved) and fingerprinted; identical in-flight requests share one
   computation — one engine call, many responders.  Completed responses
@@ -92,11 +95,7 @@ Request semantics
   (when configured) the thread-safe sqlite store of
   :mod:`repro.evaluation.cache`.  Streaming and deadline-bearing
   requests are always computed fresh.
-* **Resilience.**  A killed pool worker surfaces as one recycled pool
-  (respawn + re-prime + retry under the executor's
-  :class:`~repro.resilience.RetryPolicy`) inside the engine, not as a
-  failed request; ``pool_recycles`` in ``/healthz`` counts the
-  occurrences.  Beyond that:
+* **Resilience.**
 
   * **Deadlines.**  ``deadline_ms`` is a monotonic budget started at
     request receipt (queue wait counts).  An exhausted budget answers a
@@ -110,8 +109,7 @@ Request semantics
   * **Graceful drain.**  SIGTERM (when serving via :meth:`run` on the
     main thread) stops accepting new computations (503), finishes
     in-flight requests up to ``drain_grace`` seconds, then closes the
-    lanes and pools cleanly; a second SIGTERM forces an
-    immediate stop.
+    lanes cleanly; a second SIGTERM forces an immediate stop.
   * **Degraded cache.**  Persistent sqlite-cache contention degrades
     the cache to memory-only (``repro_cache_degraded``) instead of
     failing requests; ``/healthz`` surfaces the flag under
@@ -190,11 +188,11 @@ _LANE_EVENTS = observability.counter(
     "repro_service_lane_events_total",
     "Engine-lane pool events (created/evicted/parked).",
 )
-#: Joins the engine's chunk-wait family: lane queue waits appear next to
-#: executor queue waits, split by ``queue``/``priority`` labels.
+#: Lane queue waits, split by ``queue``/``priority`` labels.
 _LANE_WAIT = observability.histogram(
     "repro_chunk_queue_wait_seconds",
-    "Wall-clock wait between chunk dispatch and worker pickup.",
+    "Wall-clock wait between a job's submission to an engine lane and "
+    "the lane thread starting it.",
 )
 
 
@@ -342,14 +340,8 @@ def _resolve_future(future: Future, result, exc) -> None:
 
 
 def _describe_engine(engine) -> dict:
-    """``/healthz`` telemetry of one engine and its executor's pool."""
-    executor = engine.executor
-    return {
-        "executor": executor.name,
-        "persistent_pool": executor.max_workers is not None,
-        "pool_recycles": getattr(executor, "recycle_count", 0),
-        "cache_info": engine.cache_info,
-    }
+    """``/healthz`` telemetry of one engine."""
+    return {"cache_info": engine.cache_info}
 
 
 class EngineLane:
@@ -662,11 +654,7 @@ class EvaluationService:
     ----------
     case_study / policy:
         Evaluation context of the default lane (defaults: the paper's).
-    executor:
-        ``"process"`` (default) gives every lane a warm worker pool —
-        what the service exists for; ``"serial"`` runs in-process
-        (useful for tests).
-    max_workers / chunk_size / cache_path:
+    chunk_size / cache_path:
         Passed through to every lane engine (``cache_path`` enables the
         thread-safe sqlite result store shared across lanes, restarts
         and shard processes).
@@ -693,15 +681,13 @@ class EvaluationService:
     Use :meth:`run` to serve blocking (the CLI; SIGTERM drains
     gracefully), or :meth:`start_in_thread`/:meth:`stop` for an
     in-process instance (tests); :meth:`close` releases every lane's
-    warm pool and cache.
+    engine and cache.
     """
 
     def __init__(
         self,
         case_study=None,
         policy=None,
-        executor: str = "process",
-        max_workers: int | None = None,
         chunk_size: int | None = None,
         cache_path=None,
         lanes: int = DEFAULT_LANES,
@@ -715,11 +701,6 @@ class EvaluationService:
         from repro._validation import check_positive_int
         from repro.vulnerability.diversity import diversity_database
 
-        if executor not in ("serial", "process"):
-            raise EvaluationError(
-                "executor must be 'serial' or 'process' (every lane "
-                f"builds its own), got {executor!r}"
-            )
         check_positive_int(max_designs, "max_designs")
         self.max_designs = max_designs
         check_positive_int(lanes, "lanes")
@@ -745,8 +726,6 @@ class EvaluationService:
         #: and database.
         self._engine_options = {
             "policy": policy,
-            "executor": executor,
-            "max_workers": max_workers,
             "chunk_size": chunk_size,
             "cache_path": cache_path,
         }
@@ -800,9 +779,8 @@ class EvaluationService:
         if announce:
             print(
                 f"repro serve: http://{self.address[0]}:{self.address[1]} "
-                f"(endpoints: POST /v1/sweep, POST /v1/timeline, "
-                f"GET /v1/healthz; executor {self.engine.executor.name}, "
-                f"{self.max_lanes} lane(s), "
+                "(endpoints: POST /v1/sweep, POST /v1/timeline, "
+                f"GET /v1/healthz; {self.max_lanes} lane(s), "
                 f"budget {self.max_designs} designs/request)",
                 flush=True,
             )
@@ -921,7 +899,7 @@ class EvaluationService:
                 )
 
     def close(self) -> None:
-        """Stop serving and release every lane's warm-pool resources."""
+        """Stop serving and release every lane's engine and cache."""
         if self._closed:
             return
         self._closed = True
@@ -1253,10 +1231,11 @@ class EvaluationService:
         """Parsed request, dedup key, lane job and deadline.
 
         Raises :class:`~repro.errors.ReproError` on validation
-        failures, including a blown design-count budget
-        (:class:`~repro.evaluation.api.OverBudgetError`) — checked here,
-        before the request can occupy the queue.  The deadline's clock
-        starts here, at request receipt: queue wait spends the budget.
+        failures, including a blown design-count or timeline-cell
+        budget (:class:`~repro.evaluation.api.OverBudgetError`) —
+        checked here, before the request can occupy the queue.  The
+        deadline's clock starts here, at request receipt: queue wait
+        spends the budget.
         """
         timeline = base == "/timeline"
         cls = api.TimelineRequest if timeline else api.SweepRequest
@@ -1282,6 +1261,13 @@ class EvaluationService:
                 f"request enumerates more than {budget} designs, over the "
                 f"budget of {budget}; shrink the space or raise the "
                 "service's --max-designs"
+            )
+        cells = len(designs) * len(req.times) if timeline else 0
+        if cells > api.MAX_TIMELINE_CELLS:
+            raise api.OverBudgetError(
+                f"timeline of {len(designs)} designs x {len(req.times)} time "
+                f"points asks for {cells} cells, over the cap of "
+                f"{api.MAX_TIMELINE_CELLS}; shrink the space or the time grid"
             )
         if req.space.scaled is not None and designs:
             # Scaled spaces answer with the generated tier roles,
@@ -1480,7 +1466,7 @@ class EvaluationService:
             space["max_replicas"],
             space["max_total"],
             space["variants"],
-            engine.executor.name,
+            "serial",
             evaluations,
         )
 
@@ -1508,7 +1494,7 @@ class EvaluationService:
             space["max_replicas"],
             space["max_total"],
             space["variants"],
-            engine.executor.name,
+            "serial",
             campaign,
             times,
             timelines,
@@ -1535,10 +1521,10 @@ class EvaluationService:
         the ``repro_service_request_seconds`` histogram per endpoint
         (``<endpoint>#<outcome>`` for failed requests, so error
         latencies never skew the healthy aggregates).  ``registry`` is
-        every solver/cache/executor series, including telemetry merged
-        back from pool workers.  ``GET /metrics`` with an ``Accept``
-        header naming ``text/plain`` (or ``prometheus``/``openmetrics``)
-        serves the same registry in Prometheus text exposition format.
+        every solver/cache/engine series.  ``GET /metrics`` with an
+        ``Accept`` header naming ``text/plain`` (or
+        ``prometheus``/``openmetrics``) serves the same registry in
+        Prometheus text exposition format.
         """
         self._sync_registry()
 
@@ -1581,7 +1567,7 @@ class EvaluationService:
         }
 
     def healthz(self) -> dict:
-        """Liveness plus engine/lane/pool observability.
+        """Liveness plus engine and lane observability.
 
         The ``engine`` section reports the default lane's engine (kept
         for compatibility); ``lanes`` reports the whole pool — bounds,

@@ -151,23 +151,14 @@ def sweep_designs(
     case_study: EnterpriseCaseStudy,
     policy: PatchPolicy,
     designs: Iterable[DesignSpec],
-    executor: str | None = None,
-    max_workers: int | None = None,
     database: VulnerabilityDatabase | None = None,
 ) -> list[DesignEvaluation]:
     """Evaluate an arbitrary design collection with shared caches.
 
     *designs* may mix homogeneous and heterogeneous specs.
-    *executor*/*max_workers* select a :mod:`repro.evaluation.engine`
-    executor for large spaces; the default stays serial and in-process.
     """
     return evaluate_designs(
-        list(designs),
-        case_study=case_study,
-        policy=policy,
-        executor=executor,
-        max_workers=max_workers,
-        database=database,
+        list(designs), case_study=case_study, policy=policy, database=database
     )
 
 

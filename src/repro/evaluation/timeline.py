@@ -22,8 +22,8 @@ for any :class:`~repro.enterprise.design.DesignSpec`:
   fraction — the attack surface decays exactly as fast as the campaign
   retires unpatched servers.
 
-:func:`evaluate_timelines` fans whole design spaces out through the
-:class:`~repro.evaluation.engine.SweepEngine` executors with the same
+Whole design spaces run through
+:meth:`repro.evaluation.engine.SweepEngine.timeline` with the same
 chunked, deterministic, cache-friendly dispatch as the steady-state
 sweep.  A chunk's curves come from one stacked pass
 (:func:`evaluate_timelines_shared`): its designs are stacked per shape,
@@ -376,8 +376,8 @@ def evaluate_timelines_shared(
     chunk's security rows come from one :meth:`SecurityEvaluator.rows`
     call, and its curves from one stacked pass per design shape
     (:class:`~repro.availability.product_form.GroupStack`).  Pass
-    evaluator instances (e.g. a pool worker's primed pair) to reuse
-    their caches.  Failures carry the design label (see
+    evaluator instances (e.g. a sweep engine's long-lived pair) to
+    reuse their caches.  Failures carry the design label (see
     :func:`repro.evaluation.combined.labelled`): when any design fails,
     the chunk is re-run design by design, so the error raised is the
     first one :func:`evaluate_timeline` meets.
@@ -427,34 +427,18 @@ def evaluate_timelines(
     times: Sequence[float],
     case_study: EnterpriseCaseStudy | None = None,
     policy: PatchPolicy | None = None,
-    executor: str | None = None,
-    max_workers: int | None = None,
     database: VulnerabilityDatabase | None = None,
     campaign: PatchCampaign | None = None,
 ) -> list[DesignTimeline]:
-    """Timelines of many designs, optionally fanned out in parallel.
+    """Timelines of many designs with shared evaluators, in input order.
 
-    *executor* selects a sweep-engine executor (``"serial"`` or
-    ``"process"``); the default runs in-process without engine
-    overhead.  Results are in input order and byte-identical
-    across executors.  *campaign* stages the rollout (shared by every
-    design; completion-fraction triggers still resolve per design).
+    *campaign* stages the rollout (shared by every design;
+    completion-fraction triggers still resolve per design).
     """
     if case_study is None:
         case_study = paper_case_study()
     if policy is None:
         policy = CriticalVulnerabilityPolicy()
-    if executor is not None and executor != "serial":
-        from repro.evaluation.engine import SweepEngine
-
-        with SweepEngine(
-            case_study=case_study,
-            policy=policy,
-            executor=executor,
-            max_workers=max_workers,
-            database=database,
-        ) as engine:
-            return engine.timeline(designs, times, campaign=campaign)
     return evaluate_timelines_shared(
         designs,
         times,

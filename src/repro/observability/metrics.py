@@ -2,16 +2,11 @@
 
 Zero-dependency (stdlib only) Prometheus-style instrumentation for the
 whole pipeline.  One global :data:`REGISTRY` collects every series the
-solvers, caches, executors and the evaluation service report; the registry knows how to
+solvers, caches, the sweep engine and the evaluation service report;
+the registry knows how to
 
-* snapshot itself (:meth:`MetricsRegistry.state`) and compute the
-  **delta** since a snapshot (:meth:`MetricsRegistry.delta_since`) —
-  this is how worker processes ship their increments back piggybacked
-  on chunk results;
-* **merge** a worker delta into the parent
-  (:meth:`MetricsRegistry.merge`), creating any families the parent
-  has not seen yet, so a process-pool sweep yields one coherent set of
-  counts;
+* snapshot itself (:meth:`MetricsRegistry.state`), one flat entry per
+  series;
 * render a JSON snapshot (:meth:`MetricsRegistry.to_dict`) and the
   Prometheus text exposition format
   (:meth:`MetricsRegistry.to_prometheus`) for ``GET /metrics``.
@@ -301,7 +296,7 @@ class MetricsRegistry:
         with self._lock:
             return dict(self._families)
 
-    # -- snapshot / delta / merge ----------------------------------------
+    # -- snapshot / reset -------------------------------------------------
 
     def state(self) -> dict[tuple[str, LabelItems], dict[str, Any]]:
         """Flat picklable snapshot of every series' current value."""
@@ -324,103 +319,6 @@ class MetricsRegistry:
                         entry["value"] = child.value
                     snapshot[(name, items)] = entry
         return snapshot
-
-    def delta_since(
-        self, before: Mapping[tuple[str, LabelItems], Mapping[str, Any]]
-    ) -> dict[tuple[str, LabelItems], dict[str, Any]]:
-        """Increments accrued since *before* (a :meth:`state` snapshot).
-
-        Counters and histograms subtract; gauges report their current
-        value (merging a gauge delta *sets* the parent's series).
-        Histogram min/max carry the post-window extrema — slightly
-        wider than the window for long-lived workers, which is fine for
-        observability.  Series unchanged since *before* are omitted.
-        """
-        delta: dict[tuple[str, LabelItems], dict[str, Any]] = {}
-        for key, entry in self.state().items():
-            prior = before.get(key)
-            kind = entry["kind"]
-            if kind == "histogram":
-                if prior is not None:
-                    counts = [
-                        c - p for c, p in zip(entry["counts"], prior["counts"])
-                    ]
-                    count = entry["count"] - prior["count"]
-                    total = entry["sum"] - prior["sum"]
-                else:
-                    counts = list(entry["counts"])
-                    count = entry["count"]
-                    total = entry["sum"]
-                if count == 0:
-                    continue
-                delta[key] = {
-                    "kind": kind,
-                    "help": entry["help"],
-                    "buckets": entry["buckets"],
-                    "counts": counts,
-                    "sum": total,
-                    "count": count,
-                    "min": entry["min"],
-                    "max": entry["max"],
-                }
-            elif kind == "counter":
-                value = entry["value"] - (prior["value"] if prior else 0.0)
-                if value != 0.0:
-                    delta[key] = {
-                        "kind": kind,
-                        "help": entry["help"],
-                        "value": value,
-                    }
-            else:  # gauge: ship the current value
-                if prior is None or entry["value"] != prior["value"]:
-                    delta[key] = {
-                        "kind": kind,
-                        "help": entry["help"],
-                        "value": entry["value"],
-                    }
-        return delta
-
-    def merge(
-        self, delta: Mapping[tuple[str, LabelItems], Mapping[str, Any]]
-    ) -> None:
-        """Fold a worker :meth:`delta_since` into this registry.
-
-        Counter and histogram increments add; gauge values set.
-        Families absent from this registry are created on the fly.
-        """
-        for (name, items), entry in delta.items():
-            labels = dict(items)
-            kind = entry["kind"]
-            if kind == "counter":
-                self.counter(name, entry.get("help", "")).labels(**labels).inc(
-                    entry["value"]
-                )
-            elif kind == "gauge":
-                self.gauge(name, entry.get("help", "")).labels(**labels).set(
-                    entry["value"]
-                )
-            elif kind == "histogram":
-                child = self.histogram(
-                    name, entry.get("help", ""), buckets=entry["buckets"]
-                ).labels(**labels)
-                with self._lock:
-                    for i, c in enumerate(entry["counts"]):
-                        if i < len(child.counts):
-                            child.counts[i] += c
-                    child.sum += entry["sum"]
-                    child.count += entry["count"]
-                    for bound_name, better in (("min", min), ("max", max)):
-                        theirs = entry.get(bound_name)
-                        if theirs is None:
-                            continue
-                        ours = getattr(child, bound_name)
-                        setattr(
-                            child,
-                            bound_name,
-                            theirs if ours is None else better(ours, theirs),
-                        )
-            else:  # pragma: no cover - future kinds
-                raise ValueError(f"unknown metric kind: {kind!r}")
 
     def reset(self) -> None:
         """Zero every series in place (families and children survive)."""

@@ -3,8 +3,7 @@
 A :class:`span` is a context manager recording one Chrome *complete*
 event (``"ph": "X"``) — wall-clock start (microseconds), duration, pid
 and tid.  Nesting falls out of timestamps on the same pid/tid, so spans
-need no parent pointers and worker-process spans merge into the parent
-trace by plain list concatenation (:func:`extend`).
+need no parent pointers.
 
 Tracing is **off by default** and the disabled path is near-free: one
 attribute read in ``__enter__``/``__exit__``, no clock reads, no
@@ -15,10 +14,9 @@ wraps hot sections unconditionally::
         result = solve(...)
         sp.add(iterations=k)
 
-Workers drain their spans (:func:`drain`) into the chunk telemetry the
-engine merges; :func:`write_chrome_trace` writes the merged buffer as
-Chrome trace-event JSON, viewable in Perfetto (https://ui.perfetto.dev)
-or ``chrome://tracing``.
+:func:`write_chrome_trace` writes the buffer as Chrome trace-event
+JSON, viewable in Perfetto (https://ui.perfetto.dev) or
+``chrome://tracing``.
 
 Nesting context is tracked per-task via :mod:`contextvars` depth so the
 exporter can label top-level spans, and enabling/disabling mid-flight
@@ -42,7 +40,6 @@ __all__ = [
     "set_enabled",
     "events",
     "drain",
-    "extend",
     "write_chrome_trace",
 ]
 
@@ -161,15 +158,6 @@ def drain() -> list[dict[str, Any]]:
     return drained
 
 
-def extend(batch: Iterable[dict[str, Any]]) -> None:
-    """Merge events recorded elsewhere (e.g. a worker process)."""
-    batch = list(batch)
-    if not batch:
-        return
-    with _LOCK:
-        _EVENTS.extend(batch)
-
-
 def write_chrome_trace(
     path: str, batch: Iterable[dict[str, Any]] | None = None
 ) -> int:
@@ -177,12 +165,9 @@ def write_chrome_trace(
 
     With no *batch*, drains (and clears) the global buffer.  The file
     wraps events in ``{"traceEvents": [...]}`` with process-name
-    metadata — the parent process is labelled ``repro``, every other
-    pid ``repro-worker-<pid>`` — so Perfetto groups worker spans under
-    their own process tracks.
+    metadata labelling each recording process ``repro``.
     """
     spans = drain() if batch is None else list(batch)
-    parent = os.getpid()
     metadata = [
         {
             "name": "process_name",
@@ -190,9 +175,7 @@ def write_chrome_trace(
             "pid": pid,
             "tid": 0,
             "ts": 0,
-            "args": {
-                "name": "repro" if pid == parent else f"repro-worker-{pid}"
-            },
+            "args": {"name": "repro"},
         }
         for pid in sorted({e["pid"] for e in spans})
     ]

@@ -212,8 +212,7 @@ class PatchCampaign:
     Phases run back to back from t = 0; once a phase with no reachable
     end is entered (open-ended, or a trigger that never fires), it runs
     forever.  Campaigns are hashable value objects: they key engine
-    memos, travel through pickles to pool workers, and
-    :meth:`cache_key` feeds the persistent-cache entry key.
+    memos, and :meth:`cache_key` feeds the persistent-cache entry key.
     """
 
     name: str

@@ -7,9 +7,9 @@ orthogonal primitives, all stdlib-only and deterministic:
 
 * :class:`~repro.resilience.retry.RetryPolicy` — bounded attempts with
   deterministic exponential backoff (no jitter, so tests and fault
-  drills replay identically).  Used by the pool executors (worker-death
-  recycle), the persistent sqlite cache (``busy``/``locked`` retries)
-  and :class:`~repro.evaluation.service.ServiceClient` (503 +
+  drills replay identically).  Used by the persistent sqlite cache
+  (``busy``/``locked`` retries), the shard coordinator and
+  :class:`~repro.evaluation.service.ServiceClient` (503 +
   ``Retry-After``).
 * :class:`~repro.resilience.deadline.Deadline` — a monotonic time
   budget carried through a request (``deadline_ms`` on ``/sweep`` and
@@ -17,11 +17,10 @@ orthogonal primitives, all stdlib-only and deterministic:
   dispatches and raised as the typed
   :class:`~repro.errors.DeadlineExceeded`.
 * :mod:`~repro.resilience.faults` — a deterministic fault-injection
-  harness: ``REPRO_FAULTS="cache.write:error@2;worker.chunk:kill@1"``
+  harness: ``REPRO_FAULTS="cache.write:error@2;shard.request:fail@1"``
   arms named fault points wired into cache reads and writes, solver
-  solves, worker chunk entry and shard requests, so every recovery path
-  can be provoked on demand and asserted byte-identical to a fault-free
-  run.
+  solves and shard requests, so every recovery path can be provoked on
+  demand and asserted byte-identical to a fault-free run.
 """
 
 from __future__ import annotations

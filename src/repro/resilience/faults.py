@@ -3,34 +3,31 @@
 A :class:`FaultPlan` is parsed from ``REPRO_FAULTS``, a semicolon
 -separated list of ``point:action@n`` specs::
 
-    REPRO_FAULTS="cache.write:error@2;worker.chunk:kill@1;solver.iterative:fail@1"
+    REPRO_FAULTS="cache.write:error@2;solver.iterative:fail@1"
 
 * ``point`` names an instrumented site (see the table below).
-* ``action`` is one of ``error``/``fail`` (raise the exception the
-  site provided, or :class:`~repro.errors.FaultInjected`) or ``kill``
-  (``os._exit(1)`` — simulates a worker death).
+* ``action`` is ``error`` or ``fail``: raise the exception the site
+  provided, or :class:`~repro.errors.FaultInjected`.
 * ``@n`` fires the fault on the *n*-th arrival at that point
   (1-based; defaults to 1).
 
-Each armed spec fires **exactly once per plan**, across all processes:
-the parent materialises a token directory (``REPRO_FAULTS_STATE``),
-forked pool workers inherit it, and firing requires winning an
-``O_CREAT | O_EXCL`` claim on the spec's token file.  That one-shot
-guarantee is what lets chaos tests assert byte-identical output — the
-fault fires, the recovery path (recycle, retry, degrade, fallback) runs
-once, and the re-executed work proceeds unfaulted.
+A malformed plan raises :class:`~repro.errors.ValidationError` when it
+is first loaded.
 
-``worker_only`` points consult ``REPRO_FAULTS_PARENT`` (set alongside
-the state dir) and never fire in the coordinating process, so a
-``worker.chunk:kill`` takes down a pool worker rather than the sweep
-itself when running under the serial executor.
+Each armed spec fires **exactly once per plan**, across all processes:
+the first process to load the plan materialises a token directory
+(``REPRO_FAULTS_STATE``), processes it starts inherit it through the
+environment, and firing requires winning an ``O_CREAT | O_EXCL`` claim
+on the spec's token file.  That one-shot guarantee is what lets chaos
+tests assert byte-identical output — the fault fires, the recovery
+path (retry, degrade, fallback, failover) runs once, and the
+re-executed work proceeds unfaulted.
 
 Instrumented points:
 
 ========================  ====================================================
 ``cache.write``           :meth:`PersistentEvaluationCache.put` (sqlite write)
 ``cache.read``            :meth:`PersistentEvaluationCache.get` (sqlite read)
-``worker.chunk``          chunk-entry in pool workers (``worker_only``)
 ``solver.iterative``      iterative steady-state core
 ``solver.transient``      batch transient distribution solve
 ``shard.request``         per-attempt send in the shard coordinator
@@ -54,9 +51,8 @@ __all__ = ["FaultPlan", "FaultSpec", "active_plan", "fault_point", "reset"]
 
 ENV_PLAN = "REPRO_FAULTS"
 ENV_STATE = "REPRO_FAULTS_STATE"
-ENV_PARENT = "REPRO_FAULTS_PARENT"
 
-_ACTIONS = frozenset({"error", "fail", "kill"})
+_ACTIONS = frozenset({"error", "fail"})
 
 _INJECTED = observability.counter(
     "repro_faults_injected_total",
@@ -107,12 +103,11 @@ class FaultSpec:
 class FaultPlan:
     """The set of armed faults for this process tree."""
 
-    def __init__(self, specs: list[FaultSpec], state_dir: str, parent_pid: int) -> None:
+    def __init__(self, specs: list[FaultSpec], state_dir: str) -> None:
         self._by_point: dict[str, list[FaultSpec]] = {}
         for spec in specs:
             self._by_point.setdefault(spec.point, []).append(spec)
         self._state_dir = state_dir
-        self._parent_pid = parent_pid
         self._hits: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -128,13 +123,11 @@ class FaultPlan:
         state_dir = env.get(ENV_STATE, "").strip()
         if not state_dir:
             # First process to activate the plan owns the token dir;
-            # exporting it (and our pid) lets forked workers share
-            # one-shot state and worker_only gating.
+            # exporting it lets the processes it starts share the
+            # one-shot state.
             state_dir = tempfile.mkdtemp(prefix="repro-faults-")
             os.environ[ENV_STATE] = state_dir
-            os.environ[ENV_PARENT] = str(os.getpid())
-        parent_pid = int(env.get(ENV_PARENT, os.getpid()) or os.getpid())
-        return cls(specs, state_dir, parent_pid)
+        return cls(specs, state_dir)
 
     def _claim(self, spec: FaultSpec) -> bool:
         """Atomically claim the one-shot token; True if we won."""
@@ -150,17 +143,9 @@ class FaultPlan:
             handle.write(str(os.getpid()))
         return True
 
-    def trigger(
-        self,
-        point: str,
-        *,
-        error: BaseException | None = None,
-        worker_only: bool = False,
-    ) -> None:
+    def trigger(self, point: str, *, error: BaseException | None = None) -> None:
         specs = self._by_point.get(point)
         if specs is None:
-            return
-        if worker_only and os.getpid() == self._parent_pid:
             return
         with self._lock:
             hit = self._hits.get(point, 0) + 1
@@ -171,9 +156,6 @@ class FaultPlan:
             if not self._claim(spec):
                 continue
             _INJECTED.inc(point=point)
-            if spec.action == "kill":
-                # Simulated hard worker death: no cleanup, no excepthook.
-                os._exit(1)
             raise error if error is not None else FaultInjected(
                 f"fault injected at {point} (hit {hit})"
             )
@@ -197,12 +179,7 @@ def active_plan() -> FaultPlan | None:
     return _ACTIVE
 
 
-def fault_point(
-    point: str,
-    *,
-    error: BaseException | None = None,
-    worker_only: bool = False,
-) -> None:
+def fault_point(point: str, *, error: BaseException | None = None) -> None:
     """Declare a named fault site; fires the armed action, if any.
 
     ``error`` is the exception a matching ``error``/``fail`` action
@@ -213,7 +190,7 @@ def fault_point(
 
     plan = active_plan()
     if plan is not None:
-        plan.trigger(point, error=error, worker_only=worker_only)
+        plan.trigger(point, error=error)
 
 
 def reset() -> None:

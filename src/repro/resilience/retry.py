@@ -7,8 +7,8 @@ backoff schedule is fully deterministic (no jitter): attempt ``k``
 (1-based) sleeps ``min(base_delay * multiplier**(k-1), max_delay)``
 before attempt ``k+1``.  Determinism matters here more than thundering
 -herd avoidance — the whole evaluation stack guarantees byte-identical
-results across executors and fault drills, and a reproducible retry
-cadence keeps chaos tests stable.
+results across caches, shards and fault drills, and a reproducible
+retry cadence keeps chaos tests stable.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ class RetryPolicy:
         ``attempts - 1`` retries).  Must be >= 1.
     base_delay:
         Sleep before the first retry, in seconds.  ``0.0`` disables
-        sleeping entirely (useful for executor recycles, where the
-        respawn itself is the backoff).
+        sleeping entirely.
     multiplier:
         Exponential growth factor applied per retry.
     max_delay:
@@ -81,8 +80,8 @@ class RetryPolicy:
         ``should_retry`` (when given) is consulted after the exception
         matches ``retry_on``; returning ``False`` re-raises
         immediately.  ``before_retry(retry_index, exc)`` runs after the
-        backoff decision but before the sleep — executors use it to
-        recycle a broken pool.  The final exhausted exception is
+        backoff decision but before the sleep — the persistent cache
+        rolls back its failed transaction there.  The final exhausted exception is
         re-raised unchanged.
         """
 

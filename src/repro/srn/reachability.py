@@ -57,9 +57,8 @@ _SOLVE_CHUNK = 256
 
 #: Process-wide count of reachability explorations, incremented by
 #: :func:`explore`.  Benchmarks diff it around a sweep to count the
-#: state-space generations it needed.
-#: Backed by the observability registry so process-pool sweeps merge
-#: worker explorations into the parent's count.
+#: state-space generations it needed.  Backed by the observability
+#: registry.
 _EXPLORATIONS = metrics.counter(
     "repro_srn_explorations_total",
     "Reachability-graph explorations (state-space generations).",
@@ -71,12 +70,7 @@ _VANISHING = metrics.counter(
 
 
 def exploration_count() -> int:
-    """Number of :func:`explore` calls recorded by this process so far.
-
-    After a process-pool sweep the engine merges worker telemetry into
-    the parent registry, so worker-side explorations are included once
-    the sweep returns.
-    """
+    """Number of :func:`explore` calls recorded by this process so far."""
     return int(_EXPLORATIONS.value)
 
 

@@ -6,8 +6,6 @@ SRNs; every test that needs the paper numbers reuses one evaluation.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.enterprise import (
@@ -63,20 +61,3 @@ def availability_evaluator(case_study, critical_policy):
     """Shared availability evaluator with cached per-role aggregates."""
     return AvailabilityEvaluator(case_study, critical_policy)
 
-
-@pytest.fixture
-def wait_until_broken():
-    """Block (bounded) until a process pool has noticed a killed worker.
-
-    The pool's manager thread may handle a ready result before it looks
-    at dead-worker sentinels, so work sent right after a SIGKILL could
-    still finish on a surviving worker without any recycle.
-    """
-
-    def wait(pool, timeout: float = 10.0) -> None:
-        deadline = time.monotonic() + timeout
-        while not pool._broken:
-            assert time.monotonic() < deadline, "pool never noticed the kill"
-            time.sleep(0.01)
-
-    return wait

@@ -43,15 +43,12 @@ class TestSinglePhaseDegeneracy:
         assert staged.campaign == BIG_BANG
         assert staged.phase_starts == (0.0,)
 
-    def test_big_bang_bit_identical_across_executors(self, grid):
+    def test_big_bang_bit_identical_across_chunk_sizes(self, grid):
         designs = paper_designs()[:3]
-        reference = SweepEngine(executor="serial").timeline(designs, grid)
-        for executor in ("serial", "process"):
-            with SweepEngine(
-                executor=executor,
-                max_workers=None if executor == "serial" else 2,
-            ) as engine:
-                staged = engine.timeline(designs, grid, campaign=BIG_BANG)
+        reference = SweepEngine().timeline(designs, grid)
+        for chunk_size in (None, 1):
+            engine = SweepEngine(chunk_size=chunk_size)
+            staged = engine.timeline(designs, grid, campaign=BIG_BANG)
             for a, b in zip(reference, staged):
                 assert_curves_identical(a, b)
 
@@ -302,14 +299,13 @@ class TestEngineCampaigns:
             assert_curves_identical(a, b)
             assert b.campaign == CANARY_THEN_FLEET
 
-    def test_shared_memory_campaign_byte_identity(self, grid):
+    def test_chunked_campaign_byte_identity(self, grid):
         designs = paper_designs()
-        reference = SweepEngine(executor="serial").timeline(
+        reference = SweepEngine().timeline(designs, grid, campaign=CANARY_THEN_FLEET)
+        chunked = SweepEngine(chunk_size=2).timeline(
             designs, grid, campaign=CANARY_THEN_FLEET
         )
-        with SweepEngine(executor="process", max_workers=2) as engine:
-            shared = engine.timeline(designs, grid, campaign=CANARY_THEN_FLEET)
-        for a, b in zip(reference, shared):
+        for a, b in zip(reference, chunked):
             assert_curves_identical(a, b)
             assert a.phase_starts == b.phase_starts
 

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
-import signal
 import threading
 import time
 
@@ -23,7 +21,7 @@ from repro.evaluation.service import (
 @pytest.fixture(scope="module")
 def serial_service():
     """One in-process service (serial engine) shared by the read-only tests."""
-    service = EvaluationService(executor="serial", max_designs=32)
+    service = EvaluationService(max_designs=32)
     client = service.start_in_thread()
     yield service, client
     service.close()
@@ -39,12 +37,11 @@ class TestEndpoints:
         _, client = serial_service
         health = client.healthz()
         assert health["status"] == "ok"
-        assert health["engine"]["executor"] == "serial"
-        assert health["engine"]["persistent_pool"] is False
+        assert set(health["engine"]) == {"cache_info"}
         assert health["max_designs"] == 32
         assert health["uptime_s"] >= 0
         assert "requests_total" in health["counters"]
-        assert "cache_info" in health["engine"]
+        assert "registry" in health
 
     def test_sweep_matches_cli_payload(self, serial_service):
         _, client = serial_service
@@ -222,7 +219,7 @@ class TestValidation:
 
 class TestDedup:
     def test_identical_inflight_requests_share_one_computation(self):
-        service = EvaluationService(executor="serial", max_designs=32)
+        service = EvaluationService(max_designs=32)
         original = service._sweep_job
         started, release = threading.Event(), threading.Event()
 
@@ -267,45 +264,9 @@ class TestDedup:
             service.close()
 
 
-class TestWarmPoolService:
-    def test_process_service_parity_and_killed_worker_recovery(
-        self, wait_until_broken
-    ):
-        service = EvaluationService(executor="process", max_designs=64)
-        client = service.start_in_thread()
-        try:
-            first = client.sweep(roles=["dns", "web"], max_replicas=2)
-            expected = sweep_response(
-                ["dns", "web"],
-                2,
-                None,
-                False,
-                "process",
-                SweepEngine().evaluate(
-                    list(enumerate_designs(["dns", "web"], max_replicas=2))
-                ),
-            )
-            assert first == _wire(expected)
-            assert client.healthz()["engine"]["persistent_pool"] is True
-
-            # Kill a warm worker between requests, then force a real
-            # recompute: the pool must recycle, not the request fail.
-            pool = service.engine.executor._pool
-            assert pool is not None
-            os.kill(next(iter(pool._processes)), signal.SIGKILL)
-            wait_until_broken(pool)
-            service.engine.clear_cache()
-            service._responses.clear()
-            second = client.sweep(roles=["dns", "web"], max_replicas=2)
-            assert second == first
-            assert client.healthz()["engine"]["pool_recycles"] == 1
-        finally:
-            service.close()
-
-
 class TestLifecycle:
     def test_start_twice_raises(self):
-        service = EvaluationService(executor="serial")
+        service = EvaluationService()
         client = service.start_in_thread()
         try:
             with pytest.raises(EvaluationError, match="already started"):
@@ -315,7 +276,7 @@ class TestLifecycle:
             service.close()
 
     def test_close_is_idempotent_and_frees_the_port(self):
-        service = EvaluationService(executor="serial")
+        service = EvaluationService()
         client = service.start_in_thread()
         host, port = service.address
         assert client.healthz()["status"] == "ok"
@@ -326,24 +287,22 @@ class TestLifecycle:
             probe.wait_until_ready(timeout=1.0, interval=0.1)
 
     def test_context_manager_closes(self):
-        with EvaluationService(executor="serial") as service:
+        with EvaluationService() as service:
             client = service.start_in_thread()
             assert client.healthz()["status"] == "ok"
         assert service._closed
 
     def test_invalid_max_designs_rejected(self):
         with pytest.raises(Exception):
-            EvaluationService(executor="serial", max_designs=0)
-
-    def test_executor_instance_rejected(self):
-        from repro.evaluation.engine import SerialExecutor
-
-        with pytest.raises(EvaluationError, match="every lane builds its own"):
-            EvaluationService(executor=SerialExecutor())
+            EvaluationService(max_designs=0)
 
     def test_thread_executor_rejected(self):
-        with pytest.raises(EvaluationError, match="'serial' or 'process'"):
-            EvaluationService(executor="thread")
+        # Every lane evaluates in-process: the service takes no executor.
+        for name in ("thread", "process"):
+            with pytest.raises(TypeError):
+                EvaluationService(executor=name)
+        with pytest.raises(TypeError):
+            EvaluationService(max_workers=2)
 
     def test_client_reports_unreachable_service(self):
         client = ServiceClient("127.0.0.1", 1, timeout=2)

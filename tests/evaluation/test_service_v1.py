@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import EvaluationError
 from repro.evaluation import SweepEngine, enumerate_designs
+from repro.evaluation import api
 from repro.evaluation.api import MAX_TIME_POINTS
 from repro.evaluation.service import EvaluationService, LanePool, sweep_response
 
@@ -22,7 +23,7 @@ from repro.evaluation.service import EvaluationService, LanePool, sweep_response
 def serial_service():
     """One in-process service (serial engine, two lanes) shared by the
     read-only tests of this module."""
-    service = EvaluationService(executor="serial", max_designs=32, lanes=2)
+    service = EvaluationService(max_designs=32, lanes=2)
     client = service.start_in_thread()
     yield service, client
     service.close()
@@ -95,27 +96,21 @@ class TestEnvelope:
     ):
         """An unknown role only fails once the engine evaluates it, but
         it is still the client's mistake: 400, not 500/internal — also
-        when the failure crosses a process pool, and as the error event
-        of a stream."""
-        _, serial_client = serial_service
-        with EvaluationService(
-            executor="process", max_designs=8, lanes=1
-        ) as process_service:
-            process_client = process_service.start_in_thread()
-            for client in (serial_client, process_client):
-                for stream in (False, True):
-                    payload = {"space": {"roles": ["bogus"]}, "stream": stream}
-                    if stream:
-                        events = list(client._stream("/v1/sweep", payload))
-                        kinds = [event["event"] for event in events]
-                        assert kinds == ["start", "error"]
-                        error = events[-1]["error"]
-                    else:
-                        status, body = client.request("POST", "/v1/sweep", payload)
-                        assert status == 400
-                        error = body["error"]
-                    assert error["code"] == "invalid_request"
-                    assert "unknown role" in error["message"]
+        as the error event of a stream."""
+        _, client = serial_service
+        for stream in (False, True):
+            payload = {"space": {"roles": ["bogus"]}, "stream": stream}
+            if stream:
+                events = list(client._stream("/v1/sweep", payload))
+                kinds = [event["event"] for event in events]
+                assert kinds == ["start", "error"]
+                error = events[-1]["error"]
+            else:
+                status, body = client.request("POST", "/v1/sweep", payload)
+                assert status == 400
+                error = body["error"]
+            assert error["code"] == "invalid_request"
+            assert "unknown role" in error["message"]
 
     @pytest.mark.parametrize("stream", [False, True])
     def test_unknown_transient_method_is_invalid_request(
@@ -163,6 +158,55 @@ class TestEnvelope:
         assert body["error"]["code"] == "over_budget"
         assert "time points" in body["error"]["message"]
         assert client.healthz()["status"] == "ok"
+
+    def test_timeline_cells_bound_is_inclusive(self, serial_service, monkeypatch):
+        """designs x time points up to the bound is served; one cell
+        more is refused."""
+        _, client = serial_service
+        monkeypatch.setattr(api, "MAX_TIMELINE_CELLS", 5)
+        space = {"roles": ["dns"], "max_replicas": 1}  # one design
+        status, body = client.request(
+            "POST",
+            "/v1/timeline",
+            {"space": space, "options": {"times": [0.0, 1.0, 2.0, 3.0, 4.0]}},
+        )
+        assert status == 200
+        assert len(body["times"]) == 5
+        status, body = client.request(
+            "POST",
+            "/v1/timeline",
+            {"space": space, "options": {"times": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}},
+        )
+        assert status == 400
+        assert body["error"]["code"] == "over_budget"
+        assert "6 cells" in body["error"]["message"]
+
+    def test_over_cap_timeline_cells_are_refused_before_compute(self):
+        """81 designs x 10,000 points (810,000 cells) passes the design
+        budget and the time-point cap, but not the cells bound: refused
+        at once, streaming or not, without reaching a lane."""
+        with EvaluationService(lanes=1) as service:
+            client = service.start_in_thread()
+            computed = client.metrics()["counters"]["computed"]
+            for stream in (False, True):
+                start = time.monotonic()
+                status, body = client.request(
+                    "POST",
+                    "/v1/timeline",
+                    {
+                        "space": {
+                            "roles": ["dns", "web", "app", "db"],
+                            "max_replicas": 3,
+                        },
+                        "options": {"points": MAX_TIME_POINTS},
+                        "stream": stream,
+                    },
+                )
+                assert time.monotonic() - start < 2.0
+                assert status == 400
+                assert body["error"]["code"] == "over_budget"
+                assert "810000 cells" in body["error"]["message"]
+            assert client.metrics()["counters"]["computed"] == computed
 
     @pytest.mark.parametrize("endpoint", ["/v1/sweep", "/v1/timeline"])
     def test_over_cap_scaled_tiers_is_over_budget(self, serial_service, endpoint):
@@ -268,7 +312,7 @@ class TestLanes:
         contexts = [lane["context"] for lane in lanes["lanes"]]
         assert "default" in contexts
         default = lanes["lanes"][contexts.index("default")]
-        assert default["engine"]["executor"] == "serial"
+        assert set(default["engine"]) == {"cache_info"}
         assert {
             "busy",
             "queued_interactive",
@@ -282,7 +326,7 @@ class TestLanes:
         from repro.enterprise import scaled_case_study
 
         with EvaluationService(
-            executor="serial", max_designs=8, lanes=2
+            max_designs=8, lanes=2
         ) as service:
             client = service.start_in_thread()
             served = client.sweep(scaled="3x2")
@@ -303,7 +347,7 @@ class TestLanes:
 
     def test_lane_pool_evicts_idle_lru_lane(self):
         with EvaluationService(
-            executor="serial", max_designs=8, lanes=2
+            max_designs=8, lanes=2
         ) as service:
             client = service.start_in_thread()
             client.sweep(scaled="2x2")
@@ -351,7 +395,7 @@ class TestLanes:
     def test_lane_pooled_sweep_matches_single_engine_27_designs(self):
         roles = ["dns", "web", "app"]
         with EvaluationService(
-            executor="serial", max_designs=64, lanes=2
+            max_designs=64, lanes=2
         ) as service:
             client = service.start_in_thread()
             served = client.sweep(roles=roles, max_replicas=3)
@@ -411,7 +455,7 @@ class TestPriorities:
         roles = ["dns", "web", "app", "db"]
         release, completed = _hold_chunks(monkeypatch)
         with EvaluationService(
-            executor="serial", max_designs=128, lanes=1
+            max_designs=128, lanes=1
         ) as service:
             client = service.start_in_thread()
             served: list[str] = []
@@ -464,7 +508,7 @@ class TestPriorities:
         roles = ["dns", "web", "app", "db"]
         release, _ = _hold_chunks(monkeypatch)
         with EvaluationService(
-            executor="serial", max_designs=128, lanes=1
+            max_designs=128, lanes=1
         ) as service:
             client = service.start_in_thread()
             result: dict[str, dict] = {}
@@ -506,7 +550,7 @@ class TestPriorities:
 
         monkeypatch.setattr(timeline_module, "evaluate_timelines_shared", held)
         with EvaluationService(
-            executor="serial", max_designs=64, lanes=2
+            max_designs=64, lanes=2
         ) as service:
             client = service.start_in_thread()
             order: list[str] = []
@@ -554,7 +598,7 @@ class TestStreaming:
     def test_sweep_stream_events(self):
         roles = ["dns", "web"]
         with EvaluationService(
-            executor="serial", max_designs=16, lanes=1
+            max_designs=16, lanes=1
         ) as service:
             client = service.start_in_thread()
             events = list(client.sweep_stream(roles=roles, max_replicas=2))
@@ -582,7 +626,7 @@ class TestStreaming:
 
     def test_memoised_designs_do_not_stream_again(self):
         with EvaluationService(
-            executor="serial", max_designs=16, lanes=1
+            max_designs=16, lanes=1
         ) as service:
             client = service.start_in_thread()
             first = list(client.sweep_stream(roles=["dns"], max_replicas=2))
@@ -596,7 +640,7 @@ class TestStreaming:
 
     def test_timeline_stream_events(self):
         with EvaluationService(
-            executor="serial", max_designs=16, lanes=1
+            max_designs=16, lanes=1
         ) as service:
             client = service.start_in_thread()
             events = list(
@@ -649,7 +693,7 @@ class TestConnectionHandling:
         """Regression: a client holding the address of a stopped service
         fails fast with a connection error, not a hang or a half-open
         socket reuse."""
-        service = EvaluationService(executor="serial", max_designs=8)
+        service = EvaluationService(max_designs=8)
         client = service.start_in_thread()
         assert client.healthz()["status"] == "ok"
         service.close()

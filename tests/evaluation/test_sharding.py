@@ -21,7 +21,7 @@ def shard_services(tmp_path_factory):
     cache = tmp_path_factory.mktemp("shards") / "shared.sqlite"
     services = [
         EvaluationService(
-            executor="serial", max_designs=64, cache_path=str(cache)
+            max_designs=64, cache_path=str(cache)
         )
         for _ in range(2)
     ]

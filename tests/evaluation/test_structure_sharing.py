@@ -2,9 +2,8 @@
 
 Covers the canonical tier layout every evaluator reads
 (:func:`repro.enterprise.heterogeneous.design_tiers`), one evaluator's
-aggregates shared across designs, the priming of pool workers with
-those aggregates through the pool initializer, the upper-layer
-explorations the closed form saves and worker failure reporting.
+aggregates shared across designs and across an engine's chunks, the
+upper-layer explorations the closed form saves and failure reporting.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from repro.enterprise import (
 from repro.enterprise.heterogeneous import design_tiers
 from repro.errors import EvaluationError, ValidationError
 from repro.evaluation import AvailabilityEvaluator, SweepEngine
-from repro.evaluation import engine as engine_module
-from repro.evaluation.engine import _chunk, _worker_evaluators
 from repro.evaluation.sweep import enumerate_designs
 from repro.evaluation.timeline import default_time_grid
 from repro.patching import CriticalVulnerabilityPolicy, PatchCampaign
@@ -138,71 +135,29 @@ class TestEvaluatorSharing:
         )
 
 
-class TestWorkerPriming:
-    def test_initializer_primes_worker_bitwise(
-        self, case_study, critical_policy, space27, monkeypatch
+class TestChunkSharing:
+    def test_chunk_sizes_are_bitwise_equal(
+        self, case_study, critical_policy, space27
     ):
-        designs = space27[:6]
-        priming = SweepEngine(
-            case_study=case_study, policy=critical_policy
-        )._worker_priming(designs)
-        monkeypatch.setattr(engine_module, "_WORKER_PAIR", None)
-        priming["initializer"](*priming["initargs"])
-        before = exploration_count()
-        primed = _chunk(_worker_evaluators, "evaluation", (), designs)
-        assert exploration_count() == before  # no lower-layer re-solve
+        designs = space27[:9]
         reference = SweepEngine(
             case_study=case_study, policy=critical_policy
         ).evaluate(designs)
-        for a, b in zip(primed, reference):
-            assert a.after.coa.hex() == b.after.coa.hex()
-            assert a.before == b.before and a.after == b.after
-
-    def test_priming_covers_roles_and_variants(
-        self, case_study, critical_policy, variant_space
-    ):
-        engine = SweepEngine(
-            case_study=case_study,
-            policy=critical_policy,
-            database=diversity_database(),
-        )
-        first = engine._worker_priming([RedundancyDesign({"dns": 1, "web": 2})])
-        # Any counts over the primed roles are covered ...
-        covered = engine._worker_priming(
-            [RedundancyDesign({"web": 3}), RedundancyDesign({"dns": 2})]
-        )
-        assert covered["key"] == first["key"]
-        # ... a new role or a variant stack is not.
-        wider = engine._worker_priming([RedundancyDesign({"app": 1})])
-        assert wider["key"] != first["key"]
-        nginx = variant_space["web"][1]
-        variant = engine._worker_priming(
-            [HeterogeneousDesign({"web": {nginx: 1}})]
-        )
-        assert variant["key"] != wider["key"]
-        _, _, _, aggregates = variant["initargs"]
-        assert set(aggregates) == {
-            ("app", None),
-            ("dns", None),
-            ("web", None),
-            ("web", nginx),
-        }
-
-    def test_uninitialized_worker_fails_loudly(self, monkeypatch):
-        monkeypatch.setattr(engine_module, "_WORKER_PAIR", None)
-        with pytest.raises(EvaluationError):
-            _chunk(
-                _worker_evaluators, "evaluation", (), [RedundancyDesign({"dns": 1})]
+        for chunk_size in (1, 4):
+            engine = SweepEngine(
+                case_study=case_study, policy=critical_policy, chunk_size=chunk_size
             )
+            for a, b in zip(engine.evaluate(designs), reference):
+                assert a.after.coa.hex() == b.after.coa.hex()
+                assert a.before == b.before and a.after == b.after
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_pool_workers_never_resolve_lower_layer(
-        self, case_study, critical_policy, space27, executor
+    @pytest.mark.parametrize("chunk_size", [1, 4, None])
+    def test_chunks_never_resolve_lower_layer(
+        self, case_study, critical_policy, space27, chunk_size
     ):
-        # Byte-identity cannot see this: an unprimed worker re-solves
-        # the lower layer and still returns the same bytes.  The count
-        # can, because worker metric deltas merge into this registry.
-        kwargs = {} if executor == "serial" else {"max_workers": 2, "chunk_size": 1}
+        # Byte-identity cannot see this: a chunk on a fresh evaluator
+        # re-solves the lower layer and still returns the same bytes.
+        # The count can: every chunk runs on the engine's one pair.
         campaign = PatchCampaign.parse("canary:0.1:48:1,ramp:0.5:50%,fleet:1.0")
         runs = (
             lambda engine: engine.evaluate(space27),
@@ -211,32 +166,21 @@ class TestWorkerPriming:
             ),
         )
         for run in runs:
-            with SweepEngine(
-                case_study=case_study,
-                policy=critical_policy,
-                executor=executor,
-                **kwargs,
-            ) as engine:
-                before = exploration_count()
-                run(engine)
-                # One exploration of the server net serves all 3 roles.
-                assert exploration_count() - before == 1
-
-    def test_worker_explorations_reach_the_parent(
-        self, case_study, critical_policy, space27
-    ):
-        # The control for the test above: a fresh evaluator in a
-        # worker explores the server net once per design, and it shows.
-        with SweepEngine(
-            case_study=case_study,
-            policy=critical_policy,
-            executor="process",
-            max_workers=2,
-            chunk_size=1,
-        ) as engine:
+            engine = SweepEngine(
+                case_study=case_study, policy=critical_policy, chunk_size=chunk_size
+            )
             before = exploration_count()
-            engine.map(_fresh_coa, space27[:8])
-            assert exploration_count() - before == 8
+            run(engine)
+            # One exploration of the server net serves all 3 roles.
+            assert exploration_count() - before == 1
+
+    def test_fresh_evaluators_explore_per_design(self, space27):
+        # The control for the test above: a fresh evaluator per design
+        # explores the server net once per design, and it shows.
+        before = exploration_count()
+        for design in space27[:8]:
+            _fresh_coa(design)
+        assert exploration_count() - before == 8
 
 
 def _fresh_coa(design):
@@ -247,12 +191,12 @@ def _fresh_coa(design):
 
 class TestEngineSharingParity:
     @pytest.mark.parametrize("hetero_first", [False, True])
-    def test_mixed_population_process_parity(
+    def test_mixed_population_chunk_parity(
         self, case_study, critical_policy, variant_space, hetero_first
     ):
-        # hetero_first guards the worker priming: role and variant
-        # aggregates must both reach the workers, whichever design kind
-        # the priming encounters first.
+        # hetero_first guards the shared evaluator: role and variant
+        # aggregates must both be right in every chunk, whichever design
+        # kind the first chunk holds.
         designs = [
             RedundancyDesign({"dns": 1, "web": 2}),
             HeterogeneousDesign(
@@ -262,21 +206,18 @@ class TestEngineSharingParity:
         ]
         if hetero_first:
             designs = [designs[1], designs[0], designs[2]]
-        serial = SweepEngine(
+        one_chunk = SweepEngine(
             case_study=case_study,
             policy=critical_policy,
             database=diversity_database(),
         ).evaluate(designs)
-        with SweepEngine(
+        per_design = SweepEngine(
             case_study=case_study,
             policy=critical_policy,
             database=diversity_database(),
-            executor="process",
-            max_workers=2,
             chunk_size=1,
-        ) as engine:
-            process = engine.evaluate(designs)
-        for a, b in zip(serial, process):
+        ).evaluate(designs)
+        for a, b in zip(one_chunk, per_design):
             assert a.after.coa.hex() == b.after.coa.hex()
             assert a.after == b.after
 
@@ -286,13 +227,10 @@ class TestWorkerFailureReporting:
         self, case_study, critical_policy
     ):
         bad = RedundancyDesign({"dns": 1, "nosuchrole": 1})
-        with SweepEngine(
-            case_study=case_study,
-            policy=critical_policy,
-            executor="process",
-            max_workers=2,
-            chunk_size=1,
-        ) as engine, pytest.raises(ValidationError) as excinfo:
+        engine = SweepEngine(
+            case_study=case_study, policy=critical_policy, chunk_size=1
+        )
+        with pytest.raises(ValidationError) as excinfo:
             engine.evaluate(
                 [RedundancyDesign({"dns": 1}), bad, RedundancyDesign({"web": 1})]
             )
@@ -325,14 +263,14 @@ class TestWorkerFailureReporting:
         assert "TypeError" in message
         assert "Traceback" in message
 
-    def test_serial_failure_matches_process_shape(
-        self, case_study, critical_policy
-    ):
+    def test_one_chunk_failure_carries_label(self, case_study, critical_policy):
+        # One chunk of two: the chunk re-runs design by design to name
+        # the failing one.
         bad = RedundancyDesign({"nosuchrole": 2})
         with pytest.raises(ValidationError) as excinfo:
-            SweepEngine(
-                case_study=case_study, policy=critical_policy
-            ).evaluate([bad])
+            SweepEngine(case_study=case_study, policy=critical_policy).evaluate(
+                [RedundancyDesign({"dns": 1}), bad]
+            )
         assert bad.label in str(excinfo.value)
 
     def test_timeline_failure_carries_label(self, case_study, critical_policy):
@@ -341,27 +279,6 @@ class TestWorkerFailureReporting:
         with pytest.raises(ValidationError) as excinfo:
             engine.timeline([bad], (0.0, 1.0))
         assert bad.label in str(excinfo.value)
-
-    def test_broken_pool_reports_batch(self, case_study, critical_policy):
-        from repro.evaluation.engine import ProcessExecutor
-
-        designs = [RedundancyDesign({"dns": 1}), RedundancyDesign({"web": 1})]
-
-        # os._exit kills the worker without an exception, the classic
-        # BrokenProcessPool; the executor must translate it.
-        with ProcessExecutor(max_workers=2) as executor, pytest.raises(
-            EvaluationError
-        ) as excinfo:
-            executor.run(_crash_worker, [(designs[:1],), (designs[1:],)])
-        assert "worker died" in str(excinfo.value) or "pool broke" in str(
-            excinfo.value
-        )
-
-
-def _crash_worker(designs):  # pragma: no cover - runs in the worker
-    import os
-
-    os._exit(1)
 
 
 class TestSolveCountReduction:
@@ -411,12 +328,15 @@ class TestSolveCountReduction:
         self, case_study, critical_policy, space27
     ):
         evaluator = AvailabilityEvaluator(case_study, critical_policy)
-        groups = evaluator.solve_groups(space27, "evaluating design")
-        assert set(groups) == {("app", None), ("dns", None), ("web", None)}
+        before = exploration_count()
+        tiers = evaluator.read_tiers(space27, "evaluating design")
+        assert len(tiers) == len(space27)
+        assert {role for view in tiers for role, _ in view} == {"app", "dns", "web"}
         assert evaluator.solve_stats["aggregate_solves"] == 3
+        assert exploration_count() - before == 1
         bad = RedundancyDesign({"nosuchrole": 1})
         with pytest.raises(ValidationError) as excinfo:
-            evaluator.solve_groups(space27[:2] + [bad], "evaluating design")
+            evaluator.read_tiers(space27[:2] + [bad], "evaluating design")
         assert f"evaluating design {bad.label!r} failed" in str(excinfo.value)
         assert evaluator.solve_stats["aggregate_solves"] == 3
 

@@ -159,12 +159,11 @@ class TestHeterogeneousTimeline:
 
 
 class TestEngineTimeline:
-    def test_executors_byte_identical(self, grid):
+    def test_chunk_sizes_byte_identical(self, grid):
         designs = paper_designs()
-        reference = SweepEngine(executor="serial").timeline(designs, grid)
-        with SweepEngine(executor="process", max_workers=2) as engine:
-            parallel = engine.timeline(designs, grid)
-        for a, b in zip(reference, parallel):
+        reference = SweepEngine().timeline(designs, grid)
+        chunked = SweepEngine(chunk_size=2).timeline(designs, grid)
+        for a, b in zip(reference, chunked):
             assert a.coa == b.coa
             assert a.completion_probability == b.completion_probability
             assert a.unpatched_fraction == b.unpatched_fraction
@@ -186,7 +185,7 @@ class TestEngineTimeline:
     def test_evaluate_timelines_entrypoint_matches_engine(self, grid):
         designs = paper_designs()[:3]
         direct = evaluate_timelines(designs, grid)
-        parallel = evaluate_timelines(designs, grid, executor="process", max_workers=2)
-        for a, b in zip(direct, parallel):
+        engine = SweepEngine().timeline(designs, grid)
+        for a, b in zip(direct, engine):
             assert a.coa == b.coa
             assert a.completion_probability == b.completion_probability

@@ -221,18 +221,13 @@ class TestHomogeneousHeterogeneousParity:
 
     COUNTS = {"dns": 1, "web": 2, "app": 2, "db": 1}
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_snapshots_byte_identical(
-        self, case_study, critical_policy, executor
-    ):
+    def test_snapshots_byte_identical(self, case_study, critical_policy):
         homogeneous = RedundancyDesign(self.COUNTS)
         heterogeneous = _mirrored_hetero(case_study, self.COUNTS)
         hetero_eval, homog_eval = evaluate_designs(
             [heterogeneous, homogeneous],
             case_study=case_study,
             policy=critical_policy,
-            executor=None if executor == "serial" else executor,
-            max_workers=2,
         )
         assert hetero_eval.before == homog_eval.before
         assert hetero_eval.after == homog_eval.after
@@ -333,21 +328,15 @@ class TestUnifiedEngine:
         assert front
         assert set(front) <= set(evaluations)
 
-    def test_parallel_heterogeneous_sweep_matches_serial(
+    def test_chunked_heterogeneous_sweep_matches_one_chunk(
         self, variant_space, diversity_db
     ):
         designs = list(
             enumerate_heterogeneous_designs(["web", "db"], variant_space, 2)
         )
-        serial = SweepEngine(database=diversity_db).evaluate(designs)
-        with SweepEngine(
-            database=diversity_db,
-            executor="process",
-            max_workers=2,
-            chunk_size=4,
-        ) as engine:
-            parallel = engine.evaluate(designs)
-        assert serial == parallel
+        whole = SweepEngine(database=diversity_db).evaluate(designs)
+        chunked = SweepEngine(database=diversity_db, chunk_size=4).evaluate(designs)
+        assert whole == chunked
 
 
 def _point(asp: float, coa: float) -> DesignEvaluation:

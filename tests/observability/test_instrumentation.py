@@ -2,14 +2,13 @@
 
 Asserts the observability guarantees the subsystem promises: layer
 counters actually tick, sweep/timeline results are byte-identical with
-tracing and metrics on or off across all executors, a process-pool
-sweep's merged trace contains worker-side solver spans, and the
-disabled tracing path costs (near) nothing.
+tracing and metrics on or off whatever the chunking, a sweep's trace
+contains the engine, chunk and solver spans, and the disabled tracing
+path costs (near) nothing.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
@@ -42,8 +41,7 @@ def _counter_value(name, **labels):
 
 
 def _transient_solve(rate):
-    """One uniformised transient solve of an up/down chain (a picklable
-    task for pool workers)."""
+    """One uniformised transient solve of an up/down chain."""
     chain = Ctmc.from_rates({("up", "down"): rate, ("down", "up"): 8.0})
     return float(BatchTransientSolver(chain).distributions({"up": 1.0}, [1.0])[0, 0])
 
@@ -105,22 +103,14 @@ class TestLayerCounters:
 
 
 class TestByteIdentityWithInstrumentation:
-    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("chunk_size", [None, 2])
     def test_sweep_identical_tracing_on_vs_off(
-        self, case_study, critical_policy, space, executor
+        self, case_study, critical_policy, space, chunk_size
     ):
-        kwargs = (
-            {} if executor == "serial" else {"max_workers": 2, "chunk_size": 2}
-        )
-
         def run():
-            with SweepEngine(
-                case_study=case_study,
-                policy=critical_policy,
-                executor=executor,
-                **kwargs,
-            ) as engine:
-                return engine.evaluate(space)
+            return SweepEngine(
+                case_study=case_study, policy=critical_policy, chunk_size=chunk_size
+            ).evaluate(space)
 
         tracing.disable()
         off = run()
@@ -131,24 +121,17 @@ class TestByteIdentityWithInstrumentation:
             assert a.after.coa.hex() == b.after.coa.hex()
             assert a.before == b.before and a.after == b.after
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("chunk_size", [None, 2])
     def test_timeline_identical_tracing_on_vs_off(
-        self, case_study, critical_policy, space, executor
+        self, case_study, critical_policy, space, chunk_size
     ):
         designs = space[:4]
         times = (0.0, 120.0, 720.0)
-        kwargs = (
-            {} if executor == "serial" else {"max_workers": 2, "chunk_size": 2}
-        )
 
         def run():
-            with SweepEngine(
-                case_study=case_study,
-                policy=critical_policy,
-                executor=executor,
-                **kwargs,
-            ) as engine:
-                return engine.timeline(designs, times)
+            return SweepEngine(
+                case_study=case_study, policy=critical_policy, chunk_size=chunk_size
+            ).timeline(designs, times)
 
         tracing.disable()
         off = run()
@@ -161,64 +144,21 @@ class TestByteIdentityWithInstrumentation:
             assert a.before == b.before and a.after == b.after
 
 
-class TestWorkerTelemetryMerge:
-    def test_process_sweep_trace_contains_worker_spans(
+class TestTraceSpans:
+    def test_sweep_trace_contains_engine_chunk_and_solver_spans(
         self, case_study, critical_policy, space
     ):
         tracing.enable()
         tracing.drain()
-        with SweepEngine(
-            case_study=case_study,
-            policy=critical_policy,
-            executor="process",
-            max_workers=2,
-            chunk_size=2,
-        ) as engine:
-            engine.evaluate(space)
+        SweepEngine(
+            case_study=case_study, policy=critical_policy, chunk_size=2
+        ).evaluate(space)
         spans = tracing.drain()
         tracing.disable()
-        parent = os.getpid()
-        worker_spans = [e for e in spans if e["pid"] != parent]
-        assert worker_spans, "no worker-side spans were merged"
-        assert any(
-            e["name"] in ("ctmc:steady", "srn:explore", "chunk:evaluate")
-            for e in worker_spans
-        )
-        # Parent-side engine spans are present in the same trace.
-        assert any(e["name"] == "engine:evaluate" for e in spans)
-
-    def test_process_sweep_merges_worker_counters(self, case_study, critical_policy):
-        # The mapped task runs its transient solves in pool workers
-        # only; the parent-visible count must still rise via telemetry
-        # merge.
-        solves = REGISTRY.counter("repro_transient_solves_total").labels(
-            method="uniformisation"
-        )
-        before = solves.value
-        with SweepEngine(
-            case_study=case_study,
-            policy=critical_policy,
-            executor="process",
-            max_workers=2,
-            chunk_size=2,
-        ) as engine:
-            engine.map(_transient_solve, [1.0, 2.0, 3.0, 4.0])
-        assert solves.value > before
-
-    def test_chunk_queue_wait_observed_for_process_chunks(
-        self, case_study, critical_policy, space
-    ):
-        hist = REGISTRY.histogram("repro_chunk_queue_wait_seconds").labels()
-        before = hist.count
-        with SweepEngine(
-            case_study=case_study,
-            policy=critical_policy,
-            executor="process",
-            max_workers=2,
-            chunk_size=2,
-        ) as engine:
-            engine.evaluate(space)
-        assert hist.count > before
+        names = [e["name"] for e in spans]
+        required = {"engine:evaluate", "engine:dispatch", "srn:explore", "ctmc:steady"}
+        assert required <= set(names)
+        assert names.count("chunk:evaluate") == 2
 
 
 class TestDisabledOverhead:

@@ -90,40 +90,14 @@ class TestHistograms:
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
 
 
-class TestSnapshotDeltaMerge:
-    def test_delta_contains_only_changes(self, registry):
-        counter = registry.counter("r_total", "help").labels()
-        other = registry.counter("r_other_total", "help").labels()
-        counter.inc(2)
-        other.inc(7)
-        before = registry.state()
-        counter.inc(3)
-        delta = registry.delta_since(before)
-        keys = {name for (name, _labels) in delta}
-        assert keys == {"r_total"}
-        ((_, entry),) = delta.items()
-        assert entry["value"] == 3.0
-
-    def test_merge_into_fresh_registry_recreates_families(self, registry):
+class TestSnapshotAndReset:
+    def test_state_is_a_flat_picklable_snapshot(self, registry):
         registry.counter("r_total", "help").inc(4, method="x")
         registry.histogram("r_seconds", "help").observe(0.2)
-        delta = registry.delta_since(MetricsRegistry().state())
-        target = MetricsRegistry()
-        target.merge(delta)
-        assert target.counter("r_total", "help").labels(method="x").value == 4.0
-        assert target.histogram("r_seconds", "help").labels().count == 1
-
-    def test_merge_is_additive_for_counters(self, registry):
-        registry.counter("r_total", "help").inc(2)
-        delta = registry.delta_since(MetricsRegistry().state())
-        registry.merge(delta)
-        assert registry.counter("r_total", "help").labels().value == 4.0
-
-    def test_delta_is_picklable(self, registry):
-        registry.counter("r_total", "help").inc()
-        registry.histogram("r_seconds", "help").observe(1.0)
-        delta = registry.delta_since(MetricsRegistry().state())
-        assert pickle.loads(pickle.dumps(delta)) == delta
+        state = registry.state()
+        assert state[("r_total", (("method", "x"),))]["value"] == 4.0
+        assert state[("r_seconds", ())]["count"] == 1
+        assert pickle.loads(pickle.dumps(state)) == state
 
     def test_reset_zeroes_in_place(self, registry):
         child = registry.counter("r_total", "help").labels()

@@ -109,9 +109,6 @@ class TestBufferOps:
         assert [e["name"] for e in drained] == ["a"]
         assert tracing.events() == []
 
-    def test_extend_merges(self):
-        tracing.extend([{"name": "w", "ph": "X", "pid": 999, "tid": 1}])
-        assert [e["name"] for e in tracing.events()] == ["w"]
 
 
 class TestChromeExport:
@@ -134,14 +131,16 @@ class TestChromeExport:
         # exporting drained the buffer
         assert tracing.events() == []
 
-    def test_worker_pids_get_worker_process_names(self, tmp_path):
+    def test_every_recording_pid_is_labelled_repro(self, tmp_path):
         batch = [
-            {"name": "w", "ph": "X", "ts": 0, "dur": 1, "pid": 424242, "tid": 1}
+            {"name": "w", "ph": "X", "ts": 0, "dur": 1, "pid": pid, "tid": 1}
+            for pid in (424242, 7)
         ]
         path = tmp_path / "trace.json"
         tracing.write_chrome_trace(str(path), batch)
         payload = json.loads(path.read_text())
-        meta = next(
-            e for e in payload["traceEvents"] if e["name"] == "process_name"
-        )
-        assert meta["args"]["name"] == "repro-worker-424242"
+        meta = [e for e in payload["traceEvents"] if e["name"] == "process_name"]
+        assert [(e["pid"], e["args"]["name"]) for e in meta] == [
+            (7, "repro"),
+            (424242, "repro"),
+        ]

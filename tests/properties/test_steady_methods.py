@@ -101,30 +101,27 @@ def _evaluation_bits(evaluation) -> tuple:
     return tuple(out)
 
 
-class TestEngineExecutorIdentity:
+class TestEngineChunkIdentity:
     @pytest.fixture(scope="class")
     def design_space(self):
         designs = list(enumerate_designs(["dns", "web", "app"], max_replicas=4))
         assert len(designs) == 64
         return designs
 
-    def test_parallel_identical_to_serial(self, design_space):
-        serial = SweepEngine(executor="serial").evaluate(design_space)
-        with SweepEngine(
-            executor="process", max_workers=2, chunk_size=8
-        ) as engine:
-            parallel = engine.evaluate(design_space)
-        assert len(serial) == len(parallel) == 64
+    def test_chunked_identical_to_one_chunk(self, design_space):
+        whole = SweepEngine().evaluate(design_space)
+        chunked = SweepEngine(chunk_size=8).evaluate(design_space)
+        assert len(whole) == len(chunked) == 64
         # Same order.
-        assert [e.label for e in serial] == [e.label for e in parallel]
+        assert [e.label for e in whole] == [e.label for e in chunked]
         # Same values, field by field (dataclass equality).
-        assert serial == parallel
+        assert whole == chunked
         # Bit-for-bit identical floats.
-        for left, right in zip(serial, parallel):
+        for left, right in zip(whole, chunked):
             assert _evaluation_bits(left) == _evaluation_bits(right)
 
     def test_serial_rerun_is_deterministic(self, design_space):
-        first = SweepEngine(executor="serial").evaluate(design_space)
-        second = SweepEngine(executor="serial").evaluate(design_space)
+        first = SweepEngine().evaluate(design_space)
+        second = SweepEngine().evaluate(design_space)
         for left, right in zip(first, second):
             assert _evaluation_bits(left) == _evaluation_bits(right)

@@ -1,8 +1,8 @@
 """Shared isolation for the resilience tests.
 
-Fault plans are process-wide singletons (so forked workers see one
-state); every test here gets a clean slate before and after, and the
-``REPRO_FAULTS*`` variables never leak between tests.
+Fault plans are process-wide singletons; every test here gets a clean
+slate before and after, and the ``REPRO_FAULTS*`` variables never leak
+between tests.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pytest
 
 from repro.resilience import faults as faults_mod
 
-_FAULT_ENVS = (faults_mod.ENV_PLAN, faults_mod.ENV_STATE, faults_mod.ENV_PARENT)
+_FAULT_ENVS = (faults_mod.ENV_PLAN, faults_mod.ENV_STATE)
 
 
 @pytest.fixture(autouse=True)

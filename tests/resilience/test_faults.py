@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import FaultInjected, ValidationError
 from repro.resilience import FaultPlan, fault_point
-from repro.resilience.faults import ENV_PARENT, ENV_PLAN, ENV_STATE, FaultSpec
+from repro.resilience.faults import ENV_PLAN, ENV_STATE, FaultSpec
 from repro.resilience import faults as faults_mod
 
 
@@ -18,7 +18,7 @@ class TestFaultSpec:
         assert spec == FaultSpec(point="cache.write", action="error", hit=2)
 
     def test_hit_defaults_to_first_arrival(self):
-        assert FaultSpec.parse("worker.chunk:kill").hit == 1
+        assert FaultSpec.parse("cache.write:error").hit == 1
 
     def test_whitespace_and_case_tolerated(self):
         spec = FaultSpec.parse("  solver.iterative : FAIL @ 3 ")
@@ -31,6 +31,7 @@ class TestFaultSpec:
             "nocolon",
             ":error@1",
             "point:explode@1",
+            "point:kill@1",
             "point:error@x",
             "point:error@0",
         ],
@@ -45,7 +46,7 @@ class TestFaultSpec:
 
 def plan_for(raw: str, tmp_path) -> FaultPlan:
     specs = [FaultSpec.parse(part) for part in raw.split(";") if part.strip()]
-    return FaultPlan(specs, str(tmp_path), os.getpid())
+    return FaultPlan(specs, str(tmp_path))
 
 
 class TestFaultPlan:
@@ -58,13 +59,11 @@ class TestFaultPlan:
         plan = FaultPlan.from_env(environ)
         try:
             assert plan is not None
-            # The first activating process exports the token dir and its
-            # pid so forked pool workers inherit one-shot state.
+            # The first activating process exports the token dir so the
+            # processes it starts inherit one-shot state.
             assert os.path.isdir(os.environ[ENV_STATE])
-            assert os.environ[ENV_PARENT] == str(os.getpid())
         finally:
             state = os.environ.pop(ENV_STATE, None)
-            os.environ.pop(ENV_PARENT, None)
             if state and os.path.isdir(state):
                 os.rmdir(state)
 
@@ -101,18 +100,6 @@ class TestFaultPlan:
         plan = plan_for("cache.write:error@1", tmp_path)
         plan.trigger("solver.transient")  # nothing armed here
 
-    def test_worker_only_never_fires_in_the_parent(self, tmp_path):
-        plan = plan_for("worker.chunk:fail@1", tmp_path)
-        plan.trigger("worker.chunk", worker_only=True)  # parent: skipped
-        # A worker (different pid recorded as parent) does fire.
-        worker_view = FaultPlan(
-            [FaultSpec.parse("worker.chunk:fail@1")],
-            str(tmp_path),
-            os.getpid() + 1,
-        )
-        with pytest.raises(FaultInjected):
-            worker_view.trigger("worker.chunk", worker_only=True)
-
     def test_separate_specs_for_consecutive_hits(self, tmp_path):
         # The cache chaos drill arms one spec per retry attempt.
         plan = plan_for(
@@ -128,7 +115,7 @@ class TestFaultPlan:
 class TestActivePlan:
     def test_fault_point_is_noop_without_a_plan(self):
         fault_point("cache.write")
-        fault_point("anything.else", worker_only=True)
+        fault_point("anything.else")
 
     def test_fault_point_uses_the_env_plan(self, monkeypatch):
         monkeypatch.setenv(ENV_PLAN, "demo.point:fail@1")
@@ -146,3 +133,16 @@ class TestActivePlan:
         # ...until an explicit reset re-reads it.
         faults_mod.reset()
         assert faults_mod.active_plan() is not None
+
+    def test_kill_action_is_refused(self, monkeypatch):
+        # Nothing runs in a separate worker any more, so no action
+        # simulates a worker death: the plan is refused when loaded,
+        # and an engine is not built under it.
+        from repro.evaluation import SweepEngine
+
+        monkeypatch.setenv(ENV_PLAN, "cache.write:kill@1")
+        faults_mod.reset()
+        with pytest.raises(ValidationError, match="kill"):
+            faults_mod.active_plan()
+        with pytest.raises(ValidationError, match="kill"):
+            SweepEngine()

@@ -8,8 +8,6 @@ the recovered output is identical to a clean run.
 
 from __future__ import annotations
 
-import os
-
 from repro.ctmc import steady
 from repro.evaluation.cache import PersistentEvaluationCache
 from repro.evaluation.engine import SweepEngine
@@ -22,7 +20,7 @@ FAST_RETRY = RetryPolicy(attempts=3, base_delay=0.0)
 
 
 def arm(monkeypatch, plan: str) -> None:
-    """Arm a REPRO_FAULTS plan for this process (and future forks)."""
+    """Arm a REPRO_FAULTS plan for this process."""
     monkeypatch.setenv(faults_mod.ENV_PLAN, plan)
     faults_mod.reset()
 
@@ -105,24 +103,3 @@ class TestIterativeFallback:
         assert srn_coa() == clean
         assert direct.value == before + 1
 
-
-class TestWorkerKillRecovery:
-    def test_killed_worker_recycles_once_and_results_match(self, monkeypatch):
-        # Arm before the engine exists: SweepEngine materialises the
-        # one-shot token directory in __init__, so forked pool workers
-        # inherit it through the environment.
-        arm(monkeypatch, "worker.chunk:kill@1")
-        designs = list(enumerate_designs(["dns", "web"], max_replicas=2))
-        clean = SweepEngine().evaluate(designs)
-
-        # Workers primed through the pool initializer.
-        engine = SweepEngine(executor="process", max_workers=2)
-        try:
-            recovered = engine.evaluate(designs)
-        finally:
-            state_dir = os.environ.get(faults_mod.ENV_STATE, "")
-            engine.close()
-        assert recovered == clean
-        assert engine.executor.recycle_count == 1
-        # The fault really fired: its one-shot token was claimed.
-        assert state_dir and os.listdir(state_dir) == ["worker.chunk.kill.1"]

@@ -26,7 +26,6 @@ def service():
     created = []
 
     def make(**kwargs) -> tuple[EvaluationService, ServiceClient]:
-        kwargs.setdefault("executor", "serial")
         kwargs.setdefault("max_designs", 32)
         svc = EvaluationService(**kwargs)
         client = svc.start_in_thread()
@@ -412,7 +411,7 @@ class TestLifecycleTimeouts:
             "drain_grace",
         ):
             with pytest.raises(EvaluationError):
-                EvaluationService(executor="serial", **{field: 0})
+                EvaluationService(**{field: 0})
 
     def test_stop_raises_descriptively_when_thread_hangs(self, service):
         svc, client = service(shutdown_timeout=0.3)

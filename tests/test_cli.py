@@ -158,7 +158,36 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--executor", "thread"])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'thread'" in capsys.readouterr().err
+        # serve keeps --executor with one choice; sweep and timeline
+        # have no such option.
+        expected = (
+            "invalid choice: 'thread'"
+            if command == "serve"
+            else "unrecognized arguments: --executor thread"
+        )
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "timeline", "serve"])
+    @pytest.mark.parametrize(
+        "flags",
+        [("--executor", "process"), ("--jobs", "2")],
+        ids=["executor-process", "jobs"],
+    )
+    def test_process_pool_flags_are_gone(self, command, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *flags])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+
+    def test_serve_executor_serial_still_parses(self, monkeypatch):
+        from repro.evaluation.service import EvaluationService
+
+        ran = []
+        monkeypatch.setattr(
+            EvaluationService, "run", lambda self, **kwargs: ran.append(kwargs)
+        )
+        assert main(["serve", "--executor", "serial", "--port", "0"]) == 0
+        assert ran == [{"host": "127.0.0.1", "port": 0}]
 
     def test_sweep_rejects_empty_roles(self, capsys):
         assert main(["sweep", "--roles", " , "]) == 2
@@ -486,34 +515,12 @@ class TestSharedMemoryFlag:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_process_executor_with_sharing(self, capsys):
-        assert (
-            main(
-                [
-                    "sweep",
-                    "--roles",
-                    "dns,web",
-                    "--max-replicas",
-                    "2",
-                    "--json",
-                    "--executor",
-                    "process",
-                    "--jobs",
-                    "2",
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["executor"] == "process"
-        assert payload["design_count"] == 4
-
     def test_help_epilog_documents_sharing(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
         out = capsys.readouterr().out
         assert "closed-form COA" in out
-        assert "pool-initializer arguments" in out
+        assert "solved once per distinct server stack" in out
 
 
 class TestCacheSubcommand:
@@ -669,7 +676,7 @@ class TestShardCli:
         from repro.evaluation.service import EvaluationService
 
         services = [
-            EvaluationService(executor="serial", max_designs=64)
+            EvaluationService(max_designs=64)
             for _ in range(2)
         ]
         try:
@@ -692,7 +699,7 @@ class TestShardCli:
     def test_shard_summary_output(self, capsys):
         from repro.evaluation.service import EvaluationService
 
-        with EvaluationService(executor="serial", max_designs=8) as service:
+        with EvaluationService(max_designs=8) as service:
             service.start_in_thread()
             endpoint = f"{service.address[0]}:{service.address[1]}"
             assert (
@@ -740,7 +747,7 @@ class TestShardCli:
     def _shard_against_serial_service(*arguments: str) -> int:
         from repro.evaluation.service import EvaluationService
 
-        with EvaluationService(executor="serial") as service:
+        with EvaluationService() as service:
             service.start_in_thread()
             endpoint = f"{service.address[0]}:{service.address[1]}"
             return main(["shard", "--endpoints", endpoint, *arguments])
