@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
-from scipy.sparse import linalg as sparse_linalg
 
 from repro.ctmc.chain import Ctmc, State
 from repro.errors import CtmcError, SolverError
@@ -56,6 +55,8 @@ def mean_time_to_absorption(
     mapping over every transient state.  Raises if some transient state
     cannot reach an absorbing state (infinite expectation).
     """
+    from scipy.sparse import linalg as sparse_linalg
+
     transient_idx, _ = _partition(chain)
     q = chain.generator().tocsc().astype(float)
     q_tt = q[np.ix_(transient_idx, transient_idx)]
@@ -90,6 +91,8 @@ def absorption_probabilities(
     start_position = {states[i]: k for k, i in enumerate(transient_idx)}.get(start)
     if start_position is None:
         raise CtmcError(f"start state {start!r} must be transient")
+    from scipy.sparse import linalg as sparse_linalg
+
     q = chain.generator().tocsc().astype(float)
     q_ta = q[np.ix_(transient_idx, absorbing_idx)]
     q_tt = q[np.ix_(transient_idx, transient_idx)]

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import CtmcError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["Ctmc"]
 
@@ -133,6 +136,8 @@ class Ctmc:
 
     def generator(self) -> sparse.csr_matrix:
         """The infinitesimal generator ``Q`` as a CSR sparse matrix."""
+        from scipy import sparse
+
         n = len(self._states)
         if not self._rates:
             return sparse.csr_matrix((n, n))

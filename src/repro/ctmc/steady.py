@@ -41,16 +41,18 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
 
 from repro.ctmc.chain import Ctmc
 from repro.errors import SolverError
 from repro.observability import metrics as _metrics
 from repro.observability import tracing as _tracing
 from repro.resilience.faults import fault_point
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "steady_state",
@@ -201,6 +203,8 @@ def steady_state_power(
 
 def _direct_core(q: sparse.spmatrix) -> np.ndarray:
     """Direct solve given the sparse generator ``Q`` (n >= 2)."""
+    from scipy.sparse import linalg as sparse_linalg
+
     _STEADY_SOLVES.inc(path="direct")
     n = q.shape[0]
     a = q.transpose().tolil()
@@ -226,6 +230,9 @@ def _iterative_core(
     starting vector, avoiding the LU fill-in that makes the direct
     factorisation super-linear at large ``n``.
     """
+    from scipy import sparse
+    from scipy.sparse import linalg as sparse_linalg
+
     fault_point(
         "solver.iterative",
         error=SolverError("injected iterative steady-state failure"),
@@ -336,6 +343,8 @@ def _power_core(
     max_iterations: int = 2_000_000,
 ) -> np.ndarray:
     """Uniformised power iteration given the sparse generator (n >= 2)."""
+    from scipy import sparse
+
     _STEADY_SOLVES.inc(path="power")
     n = q.shape[0]
     max_exit = float(np.max(-q.diagonal())) if n else 0.0
@@ -429,6 +438,8 @@ class BatchSteadySolver:
 
     def generator(self, rates: Sequence[float]) -> sparse.csr_matrix:
         """Assemble the sparse generator for one rate vector."""
+        from scipy import sparse
+
         values = self._values(rates)
         outflow = np.bincount(self._src, weights=values, minlength=self.n)
         data = np.concatenate([values, -outflow])

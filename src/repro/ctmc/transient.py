@@ -40,15 +40,18 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.ctmc.chain import Ctmc, State
 from repro.errors import SolverError
 from repro.observability import metrics as _metrics
 from repro.observability import tracing as _tracing
 from repro.resilience.faults import fault_point
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 _logger = logging.getLogger(__name__)
 
@@ -122,6 +125,8 @@ def transient_distribution(
     *initial* is either a probability vector indexed like
     ``chain.states`` or a mapping from state label to probability.
     """
+    from scipy import sparse
+
     if time < 0:
         raise SolverError(f"time must be >= 0, got {time}")
     pi0 = _initial_vector(chain, initial)
@@ -255,6 +260,8 @@ class BatchTransientSolver:
         return solver
 
     def _init_from_generator(self, q: sparse.csr_matrix) -> None:
+        from scipy import sparse
+
         max_exit = float(np.max(-q.diagonal())) if self.n else 0.0
         self._block = 1
         self._powers = None

@@ -16,9 +16,10 @@ is first loaded.
 
 Each armed spec fires **exactly once per plan**, across all processes:
 the first process to load the plan materialises a token directory
-(``REPRO_FAULTS_STATE``), processes it starts inherit it through the
-environment, and firing requires winning an ``O_CREAT | O_EXCL`` claim
-on the spec's token file.  That one-shot guarantee is what lets chaos
+(``REPRO_FAULTS_STATE``) and removes it when it exits, processes it
+starts inherit it through the environment and leave it alone, and
+firing requires winning an ``O_CREAT | O_EXCL`` claim on the spec's
+token file.  That one-shot guarantee is what lets chaos
 tests assert byte-identical output — the fault fires, the recovery
 path (retry, degrade, fallback, failover) runs once, and the
 re-executed work proceeds unfaulted.
@@ -39,7 +40,9 @@ and a ``None`` check — effectively free on hot paths.
 
 from __future__ import annotations
 
+import atexit
 import os
+import shutil
 import tempfile
 import threading
 from dataclasses import dataclass
@@ -124,9 +127,10 @@ class FaultPlan:
         if not state_dir:
             # First process to activate the plan owns the token dir;
             # exporting it lets the processes it starts share the
-            # one-shot state.
+            # one-shot state, and the owner removes it at exit.
             state_dir = tempfile.mkdtemp(prefix="repro-faults-")
             os.environ[ENV_STATE] = state_dir
+            atexit.register(_remove_state_dir, state_dir, os.getpid())
         return cls(specs, state_dir)
 
     def _claim(self, spec: FaultSpec) -> bool:
@@ -159,6 +163,13 @@ class FaultPlan:
             raise error if error is not None else FaultInjected(
                 f"fault injected at {point} (hit {hit})"
             )
+
+
+def _remove_state_dir(path: str, owner: int) -> None:
+    """Remove a token directory at exit, in the process that made it
+    (a forked child inherits the exit hook but not the ownership)."""
+    if os.getpid() == owner:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 _ACTIVE: FaultPlan | None = None

@@ -3,21 +3,31 @@
 State-space construction follows the standard GSPN recipe: breadth-first
 exploration from the initial marking, classifying each marking as
 *tangible* (no immediate transition enabled) or *vanishing*.  Vanishing
-markings are then eliminated with the matrix method, which also copes
-with cycles of immediate transitions:
+markings are then eliminated with the matrix method:
 
-    R_eff = R_tt + R_tv (I - P_vv)^{-1} P_vt
+    R_eff = R_tt + R_tv Y,    Y = (I - P_vv)^{-1} P_vt
 
 where ``R_tt``/``R_tv`` hold timed rates from tangible markings into
 tangible/vanishing successors and ``P_vv``/``P_vt`` hold immediate
-branching probabilities.  ``I - P_vv`` is assembled as a sparse CSC
-matrix and LU-factored once (SuperLU, COLAMD ordering); ``P_vt`` is then
-solved against that one factor in dense blocks of ``_SOLVE_CHUNK``
-columns, so the work array is ``n_v x _SOLVE_CHUNK`` floats whatever the
-tangible count, and only the non-zeros of each solved block are kept.
-A singular ``I - P_vv`` indicates a *timeless trap* (a set of vanishing
-markings that can never reach a tangible one) and raises
-:class:`repro.errors.SrnError`.
+branching probabilities.  ``Y[v, t]`` is the probability that vanishing
+marking ``v`` first reaches tangible marking ``t``.  Which solve runs
+depends on the vanishing graph (the non-zeros of ``P_vv``):
+
+* **acyclic** (the server SRN and most nets): back-substitution in
+  reverse topological order, ``Y[v] = P_vt[v] + sum_w P_vv[v, w] Y[w]``
+  over the successors ``w`` of ``v`` in arc order, each row built once
+  from finished rows.  No scipy is imported.
+* **cyclic**: ``I - P_vv`` is assembled as a sparse CSC matrix and
+  LU-factored once (SuperLU, COLAMD ordering); ``P_vt`` is then solved
+  against that one factor in dense blocks of ``_SOLVE_CHUNK`` columns,
+  so the work array is ``n_v x _SOLVE_CHUNK`` floats whatever the
+  tangible count.  A singular ``I - P_vv`` indicates a *timeless trap*
+  (a set of vanishing markings that can never reach a tangible one).
+
+Both give ``Y`` as one plain CSR array triple ``(indptr, indices,
+data)``, columns ascending within a row and exact zeros dropped, and
+both raise :class:`repro.errors.SrnError` for a dead vanishing marking,
+non-finite entries or a row of ``Y`` summing below ``1 - 1e-6``.
 
 The elimination is recorded as terms ``(key, edge, probability)``: each
 effective rate ``R_eff[i, j]`` is the sum, in one fixed walk order, of
@@ -36,16 +46,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
 
 from repro.ctmc import Ctmc
 from repro.errors import SrnError, StateSpaceError
 from repro.observability import metrics, tracing
 from repro.srn.marking import Marking
 from repro.srn.net import StochasticRewardNet, TransitionKind
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["ReachabilityGraph", "explore", "exploration_count"]
 
@@ -54,6 +66,11 @@ DEFAULT_MAX_MARKINGS = 200_000
 #: Columns of ``P_vt`` solved per call against the factor of
 #: ``I - P_vv``; bounds the dense work array at ``n_v x _SOLVE_CHUNK``.
 _SOLVE_CHUNK = 256
+
+#: A sparse matrix as plain CSR arrays ``(indptr, indices, data)``: row
+#: ``r`` stores its columns, ascending, in ``indices[indptr[r]:indptr[r +
+#: 1]]`` and their values in ``data``; exact zeros are not stored.
+_Csr = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: Process-wide count of reachability explorations, incremented by
 #: :func:`explore`.  Benchmarks diff it around a sweep to count the
@@ -161,6 +178,8 @@ class ReachabilityGraph:
         accumulates in, so the floats match), self-loops are dropped and
         the diagonal is the negated row outflow.
         """
+        from scipy import sparse
+
         n = len(self.tangible)
         if not self.rates:
             return sparse.csr_matrix((n, n))
@@ -323,7 +342,7 @@ def _eliminate_vanishing(
     y = (
         _absorption(markings, is_vanishing, edges, tangible_pos, vanishing_pos)
         if n_v
-        else sparse.csr_matrix((0, n_t))
+        else (np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
     )
     # An edge into a vanishing marking fans out over the stored
     # non-zeros of its row of Y; any other edge is one term.
@@ -335,7 +354,9 @@ def _eliminate_vanishing(
     # Initial distribution (handles a vanishing initial marking).
     initial = np.zeros(n_t)
     if is_vanishing[0]:
-        initial[:] = y.getrow(vanishing_pos[0]).toarray().ravel()
+        indptr, indices, data = y
+        row = slice(indptr[vanishing_pos[0]], indptr[vanishing_pos[0] + 1])
+        initial[indices[row]] = data[row]
     else:
         initial[tangible_pos[0]] = 1.0
     return ReachabilityGraph(
@@ -358,7 +379,7 @@ def _absorption(
     edges: list[list[tuple[int, float]]],
     tangible_pos: dict[int, int],
     vanishing_pos: dict[int, int],
-) -> sparse.csr_matrix:
+) -> _Csr:
     """``Y = (I - P_vv)^-1 P_vt``: ``Y[v, t]`` is the probability that
     vanishing marking ``v`` first reaches tangible marking ``t``."""
     n_t, n_v = len(tangible_pos), len(vanishing_pos)
@@ -383,6 +404,99 @@ def _absorption(
                 key = (row, tangible_pos[dst])
                 p_vt[key] = p_vt.get(key, 0.0) + probability
 
+    order = _successors_first(n_v, p_vv)
+    if order is None:
+        y = _factor_solve(p_vv, p_vt, n_v, n_t)
+    else:
+        y = _back_substitute(order, p_vv, p_vt, n_v, n_t)
+    indptr, _, data = y
+    if not np.all(np.isfinite(data)):
+        raise SrnError("vanishing elimination produced non-finite probabilities")
+    row_sums = np.bincount(
+        np.repeat(np.arange(n_v), np.diff(indptr)), weights=data, minlength=n_v
+    )
+    if np.any(row_sums < 1.0 - 1e-6):
+        raise SrnError(
+            "timeless trap: some vanishing marking reaches a tangible "
+            "marking with probability < 1"
+        )
+    return y
+
+
+def _successors_first(
+    n_v: int, p_vv: dict[tuple[int, int], float]
+) -> list[int] | None:
+    """The vanishing rows in reverse topological order (every row after
+    its successors), or ``None`` when ``P_vv`` has a cycle."""
+    predecessors: list[list[int]] = [[] for _ in range(n_v)]
+    pending = [0] * n_v
+    for row, col in p_vv:
+        predecessors[col].append(row)
+        pending[row] += 1
+    order = [row for row in range(n_v) if not pending[row]]
+    for row in order:  # grows while it is walked
+        for predecessor in predecessors[row]:
+            pending[predecessor] -= 1
+            if not pending[predecessor]:
+                order.append(predecessor)
+    return order if len(order) == n_v else None
+
+
+def _back_substitute(
+    order: list[int],
+    p_vv: dict[tuple[int, int], float],
+    p_vt: dict[tuple[int, int], float],
+    n_v: int,
+    n_t: int,
+) -> _Csr:
+    """Y of an acyclic ``P_vv`` by back-substitution, successors first:
+    ``Y[v] = P_vt[v] + sum_w P_vv[v, w] Y[w]``."""
+    successors: list[list[tuple[int, float]]] = [[] for _ in range(n_v)]
+    for (row, col), probability in p_vv.items():
+        successors[row].append((col, probability))
+    rhs_rows, rhs_cols, rhs_values = _triplets(p_vt)
+    by_row = np.argsort(rhs_rows, kind="stable")
+    bounds = np.searchsorted(rhs_rows[by_row], np.arange(n_v + 1))
+    rows: list = [None] * n_v  # (columns, values) of each finished row
+    work = np.zeros(n_t)
+    for v in order:
+        direct = by_row[bounds[v] : bounds[v + 1]]
+        columns = [rhs_cols[direct]]
+        work[columns[0]] = rhs_values[direct]
+        for w, probability in successors[v]:
+            cols, vals = rows[w]
+            work[cols] += probability * vals
+            columns.append(cols)
+        # The row's columns, ascending; a column reached twice is kept
+        # once, and an exact zero not at all.
+        cols = np.concatenate(columns)
+        cols.sort()
+        vals = work[cols]
+        work[cols] = 0.0
+        keep = vals != 0.0
+        keep[1:] &= cols[1:] != cols[:-1]
+        rows[v] = (cols[keep], vals[keep])
+    counts = np.array([len(cols) for cols, _ in rows], dtype=np.intp)
+    indptr = np.zeros(n_v + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    return (
+        indptr,
+        np.concatenate([cols for cols, _ in rows]),
+        np.concatenate([vals for _, vals in rows]),
+    )
+
+
+def _factor_solve(
+    p_vv: dict[tuple[int, int], float],
+    p_vt: dict[tuple[int, int], float],
+    n_v: int,
+    n_t: int,
+) -> _Csr:
+    """Y of a cyclic ``P_vv``: one sparse LU factor of ``I - P_vv``,
+    solved against ``P_vt`` in dense blocks of ``_SOLVE_CHUNK`` columns."""
+    from scipy import sparse
+    from scipy.sparse import linalg as sparse_linalg
+
     # I - P_vv as CSC, straight from its triplets.
     entries = {(v, v): 1.0 for v in range(n_v)}
     for key, probability in p_vv.items():
@@ -397,7 +511,6 @@ def _absorption(
             f"tangible marking ({exc})"
         ) from exc
 
-    # Solve (I - P_vv) Y = P_vt  =>  Y[v, t] = P(eventually reach t | start v).
     # Each block of P_vt columns is solved densely against the one
     # factor and only its non-zeros are kept, so Y stays sparse and the
     # work array is n_v x _SOLVE_CHUNK.  Each column gets the same solve
@@ -407,38 +520,30 @@ def _absorption(
     y_rows: list[np.ndarray] = []
     y_cols: list[np.ndarray] = []
     y_data: list[np.ndarray] = []
-    row_sums = np.zeros(n_v)
     for start in range(0, n_t, _SOLVE_CHUNK):
         stop = min(start + _SOLVE_CHUNK, n_t)
         in_block = (rhs_cols >= start) & (rhs_cols < stop)
         block = np.zeros((n_v, stop - start), order="F")
         block[rhs_rows[in_block], rhs_cols[in_block] - start] = rhs_values[in_block]
         block = factor.solve(block)
-        if not np.all(np.isfinite(block)):
-            raise SrnError(
-                "vanishing elimination produced non-finite probabilities"
-            )
-        row_sums += block.sum(axis=1)
         nonzero_rows, nonzero_cols = np.nonzero(block)
         y_rows.append(nonzero_rows)
         y_cols.append(nonzero_cols + start)
         y_data.append(block[nonzero_rows, nonzero_cols])
-    if np.any(row_sums < 1.0 - 1e-6):
-        raise SrnError(
-            "timeless trap: some vanishing marking reaches a tangible "
-            "marking with probability < 1"
-        )
-    return sparse.csr_matrix(
-        (np.concatenate(y_data), (np.concatenate(y_rows), np.concatenate(y_cols))),
-        shape=(n_v, n_t),
-    )
+    # Blocks hold ascending column ranges, so a stable sort by row keeps
+    # each row's columns ascending.
+    rows = np.concatenate(y_rows)
+    by_row = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n_v + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n_v), out=indptr[1:])
+    return indptr, np.concatenate(y_cols)[by_row], np.concatenate(y_data)[by_row]
 
 
 def _terms(
     sources: np.ndarray,
     targets: np.ndarray,
     via: np.ndarray,
-    y: sparse.csr_matrix,
+    y: _Csr,
     n_t: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(edge, key, probability)`` arrays of the elimination, in walk order.
@@ -448,17 +553,18 @@ def _terms(
     of *y* where ``via[e]`` is set, fanned out over that row's stored
     non-zeros in storage order.
     """
+    indptr, indices, data = y
     count = len(sources)
     fan_out = np.ones(count, dtype=np.intp)
-    fan_out[via] = np.diff(y.indptr)[targets[via]]
+    fan_out[via] = np.diff(indptr)[targets[via]]
     term_edges = np.repeat(np.arange(count), fan_out)
     fanned = via[term_edges]
     rank = np.arange(len(term_edges)) - (np.cumsum(fan_out) - fan_out)[term_edges]
-    stored = y.indptr[targets[term_edges[fanned]]] + rank[fanned]
+    stored = indptr[targets[term_edges[fanned]]] + rank[fanned]
     columns = targets[term_edges]
-    columns[fanned] = y.indices[stored]
+    columns[fanned] = indices[stored]
     probabilities = np.ones(len(term_edges))
-    probabilities[fanned] = y.data[stored]
+    probabilities[fanned] = data[stored]
     return term_edges, sources[term_edges] * n_t + columns, probabilities
 
 

@@ -14,7 +14,9 @@ def cyclic_nets(draw):
 
     The ring guarantees liveness and irreducibility; extra chords add
     conflict and branching.  Some transitions are immediate, exercising
-    vanishing-marking elimination.
+    vanishing-marking elimination.  Immediate chords only point forward,
+    so every net drawn has an acyclic vanishing graph: its elimination
+    is the back-substitution, never the sparse factor.
     """
     n = draw(st.integers(min_value=2, max_value=6))
     net = StochasticRewardNet("random")

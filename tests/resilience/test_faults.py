@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.errors import FaultInjected, ValidationError
 from repro.resilience import FaultPlan, fault_point
@@ -146,3 +151,45 @@ class TestActivePlan:
             faults_mod.active_plan()
         with pytest.raises(ValidationError, match="kill"):
             SweepEngine()
+
+
+class TestStateDirectoryLifetime:
+    """The process that creates the token directory removes it at exit;
+    a process that inherited it leaves it for its owner."""
+
+    SCRIPT = (
+        "import os\n"
+        "from repro.resilience import fault_point\n"
+        "from repro.errors import FaultInjected\n"
+        "try:\n"
+        "    fault_point('demo.point')\n"
+        "except FaultInjected:\n"
+        "    pass\n"
+        "print(os.environ['REPRO_FAULTS_STATE'])\n"
+    )
+
+    def _child(self, **environ: str) -> str:
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+            **environ,
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    def test_owner_removes_its_directory_at_exit(self):
+        state = self._child(**{ENV_PLAN: "demo.point:fail@1"})
+        assert os.path.basename(state).startswith("repro-faults-")
+        assert not os.path.exists(state)
+
+    def test_inherited_directory_is_left_alone(self, tmp_path):
+        state = self._child(
+            **{ENV_PLAN: "demo.point:fail@1", ENV_STATE: str(tmp_path)}
+        )
+        assert state == str(tmp_path)
+        # The child fired the fault, so its claimed token is still there.
+        assert os.listdir(tmp_path) == [FaultSpec.parse("demo.point:fail@1").token]

@@ -231,13 +231,17 @@ class TestSparseGenerator:
         np.testing.assert_allclose(rows, 0.0, atol=0.0)
 
 
-def _two_pool_net(n):
+def _two_pool_net(n, retry=False):
     """Two pools of *n* tokens whose failures pass through vanishing markings.
 
     A failed token lands in its pool's ``mid`` place, from which it
     settles (weight 1) or knocks a token of the other pool into that
     pool's ``mid`` place (weight 2), so chains of vanishing markings
-    form.  (n+1)^2 tangible and 2n(n+1) vanishing markings.
+    form.  (n+1)^2 tangible and 2n(n+1) vanishing markings, and an
+    acyclic vanishing graph.  With *retry*, a token in ``mid`` may also
+    move to a ``wait`` place (weight 1), from which it returns to
+    ``mid`` or settles (weight 1 each): every vanishing marking then
+    lies on a cycle with an exit.
     """
     net = StochasticRewardNet(f"two-pool-{n}")
     pools = (("x", "y", 1.0), ("y", "x", 1.5))
@@ -245,6 +249,8 @@ def _two_pool_net(n):
         net.add_place(f"{pool}_up", tokens=n)
         net.add_place(f"{pool}_down")
         net.add_place(f"{pool}_mid")
+        if retry:
+            net.add_place(f"{pool}_wait")
     for pool, other, rate in pools:
         up, down, mid = f"{pool}_up", f"{pool}_down", f"{pool}_mid"
         net.add_timed_transition(
@@ -265,6 +271,14 @@ def _two_pool_net(n):
         net.add_arc(f"{other}_up", f"{pool}_pass")
         net.add_arc(f"{pool}_pass", down)
         net.add_arc(f"{pool}_pass", f"{other}_mid")
+        if retry:
+            wait = f"{pool}_wait"
+            for name, src, dst in (
+                ("hold", mid, wait), ("retry", wait, mid), ("drop", wait, down)
+            ):
+                net.add_immediate_transition(f"{pool}_{name}", weight=1.0)
+                net.add_arc(src, f"{pool}_{name}")
+                net.add_arc(f"{pool}_{name}", dst)
     return net
 
 
@@ -348,12 +362,49 @@ class TestEliminationOracle:
         _assert_matches_dense_oracle(net)
 
     def test_block_width_does_not_change_rates(self, monkeypatch):
-        net = _two_pool_net(30)
+        # Retry cycles keep this net on the factor path, the only one
+        # that solves in blocks.
+        net = _two_pool_net(30, retry=True)
+        factor_solve = reachability._factor_solve
+        factored = []
+        monkeypatch.setattr(
+            reachability,
+            "_factor_solve",
+            lambda *args: factored.append(args) or factor_solve(*args),
+        )
         graphs = []
         for chunk in (1, 7, reachability._SOLVE_CHUNK):
             monkeypatch.setattr(reachability, "_SOLVE_CHUNK", chunk)
             graphs.append(explore(net))
+        assert len(factored) == 3
         assert graphs[0].number_of_states == 961 > reachability._SOLVE_CHUNK
-        assert graphs[0].vanishing_count == 1860
+        assert graphs[0].vanishing_count == 3720
         for graph in graphs[1:]:
             assert list(graph.rates.items()) == list(graphs[0].rates.items())
+
+    def test_factor_matches_back_substitution(self, monkeypatch):
+        """On acyclic nets the sparse factor gives the back-substitution's
+        graph bit for bit, so either path may eliminate them."""
+        nets = [
+            build_server_srn(parameters)
+            for parameters in paper_server_parameters().values()
+        ] + [_two_pool_net(n) for n in (1, 5, 20)]
+        substituted = [explore(net) for net in nets]
+        monkeypatch.setattr(reachability, "_successors_first", lambda *args: None)
+        for net, expected in zip(nets, substituted):
+            graph = explore(net)
+            assert list(graph.rates.items()) == list(expected.rates.items())
+            for name in ("term_edges", "term_keys", "term_probabilities"):
+                assert np.array_equal(getattr(graph, name), getattr(expected, name))
+            assert np.array_equal(
+                graph.initial_distribution, expected.initial_distribution
+            )
+
+    def test_acyclic_nets_skip_the_factor(self, monkeypatch):
+        monkeypatch.setattr(
+            reachability,
+            "_factor_solve",
+            mock.Mock(side_effect=AssertionError("factored an acyclic net")),
+        )
+        graph = explore(_two_pool_net(30))
+        assert (graph.number_of_states, graph.vanishing_count) == (961, 1860)
