@@ -156,8 +156,17 @@ class Ctmc:
         return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
     def dense_generator(self) -> np.ndarray:
-        """The generator as a dense array (small chains only)."""
-        return self.generator().toarray()
+        """The generator as a dense array (small chains only).
+
+        Equal to ``generator().toarray()``, diagonal sums included (each
+        row subtracts its rates in the same order), without scipy.
+        """
+        n = len(self._states)
+        dense = np.zeros((n, n))
+        for (i, j), rate in self._rates.items():
+            dense[i, j] = rate
+            dense[i, i] -= rate
+        return dense
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (

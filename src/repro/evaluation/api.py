@@ -64,6 +64,7 @@ __all__ = [
     "iter_space",
     "shard_of",
     "pareto_flags",
+    "response_bytes",
     "sweep_response",
     "timeline_response",
 ]
@@ -782,3 +783,132 @@ def pareto_flags(design_payloads: Sequence[dict]) -> list[bool]:
 def canonical_json(payload: dict) -> str:
     """The dedup fingerprint of a canonicalised request dict."""
     return json.dumps(payload, sort_keys=True, default=str)
+
+
+# -- the response body --------------------------------------------------------
+
+_escape = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+#: json's spellings of the non-finite floats, keyed by ``float.__repr__``
+#: (no finite float's repr holds an ``n``).
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = _float_repr(value)
+    return _NON_FINITE[text] if "n" in text else text
+
+
+def response_bytes(payload: object) -> bytes:
+    """The ``/v1`` body of *payload*: ``json.dumps(payload, indent=2)``
+    plus a newline, as UTF-8 bytes.
+
+    The output equals json's byte for byte (the test suite checks it on
+    generated payloads), and ``TypeError`` comes where json raises it.
+    json's indenting encoder is pure Python and writes one float at a
+    time; this one writes a list of floats, the bulk of a timeline, with
+    one ``str.join``.  Payloads are trees: a cycle recurses until
+    ``RecursionError`` instead of json's ``ValueError``.
+    """
+    parts: list[str] = []
+    _write(payload, parts.append, "\n")
+    parts.append("\n")
+    return "".join(parts).encode()
+
+
+def _write(value, append, newline: str) -> None:
+    """Append the text of *value*, nested where *newline* indents."""
+    if isinstance(value, str):
+        append(_escape(value))
+    elif value is None:
+        append("null")
+    elif value is True:
+        append("true")
+    elif value is False:
+        append("false")
+    elif isinstance(value, int):
+        append(_int_repr(value))
+    elif isinstance(value, float):
+        append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        _write_list(value, append, newline)
+    elif isinstance(value, dict):
+        _write_dict(value, append, newline)
+    else:
+        raise TypeError(
+            f"Object of type {value.__class__.__name__} is not JSON serializable"
+        )
+
+
+def _write_list(items, append, newline: str) -> None:
+    if not items:
+        append("[]")
+        return
+    inner = newline + "  "
+    separator = "," + inner
+    if isinstance(items[0], float):
+        try:
+            text = separator.join(map(_float_repr, items))
+        except TypeError:  # not all floats: write one item at a time
+            pass
+        else:
+            if "n" in text:
+                text = separator.join(map(_float_text, items))
+            append("[" + inner + text + newline + "]")
+            return
+    lead = "[" + inner
+    for value in items:
+        append(lead)
+        lead = separator
+        _write(value, append, inner)
+    append(newline + "]")
+
+
+def _write_dict(mapping, append, newline: str) -> None:
+    if not mapping:
+        append("{}")
+        return
+    inner = newline + "  "
+    separator = "," + inner
+    lead = "{" + inner
+    for key, value in mapping.items():
+        if isinstance(key, str):
+            pass
+        elif isinstance(key, float):
+            key = _float_text(key)
+        elif key is True:
+            key = "true"
+        elif key is False:
+            key = "false"
+        elif key is None:
+            key = "null"
+        elif isinstance(key, int):
+            key = _int_repr(key)
+        else:
+            raise TypeError(
+                "keys must be str, int, float, bool or None, "
+                f"not {key.__class__.__name__}"
+            )
+        append(lead)
+        lead = separator
+        append(_escape(key))
+        append(": ")
+        # Scalars inline: a sweep payload is mostly dicts of numbers.
+        if isinstance(value, float):
+            text = _float_repr(value)
+            append(_NON_FINITE[text] if "n" in text else text)
+        elif isinstance(value, str):
+            append(_escape(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(_int_repr(value))
+        else:
+            _write(value, append, inner)
+    append(newline + "}")

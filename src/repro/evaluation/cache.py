@@ -26,7 +26,11 @@ across threads: the connection is opened with
 ``check_same_thread=False`` and an internal lock serialises every
 statement-and-commit pair, so interleaved ``get``/``put``/maintenance
 calls from a multi-threaded service (``repro serve``) never observe a
-half-committed write or a cross-thread sqlite error.  Multiple
+half-committed write or a cross-thread sqlite error.  A batch of
+entries (:meth:`~PersistentEvaluationCache.put_many`; the sweep engine
+writes each finished chunk this way) is one transaction: one
+statement, one trim and one commit, so a chunk costs one commit, not
+one per design.  Multiple
 *processes* may also share one cache file — each opens its own
 instance: the database runs in WAL journal mode (readers never block
 the writer) with a busy timeout, so a contended write retries for up to
@@ -61,7 +65,7 @@ import logging
 import pickle
 import sqlite3
 import threading
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterable
 from contextlib import contextmanager
 
 from repro import observability
@@ -388,17 +392,29 @@ class PersistentEvaluationCache:
     def put(self, scope: str, key: str, value: object) -> None:
         """Store (or replace) *value* under ``(scope, key)``.
 
-        When size bounds are configured, least-recently-used entries are
-        evicted until the store fits again.  Contended writes retry
-        under the cache's :class:`~repro.resilience.RetryPolicy`;
-        persistent contention degrades the instance to memory-only and
-        the write lands in the fallback dict instead of failing.
+        The one-item case of :meth:`put_many`.
         """
-        payload = pickle.dumps(value, protocol=4)
+        self.put_many(scope, [(key, value)])
+
+    def put_many(self, scope: str, items: Iterable[tuple[str, object]]) -> None:
+        """Store (or replace) each ``(key, value)`` of *items* under *scope*.
+
+        The items are written in one transaction: one statement, one
+        trim, one commit.  Later items are more recent, as if put one
+        by one.  When size bounds are configured, least-recently-used
+        entries are evicted until the store fits again.  Contended
+        writes retry under the cache's
+        :class:`~repro.resilience.RetryPolicy`; persistent contention
+        degrades the instance to memory-only and the items land in the
+        fallback dict instead of failing.
+        """
+        rows = [(key, pickle.dumps(value, protocol=4)) for key, value in items]
+        if not rows:
+            return
         if not self._degraded:
             try:
                 self.retry_policy.call(
-                    lambda: self._put_row(scope, key, payload),
+                    lambda: self._put_rows(scope, rows),
                     retry_on=(sqlite3.OperationalError,),
                     should_retry=self._is_contention,
                     before_retry=self._rollback,
@@ -410,27 +426,26 @@ class PersistentEvaluationCache:
                     ) from exc
                 self._degrade("put", exc)
             else:
-                _DISK_WRITES.inc()
-                _logger.debug(
-                    "cached %d-byte payload under (%s, %s…)",
-                    len(payload),
-                    scope,
-                    key[:16],
-                )
+                _DISK_WRITES.inc(len(rows))
+                _logger.debug("cached %d payload(s) under scope %s", len(rows), scope)
                 return
-        self._fallback[(scope, key)] = payload
+        for key, payload in rows:
+            self._fallback[(scope, key)] = payload
 
-    def _put_row(self, scope: str, key: str, payload: bytes) -> None:
+    def _put_rows(self, scope: str, rows: list[tuple[str, bytes]]) -> None:
         with self._locked("put"):
             fault_point(
                 "cache.write",
                 error=sqlite3.OperationalError("database is locked (injected)"),
             )
-            self._conn.execute(
+            self._conn.executemany(
                 "INSERT OR REPLACE INTO entries "
                 "(scope, key, payload, used_seq, size_bytes) "
                 "VALUES (?, ?, ?, ?, ?)",
-                (scope, key, sqlite3.Binary(payload), self._next_seq(), len(payload)),
+                [
+                    (scope, key, payload, self._next_seq(), len(payload))
+                    for key, payload in rows
+                ],
             )
             self._trim_locked(self.max_entries, self.max_bytes)
             self._conn.commit()

@@ -18,7 +18,8 @@ Caching / batching contract
   (specs are hashable value objects; a timeline's params are its time
   grid and campaign).  Re-sweeping an overlapping space only pays for
   the results not seen before; ``clear_cache()`` resets it.  An
-  optional sqlite tier sits behind the memo.
+  optional sqlite tier sits behind the memo; each finished chunk is
+  written to it in one transaction.
 * **Chunked, incremental dispatch.**  Uncached designs are split into
   contiguous chunks; one in-process loop evaluates them in turn and
   memoises each chunk's results as it finishes, so a call stopped by a
@@ -255,7 +256,8 @@ class SweepEngine:
 
         Memo hits are free, disk hits are promoted into the memo, and
         the distinct remaining designs are dispatched in chunks whose
-        results are memoised (and written to disk) as each arrives.
+        results are memoised (and written to disk, one transaction per
+        chunk) as each arrives.
         Every result answers for the design this call asked for.
         """
         pending: list[DesignSpec] = []
@@ -289,12 +291,14 @@ class SweepEngine:
             ):
                 for result in chunk_result:
                     self._memo[(kind, result.design, params)] = result
-                    if self.persistent_cache is not None:
-                        self.persistent_cache.put(
-                            kind,
-                            self._disk_key(kind, result.design, params),
-                            result,
-                        )
+                if self.persistent_cache is not None:
+                    self.persistent_cache.put_many(
+                        kind,
+                        [
+                            (self._disk_key(kind, result.design, params), result)
+                            for result in chunk_result
+                        ],
+                    )
                 if progress is not None:
                     progress(list(chunk_result))
         return [

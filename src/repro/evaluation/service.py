@@ -89,12 +89,17 @@ Request semantics
   400, not a queue entry.
 * **Dedup.**  Requests are canonicalised (defaults filled, grids
   resolved) and fingerprinted; identical in-flight requests share one
-  computation — one engine call, many responders.  Completed responses
-  are kept in a small FIFO memory, so repeats are served without
+  computation — one engine call, many responders.  The lane thread
+  encodes a plain answer once, as its job completes
+  (:func:`~repro.evaluation.api.response_bytes`), so every responder
+  and the event loop only write the bytes.  Completed bodies are kept
+  in a small FIFO memory bounded by count
+  (:data:`_MAX_REMEMBERED_RESPONSES`) and by summed size
+  (:data:`_MAX_REMEMBERED_BYTES`), so repeats are served without
   touching any lane; behind both sit the engines' in-memory memos and
   (when configured) the thread-safe sqlite store of
   :mod:`repro.evaluation.cache`.  Streaming and deadline-bearing
-  requests are always computed fresh.
+  requests are always computed fresh and never remembered.
 * **Resilience.**
 
   * **Deadlines.**  ``deadline_ms`` is a monotonic budget started at
@@ -138,6 +143,7 @@ from repro.errors import (
 )
 from repro.evaluation import api
 from repro.evaluation.api import sweep_response, timeline_response
+from repro.observability import tracing
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import RetryPolicy
 
@@ -256,6 +262,10 @@ DEFAULT_LANES = 4
 #: fallen-out entry recomputes through the engine memo, still cheap).
 _MAX_REMEMBERED_RESPONSES = 128
 
+#: Bound on the summed size of the remembered bodies.  The oldest go
+#: first; a body larger than the bound is served but not remembered.
+_MAX_REMEMBERED_BYTES = 64 << 20
+
 #: Hard cap on request body size (a design-space spec is tiny).
 _MAX_BODY_BYTES = 1 << 20
 
@@ -301,6 +311,15 @@ def _reject_constant(name: str):
 def _ndjson(obj) -> bytes:
     """One compact NDJSON line (the streaming wire format)."""
     return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
+
+
+def _encoded(job, engine, checkpoint=None) -> bytes:
+    """Run *job* and encode its answer, both on the lane thread."""
+    payload = job(engine, checkpoint=checkpoint)
+    with tracing.span("service:encode") as sp:
+        body = api.response_bytes(payload)
+        sp.add(bytes=len(body))
+    return body
 
 
 class _UnreadableRequest(Exception):
@@ -735,7 +754,7 @@ class EvaluationService:
         self.engine = self._new_engine(case_study, diversity_database())
         self._lanes = LanePool(lanes, self.engine)
         self._inflight: dict[str, asyncio.Future] = {}
-        self._responses: dict[str, dict] = {}
+        self._responses: dict[str, bytes] = {}
         self._draining = False
         self._active_requests = 0
         #: Open client transports, so a forced stop can sever them
@@ -948,13 +967,16 @@ class EvaluationService:
                 status, payload = 500, api.error_payload(
                     api.ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
                 )
-            if isinstance(payload, str):
+            content_type = "application/json"
+            if isinstance(payload, bytes):
+                # An answer encoded on its lane.
+                body = payload
+            elif isinstance(payload, str):
                 # Pre-rendered text (the Prometheus exposition).
                 body = payload.encode()
                 content_type = _PROMETHEUS_CONTENT_TYPE
             else:
-                body = (json.dumps(payload, indent=2) + "\n").encode()
-                content_type = "application/json"
+                body = api.response_bytes(payload)
             header_lines = "".join(
                 f"{name}: {value}\r\n" for name, value in extra_headers.items()
             )
@@ -1103,8 +1125,12 @@ class EvaluationService:
                 return rejected
             future = loop.create_future()
             self._inflight[key] = future
-            submit = self._lane_submit(req, job)
-            loop.create_task(self._compute_job(key, submit, future))
+            submit = self._lane_submit(req, partial(_encoded, job))
+            # A deadline request's key is unique: no later request can
+            # hit its answer, so it is not remembered.
+            loop.create_task(
+                self._compute_job(key, submit, future, remember=deadline is None)
+            )
         try:
             if deadline is None:
                 response = await future
@@ -1176,9 +1202,13 @@ class EvaluationService:
         return None
 
     async def _compute_job(
-        self, key: str, submit, future: asyncio.Future, remember: bool = True
+        self, key: str, submit, future: asyncio.Future, remember: bool
     ) -> None:
-        """Queue the job on its lane; fan the settled result out."""
+        """Queue the job on its lane; fan the settled result out.
+
+        With *remember*, a successful answer also goes to the response
+        memory.
+        """
         try:
             lane_future = submit()
             response = await asyncio.wrap_future(lane_future)
@@ -1500,10 +1530,17 @@ class EvaluationService:
             timelines,
         )
 
-    def _remember(self, key: str, response: dict) -> None:
-        while len(self._responses) >= _MAX_REMEMBERED_RESPONSES:
-            self._responses.pop(next(iter(self._responses)))
-        self._responses[key] = response
+    def _remember(self, key: str, body: bytes) -> None:
+        """Keep *body* for repeats, oldest out first, within both bounds."""
+        if len(body) > _MAX_REMEMBERED_BYTES:
+            return
+        held = sum(map(len, self._responses.values()))
+        while self._responses and (
+            len(self._responses) >= _MAX_REMEMBERED_RESPONSES
+            or held + len(body) > _MAX_REMEMBERED_BYTES
+        ):
+            held -= len(self._responses.pop(next(iter(self._responses))))
+        self._responses[key] = body
 
     # -- observability ------------------------------------------------------
 

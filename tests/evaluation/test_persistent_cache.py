@@ -307,6 +307,66 @@ class TestCacheBoundsAndMaintenance:
         assert context_fingerprint("ctx") != baseline
 
 
+class TestChunkWrites:
+    """``put_many``: one transaction per chunk, as if put one by one."""
+
+    def test_fresh_timeline_commits_its_writes_once(self, tmp_path):
+        from repro.evaluation import api
+        from repro.evaluation.timeline import default_time_grid
+
+        engine = SweepEngine(cache_path=tmp_path / "cache.sqlite")
+        statements: list[str] = []
+        engine.persistent_cache._conn.set_trace_callback(statements.append)
+        designs = api.enumerate_space(
+            api.SpaceSpec(roles=("dns", "web", "app"), max_replicas=2)
+        )
+        assert len(designs) == 8
+        engine.timeline(designs, default_time_grid(720.0, 24))
+        engine.persistent_cache._conn.set_trace_callback(None)
+        assert statements.count("COMMIT") == 1
+        assert len(engine.persistent_cache) == 8
+        engine.close()
+
+    @pytest.mark.parametrize(
+        "bounds", [{"max_entries": 3}, {"max_bytes": 2_000}], ids=str
+    )
+    def test_trimming_matches_one_put_per_item(self, tmp_path, bounds):
+        items = [(f"k{i}", "x" * (100 + 150 * i)) for i in range(8)]
+        batched = PersistentEvaluationCache(tmp_path / "batched.sqlite", **bounds)
+        single = PersistentEvaluationCache(tmp_path / "single.sqlite", **bounds)
+        batched.put("evaluation", "old", "y" * 300)
+        single.put("evaluation", "old", "y" * 300)
+        batched.put_many("evaluation", items)
+        for key, value in items:
+            single.put("evaluation", key, value)
+
+        def kept(cache):
+            return sorted(
+                row[0] for row in cache._conn.execute("SELECT key FROM entries")
+            )
+
+        assert kept(batched) == kept(single)
+        assert len(kept(batched)) < len(items)
+        assert "k7" in kept(batched)  # the most recent item survives
+        stats = batched.stats()
+        if "max_entries" in bounds:
+            assert stats["entries"] <= bounds["max_entries"]
+        else:
+            assert stats["bytes"] <= bounds["max_bytes"]
+
+    def test_writes_counter_counts_entries(self, tmp_path):
+        from repro.observability import REGISTRY
+
+        writes = REGISTRY.counter("repro_disk_cache_writes_total").labels()
+        cache = PersistentEvaluationCache(tmp_path / "cache.sqlite")
+        before = writes.value
+        cache.put_many("timeline", [(f"k{i}", i) for i in range(4)])
+        assert writes.value == before + 4
+        cache.put_many("timeline", [])
+        assert writes.value == before + 4
+        assert [cache.get("timeline", f"k{i}") for i in range(4)] == [0, 1, 2, 3]
+
+
 class TestCacheConcurrency:
     def test_many_threads_hammering_one_cache(self, tmp_path):
         import threading
@@ -412,6 +472,7 @@ class TestClosedCache:
             lambda cache: cache.trim(max_entries=1),
             lambda cache: cache.purge(),
             lambda cache: len(cache),
+            lambda cache: cache.put_many("evaluation", [("k", 1)]),
         ],
     )
     def test_closed_cache_raises_evaluation_error(self, tmp_path, operation):

@@ -38,6 +38,42 @@ def irreducible_chains(draw, max_states=7):
     return chain
 
 
+@st.composite
+def arbitrary_chains(draw, max_states=8):
+    """Chains of any shape: isolated and absorbing states, repeated
+    (accumulated) rates and rates over many orders of magnitude."""
+    n = draw(st.integers(min_value=1, max_value=max_states))
+    chain = Ctmc(list(range(n)))
+    rates = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.one_of(
+                    st.just(0.0),
+                    st.floats(min_value=1e-300, max_value=1e300),
+                    st.integers(min_value=1, max_value=1000),
+                ),
+            ),
+            max_size=30,
+        )
+    )
+    for src, dst, rate in rates:
+        if src != dst:
+            chain.add_rate(src, dst, rate)
+    return chain
+
+
+class TestDenseGenerator:
+    @given(arbitrary_chains())
+    @settings(max_examples=200, deadline=None)
+    def test_dense_generator_equals_the_sparse_one(self, chain):
+        dense = chain.dense_generator()
+        sparse = chain.generator().toarray()
+        assert dense.dtype == sparse.dtype
+        assert np.array_equal(dense, sparse)
+
+
 class TestSteadyStateProperties:
     @given(irreducible_chains())
     @settings(max_examples=60, deadline=None)

@@ -61,6 +61,34 @@ class TestCacheDegrade:
             assert stats["degraded"] is True
             assert stats["entries"] == 2
 
+    def test_persistent_lock_degrades_a_chunk_write(self, monkeypatch, tmp_path):
+        # One fault point per attempt: three locked attempts degrade
+        # the whole chunk, which is then served from memory.
+        arm(
+            monkeypatch,
+            "cache.write:error@1;cache.write:error@2;cache.write:error@3",
+        )
+        with PersistentEvaluationCache(
+            tmp_path / "cache.sqlite", retry_policy=FAST_RETRY
+        ) as cache:
+            cache.put_many("timeline", [(f"k{i}", {"value": i}) for i in range(3)])
+            assert cache.degraded
+            assert [cache.get("timeline", f"k{i}") for i in range(3)] == [
+                {"value": 0}, {"value": 1}, {"value": 2}
+            ]
+            assert cache.stats()["entries"] == 3
+
+    def test_two_locked_attempts_still_land_a_chunk_on_disk(
+        self, monkeypatch, tmp_path
+    ):
+        arm(monkeypatch, "cache.write:error@1;cache.write:error@2")
+        path = tmp_path / "cache.sqlite"
+        with PersistentEvaluationCache(path, retry_policy=FAST_RETRY) as cache:
+            cache.put_many("timeline", [(f"k{i}", i) for i in range(3)])
+            assert not cache.degraded
+        with PersistentEvaluationCache(path) as reopened:
+            assert [reopened.get("timeline", f"k{i}") for i in range(3)] == [0, 1, 2]
+
     def test_degraded_cache_never_fails_a_sweep(self, monkeypatch, tmp_path):
         arm(
             monkeypatch,

@@ -3,7 +3,8 @@
 Only a sparse solve imports scipy.  The lower-layer server SRN
 eliminates its acyclic vanishing markings by back-substitution and the
 upper layer is closed-form, so a sweep and a campaign timeline finish
-without it.
+without it.  ``reproduce`` solves the upper-layer SRN with GTH, a dense
+solve over a generator filled without scipy.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ _SCRIPT = (
             "timeline", "--roles", "dns,web,app", "--max-replicas", "2",
             "--points", "12", "--phases", "canary:0.1:48:1,ramp:0.5:50%,fleet:1.0",
         ],
+        ["reproduce"],
     ],
-    ids=["sweep", "campaign-timeline"],
+    ids=["sweep", "campaign-timeline", "reproduce"],
 )
 def test_command_never_imports_scipy(command):
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
