@@ -22,7 +22,8 @@ import time
 
 from repro.availability import NetworkAvailabilityModel
 from repro.availability.coa import coa_reward
-from repro.evaluation import SweepEngine, enumerate_designs
+from repro.evaluation import SweepEngine, enumerate_designs, pareto_front
+from tests.oracles.srn import expected_reward_loop
 
 
 def _solve_uniform_design(aggregates, replicas):
@@ -81,7 +82,9 @@ def test_reward_vectorized_speedup(availability_evaluator, example_design):
             best = min(best, time.perf_counter() - start)
         return best, values
 
-    loop_time, loop_values = _timed(solution.expected_reward_loop)
+    loop_time, loop_values = _timed(
+        lambda reward: expected_reward_loop(solution, reward)
+    )
     vec_time, vec_values = _timed(solution.expected_reward)
 
     assert abs(loop_values[0] - vec_values[0]) < 1e-12
@@ -105,9 +108,7 @@ def test_sweep_engine_design_space(benchmark, case_study, critical_policy):
 
     evaluations = benchmark(_sweep)
     assert len(evaluations) == 64
-    front = SweepEngine(
-        case_study=case_study, policy=critical_policy
-    ).pareto(evaluations)
+    front = pareto_front(evaluations)
     assert 0 < len(front) <= 64
     print(
         f"\n[scalability] engine sweep: {len(evaluations)} designs, "

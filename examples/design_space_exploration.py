@@ -16,9 +16,9 @@ from __future__ import annotations
 from repro.enterprise import paper_case_study
 from repro.evaluation import (
     enumerate_designs,
+    evaluate_designs,
     pareto_front,
     satisfying_designs,
-    sweep_designs,
 )
 from repro.evaluation.cost import CostModel
 from repro.evaluation.requirements import PAPER_REGION_1_TWO_METRIC
@@ -35,7 +35,7 @@ def main() -> None:
     )
     print(f"evaluating {len(designs)} designs (<=3 replicas/tier, <=10 servers)")
 
-    evaluations = sweep_designs(case_study, policy, designs)
+    evaluations = evaluate_designs(designs, case_study=case_study, policy=policy)
 
     print("\nPareto frontier on (ASP after patch, COA):")
     frontier = pareto_front(evaluations)

@@ -147,69 +147,44 @@ def _designs(_: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_roles(spec: str) -> list[str]:
-    return list(
-        dict.fromkeys(role.strip() for role in spec.split(",") if role.strip())
-    )
+def _fields(args: argparse.Namespace, timeline: bool) -> dict:
+    """The flat ``/v1`` request fields of ``sweep``, ``timeline`` or ``shard``.
 
-
-def _space_engine_and_designs(args: argparse.Namespace, roles):
-    """Build the sweep engine and enumerate the requested design space.
-
-    Shared between ``sweep`` and ``timeline``: the homogeneous replica
-    space by default, the heterogeneous variant space with
-    ``--variants``, or a single generated large design with ``--scaled``
-    (which also returns the generated tier names in place of *roles*).
-    Both paper-network spaces evaluate under the context every ``repro
-    serve`` lane uses, the diversity database included (homogeneous
-    designs never read it), so the two share ``--cache`` files.
-    Raises ``ReproError`` on domain errors (mapped to exit code 2 by the
-    callers).  Returns ``(engine, designs, roles)``.
+    :func:`repro.evaluation.api.envelope` wraps them and
+    :func:`~repro.evaluation.api.parse_request` checks them, exactly as
+    ``repro serve`` checks a request body.  A ``--scaled`` space sends
+    no roles (its tiers name them).
     """
     from repro.errors import ValidationError
-    from repro.evaluation.engine import SweepEngine
-    from repro.evaluation.sweep import (
-        enumerate_designs,
-        enumerate_heterogeneous_designs,
-    )
 
-    cache_path = getattr(args, "cache", None)
-    if getattr(args, "scaled", None):
-        if args.variants:
-            raise ValidationError(
-                "--scaled and --variants are mutually exclusive"
-            )
-        from repro.enterprise import scaled_case_study
-        from repro.evaluation.api import parse_scaled
-
-        hosts, tiers = parse_scaled(args.scaled)
-        case_study, design = scaled_case_study(hosts, tiers)
-        engine = SweepEngine(case_study=case_study, cache_path=cache_path)
-        return engine, [design], design.roles
-    from repro.vulnerability.diversity import diversity_database
-
-    if args.variants:
-        from repro.enterprise import paper_variant_space
-
-        space = paper_variant_space()
-        unknown = [role for role in roles if role not in space]
-        if unknown:
-            raise ValidationError(
-                f"no variant pool for roles {unknown}; "
-                f"choose from {sorted(space)}"
-            )
-        designs = enumerate_heterogeneous_designs(
-            roles,
-            {role: space[role] for role in roles},
-            max_replicas=args.max_replicas,
-            max_total=args.max_total,
-        )
+    fields: dict = {
+        "max_replicas": args.max_replicas,
+        "max_total": args.max_total,
+        "variants": args.variants,
+    }
+    if args.scaled:
+        fields["scaled"] = args.scaled
     else:
-        designs = enumerate_designs(
-            roles, max_replicas=args.max_replicas, max_total=args.max_total
-        )
-    engine = SweepEngine(database=diversity_database(), cache_path=cache_path)
-    return engine, designs, roles
+        fields["roles"] = args.roles
+    if not timeline:
+        return fields
+    if args.times:
+        try:
+            fields["times"] = [
+                float(part) for part in args.times.split(",") if part.strip()
+            ]
+        except ValueError as exc:
+            raise ValidationError(f"bad time grid ({exc})") from None
+    else:
+        fields["horizon"] = args.horizon
+        fields["points"] = args.points
+    if getattr(args, "campaign", None):
+        from repro.patching import PatchCampaign
+
+        fields["campaign"] = PatchCampaign.from_json_file(args.campaign).to_dict()
+    if args.phases:
+        fields["phases"] = args.phases
+    return fields
 
 
 def _start_trace(args: argparse.Namespace) -> bool:
@@ -238,14 +213,13 @@ def _deadline_from_args(args: argparse.Namespace):
     The clock starts here — immediately before the engine call — so the
     budget covers evaluation, not argument parsing or imports.
     """
-    ms = getattr(args, "deadline", None)
-    if ms is None:
+    if args.deadline is None:
         return None
     from repro.errors import ValidationError
     from repro.resilience import Deadline
 
     try:
-        return Deadline.after_ms(ms)
+        return Deadline.after_ms(args.deadline)
     except ValueError as exc:
         raise ValidationError(f"--deadline: {exc}") from None
 
@@ -263,145 +237,81 @@ def _dump_metrics(args: argparse.Namespace) -> None:
     print(f"metrics: wrote registry snapshot to {path}", file=sys.stderr)
 
 
-def _sweep(args: argparse.Namespace) -> int:
-    from repro.evaluation.report import design_comparison_table
+def _evaluate_space(args: argparse.Namespace) -> int:
+    """``sweep`` and ``timeline``: one ``/v1`` request, evaluated here.
 
+    The request is parsed, enumerated and answered by the same code as
+    a ``repro serve`` lane, so ``--json`` prints the service's payload.
+    """
     from repro.errors import DeadlineExceeded, ReproError
+    from repro.evaluation import api
+    from repro.evaluation.engine import SweepEngine
 
-    roles = _parse_roles(args.roles)
-    if not roles and not args.scaled:
-        print("no roles given", file=sys.stderr)
-        return 2
+    timeline = args.timeline
+    command = "timeline" if timeline else "sweep"
     tracing_on = _start_trace(args)
     try:
-        engine, designs, roles = _space_engine_and_designs(args, roles)
-        with engine:
-            evaluations = engine.evaluate(
-                designs, deadline=_deadline_from_args(args)
-            )
+        req = api.parse_request(
+            api.envelope(_fields(args, timeline), timeline), timeline
+        )
+        designs = api.enumerate_space(req.space)
+        with SweepEngine.for_space(req.space, cache_path=args.cache) as engine:
+            deadline = _deadline_from_args(args)
+            if timeline:
+                results = engine.timeline(
+                    designs, req.times, campaign=req.campaign, deadline=deadline
+                )
+            else:
+                results = engine.evaluate(designs, deadline=deadline)
     except DeadlineExceeded as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
+        print(f"{command} failed: {exc}", file=sys.stderr)
         _dump_metrics(args)
         return 3
     except ReproError as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
+        print(f"{command} failed: {exc}", file=sys.stderr)
         return 2
     if tracing_on:
         _finish_trace(args)
     _dump_metrics(args)
     if args.json:
-        # The shared schema module, so `repro sweep --json`, a `repro
-        # serve` response and a `repro shard` merge agree by
-        # construction.
-        from repro.evaluation.api import sweep_response
-
-        payload = sweep_response(
-            roles,
-            args.max_replicas,
-            args.max_total,
-            bool(args.variants),
-            "serial",
-            evaluations,
-        )
+        header = api.header(req.space, designs)
+        if timeline:
+            payload = api.timeline_response(
+                *header, req.campaign, req.times, results
+            )
+        else:
+            payload = api.sweep_response(*header, results)
         print(json.dumps(payload, indent=2))
+    elif timeline:
+        _print_timelines(req.campaign, req.times, results)
     else:
-        front = {id(e) for e in engine.pareto(evaluations)}
-        print(design_comparison_table(evaluations))
-        labels = [e.label for e in evaluations if id(e) in front]
+        from repro.evaluation.report import design_comparison_table
+        from repro.evaluation.sweep import pareto_front
+
+        front = {id(e) for e in pareto_front(results)}
+        print(design_comparison_table(results))
+        labels = [e.label for e in results if id(e) in front]
         print(f"\nPareto front (after patch): {', '.join(labels)}")
     return 0
 
 
-def _campaign_from_args(args: argparse.Namespace):
-    """The PatchCampaign selected by --campaign/--phases, or ``None``."""
-    from repro.patching import PatchCampaign
-
-    if args.campaign and args.phases:
-        from repro.errors import ValidationError
-
-        raise ValidationError(
-            "--campaign and --phases are mutually exclusive"
-        )
-    if args.campaign:
-        return PatchCampaign.from_json_file(args.campaign)
-    if args.phases:
-        return PatchCampaign.parse(args.phases)
-    return None
-
-
-def _timeline(args: argparse.Namespace) -> int:
-    from repro.errors import DeadlineExceeded, ReproError
-    from repro.evaluation.timeline import default_time_grid
-
-    roles = _parse_roles(args.roles)
-    if not roles and not args.scaled:
-        print("no roles given", file=sys.stderr)
-        return 2
-    if args.times:
-        try:
-            times = tuple(
-                float(part) for part in args.times.split(",") if part.strip()
-            )
-            if not times:
-                raise ValueError("empty time list")
-        except ValueError as exc:
-            print(f"timeline failed: bad time grid ({exc})", file=sys.stderr)
-            return 2
-    tracing_on = _start_trace(args)
-    try:
-        if not args.times:
-            times = default_time_grid(args.horizon, args.points)
-        campaign = _campaign_from_args(args)
-        engine, designs, roles = _space_engine_and_designs(args, roles)
-        with engine:
-            timelines = engine.timeline(
-                designs,
-                times,
-                campaign=campaign,
-                deadline=_deadline_from_args(args),
-            )
-    except DeadlineExceeded as exc:
-        print(f"timeline failed: {exc}", file=sys.stderr)
-        _dump_metrics(args)
-        return 3
-    except ReproError as exc:
-        print(f"timeline failed: {exc}", file=sys.stderr)
-        return 2
-    if tracing_on:
-        _finish_trace(args)
-    _dump_metrics(args)
-    if args.json:
-        from repro.evaluation.api import timeline_response
-
-        payload = timeline_response(
-            roles,
-            args.max_replicas,
-            args.max_total,
-            bool(args.variants),
-            "serial",
-            campaign,
-            times,
-            timelines,
-        )
-        print(json.dumps(payload, indent=2))
-    else:
-        end = times[-1]
-        if campaign is not None:
-            print(f"campaign {campaign}")
+def _print_timelines(campaign, times, timelines) -> None:
+    """The ``timeline`` table: one line per design."""
+    if campaign is not None:
+        print(f"campaign {campaign}")
+    print(
+        f"{'design':<42} {'srv':>3} {'MTTPC (h)':>10} {'min COA':>9} "
+        f"{'COA(end)':>9} {'P(done)':>8}"
+    )
+    for timeline in timelines:
+        mttc = timeline.mean_time_to_completion
+        mttc_text = f"{mttc:10.1f}" if mttc != float("inf") else "       inf"
         print(
-            f"{'design':<42} {'srv':>3} {'MTTPC (h)':>10} {'min COA':>9} "
-            f"{'COA(end)':>9} {'P(done)':>8}"
+            f"{timeline.label:<42} {timeline.design.total_servers:>3} "
+            f"{mttc_text} {timeline.min_coa:9.6f} "
+            f"{timeline.coa[-1]:9.6f} {timeline.completion_probability[-1]:8.4f}"
         )
-        for timeline in timelines:
-            mttc = timeline.mean_time_to_completion
-            mttc_text = f"{mttc:10.1f}" if mttc != float("inf") else "       inf"
-            print(
-                f"{timeline.label:<42} {timeline.design.total_servers:>3} "
-                f"{mttc_text} {timeline.min_coa:9.6f} "
-                f"{timeline.coa[-1]:9.6f} {timeline.completion_probability[-1]:8.4f}"
-            )
-        print(f"\n{len(timelines)} designs, grid 0..{end:g} h x {len(times)} points")
-    return 0
+    print(f"\n{len(timelines)} designs, grid 0..{times[-1]:g} h x {len(times)} points")
 
 
 def _cache(args: argparse.Namespace) -> int:
@@ -483,39 +393,15 @@ def _shard(args: argparse.Namespace) -> int:
     from repro.errors import DeadlineExceeded, ReproError
     from repro.evaluation.sharding import ShardCoordinator
 
-    roles = _parse_roles(args.roles)
-    if not roles and not args.scaled:
-        print("no roles given", file=sys.stderr)
-        return 2
     endpoints = [
         part.strip() for part in args.endpoints.split(",") if part.strip()
     ]
-    fields: dict = {"roles": roles, "max_replicas": args.max_replicas}
-    if args.max_total is not None:
-        fields["max_total"] = args.max_total
-    if args.variants:
-        fields["variants"] = True
-    if args.scaled:
-        fields["scaled"] = args.scaled
-        fields.pop("roles")
-    if args.deadline is not None:
-        fields["deadline_ms"] = args.deadline
-    if args.priority != "interactive":
-        fields["priority"] = args.priority
     try:
+        fields = {**_fields(args, args.timeline), "priority": args.priority}
+        if args.deadline is not None:
+            fields["deadline_ms"] = args.deadline
         coordinator = ShardCoordinator(endpoints, timeout=args.timeout)
         if args.timeline:
-            if args.times:
-                fields["times"] = [
-                    float(part)
-                    for part in args.times.split(",")
-                    if part.strip()
-                ]
-            else:
-                fields["horizon"] = args.horizon
-                fields["points"] = args.points
-            if args.phases:
-                fields["phases"] = args.phases
             payload = coordinator.timeline(**fields)
         else:
             payload = coordinator.sweep(**fields)
@@ -620,8 +506,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             "  REPRO_FAULTS='point:action@n;...' injects deterministic\n"
             "  faults for chaos testing (points: cache.read, cache.write,\n"
             "  solver.iterative, solver.transient, shard.request;\n"
-            "  actions: error, fail) — each fault fires exactly once\n"
-            "  fleet-wide at the n-th hit of its point, and recovered runs\n"
+            "  actions: error, fail) — each fault fires exactly once per\n"
+            "  process, at the n-th hit of its point, and recovered runs\n"
             "  are byte-identical to clean ones.  --metrics FILE snapshots\n"
             "  the registry (degradations, injected faults) for\n"
             "  assertions in CI."
@@ -736,7 +622,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "sweep", help="evaluate a whole design space through the sweep engine"
     )
     add_space_options(sweep)
-    sweep.set_defaults(handler=_sweep)
+    sweep.set_defaults(handler=_evaluate_space, timeline=False)
 
     timeline = commands.add_parser(
         "timeline",
@@ -783,7 +669,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "completion fraction (e.g. canary:0.1:48,fleet:1.0)"
         ),
     )
-    timeline.set_defaults(handler=_timeline)
+    timeline.set_defaults(handler=_evaluate_space, timeline=True)
 
     serve = commands.add_parser(
         "serve",

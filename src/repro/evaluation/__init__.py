@@ -41,8 +41,6 @@ from repro.evaluation.sweep import (
     enumerate_designs,
     enumerate_heterogeneous_designs,
     pareto_front,
-    pareto_front_loop,
-    sweep_designs,
 )
 from repro.evaluation.timeline import (
     DesignTimeline,
@@ -66,9 +64,7 @@ __all__ = [
     "satisfying_designs",
     "enumerate_designs",
     "enumerate_heterogeneous_designs",
-    "sweep_designs",
     "pareto_front",
-    "pareto_front_loop",
     "SensitivityEntry",
     "coa_sensitivity",
     "write_experiment_bundle",

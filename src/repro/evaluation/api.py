@@ -1,10 +1,13 @@
 """Canonical request/response schema of the evaluation service and CLI.
 
-One module owns the wire format: the ``/v1`` request envelope, the
-error envelope with stable machine-readable codes, the sweep/timeline
-response payloads (``schema_version`` 3), deterministic shard
-partitioning, and the payload-level Pareto recompute the shard
-coordinator uses to merge partial sweeps byte-identically.
+One module owns a request, from flat fields to the answer: the
+``/v1`` request envelope (:func:`envelope` builds it, :func:`parse_request`
+parses it), the design space it enumerates, the error envelope with
+stable machine-readable codes, the sweep/timeline response payloads
+(``schema_version`` 3), deterministic shard partitioning, and the
+payload-level Pareto recompute the shard coordinator uses to merge
+partial sweeps byte-identically.  The CLI, the service, its client and
+the shard coordinator all go through it.
 
 Request envelope (``POST /v1/sweep`` and ``POST /v1/timeline``)::
 
@@ -42,9 +45,7 @@ import json
 import math
 import sys
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.errors import DeadlineExceeded, ValidationError
 
@@ -58,10 +59,13 @@ __all__ = [
     "ShardSpec",
     "SweepRequest",
     "TimelineRequest",
+    "envelope",
     "error_payload",
     "error_status",
     "enumerate_space",
+    "header",
     "iter_space",
+    "parse_request",
     "shard_of",
     "pareto_flags",
     "response_bytes",
@@ -119,7 +123,8 @@ def error_status(exc: BaseException) -> tuple[int, str]:
 
 # -- field-level parsing ------------------------------------------------------
 
-_V1_ENVELOPE_FIELDS = {"space", "options", "priority", "deadline_ms", "stream"}
+_V1_TOP_FIELDS = {"priority", "deadline_ms", "stream"}
+_V1_ENVELOPE_FIELDS = {"space", "options"} | _V1_TOP_FIELDS
 _V1_SPACE_FIELDS = {"roles", "max_replicas", "max_total", "variants", "scaled"}
 _V1_SWEEP_OPTIONS = {"max_designs", "shard"}
 _V1_TIMELINE_OPTIONS = _V1_SWEEP_OPTIONS | {
@@ -133,13 +138,37 @@ _V1_TIMELINE_OPTIONS = _V1_SWEEP_OPTIONS | {
 _PRIORITIES = ("interactive", "batch")
 
 
-def require_fields(payload: dict, allowed: set, endpoint: str) -> None:
+def require_fields(payload: dict, allowed: set, what: str) -> None:
     unknown = sorted(set(payload) - allowed)
     if unknown:
         raise ValidationError(
-            f"unknown {endpoint} request field(s) {unknown}; "
-            f"allowed: {sorted(allowed)}"
+            f"unknown {what} field(s) {unknown}; allowed: {sorted(allowed)}"
         )
+
+
+def envelope(fields: dict, timeline: bool) -> dict:
+    """The ``/v1`` envelope of flat request *fields*.
+
+    Space fields (``roles=...``) go under ``space``, options
+    (``points=...``) under ``options``, and ``priority``,
+    ``deadline_ms`` and ``stream`` stay at the top.  A name that is none
+    of these raises :class:`ValidationError`.
+    """
+    options = _V1_TIMELINE_OPTIONS if timeline else _V1_SWEEP_OPTIONS
+    require_fields(
+        fields,
+        _V1_SPACE_FIELDS | options | _V1_TOP_FIELDS,
+        "timeline" if timeline else "sweep",
+    )
+    payload: dict = {}
+    for part, names in (("space", _V1_SPACE_FIELDS), ("options", options)):
+        values = {name: value for name, value in fields.items() if name in names}
+        if values:
+            payload[part] = values
+    payload.update(
+        (name, value) for name, value in fields.items() if name in _V1_TOP_FIELDS
+    )
+    return payload
 
 
 def parse_roles(value: object) -> list[str]:
@@ -248,11 +277,10 @@ def parse_times(payload: dict) -> tuple[float, ...]:
         raise ValidationError(f"horizon must be a number, got {horizon!r}")
     if isinstance(points, bool) or not isinstance(points, int):
         raise ValidationError(f"points must be an integer, got {points!r}")
-    if not (math.isfinite(horizon) and horizon > 0) or points < 2:
-        raise ValidationError(
-            f"need a finite horizon > 0 and points >= 2, got {horizon!r} "
-            f"and {points!r}"
-        )
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValidationError(f"horizon must be finite and > 0, got {horizon!r}")
+    if points < 2:
+        raise ValidationError(f"points must be >= 2, got {points!r}")
     _check_time_points(points)
     return default_time_grid(float(horizon), points)
 
@@ -471,11 +499,18 @@ class SweepRequest:
     stream: bool = False
 
     endpoint = "/sweep"
+    _options = _V1_SWEEP_OPTIONS
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SweepRequest":
-        require_fields(payload, _V1_ENVELOPE_FIELDS, "sweep")
-        space, options = cls._envelope_halves(payload, _V1_SWEEP_OPTIONS)
+        require_fields(payload, _V1_ENVELOPE_FIELDS, f"{cls.endpoint[1:]} request")
+        space = payload.get("space") or {}
+        options = payload.get("options") or {}
+        for name, value in (("space", space), ("options", options)):
+            if not isinstance(value, dict):
+                raise ValidationError(f"{name} must be a JSON object, got {value!r}")
+        require_fields(space, _V1_SPACE_FIELDS, "space request")
+        require_fields(options, cls._options, "options request")
         return cls(
             space=SpaceSpec.from_payload(space),
             max_designs=parse_count(
@@ -485,36 +520,13 @@ class SweepRequest:
             priority=_parse_priority(payload.get("priority")),
             deadline_ms=parse_deadline_ms(payload.get("deadline_ms")),
             stream=parse_flag(payload.get("stream"), "stream"),
+            **cls._parse_options(options),
         )
 
     @staticmethod
-    def _envelope_halves(payload: dict, allowed_options: set) -> tuple[dict, dict]:
-        space = payload.get("space") or {}
-        options = payload.get("options") or {}
-        for name, value in (("space", space), ("options", options)):
-            if not isinstance(value, dict):
-                raise ValidationError(f"{name} must be a JSON object, got {value!r}")
-        require_fields(space, _V1_SPACE_FIELDS, "space")
-        require_fields(options, allowed_options, "options")
-        return space, options
-
-    def to_payload(self) -> dict:
-        """The ``/v1`` envelope re-emitting this request."""
-        options: dict = {}
-        if self.max_designs is not None:
-            options["max_designs"] = self.max_designs
-        if self.shard is not None:
-            options["shard"] = self.shard.to_payload()
-        payload: dict = {"space": self.space.to_payload()}
-        if options:
-            payload["options"] = options
-        if self.priority != "interactive":
-            payload["priority"] = self.priority
-        if self.deadline_ms is not None:
-            payload["deadline_ms"] = self.deadline_ms
-        if self.stream:
-            payload["stream"] = True
-        return payload
+    def _parse_options(options: dict) -> dict:
+        """The fields only this endpoint's options carry (none)."""
+        return {}
 
     def canonical(self) -> dict:
         """Order-independent identity for request deduplication."""
@@ -539,31 +551,12 @@ class TimelineRequest(SweepRequest):
     campaign: object = None
 
     endpoint = "/timeline"
+    _options = _V1_TIMELINE_OPTIONS
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "TimelineRequest":
-        require_fields(payload, _V1_ENVELOPE_FIELDS, "timeline")
-        space, options = cls._envelope_halves(payload, _V1_TIMELINE_OPTIONS)
-        return cls(
-            space=SpaceSpec.from_payload(space),
-            max_designs=parse_count(
-                options.get("max_designs"), "max_designs", None
-            ),
-            shard=ShardSpec.from_payload(options.get("shard")),
-            priority=_parse_priority(payload.get("priority")),
-            deadline_ms=parse_deadline_ms(payload.get("deadline_ms")),
-            stream=parse_flag(payload.get("stream"), "stream"),
-            times=parse_times(options),
-            campaign=parse_campaign(options),
-        )
-
-    def to_payload(self) -> dict:
-        payload = super().to_payload()
-        options = payload.setdefault("options", {})
-        options["times"] = list(self.times)
-        if self.campaign is not None:
-            options["campaign"] = self.campaign.to_dict()
-        return payload
+    @staticmethod
+    def _parse_options(options: dict) -> dict:
+        """The time grid and the staged rollout."""
+        return {"times": parse_times(options), "campaign": parse_campaign(options)}
 
     def canonical(self) -> dict:
         canonical = super().canonical()
@@ -584,134 +577,26 @@ class TimelineRequest(SweepRequest):
         return label
 
 
+def parse_request(payload: dict, timeline: bool) -> SweepRequest:
+    """The parsed ``/v1`` sweep (or, with *timeline*, timeline) *payload*."""
+    return (TimelineRequest if timeline else SweepRequest).from_payload(payload)
+
+
 # -- responses ----------------------------------------------------------------
 
 
-@dataclass
-class SweepResponse:
-    """The canonical sweep payload (CLI ``--json``, service, shards)."""
+def header(space: SpaceSpec, designs: Sequence) -> tuple:
+    """The leading fields of a payload over *space*'s *designs*.
 
-    roles: list[str]
-    max_replicas: int
-    max_total: int | None
-    variants: bool
-    executor: str
-    designs: list[dict] = field(default_factory=list)
-
-    @classmethod
-    def from_evaluations(
-        cls,
-        roles: Sequence[str],
-        max_replicas: int,
-        max_total: int | None,
-        variants: bool,
-        executor_name: str,
-        evaluations,
-    ) -> "SweepResponse":
-        from repro.evaluation.report import design_payload
-        from repro.evaluation.sweep import pareto_front
-
-        front = {id(e) for e in pareto_front(evaluations, after_patch=True)}
-        return cls(
-            roles=list(roles),
-            max_replicas=max_replicas,
-            max_total=max_total,
-            variants=bool(variants),
-            executor=executor_name,
-            designs=[
-                design_payload(evaluation, id(evaluation) in front)
-                for evaluation in evaluations
-            ],
-        )
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SweepResponse":
-        return cls(
-            roles=list(payload["roles"]),
-            max_replicas=payload["max_replicas"],
-            max_total=payload["max_total"],
-            variants=payload["variants"],
-            executor=payload["executor"],
-            designs=list(payload["designs"]),
-        )
-
-    def to_payload(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "roles": list(self.roles),
-            "max_replicas": self.max_replicas,
-            "max_total": self.max_total,
-            "variants": bool(self.variants),
-            "executor": self.executor,
-            "design_count": len(self.designs),
-            "designs": list(self.designs),
-        }
-
-
-@dataclass
-class TimelineResponse:
-    """The canonical timeline payload (CLI ``--json``, service, shards)."""
-
-    roles: list[str]
-    max_replicas: int
-    max_total: int | None
-    variants: bool
-    executor: str
-    campaign: dict | None
-    times: list[float]
-    designs: list[dict] = field(default_factory=list)
-
-    @classmethod
-    def from_timelines(
-        cls,
-        roles: Sequence[str],
-        max_replicas: int,
-        max_total: int | None,
-        variants: bool,
-        executor_name: str,
-        campaign,
-        times: Sequence[float],
-        timelines,
-    ) -> "TimelineResponse":
-        from repro.evaluation.timeline import timeline_payload
-
-        return cls(
-            roles=list(roles),
-            max_replicas=max_replicas,
-            max_total=max_total,
-            variants=bool(variants),
-            executor=executor_name,
-            campaign=campaign.to_dict() if campaign is not None else None,
-            times=list(times),
-            designs=[timeline_payload(timeline) for timeline in timelines],
-        )
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "TimelineResponse":
-        return cls(
-            roles=list(payload["roles"]),
-            max_replicas=payload["max_replicas"],
-            max_total=payload["max_total"],
-            variants=payload["variants"],
-            executor=payload["executor"],
-            campaign=payload["campaign"],
-            times=list(payload["times"]),
-            designs=list(payload["designs"]),
-        )
-
-    def to_payload(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "roles": list(self.roles),
-            "max_replicas": self.max_replicas,
-            "max_total": self.max_total,
-            "variants": bool(self.variants),
-            "executor": self.executor,
-            "campaign": self.campaign,
-            "times": list(self.times),
-            "design_count": len(self.designs),
-            "designs": list(self.designs),
-        }
+    ``(roles, max_replicas, max_total, variants, executor)``, the first
+    five arguments of :func:`sweep_response` and
+    :func:`timeline_response`.  A scaled space answers with its
+    generated tier roles; every engine evaluates in-process.
+    """
+    roles = space.roles
+    if space.scaled is not None and designs:
+        roles = designs[0].roles
+    return list(roles), space.max_replicas, space.max_total, space.variants, "serial"
 
 
 def sweep_response(
@@ -722,10 +607,22 @@ def sweep_response(
     executor_name: str,
     evaluations,
 ) -> dict:
-    """The canonical ``sweep`` JSON payload (CLI and service)."""
-    return SweepResponse.from_evaluations(
-        roles, max_replicas, max_total, variants, executor_name, evaluations
-    ).to_payload()
+    """The canonical ``sweep`` JSON payload (CLI, service and shards)."""
+    from repro.evaluation.report import design_payload
+    from repro.evaluation.sweep import pareto_front
+
+    front = {id(e) for e in pareto_front(evaluations, after_patch=True)}
+    designs = [design_payload(e, id(e) in front) for e in evaluations]
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "roles": list(roles),
+        "max_replicas": max_replicas,
+        "max_total": max_total,
+        "variants": bool(variants),
+        "executor": executor_name,
+        "design_count": len(designs),
+        "designs": designs,
+    }
 
 
 def timeline_response(
@@ -738,46 +635,39 @@ def timeline_response(
     times: Sequence[float],
     timelines,
 ) -> dict:
-    """The canonical ``timeline`` JSON payload (CLI and service)."""
-    return TimelineResponse.from_timelines(
-        roles,
-        max_replicas,
-        max_total,
-        variants,
-        executor_name,
-        campaign,
-        times,
-        timelines,
-    ).to_payload()
+    """The canonical ``timeline`` JSON payload (CLI, service and shards)."""
+    from repro.evaluation.timeline import timeline_payload
+
+    designs = [timeline_payload(timeline) for timeline in timelines]
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "roles": list(roles),
+        "max_replicas": max_replicas,
+        "max_total": max_total,
+        "variants": bool(variants),
+        "executor": executor_name,
+        "campaign": campaign.to_dict() if campaign is not None else None,
+        "times": list(times),
+        "design_count": len(designs),
+        "designs": designs,
+    }
 
 
 def pareto_flags(design_payloads: Sequence[dict]) -> list[bool]:
     """Recompute the Pareto front over already-serialised designs.
 
-    Replicates :func:`repro.evaluation.sweep.pareto_front` bit-exactly
-    over the JSON ``after`` snapshots (``ASP`` asc, ``COA`` desc) — the
-    shard coordinator's merge step: per-shard ``pareto`` flags only see
-    a subset, so the front is re-ranked over the merged space.
+    The shard coordinator's merge step: per-shard ``pareto`` flags only
+    see a subset, so the front is re-ranked over the merged space, from
+    the JSON ``after`` snapshots, by the kernel
+    :func:`~repro.evaluation.sweep.pareto_front` uses.
     """
-    if not design_payloads:
-        return []
-    asp = np.array([d["after"]["ASP"] for d in design_payloads], dtype=float)
-    coa = np.array([d["after"]["COA"] for d in design_payloads], dtype=float)
-    order = np.lexsort((-coa, asp))
-    sorted_asp = asp[order]
-    sorted_coa = coa[order]
-    group_start = np.concatenate(([True], sorted_asp[1:] != sorted_asp[:-1]))
-    group_ids = np.cumsum(group_start) - 1
-    group_max = sorted_coa[group_start]
-    best_before = np.concatenate(
-        ([-np.inf], np.maximum.accumulate(group_max)[:-1])
+    from repro.evaluation.sweep import pareto_mask
+
+    mask = pareto_mask(
+        [d["after"]["ASP"] for d in design_payloads],
+        [d["after"]["COA"] for d in design_payloads],
     )
-    survives = (sorted_coa == group_max[group_ids]) & (
-        group_max[group_ids] > best_before[group_ids]
-    )
-    keep = np.zeros(len(design_payloads), dtype=bool)
-    keep[order] = survives
-    return [bool(flag) for flag in keep]
+    return [bool(flag) for flag in mask]
 
 
 def canonical_json(payload: dict) -> str:

@@ -47,7 +47,8 @@ with a clear message rather than a raw ``sqlite3.ProgrammingError``.
 Degraded mode
 -------------
 A cache is an accelerator, never a correctness dependency — so sqlite
-contention must not fail a sweep.  ``busy``/``locked`` errors that
+contention must not fail a sweep.  Errors whose result code is
+``SQLITE_BUSY`` or ``SQLITE_LOCKED`` (never read from the message) that
 survive the busy timeout are retried under a bounded
 :class:`~repro.resilience.RetryPolicy`; if they persist, the instance
 *degrades*: it stops touching the database and serves reads/writes
@@ -118,6 +119,17 @@ _PIPELINE_VERSION = b"repro-evaluation-pipeline-v8"
 #: ``database is locked`` — generous, because a competing writer only
 #: holds the lock for one small INSERT/UPDATE plus commit.
 _BUSY_TIMEOUT_S = 10.0
+
+#: sqlite's primary result codes of a contended database.
+_CONTENTION_CODES = frozenset({sqlite3.SQLITE_BUSY, sqlite3.SQLITE_LOCKED})
+
+
+def _busy_error() -> sqlite3.OperationalError:
+    """The error an injected ``cache.read``/``cache.write`` fault raises."""
+    exc = sqlite3.OperationalError("database is locked (injected)")
+    exc.sqlite_errorcode = sqlite3.SQLITE_BUSY
+    exc.sqlite_errorname = "SQLITE_BUSY"
+    return exc
 
 
 def context_fingerprint(*parts: object) -> str:
@@ -231,12 +243,12 @@ class PersistentEvaluationCache:
                 f"cannot open evaluation cache at {self.path!r}: {exc}"
             ) from exc
 
+    def _columns(self) -> set[str]:
+        return {row[1] for row in self._conn.execute("PRAGMA table_info(entries)")}
+
     def _migrate(self) -> None:
         """Add the recency/size columns to pre-LRU cache files."""
-        columns = {
-            row[1]
-            for row in self._conn.execute("PRAGMA table_info(entries)")
-        }
+        columns = self._columns()
         try:
             if "used_seq" not in columns:
                 self._conn.execute(
@@ -249,11 +261,12 @@ class PersistentEvaluationCache:
                 self._conn.execute(
                     "UPDATE entries SET size_bytes = LENGTH(payload)"
                 )
-        except sqlite3.OperationalError as exc:
-            # Two processes opening one pre-LRU file race the ALTERs;
-            # the loser's "duplicate column name" means the winner
-            # already migrated — not an error.
-            if "duplicate column name" not in str(exc):
+        except sqlite3.OperationalError:
+            # Two processes opening one pre-LRU file race the ALTERs.
+            # The loser's error carries no code of its own (a duplicate
+            # column is a plain SQLITE_ERROR): it is no error once the
+            # winner's columns exist.
+            if not {"used_seq", "size_bytes"} <= self._columns():
                 raise
 
     @contextmanager
@@ -282,10 +295,10 @@ class PersistentEvaluationCache:
 
     @staticmethod
     def _is_contention(exc: BaseException) -> bool:
-        if not isinstance(exc, sqlite3.OperationalError):
-            return False
-        text = str(exc).lower()
-        return "locked" in text or "busy" in text
+        """A busy or locked database, by sqlite's result code (an
+        extended code carries its primary one in the low byte)."""
+        code = getattr(exc, "sqlite_errorcode", None)
+        return code is not None and code & 0xFF in _CONTENTION_CODES
 
     def _rollback(self, *_ignored) -> None:
         """Best-effort rollback between contention retries."""
@@ -368,10 +381,7 @@ class PersistentEvaluationCache:
 
     def _get_row(self, scope: str, key: str):
         with self._locked("get"):
-            fault_point(
-                "cache.read",
-                error=sqlite3.OperationalError("database is locked (injected)"),
-            )
+            fault_point("cache.read", error=_busy_error())
             row = self._conn.execute(
                 "SELECT payload FROM entries WHERE scope = ? AND key = ?",
                 (scope, key),
@@ -434,10 +444,7 @@ class PersistentEvaluationCache:
 
     def _put_rows(self, scope: str, rows: list[tuple[str, bytes]]) -> None:
         with self._locked("put"):
-            fault_point(
-                "cache.write",
-                error=sqlite3.OperationalError("database is locked (injected)"),
-            )
+            fault_point("cache.write", error=_busy_error())
             self._conn.executemany(
                 "INSERT OR REPLACE INTO entries "
                 "(scope, key, payload, used_seq, size_bytes) "

@@ -149,10 +149,14 @@ class SweepEngine:
         fingerprint of the case study / policy / database, so a cache
         file can never serve results from a different context.
 
+    :meth:`for_space` builds the engine a request's design space
+    evaluates under (the CLI and every service lane use it).
+
     Examples
     --------
+    >>> from repro.evaluation.sweep import enumerate_designs
     >>> engine = SweepEngine()
-    >>> evaluations = engine.sweep(["dns", "web"], max_replicas=2)
+    >>> evaluations = engine.evaluate(enumerate_designs(["dns", "web"], 2))
     >>> [e.design.total_servers for e in evaluations]
     [2, 3, 3, 4]
     """
@@ -187,6 +191,29 @@ class SweepEngine:
         # Parse any REPRO_FAULTS plan now, so a malformed plan fails
         # when the engine is built rather than at the first fault point.
         active_plan()
+
+    @classmethod
+    def for_space(
+        cls, space, case_study: EnterpriseCaseStudy | None = None, **options
+    ) -> "SweepEngine":
+        """The engine that evaluates *space* (an ``api.SpaceSpec``).
+
+        A scaled space evaluates under its generated case study.  Any
+        other space evaluates under *case_study* (default: the paper's)
+        with the diversity database, which variant designs read and
+        homogeneous ones never do, so a ``repro sweep``, a ``repro
+        timeline`` and every ``repro serve`` lane share one context and
+        its ``--cache`` entries.  *options* are the other constructor
+        arguments.
+        """
+        if space.scaled is not None:
+            from repro.enterprise.scaled import scaled_case_study
+
+            case_study, _ = scaled_case_study(*space.scaled)
+            return cls(case_study=case_study, **options)
+        from repro.vulnerability.diversity import diversity_database
+
+        return cls(case_study=case_study, database=diversity_database(), **options)
 
     # -- sweeping -----------------------------------------------------------
 
@@ -305,27 +332,6 @@ class SweepEngine:
             _answering(self._memo[(kind, design, params)], design)
             for design in designs
         ]
-
-    def sweep(
-        self,
-        roles: Sequence[str],
-        max_replicas: int,
-        max_total: int | None = None,
-    ) -> list[DesignEvaluation]:
-        """Enumerate and evaluate every homogeneous design of the space."""
-        from repro.evaluation.sweep import enumerate_designs
-
-        return self.evaluate(enumerate_designs(roles, max_replicas, max_total))
-
-    def pareto(
-        self,
-        evaluations: Iterable[DesignEvaluation],
-        after_patch: bool = True,
-    ) -> list[DesignEvaluation]:
-        """The (lower ASP, higher COA) Pareto front of *evaluations*."""
-        from repro.evaluation.sweep import pareto_front
-
-        return pareto_front(evaluations, after_patch=after_patch)
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -88,16 +88,19 @@ Request semantics
   (:data:`~repro.evaluation.api.MAX_TIMELINE_CELLS`).  Over budget is a
   400, not a queue entry.
 * **Dedup.**  Requests are canonicalised (defaults filled, grids
-  resolved) and fingerprinted; identical in-flight requests share one
-  computation — one engine call, many responders.  The lane thread
-  encodes a plain answer once, as its job completes
+  resolved) and fingerprinted first; identical in-flight requests share
+  one computation — one engine call, many responders — and only a new
+  computation enumerates its designs (a repeat is checked against its
+  own budget by the design count stored with the entry it joins).  The
+  lane thread encodes a plain answer once, as its job completes
   (:func:`~repro.evaluation.api.response_bytes`), so every responder
   and the event loop only write the bytes.  Completed bodies are kept
   in a small FIFO memory bounded by count
   (:data:`_MAX_REMEMBERED_RESPONSES`) and by summed size
-  (:data:`_MAX_REMEMBERED_BYTES`), so repeats are served without
-  touching any lane; behind both sit the engines' in-memory memos and
-  (when configured) the thread-safe sqlite store of
+  (:data:`_MAX_REMEMBERED_BYTES`; each body dropped counts in
+  ``repro_service_cache_evictions_total{tier="response"}``), so repeats
+  are served without touching any lane; behind both sit the engines'
+  in-memory memos and (when configured) the thread-safe sqlite store of
   :mod:`repro.evaluation.cache`.  Streaming and deadline-bearing
   requests are always computed fresh and never remembered.
 * **Resilience.**
@@ -143,6 +146,7 @@ from repro.errors import (
 )
 from repro.evaluation import api
 from repro.evaluation.api import sweep_response, timeline_response
+from repro.evaluation.engine import SweepEngine
 from repro.observability import tracing
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import RetryPolicy
@@ -166,6 +170,10 @@ _SERVICE_CACHE = observability.counter(
     "repro_service_cache_hits_total",
     "Requests served from the dedup/response fast paths, by tier.",
 )
+_RESPONSE_EVICTIONS = observability.counter(
+    "repro_service_cache_evictions_total",
+    "Entries dropped from the service's fast paths, by tier.",
+).labels(tier="response")
 _SERVICE_ERRORS = observability.counter(
     "repro_service_errors_total",
     "Requests that failed (validation or compute).",
@@ -311,6 +319,16 @@ def _reject_constant(name: str):
 def _ndjson(obj) -> bytes:
     """One compact NDJSON line (the streaming wire format)."""
     return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
+
+
+def _check_design_count(count: int, budget: int) -> None:
+    """Refuse a request of *count* designs over its *budget*."""
+    if count > budget:
+        raise api.OverBudgetError(
+            f"request enumerates more than {budget} designs, over the "
+            f"budget of {budget}; shrink the space or raise the "
+            "service's --max-designs"
+        )
 
 
 def _encoded(job, engine, checkpoint=None) -> bytes:
@@ -718,7 +736,6 @@ class EvaluationService:
         shutdown_timeout: float = 30.0,
     ) -> None:
         from repro._validation import check_positive_int
-        from repro.vulnerability.diversity import diversity_database
 
         check_positive_int(max_designs, "max_designs")
         self.max_designs = max_designs
@@ -740,21 +757,23 @@ class EvaluationService:
         self.drain_grace = drain_grace
         self.startup_timeout = startup_timeout
         self.shutdown_timeout = shutdown_timeout
+        #: Every lane engine is ``SweepEngine.for_space`` of its
+        #: context's space, this case study and these options.
         self._case_study = case_study
-        #: Every lane engine is built with these, plus its case study
-        #: and database.
         self._engine_options = {
             "policy": policy,
             "chunk_size": chunk_size,
             "cache_path": cache_path,
         }
-        # The diversity database serves heterogeneous (variants=true)
-        # requests; homogeneous designs never consult it, so results
-        # match a database-less CLI engine byte for byte.
-        self.engine = self._new_engine(case_study, diversity_database())
+        self.engine = SweepEngine.for_space(
+            api.SpaceSpec.from_payload({}), case_study, **self._engine_options
+        )
         self._lanes = LanePool(lanes, self.engine)
-        self._inflight: dict[str, asyncio.Future] = {}
-        self._responses: dict[str, bytes] = {}
+        #: Computations in flight and remembered bodies, each with the
+        #: design count of its request: a repeat is checked against its
+        #: own budget without enumerating the space again.
+        self._inflight: dict[str, tuple[asyncio.Future, int]] = {}
+        self._responses: dict[str, tuple[bytes, int]] = {}
         self._draining = False
         self._active_requests = 0
         #: Open client transports, so a forced stop can sever them
@@ -1101,30 +1120,38 @@ class EvaluationService:
             )
         start = time.perf_counter()
         try:
-            req, key, job, deadline, design_count = self._prepare(base, request)
+            req, key, deadline = self._parse(base, request)
+            budget = min(req.max_designs or self.max_designs, self.max_designs)
+            remembered = self._responses.get(key)
+            joined = self._inflight.get(key)
+            known = remembered or joined
+            if known is None:
+                designs = self._designs(req, budget)
+            else:
+                # The same key enumerates the same designs: check the
+                # count stored with the entry against this budget.
+                _check_design_count(known[1], budget)
         except ReproError as exc:
             return self._failed(base, start, exc)
         if req.stream:
-            return await self._start_stream(
-                base, req, key, job, deadline, design_count, start
-            )
-        response = self._responses.get(key)
-        if response is not None:
+            return await self._start_stream(base, req, key, designs, deadline, start)
+        if remembered is not None:
             _SERVICE_CACHE.inc(tier="response")
             _observe_latency(base, start)
-            return 200, response, {}
+            return 200, remembered[0], {}
         loop = asyncio.get_running_loop()
-        future = self._inflight.get(key)
-        if future is not None:
+        if joined is not None:
             # Identical request already computing: one computation,
             # many responders.
             _SERVICE_CACHE.inc(tier="dedup")
+            future = joined[0]
         else:
             rejected = self._reject_new_computation(base, start)
             if rejected is not None:
                 return rejected
             future = loop.create_future()
-            self._inflight[key] = future
+            self._inflight[key] = (future, len(designs))
+            job = self._job(req, designs, deadline)
             submit = self._lane_submit(req, partial(_encoded, job))
             # A deadline request's key is unique: no later request can
             # hit its answer, so it is not remembered.
@@ -1217,113 +1244,39 @@ class EvaluationService:
             if not future.cancelled():
                 future.set_exception(exc)
             return
-        self._inflight.pop(key, None)
+        _, design_count = self._inflight.pop(key)
         _SERVICE_COMPUTED.inc()
         if remember:
-            self._remember(key, response)
+            self._remember(key, response, design_count)
         if not future.cancelled():
             future.set_result(response)
 
     def _lane_submit(self, req, job):
         """A thunk queueing *job* on the request's context lane."""
+        # A new lane builds its engine on the lane thread.
+        factory = partial(
+            SweepEngine.for_space,
+            req.space,
+            self._case_study,
+            **self._engine_options,
+        )
         return partial(
-            self._lanes.submit,
-            req.context_label(),
-            self._lane_engine_factory(req.space),
-            job,
-            req.priority,
+            self._lanes.submit, req.context_label(), factory, job, req.priority
         )
 
-    def _new_engine(self, case_study, database):
-        from repro.evaluation.engine import SweepEngine
-
-        return SweepEngine(
-            case_study=case_study, database=database, **self._engine_options
-        )
-
-    def _lane_engine_factory(self, space):
-        """A builder for a fresh per-context engine (lane-thread-side)."""
-        scaled = space.scaled
-
-        def build():
-            if scaled is not None:
-                from repro.enterprise.scaled import scaled_case_study
-
-                case_study, _ = scaled_case_study(*scaled)
-                return self._new_engine(case_study, None)
-            from repro.vulnerability.diversity import diversity_database
-
-            return self._new_engine(self._case_study, diversity_database())
-
-        return build
-
-    def _prepare(self, base: str, request: dict):
-        """Parsed request, dedup key, lane job and deadline.
+    def _parse(self, base: str, request: dict):
+        """Parsed request, dedup key and deadline.
 
         Raises :class:`~repro.errors.ReproError` on validation
-        failures, including a blown design-count or timeline-cell
-        budget (:class:`~repro.evaluation.api.OverBudgetError`) —
-        checked here, before the request can occupy the queue.  The
-        deadline's clock starts here, at request receipt: queue wait
-        spends the budget.
+        failures.  The deadline's clock starts here, at request
+        receipt: queue wait spends the budget.
         """
-        timeline = base == "/timeline"
-        cls = api.TimelineRequest if timeline else api.SweepRequest
-        req = cls.from_payload(request)
+        req = api.parse_request(request, base == "/timeline")
         deadline = (
             None
             if req.deadline_ms is None
             else Deadline.after_ms(req.deadline_ms)
         )
-        designs = api.iter_space(req.space)
-        if req.shard is not None:
-            designs = (d for d in designs if req.shard.owns(d))
-        budget = (
-            self.max_designs
-            if req.max_designs is None
-            else min(req.max_designs, self.max_designs)
-        )
-        # Stop one design past the budget: the space itself may be
-        # far too large to build.
-        designs = list(islice(designs, budget + 1))
-        if len(designs) > budget:
-            raise api.OverBudgetError(
-                f"request enumerates more than {budget} designs, over the "
-                f"budget of {budget}; shrink the space or raise the "
-                "service's --max-designs"
-            )
-        cells = len(designs) * len(req.times) if timeline else 0
-        if cells > api.MAX_TIMELINE_CELLS:
-            raise api.OverBudgetError(
-                f"timeline of {len(designs)} designs x {len(req.times)} time "
-                f"points asks for {cells} cells, over the cap of "
-                f"{api.MAX_TIMELINE_CELLS}; shrink the space or the time grid"
-            )
-        if req.space.scaled is not None and designs:
-            # Scaled spaces answer with the generated tier roles,
-            # exactly like `repro sweep --scaled`.
-            roles = list(designs[0].roles)
-        else:
-            roles = list(req.space.roles)
-        space = {
-            "roles": roles,
-            "max_replicas": req.space.max_replicas,
-            "max_total": req.space.max_total,
-            "variants": req.space.variants,
-        }
-        if timeline:
-            job = partial(
-                self._timeline_job,
-                space=space,
-                designs=designs,
-                times=req.times,
-                campaign=req.campaign,
-                deadline=deadline,
-            )
-        else:
-            job = partial(
-                self._sweep_job, space=space, designs=designs, deadline=deadline
-            )
         canonical = req.canonical()
         if deadline is not None or req.stream:
             # A deadline carries its own budget and a stream is produced
@@ -1331,14 +1284,51 @@ class EvaluationService:
             # response) across requests.
             self._unique_serial += 1
             canonical["serial"] = self._unique_serial
-        key = api.canonical_json(canonical)
-        return req, key, job, deadline, len(designs)
+        return req, api.canonical_json(canonical), deadline
+
+    def _designs(self, req, budget: int) -> list:
+        """The designs of a new computation, within its budgets.
+
+        A blown design-count or timeline-cell budget raises
+        :class:`~repro.evaluation.api.OverBudgetError` here, before the
+        request can occupy the queue.
+        """
+        designs = api.iter_space(req.space)
+        if req.shard is not None:
+            designs = (d for d in designs if req.shard.owns(d))
+        # Stop one design past the budget: the space itself may be
+        # far too large to build.
+        designs = list(islice(designs, budget + 1))
+        _check_design_count(len(designs), budget)
+        if isinstance(req, api.TimelineRequest):
+            cells = len(designs) * len(req.times)
+            if cells > api.MAX_TIMELINE_CELLS:
+                raise api.OverBudgetError(
+                    f"timeline of {len(designs)} designs x {len(req.times)} "
+                    f"time points asks for {cells} cells, over the cap of "
+                    f"{api.MAX_TIMELINE_CELLS}; shrink the space or the time "
+                    "grid"
+                )
+        return designs
+
+    def _job(self, req, designs: list, deadline):
+        """The lane job computing *req* over *designs*."""
+        if isinstance(req, api.TimelineRequest):
+            return partial(
+                self._timeline_job,
+                space=req.space,
+                designs=designs,
+                times=req.times,
+                campaign=req.campaign,
+                deadline=deadline,
+            )
+        return partial(
+            self._sweep_job, space=req.space, designs=designs, deadline=deadline
+        )
 
     # -- streaming ----------------------------------------------------------
 
-    async def _start_stream(
-        self, base, req, key, job, deadline, design_count, start
-    ):
+    async def _start_stream(self, base, req, key, designs, deadline, start):
         """Admit a ``stream: true`` request and hand back its plan."""
         rejected = self._reject_new_computation(base, start)
         if rejected is not None:
@@ -1352,8 +1342,9 @@ class EvaluationService:
             loop.call_soon_threadsafe(queue.put_nowait, ("chunk", records))
 
         future: asyncio.Future = loop.create_future()
-        self._inflight[key] = future
-        submit = self._lane_submit(req, partial(job, progress=emit_chunk))
+        self._inflight[key] = (future, len(designs))
+        job = partial(self._job(req, designs, deadline), progress=emit_chunk)
+        submit = self._lane_submit(req, job)
         loop.create_task(self._compute_job(key, submit, future, remember=False))
 
         def _finish(fut) -> None:
@@ -1373,7 +1364,7 @@ class EvaluationService:
             future=future,
             deadline=deadline,
             started=start,
-            design_count=design_count,
+            design_count=len(designs),
         )
 
     @staticmethod
@@ -1485,25 +1476,18 @@ class EvaluationService:
     # ever touched after construction — called with the lane's engine.
 
     def _sweep_job(
-        self, engine, space: dict, designs, deadline=None, checkpoint=None,
+        self, engine, space, designs, deadline=None, checkpoint=None,
         progress=None,
     ) -> dict:
         evaluations = engine.evaluate(
             designs, deadline=deadline, checkpoint=checkpoint, progress=progress
         )
-        return sweep_response(
-            space["roles"],
-            space["max_replicas"],
-            space["max_total"],
-            space["variants"],
-            "serial",
-            evaluations,
-        )
+        return sweep_response(*api.header(space, designs), evaluations)
 
     def _timeline_job(
         self,
         engine,
-        space: dict,
+        space,
         designs,
         times,
         campaign,
@@ -1520,27 +1504,22 @@ class EvaluationService:
             progress=progress,
         )
         return timeline_response(
-            space["roles"],
-            space["max_replicas"],
-            space["max_total"],
-            space["variants"],
-            "serial",
-            campaign,
-            times,
-            timelines,
+            *api.header(space, designs), campaign, times, timelines
         )
 
-    def _remember(self, key: str, body: bytes) -> None:
+    def _remember(self, key: str, body: bytes, design_count: int) -> None:
         """Keep *body* for repeats, oldest out first, within both bounds."""
         if len(body) > _MAX_REMEMBERED_BYTES:
             return
-        held = sum(map(len, self._responses.values()))
+        held = sum(len(kept) for kept, _ in self._responses.values())
         while self._responses and (
             len(self._responses) >= _MAX_REMEMBERED_RESPONSES
             or held + len(body) > _MAX_REMEMBERED_BYTES
         ):
-            held -= len(self._responses.pop(next(iter(self._responses))))
-        self._responses[key] = body
+            evicted, _ = self._responses.pop(next(iter(self._responses)))
+            held -= len(evicted)
+            _RESPONSE_EVICTIONS.inc()
+        self._responses[key] = (body, design_count)
 
     # -- observability ------------------------------------------------------
 
@@ -1594,6 +1573,7 @@ class EvaluationService:
                 "requests_total": total(_REQUESTS),
                 "dedup_hits": total(_SERVICE_CACHE, tier="dedup"),
                 "response_cache_hits": total(_SERVICE_CACHE, tier="response"),
+                "response_cache_evictions": int(_RESPONSE_EVICTIONS.value),
                 "computed": int(_SERVICE_COMPUTED.value),
                 "errors": int(_SERVICE_ERRORS.value),
                 "rejected": int(_SERVICE_REJECTED.value),
@@ -1654,9 +1634,10 @@ class ServiceClient:
 
     Used by the test-suite, the CI smoke, the shard coordinator and
     scripts; any HTTP client works — the API is plain JSON over
-    HTTP/1.1.  :meth:`sweep`/:meth:`timeline` build the typed ``/v1``
-    envelope from keyword arguments; :meth:`request` stays available
-    for raw exchanges.
+    HTTP/1.1.  :meth:`sweep`/:meth:`timeline` build the ``/v1``
+    envelope from keyword arguments
+    (:func:`repro.evaluation.api.envelope`); :meth:`request` stays
+    available for raw exchanges.
 
     Every request sends ``Connection: close`` explicitly — the service
     closes the socket after one exchange, and advertising it keeps a
@@ -1672,19 +1653,6 @@ class ServiceClient:
     #: Default 503 handling: three attempts, honouring ``Retry-After``
     #: (capped at ``max_delay``) and falling back to 0.2 s → 0.4 s.
     DEFAULT_RETRY = RetryPolicy(attempts=3, base_delay=0.2, max_delay=5.0)
-
-    _SPACE_FIELDS = ("roles", "max_replicas", "max_total", "variants", "scaled")
-    _SWEEP_OPTIONS = ("max_designs", "shard")
-    _TIMELINE_OPTIONS = (
-        "max_designs",
-        "shard",
-        "horizon",
-        "points",
-        "times",
-        "campaign",
-        "phases",
-    )
-    _TOP_FIELDS = ("priority", "deadline_ms", "stream")
 
     def __init__(
         self,
@@ -1788,54 +1756,23 @@ class ServiceClient:
             )
         return parsed
 
-    def _envelope(self, fields: dict, timeline: bool) -> dict:
-        """The /v1 request envelope built from flat keyword arguments."""
-        option_names = self._TIMELINE_OPTIONS if timeline else self._SWEEP_OPTIONS
-        allowed = (
-            set(self._SPACE_FIELDS) | set(option_names) | set(self._TOP_FIELDS)
-        )
-        unknown = sorted(set(fields) - allowed)
-        if unknown:
-            endpoint = "timeline" if timeline else "sweep"
-            raise ValidationError(
-                f"unknown {endpoint} field(s) {unknown}; "
-                f"allowed: {sorted(allowed)}"
-            )
-        payload: dict = {}
-        space = {k: fields[k] for k in self._SPACE_FIELDS if k in fields}
-        options = {k: fields[k] for k in option_names if k in fields}
-        if space:
-            payload["space"] = space
-        if options:
-            payload["options"] = options
-        for k in self._TOP_FIELDS:
-            if k in fields:
-                payload[k] = fields[k]
-        return payload
-
     def sweep(self, **fields) -> dict:
         """``POST /v1/sweep`` built from flat keyword arguments."""
-        return self._checked(
-            "POST", "/v1/sweep", self._envelope(fields, timeline=False)
-        )
+        return self._checked("POST", "/v1/sweep", api.envelope(fields, False))
 
     def timeline(self, **fields) -> dict:
         """``POST /v1/timeline`` built from flat keyword arguments."""
-        return self._checked(
-            "POST", "/v1/timeline", self._envelope(fields, timeline=True)
-        )
+        return self._checked("POST", "/v1/timeline", api.envelope(fields, True))
 
     def sweep_stream(self, **fields):
         """Iterate ``POST /v1/sweep`` NDJSON events (``stream: true``)."""
         fields["stream"] = True
-        return self._stream("/v1/sweep", self._envelope(fields, timeline=False))
+        return self._stream("/v1/sweep", api.envelope(fields, False))
 
     def timeline_stream(self, **fields):
         """Iterate ``POST /v1/timeline`` NDJSON events."""
         fields["stream"] = True
-        return self._stream(
-            "/v1/timeline", self._envelope(fields, timeline=True)
-        )
+        return self._stream("/v1/timeline", api.envelope(fields, True))
 
     def _stream(self, path: str, payload: dict):
         """Yield parsed events from one streaming exchange."""

@@ -138,13 +138,8 @@ class ShardCoordinator:
     # -- internals -------------------------------------------------------
 
     def _fan_out(self, fields: dict, timeline: bool) -> dict:
-        space = api.SpaceSpec.from_payload(
-            {
-                name: fields[name]
-                for name in ("roles", "max_replicas", "max_total", "variants", "scaled")
-                if name in fields
-            }
-        )
+        # Parsed here, so a bad request fails before any shard is asked.
+        space = api.parse_request(api.envelope(fields, timeline), timeline).space
         count = self.shard_count
         with ThreadPoolExecutor(
             max_workers=count, thread_name_prefix="repro-shard"

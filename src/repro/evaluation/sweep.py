@@ -3,7 +3,9 @@
 Enumeration covers both spec kinds — replica-count spaces
 (:func:`enumerate_designs`) and diverse-stack variant assignments
 (:func:`enumerate_heterogeneous_designs`) — and :func:`pareto_front`
-ranks any mix of the two on the same (ASP, COA) axes.
+ranks any mix of the two on the same (ASP, COA) axes, through the one
+kernel :func:`pareto_mask` (which also re-ranks serialised designs in
+the shard merge).
 """
 
 from __future__ import annotations
@@ -14,21 +16,17 @@ from itertools import product
 import numpy as np
 
 from repro._validation import check_positive_int
-from repro.enterprise.casestudy import EnterpriseCaseStudy
-from repro.enterprise.design import DesignSpec, RedundancyDesign
+from repro.enterprise.design import RedundancyDesign
 from repro.enterprise.heterogeneous import HeterogeneousDesign
 from repro.enterprise.roles import ServerRole
 from repro.errors import ValidationError
-from repro.evaluation.combined import DesignEvaluation, evaluate_designs
-from repro.patching.policy import PatchPolicy
-from repro.vulnerability.database import VulnerabilityDatabase
+from repro.evaluation.combined import DesignEvaluation
 
 __all__ = [
     "enumerate_designs",
     "enumerate_heterogeneous_designs",
-    "sweep_designs",
     "pareto_front",
-    "pareto_front_loop",
+    "pareto_mask",
 ]
 
 
@@ -147,35 +145,6 @@ def enumerate_heterogeneous_designs(
         yield HeterogeneousDesign(dict(zip(roles, combo)))
 
 
-def sweep_designs(
-    case_study: EnterpriseCaseStudy,
-    policy: PatchPolicy,
-    designs: Iterable[DesignSpec],
-    database: VulnerabilityDatabase | None = None,
-) -> list[DesignEvaluation]:
-    """Evaluate an arbitrary design collection with shared caches.
-
-    *designs* may mix homogeneous and heterogeneous specs.
-    """
-    return evaluate_designs(
-        list(designs), case_study=case_study, policy=policy, database=database
-    )
-
-
-def _pareto_axes(
-    evaluations: Sequence[DesignEvaluation], after_patch: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    snapshots = [
-        evaluation.after if after_patch else evaluation.before
-        for evaluation in evaluations
-    ]
-    asp = np.array(
-        [snapshot.security.attack_success_probability for snapshot in snapshots]
-    )
-    coa = np.array([snapshot.coa for snapshot in snapshots])
-    return asp, coa
-
-
 def pareto_front(
     evaluations: Iterable[DesignEvaluation],
     after_patch: bool = True,
@@ -186,17 +155,32 @@ def pareto_front(
     and strictly better on one — the trade-off frontier an administrator
     chooses from.  Works on any mix of design kinds (the axes live on
     the snapshots, not the specs).
-
-    The implementation is an O(n log n) vectorized sweep: sort by
-    (ASP asc, COA desc), then a design survives iff its COA equals its
-    ASP-group's maximum and that maximum strictly exceeds the best COA
-    of every strictly-lower ASP group.  :func:`pareto_front_loop` keeps
-    the quadratic reference semantics as the parity oracle.
     """
     pool = list(evaluations)
-    if not pool:
-        return []
-    asp, coa = _pareto_axes(pool, after_patch)
+    snapshots = [
+        evaluation.after if after_patch else evaluation.before
+        for evaluation in pool
+    ]
+    keep = pareto_mask(
+        [snapshot.security.attack_success_probability for snapshot in snapshots],
+        [snapshot.coa for snapshot in snapshots],
+    )
+    return [evaluation for evaluation, kept in zip(pool, keep) if kept]
+
+
+def pareto_mask(asp: Sequence[float], coa: Sequence[float]) -> np.ndarray:
+    """Which of the points ``(asp[i], coa[i])`` no other point dominates.
+
+    An O(n log n) vectorized sweep: sort by (ASP asc, COA desc), then a
+    point survives iff its COA equals its ASP group's maximum and that
+    maximum strictly exceeds the best COA of every strictly-lower ASP
+    group.  Returns a boolean array in input order.
+    """
+    asp = np.asarray(asp, dtype=float)
+    coa = np.asarray(coa, dtype=float)
+    keep = np.zeros(len(asp), dtype=bool)
+    if not len(asp):
+        return keep
     order = np.lexsort((-coa, asp))
     sorted_asp = asp[order]
     sorted_coa = coa[order]
@@ -208,40 +192,7 @@ def pareto_front(
     best_before = np.concatenate(
         ([-np.inf], np.maximum.accumulate(group_max)[:-1])
     )
-    survives = (sorted_coa == group_max[group_ids]) & (
+    keep[order] = (sorted_coa == group_max[group_ids]) & (
         group_max[group_ids] > best_before[group_ids]
     )
-    keep = np.zeros(len(pool), dtype=bool)
-    keep[order] = survives
-    return [evaluation for evaluation, kept in zip(pool, keep) if kept]
-
-
-def pareto_front_loop(
-    evaluations: Iterable[DesignEvaluation],
-    after_patch: bool = True,
-) -> list[DesignEvaluation]:
-    """Reference all-pairs Pareto front (the :func:`pareto_front` oracle)."""
-    pool = list(evaluations)
-
-    def axes(evaluation: DesignEvaluation) -> tuple[float, float]:
-        snapshot = evaluation.after if after_patch else evaluation.before
-        return (snapshot.security.attack_success_probability, snapshot.coa)
-
-    front = []
-    for candidate in pool:
-        asp_c, coa_c = axes(candidate)
-        dominated = False
-        for other in pool:
-            if other is candidate:
-                continue
-            asp_o, coa_o = axes(other)
-            if (
-                asp_o <= asp_c
-                and coa_o >= coa_c
-                and (asp_o < asp_c or coa_o > coa_c)
-            ):
-                dominated = True
-                break
-        if not dominated:
-            front.append(candidate)
-    return front
+    return keep

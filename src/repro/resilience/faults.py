@@ -14,15 +14,13 @@ A :class:`FaultPlan` is parsed from ``REPRO_FAULTS``, a semicolon
 A malformed plan raises :class:`~repro.errors.ValidationError` when it
 is first loaded.
 
-Each armed spec fires **exactly once per plan**, across all processes:
-the first process to load the plan materialises a token directory
-(``REPRO_FAULTS_STATE``) and removes it when it exits, processes it
-starts inherit it through the environment and leave it alone, and
-firing requires winning an ``O_CREAT | O_EXCL`` claim on the spec's
-token file.  That one-shot guarantee is what lets chaos
-tests assert byte-identical output — the fault fires, the recovery
-path (retry, degrade, fallback, failover) runs once, and the
-re-executed work proceeds unfaulted.
+Each armed spec fires **exactly once per process**: a process loads
+its plan once, and the plan's hit counter for a point, kept under the
+plan's lock, reaches ``n`` once, whichever thread arrives.  The program
+starts no other process, so that is once per run.  That one-shot
+guarantee is what lets chaos tests assert byte-identical output — the
+fault fires, the recovery path (retry, degrade, fallback, failover)
+runs once, and the re-executed work proceeds unfaulted.
 
 Instrumented points:
 
@@ -40,10 +38,7 @@ and a ``None`` check — effectively free on hot paths.
 
 from __future__ import annotations
 
-import atexit
 import os
-import shutil
-import tempfile
 import threading
 from dataclasses import dataclass
 
@@ -53,7 +48,6 @@ from repro.errors import FaultInjected, ValidationError
 __all__ = ["FaultPlan", "FaultSpec", "active_plan", "fault_point", "reset"]
 
 ENV_PLAN = "REPRO_FAULTS"
-ENV_STATE = "REPRO_FAULTS_STATE"
 
 _ACTIONS = frozenset({"error", "fail"})
 
@@ -104,13 +98,12 @@ class FaultSpec:
 
 
 class FaultPlan:
-    """The set of armed faults for this process tree."""
+    """The set of armed faults for this process."""
 
-    def __init__(self, specs: list[FaultSpec], state_dir: str) -> None:
+    def __init__(self, specs: list[FaultSpec]) -> None:
         self._by_point: dict[str, list[FaultSpec]] = {}
         for spec in specs:
             self._by_point.setdefault(spec.point, []).append(spec)
-        self._state_dir = state_dir
         self._hits: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -123,29 +116,7 @@ class FaultPlan:
         specs = [FaultSpec.parse(part) for part in raw.split(";") if part.strip()]
         if not specs:
             return None
-        state_dir = env.get(ENV_STATE, "").strip()
-        if not state_dir:
-            # First process to activate the plan owns the token dir;
-            # exporting it lets the processes it starts share the
-            # one-shot state, and the owner removes it at exit.
-            state_dir = tempfile.mkdtemp(prefix="repro-faults-")
-            os.environ[ENV_STATE] = state_dir
-            atexit.register(_remove_state_dir, state_dir, os.getpid())
-        return cls(specs, state_dir)
-
-    def _claim(self, spec: FaultSpec) -> bool:
-        """Atomically claim the one-shot token; True if we won."""
-
-        path = os.path.join(self._state_dir, spec.token)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        except OSError:
-            return False
-        with os.fdopen(fd, "w") as handle:
-            handle.write(str(os.getpid()))
-        return True
+        return cls(specs)
 
     def trigger(self, point: str, *, error: BaseException | None = None) -> None:
         specs = self._by_point.get(point)
@@ -157,19 +128,10 @@ class FaultPlan:
         for spec in specs:
             if spec.hit != hit:
                 continue
-            if not self._claim(spec):
-                continue
             _INJECTED.inc(point=point)
             raise error if error is not None else FaultInjected(
                 f"fault injected at {point} (hit {hit})"
             )
-
-
-def _remove_state_dir(path: str, owner: int) -> None:
-    """Remove a token directory at exit, in the process that made it
-    (a forked child inherits the exit hook but not the ownership)."""
-    if os.getpid() == owner:
-        shutil.rmtree(path, ignore_errors=True)
 
 
 _ACTIVE: FaultPlan | None = None
@@ -195,7 +157,8 @@ def fault_point(point: str, *, error: BaseException | None = None) -> None:
 
     ``error`` is the exception a matching ``error``/``fail`` action
     raises (sites pass the exception type their recovery path handles,
-    e.g. the cache passes ``sqlite3.OperationalError("...locked...")``);
+    e.g. the cache passes a ``sqlite3.OperationalError`` carrying
+    ``SQLITE_BUSY``);
     without it, :class:`FaultInjected` is raised.
     """
 

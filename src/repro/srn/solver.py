@@ -3,9 +3,7 @@
 Reward evaluation is vectorised: per-marking reward values are computed
 once per reward function, cached in a per-solution LRU keyed on the
 callable, and reduced against the probability vector with a numpy dot
-product.  The original per-marking Python loop survives as
-:meth:`SrnSolution.expected_reward_loop` — the reference implementation
-the parity tests and benchmarks compare against.
+product.
 
 :func:`solve_family` solves a family of structurally identical nets
 without vanishing markings (same places, transitions and arcs; only
@@ -132,14 +130,6 @@ class SrnSolution:
         with positive steady-state probability.
         """
         return float(self.probabilities @ self._steady_reward_vector(reward))
-
-    def expected_reward_loop(self, reward: RewardFn) -> float:
-        """Reference per-marking loop implementation of :meth:`expected_reward`."""
-        total = 0.0
-        for marking, probability in zip(self.markings, self.probabilities):
-            if probability > 0.0:
-                total += probability * float(reward(marking))
-        return total
 
     def expected_tokens(self, place: str) -> float:
         """Expected steady-state token count in *place*."""

@@ -144,20 +144,9 @@ class TestRequests:
         )
         assert plain.canonical() != sharded.canonical()
 
-    def test_to_payload_round_trip(self):
-        request = api.TimelineRequest.from_payload(
-            {
-                "space": {"roles": ["dns"], "max_replicas": 2},
-                "options": {"times": [1.0, 2.0]},
-                "priority": "batch",
-            }
-        )
-        again = api.TimelineRequest.from_payload(request.to_payload())
-        assert again == request
-
     def test_non_finite_numbers_rejected(self):
         for horizon in (math.inf, math.nan):
-            with pytest.raises(ValidationError, match="finite horizon"):
+            with pytest.raises(ValidationError, match="horizon must be finite"):
                 api.parse_times({"horizon": horizon})
             with pytest.raises(ValidationError, match="deadline_ms"):
                 api.parse_deadline_ms(horizon)
@@ -219,8 +208,6 @@ class TestResponses:
         ]
         assert payload["schema_version"] == api.SCHEMA_VERSION == 3
         assert payload["design_count"] == len(designs)
-        round_tripped = api.SweepResponse.from_payload(payload).to_payload()
-        assert round_tripped == payload
 
     def test_pareto_flags_match_pareto_front(self):
         from repro.evaluation import SweepEngine

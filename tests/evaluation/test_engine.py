@@ -13,8 +13,6 @@ from repro.evaluation import (
     SweepEngine,
     enumerate_designs,
     evaluate_designs,
-    pareto_front,
-    sweep_designs,
 )
 from repro.evaluation import engine as engine_module
 from repro.vulnerability.diversity import diversity_database
@@ -66,19 +64,6 @@ class TestSweepEngine:
         engine.evaluate(small_space)
         assert calls == [len(small_space)]
 
-    def test_sweep_matches_enumerate_plus_evaluate(self):
-        engine = SweepEngine()
-        swept = engine.sweep(["dns", "web"], max_replicas=2, max_total=3)
-        manual = engine.evaluate(
-            enumerate_designs(["dns", "web"], max_replicas=2, max_total=3)
-        )
-        assert swept == manual
-
-    def test_pareto_delegates_to_pareto_front(self, small_space):
-        engine = SweepEngine()
-        evaluations = engine.evaluate(small_space)
-        assert engine.pareto(evaluations) == pareto_front(evaluations)
-
     def test_unknown_executor_rejected(self):
         # The engine evaluates in-process and has no executor option.
         for name in ("serial", "process", "thread"):
@@ -117,15 +102,6 @@ class TestModuleLevelApi:
         )
         engine = SweepEngine(case_study=case_study, policy=critical_policy)
         assert direct == engine.evaluate(small_space)
-
-    def test_sweep_designs_executor_kwarg(self, small_space, case_study, critical_policy):
-        with pytest.raises(TypeError):
-            sweep_designs(case_study, critical_policy, small_space, executor="serial")
-        assert sweep_designs(
-            case_study, critical_policy, small_space
-        ) == evaluate_designs(
-            small_space, case_study=case_study, policy=critical_policy
-        )
 
     def test_chunk_worker_matches_serial(self, small_space, case_study, critical_policy):
         reference = evaluate_designs(

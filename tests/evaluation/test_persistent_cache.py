@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.enterprise import paper_designs
 from repro.errors import EvaluationError
 from repro.evaluation import PersistentEvaluationCache, SweepEngine
+from repro.evaluation import cache as cache_module
 from repro.evaluation.cache import context_fingerprint
 from repro.patching import CriticalVulnerabilityPolicy
 from repro.patching.policy import PatchAllPolicy
+from repro.resilience import RetryPolicy
 
 
 class TestPersistentEvaluationCache:
@@ -489,3 +493,69 @@ class TestClosedCache:
         assert cache.closed
         cache.close()  # no error
         assert cache.closed
+
+
+class TestContentionCodes:
+    """Contention is read from sqlite's result code, never its message."""
+
+    FAST_RETRY = RetryPolicy(attempts=3, base_delay=0.0)
+
+    def test_locked_text_without_a_busy_code_fails_at_once(
+        self, tmp_path, monkeypatch
+    ):
+        attempts = []
+
+        def put_rows(cache, scope, rows):
+            attempts.append(scope)
+            raise sqlite3.OperationalError("database is locked")
+
+        monkeypatch.setattr(PersistentEvaluationCache, "_put_rows", put_rows)
+        cache = PersistentEvaluationCache(
+            tmp_path / "cache.sqlite", retry_policy=self.FAST_RETRY
+        )
+        with pytest.raises(EvaluationError, match="write failed"):
+            cache.put("evaluation", "k", 1)
+        assert attempts == ["evaluation"]
+        assert not cache.degraded
+        cache.close()
+
+    def test_a_held_exclusive_lock_degrades_the_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_module, "_BUSY_TIMEOUT_S", 0.05)
+        path = tmp_path / "cache.sqlite"
+        cache = PersistentEvaluationCache(path, retry_policy=self.FAST_RETRY)
+        holder = sqlite3.connect(path, isolation_level=None)
+        holder.execute("BEGIN EXCLUSIVE")
+        try:
+            cache.put("evaluation", "k", {"value": 1})
+            assert cache.degraded
+            assert cache.get("evaluation", "k") == {"value": 1}
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+            cache.close()
+
+    def test_a_lost_migration_race_is_no_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "old.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE TABLE entries ("
+            "  scope TEXT NOT NULL, key TEXT NOT NULL,"
+            "  payload BLOB NOT NULL, PRIMARY KEY (scope, key))"
+        )
+        conn.commit()
+        conn.close()
+        PersistentEvaluationCache(path).close()  # the race's winner
+        # The loser read the columns before the winner added them, so
+        # its ALTER fails on a duplicate column.
+        columns = PersistentEvaluationCache._columns
+        reads = []
+
+        def stale_first(cache):
+            reads.append(1)
+            return {"scope", "key", "payload"} if len(reads) == 1 else columns(cache)
+
+        monkeypatch.setattr(PersistentEvaluationCache, "_columns", stale_first)
+        with PersistentEvaluationCache(path) as cache:
+            cache.put("evaluation", "k", 1)
+            assert cache.get("evaluation", "k") == 1
+        assert len(reads) == 2

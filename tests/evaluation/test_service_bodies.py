@@ -58,7 +58,12 @@ def _response_hits() -> float:
 
 
 def _held(service: EvaluationService) -> int:
-    return sum(len(body) for body in service._responses.values())
+    return sum(len(body) for body, _ in service._responses.values())
+
+
+def _evictions() -> float:
+    family = observability.REGISTRY.counter("repro_service_cache_evictions_total")
+    return family.labels(tier="response").value
 
 
 @pytest.fixture
@@ -87,10 +92,26 @@ class TestResponseMemory:
             sizes.append(len(body))
             assert _held(service) <= 5_000
             # The newest answer is always kept when it fits.
-            assert body in service._responses.values()
+            assert body in [kept for kept, _ in service._responses.values()]
         # Together the answers overflow the bound, so some were evicted.
         assert sum(sizes) > 5_000
         assert len(service._responses) < len(spaces)
+
+    def test_every_dropped_body_counts_an_eviction(self, bounded_service):
+        service, port = bounded_service
+        hits, evictions = _response_hits(), _evictions()
+        spaces = [["dns"], ["web"], ["app"], ["db"], ["dns", "web"], ["web"]]
+        for roles in spaces:
+            status, body = _sweep(port, roles, 2)
+            assert status == 200 and len(body) <= 5_000
+        # Every answer fits the bound, so each one the memory did not
+        # serve was remembered.
+        remembered = len(spaces) - (_response_hits() - hits)
+        evicted = _evictions() - evictions
+        assert evicted > 0
+        assert evicted == remembered - len(service._responses)
+        counters = service.metrics()["counters"]
+        assert counters["response_cache_evictions"] >= evicted
 
     def test_oldest_answers_are_evicted_first(self, bounded_service):
         service, port = bounded_service

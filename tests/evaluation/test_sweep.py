@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.enterprise import RedundancyDesign
-from repro.evaluation import enumerate_designs, pareto_front, sweep_designs
+from repro.evaluation import enumerate_designs, evaluate_designs, pareto_front
 from repro.errors import ValidationError
 
 
@@ -52,7 +52,9 @@ class TestSweepAndPareto:
             RedundancyDesign({"dns": 1, "web": 1, "app": 1, "db": 1}),
             RedundancyDesign({"dns": 1, "web": 1, "app": 2, "db": 1}),
         ]
-        evaluations = sweep_designs(case_study, critical_policy, designs)
+        evaluations = evaluate_designs(
+            designs, case_study=case_study, policy=critical_policy
+        )
         assert [e.design for e in evaluations] == designs
 
     def test_pareto_front_of_paper_designs(self, design_evaluations):

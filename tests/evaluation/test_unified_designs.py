@@ -22,11 +22,11 @@ from repro.evaluation import (
     enumerate_heterogeneous_designs,
     evaluate_designs,
     pareto_front,
-    pareto_front_loop,
 )
 from repro.evaluation.combined import DesignEvaluation, DesignSnapshot
 from repro.harm import SecurityMetrics
 from repro.vulnerability.diversity import diversity_database
+from tests.oracles.pareto import pareto_front_loop
 
 
 @pytest.fixture(scope="module")
@@ -324,7 +324,7 @@ class TestUnifiedEngine:
         )
         evaluations = engine.evaluate(mixed)
         assert [e.design for e in evaluations] == mixed
-        front = engine.pareto(evaluations)
+        front = pareto_front(evaluations)
         assert front
         assert set(front) <= set(evaluations)
 

@@ -1,7 +1,7 @@
 """Shared isolation for the resilience tests.
 
 Fault plans are process-wide singletons; every test here gets a clean
-slate before and after, and the ``REPRO_FAULTS*`` variables never leak
+slate before and after, and the ``REPRO_FAULTS`` variable never leaks
 between tests.
 """
 
@@ -13,7 +13,7 @@ import pytest
 
 from repro.resilience import faults as faults_mod
 
-_FAULT_ENVS = (faults_mod.ENV_PLAN, faults_mod.ENV_STATE)
+_FAULT_ENVS = (faults_mod.ENV_PLAN,)
 
 
 @pytest.fixture(autouse=True)

@@ -3,17 +3,13 @@
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
-from pathlib import Path
+import threading
 
 import pytest
 
-import repro
-
 from repro.errors import FaultInjected, ValidationError
 from repro.resilience import FaultPlan, fault_point
-from repro.resilience.faults import ENV_PLAN, ENV_STATE, FaultSpec
+from repro.resilience.faults import ENV_PLAN, FaultSpec
 from repro.resilience import faults as faults_mod
 
 
@@ -49,9 +45,9 @@ class TestFaultSpec:
         assert os.sep not in FaultSpec.parse("a.b:error@2").token
 
 
-def plan_for(raw: str, tmp_path) -> FaultPlan:
+def plan_for(raw: str) -> FaultPlan:
     specs = [FaultSpec.parse(part) for part in raw.split(";") if part.strip()]
-    return FaultPlan(specs, str(tmp_path))
+    return FaultPlan(specs)
 
 
 class TestFaultPlan:
@@ -59,57 +55,56 @@ class TestFaultPlan:
         assert FaultPlan.from_env({}) is None
         assert FaultPlan.from_env({ENV_PLAN: "  "}) is None
 
-    def test_from_env_materialises_shared_state(self):
-        environ = {ENV_PLAN: "cache.write:error@1"}
-        plan = FaultPlan.from_env(environ)
-        try:
-            assert plan is not None
-            # The first activating process exports the token dir so the
-            # processes it starts inherit one-shot state.
-            assert os.path.isdir(os.environ[ENV_STATE])
-        finally:
-            state = os.environ.pop(ENV_STATE, None)
-            if state and os.path.isdir(state):
-                os.rmdir(state)
-
-    def test_fires_on_the_named_hit_only(self, tmp_path):
-        plan = plan_for("solver.iterative:fail@3", tmp_path)
+    def test_fires_on_the_named_hit_only(self):
+        plan = plan_for("solver.iterative:fail@3")
         plan.trigger("solver.iterative")
         plan.trigger("solver.iterative")
         with pytest.raises(FaultInjected):
             plan.trigger("solver.iterative")
 
-    def test_fires_exactly_once(self, tmp_path):
-        plan = plan_for("cache.write:error@1", tmp_path)
+    def test_fires_exactly_once(self):
+        plan = plan_for("cache.write:error@1")
         with pytest.raises(FaultInjected):
             plan.trigger("cache.write")
-        # Hit counts keep advancing but the one-shot token is spent.
+        # Hit counts keep advancing past the armed first hit.
         for _ in range(5):
             plan.trigger("cache.write")
 
-    def test_one_shot_token_is_shared_across_plans(self, tmp_path):
-        # Two plans over one state dir model two processes of one tree:
-        # whichever arrives at the armed hit first wins the claim.
-        first = plan_for("cache.write:error@1", tmp_path)
-        second = plan_for("cache.write:error@1", tmp_path)
-        with pytest.raises(FaultInjected):
-            first.trigger("cache.write")
-        second.trigger("cache.write")  # token already claimed: no raise
+    def test_concurrent_hits_fire_exactly_once(self):
+        # The hit counter is kept under the plan's lock, so one of all
+        # the threads' arrivals is the armed first hit.
+        plan = plan_for("point:fail@1")
+        raised = []
+        start = threading.Barrier(8)
 
-    def test_caller_supplied_error_is_raised(self, tmp_path):
-        plan = plan_for("cache.read:error@1", tmp_path)
+        def hammer() -> None:
+            start.wait()
+            for _ in range(100):
+                try:
+                    plan.trigger("point")
+                except FaultInjected:
+                    raised.append(1)
+
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(raised) == 1
+
+    def test_caller_supplied_error_is_raised(self):
+        plan = plan_for("cache.read:error@1")
         with pytest.raises(OSError, match="injected lock"):
             plan.trigger("cache.read", error=OSError("injected lock"))
 
-    def test_unarmed_points_are_free(self, tmp_path):
-        plan = plan_for("cache.write:error@1", tmp_path)
+    def test_unarmed_points_are_free(self):
+        plan = plan_for("cache.write:error@1")
         plan.trigger("solver.transient")  # nothing armed here
 
-    def test_separate_specs_for_consecutive_hits(self, tmp_path):
+    def test_separate_specs_for_consecutive_hits(self):
         # The cache chaos drill arms one spec per retry attempt.
         plan = plan_for(
             "cache.write:error@1;cache.write:error@2;cache.write:error@3",
-            tmp_path,
         )
         for _ in range(3):
             with pytest.raises(FaultInjected):
@@ -151,45 +146,3 @@ class TestActivePlan:
             faults_mod.active_plan()
         with pytest.raises(ValidationError, match="kill"):
             SweepEngine()
-
-
-class TestStateDirectoryLifetime:
-    """The process that creates the token directory removes it at exit;
-    a process that inherited it leaves it for its owner."""
-
-    SCRIPT = (
-        "import os\n"
-        "from repro.resilience import fault_point\n"
-        "from repro.errors import FaultInjected\n"
-        "try:\n"
-        "    fault_point('demo.point')\n"
-        "except FaultInjected:\n"
-        "    pass\n"
-        "print(os.environ['REPRO_FAULTS_STATE'])\n"
-    )
-
-    def _child(self, **environ: str) -> str:
-        env = dict(
-            os.environ,
-            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
-            **environ,
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        return done.stdout.strip()
-
-    def test_owner_removes_its_directory_at_exit(self):
-        state = self._child(**{ENV_PLAN: "demo.point:fail@1"})
-        assert os.path.basename(state).startswith("repro-faults-")
-        assert not os.path.exists(state)
-
-    def test_inherited_directory_is_left_alone(self, tmp_path):
-        state = self._child(
-            **{ENV_PLAN: "demo.point:fail@1", ENV_STATE: str(tmp_path)}
-        )
-        assert state == str(tmp_path)
-        # The child fired the fault, so its claimed token is still there.
-        assert os.listdir(tmp_path) == [FaultSpec.parse("demo.point:fail@1").token]

@@ -16,6 +16,7 @@ import pytest
 from repro.availability.server import build_server_srn, solve_server
 from repro.errors import SrnError
 from repro.srn import SrnSolution, StochasticRewardNet, solve, solve_family
+from tests.oracles.srn import expected_reward_loop
 
 TOLERANCE = 1e-12
 
@@ -60,7 +61,7 @@ class TestServerSrnParity:
         ]
         for reward in rewards:
             vectorized = server_solution.expected_reward(reward)
-            loop = server_solution.expected_reward_loop(reward)
+            loop = expected_reward_loop(server_solution, reward)
             assert abs(vectorized - loop) < TOLERANCE
 
     def test_probability_of_matches_loop(self, server_solution):
@@ -83,7 +84,7 @@ class TestServerSrnParity:
     def test_expected_tokens_matches_loop(self, server_solution):
         for place in server_solution.markings[0].places():
             vectorized = server_solution.expected_tokens(place)
-            loop = server_solution.expected_reward_loop(lambda m: m[place])
+            loop = expected_reward_loop(server_solution, lambda m: m[place])
             assert abs(vectorized - loop) < TOLERANCE
 
     def test_throughput_matches_loop(self, server_solution, server_net):
@@ -134,11 +135,11 @@ class TestRandomNetParity:
             )
             assert abs(
                 solution.expected_reward(reward)
-                - solution.expected_reward_loop(reward)
+                - expected_reward_loop(solution, reward)
             ) < TOLERANCE
             assert abs(
                 solution.probability_of(lambda m: m["p0"] >= 1)
-                - solution.expected_reward_loop(lambda m: float(m["p0"] >= 1))
+                - expected_reward_loop(solution, lambda m: float(m["p0"] >= 1))
             ) < TOLERANCE
 
     def test_partial_reward_skips_zero_probability_markings(self):
@@ -161,7 +162,7 @@ class TestRandomNetParity:
             return 1.0
 
         assert abs(
-            masked.expected_reward(reward) - masked.expected_reward_loop(reward)
+            masked.expected_reward(reward) - expected_reward_loop(masked, reward)
         ) < TOLERANCE
 
     def test_solve_family_rejects_absorbing_member(self):
@@ -207,5 +208,5 @@ class TestRandomNetParity:
             assert np.max(np.abs(fam.probabilities - solo.probabilities)) < 1e-10
             reward = lambda m: float(m["p0"])  # noqa: E731
             assert abs(
-                fam.expected_reward(reward) - solo.expected_reward_loop(reward)
+                fam.expected_reward(reward) - expected_reward_loop(solo, reward)
             ) < TOLERANCE
